@@ -17,12 +17,11 @@ from .errors import (
     StateError,
 )
 from .jacobi import (
-    BandMatrix,
     HkSolution,
     IntertwiningReport,
     OrthonormalReport,
     RelationReport,
-    TriDiag,
+    ZerosReport,
     change_basis_matrix,
     jacobi_truncation,
     multiset_distance,
@@ -37,8 +36,8 @@ from .jacobi import (
 from .lincomb import (
     CombCoeffs,
     ConditionReport,
+    GramReport,
     check_conditions,
-    complete_q_basis,
     downward_favard,
     oracle_gram_check,
     q_poly,
@@ -46,18 +45,14 @@ from .lincomb import (
 )
 from .moments import (
     DEFAULT_MAX_HORIZON,
-    GramReport,
     MomentFunctional,
-    QuasiDefiniteReport,
-    annihilator_moments,
     apply_functional,
-    gram_orthogonality_check,
     inner,
-    is_quasi_definite,
     moments_from_recurrence,
 )
 from .quadrature import (
     QuadratureRule,
+    ShohatReport,
     christoffel_numbers,
     degree_of_precision,
     gauss_rule,
@@ -79,7 +74,6 @@ from .recurrence import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandMatrix",
     "CombCoeffs",
     "ConditionReport",
     "ConstraintError",
@@ -99,25 +93,21 @@ __all__ = [
     "OrthonormalReport",
     "Poly",
     "QuadratureRule",
-    "QuasiDefiniteReport",
     "RecurrencePair",
     "RelationReport",
+    "ShohatReport",
     "StateError",
-    "TriDiag",
-    "annihilator_moments",
+    "ZerosReport",
     "apply_functional",
     "change_basis_matrix",
     "chebyshev_family",
     "check_conditions",
     "christoffel_numbers",
-    "complete_q_basis",
     "degree_of_precision",
     "downward_favard",
     "eval_p",
     "gauss_rule",
-    "gram_orthogonality_check",
     "inner",
-    "is_quasi_definite",
     "jacobi_truncation",
     "k1_family",
     "k2_family",

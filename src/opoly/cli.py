@@ -30,7 +30,6 @@ import numpy as np
 from . import __version__
 from .errors import DegeneracyError, OpolyError
 from .jacobi import (
-    multiset_distance,
     orthonormal_identity_check,
     solve_hk,
     verify_functional_relation,
@@ -40,17 +39,10 @@ from .lincomb import (
     CombCoeffs,
     check_conditions,
     oracle_gram_check,
-    q_poly,
     tilde_recurrence,
 )
 from .moments import DEFAULT_MAX_HORIZON, moments_from_recurrence
-from .quadrature import (
-    QuadratureRule,
-    christoffel_numbers,
-    degree_of_precision,
-    gauss_rule,
-    shohat_check,
-)
+from .quadrature import gauss_rule, shohat_check
 from .recurrence import (
     K2Case,
     K2Params,
@@ -357,18 +349,15 @@ def _require_n(cfg: JobConfig, args) -> int:
 
 def _cmd_zeros(cfg: JobConfig, args) -> tuple[int, dict, list]:
     n = _require_n(cfg, args)
-    zeros = zeros_q(cfg.rec, cfg.comb, n, cross_tol=cfg.tolerances["zeros"])
-    q = q_poly(cfg.rec, cfg.comb, n)
-    roots = np.roots(q.as_array()[::-1]).astype(complex)
-    dist = multiset_distance(zeros, roots)
+    zq = zeros_q(cfg.rec, cfg.comb, n, cross_tol=cfg.tolerances["zeros"])
     result = {
         "n": n,
-        "zeros": [{"re": z.real, "im": z.imag} for z in zeros],
-        "cross_check_distance": float(dist),
-        "coefficients": list(q.coeffs),
+        "zeros": [{"re": z.real, "im": z.imag} for z in zq.zeros],
+        "cross_check_distance": zq.cross_check_distance,
+        "coefficients": list(zq.poly.coeffs),
     }
     rows = [("index", "re", "im")]
-    rows += [(i, z.real, z.imag) for i, z in enumerate(zeros)]
+    rows += [(i, z.real, z.imag) for i, z in enumerate(zq.zeros)]
     return 0, result, rows
 
 
@@ -418,12 +407,11 @@ def _cmd_quad(cfg: JobConfig, args) -> tuple[int, dict, list]:
     f = moments_from_recurrence(cfg.rec, count)
     rule = gauss_rule(cfg.rec, f, n)
     gauss_ok = rule.degree_of_precision == 2 * n - 1
-    shohat_ok = shohat_check(cfg.rec, cfg.comb, f, n, tol=cfg.tolerances["quad"])
-    zeros = zeros_q(cfg.rec, cfg.comb, n, cross_tol=cfg.tolerances["zeros"])
-    nodes = np.sort(zeros.real)
-    weights = christoffel_numbers(f, nodes)
-    comb_rule = QuadratureRule(nodes, weights, -1)
-    d = degree_of_precision(f, comb_rule, count, tol=cfg.tolerances["quad"])
+    shohat = shohat_check(
+        cfg.rec, cfg.comb, f, n,
+        tol=cfg.tolerances["quad"], cross_tol=cfg.tolerances["zeros"],
+    )
+    comb_rule = shohat.rule
     result = {
         "n": n,
         "gauss": {
@@ -435,18 +423,18 @@ def _cmd_quad(cfg: JobConfig, args) -> tuple[int, dict, list]:
             "ok": gauss_ok,
         },
         "combination": {
-            "nodes": list(nodes),
-            "weights": list(weights),
-            "degree_of_precision": d,
+            "nodes": list(comb_rule.nodes),
+            "weights": list(comb_rule.weights),
+            "degree_of_precision": comb_rule.degree_of_precision,
             "expected": 2 * n - 1 - k,
             "bracket": [n - 1, 2 * n - 1],
-            "ok": shohat_ok,
+            "ok": shohat.ok,
         },
     }
     rows = [("set", "node", "weight")]
     rows += [("gauss", x, w) for x, w in zip(rule.nodes, rule.weights)]
-    rows += [("combination", x, w) for x, w in zip(nodes, weights)]
-    return (0 if (gauss_ok and shohat_ok) else 1), result, rows
+    rows += [("combination", x, w) for x, w in zip(comb_rule.nodes, comb_rule.weights)]
+    return (0 if (gauss_ok and shohat.ok) else 1), result, rows
 
 
 def _cmd_gen(cfg: JobConfig, args) -> tuple[int, dict, list]:

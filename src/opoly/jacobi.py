@@ -35,58 +35,6 @@ from .recurrence import Poly, RecurrencePair
 
 
 @dataclass(frozen=True)
-class TriDiag:
-    """Monic Jacobi truncation: unit superdiagonal, ``diag`` betas, ``sub`` gammas."""
-
-    diag: np.ndarray
-    sub: np.ndarray
-
-    def __post_init__(self):
-        d = np.array(self.diag, dtype=float)
-        s = np.array(self.sub, dtype=float)
-        if d.ndim != 1 or s.ndim != 1 or s.size != d.size - 1:
-            raise ValueError("need m diagonal entries and m-1 subdiagonal entries")
-        d.setflags(write=False)
-        s.setflags(write=False)
-        object.__setattr__(self, "diag", d)
-        object.__setattr__(self, "sub", s)
-
-    @property
-    def dim(self) -> int:
-        return self.diag.size
-
-    def to_dense(self) -> np.ndarray:
-        m = self.dim
-        out = np.diag(self.diag)
-        if m > 1:
-            out += np.diag(np.ones(m - 1), 1)
-            out += np.diag(self.sub, -1)
-        return out
-
-
-@dataclass(frozen=True)
-class BandMatrix:
-    """Unit lower-triangular change of basis with ``k`` subdiagonal bands."""
-
-    array: np.ndarray
-    k: int
-
-    def __post_init__(self):
-        arr = np.array(self.array, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("array must be square")
-        arr.setflags(write=False)
-        object.__setattr__(self, "array", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.array.shape[0]
-
-    def to_dense(self) -> np.ndarray:
-        return self.array.copy()
-
-
-@dataclass(frozen=True)
 class HkSolution:
     """The connecting polynomial ``h_k`` with its fit residual and the fitted
     proportionality constant between the two normalised functionals."""
@@ -100,17 +48,22 @@ class HkSolution:
         return self.poly.coeffs
 
 
-def jacobi_truncation(rec: RecurrencePair, m: int) -> TriDiag:
-    """``m x m`` truncation of the multiplication operator in the P-basis;
-    its characteristic polynomial is ``P_m``."""
+def jacobi_truncation(rec: RecurrencePair, m: int) -> np.ndarray:
+    """``m x m`` truncation of the multiplication operator in the P-basis
+    (unit superdiagonal, betas on the diagonal, gammas below); its
+    characteristic polynomial is ``P_m``."""
     if m < 1:
         raise ValueError("m must be positive")
     if m > rec.horizon + 1:
         raise HorizonError(f"m = {m} exceeds horizon + 1 = {rec.horizon + 1}")
-    return TriDiag(rec.beta[:m].copy(), rec.gamma[1:m].copy())
+    out = np.diag(rec.beta[:m])
+    if m > 1:
+        out += np.diag(np.ones(m - 1), 1)
+        out += np.diag(rec.gamma[1:m], -1)
+    return out
 
 
-def change_basis_matrix(comb: CombCoeffs, report: ConditionReport, m: int) -> BandMatrix:
+def change_basis_matrix(comb: CombCoeffs, report: ConditionReport, m: int) -> np.ndarray:
     """Rows give the P-basis coefficients of ``Q_0..Q_{m-1}``.
 
     Rows above ``k`` carry the constant bands ``(a_k, ..., a_1, 1)``; rows
@@ -129,7 +82,7 @@ def change_basis_matrix(comb: CombCoeffs, report: ConditionReport, m: int) -> Ba
         else:
             for j, aj in enumerate(comb.a, start=1):
                 M[n, n - j] = aj
-    return BandMatrix(M, k)
+    return M
 
 
 def perturbation_L(comb: CombCoeffs, m: int) -> np.ndarray:
@@ -160,24 +113,35 @@ def multiset_distance(a, b) -> float:
     return worst
 
 
+@dataclass(frozen=True)
+class ZerosReport:
+    """Zeros of ``Q_m`` (sorted by real part, then imaginary part), the
+    explicit ``Q_m`` they were cross-checked against, and the multiset
+    distance between the two routes."""
+
+    zeros: np.ndarray
+    poly: Poly
+    cross_check_distance: float
+
+
 def zeros_q(
     rec: RecurrencePair, comb: CombCoeffs, m: int, cross_tol: float = 1e-8
-) -> np.ndarray:
+) -> ZerosReport:
     """Zeros of ``Q_m`` as eigenvalues of the perturbed Jacobi truncation.
 
     The eigenvalues of ``(J_P)_m - L_m`` are cross-validated against the roots
     of the explicit coefficient vector of ``Q_m`` (companion-matrix route);
     disagreement beyond ``cross_tol`` raises
-    :class:`~opoly.errors.NumericError`.  Returned sorted by real part, then
-    imaginary part.
+    :class:`~opoly.errors.NumericError`.
     """
     if m < comb.k + 1:
         raise ValueError(f"m must be at least k + 1 = {comb.k + 1}")
-    A = jacobi_truncation(rec, m).to_dense() - perturbation_L(comb, m)
+    A = jacobi_truncation(rec, m) - perturbation_L(comb, m)
     try:
         eigs = np.linalg.eigvals(A).astype(complex)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericError(f"eigenvalue iteration failed: {exc}") from exc
+    eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
     q = q_poly(rec, comb, m)
     roots = np.roots(q.as_array()[::-1]).astype(complex)
     dist = multiset_distance(eigs, roots)
@@ -185,8 +149,7 @@ def zeros_q(
         raise NumericError(
             f"eigenvalue/root cross-check mismatch: multiset distance {dist:.3e}"
         )
-    order = np.lexsort((eigs.imag, eigs.real))
-    return eigs[order]
+    return ZerosReport(eigs, q, float(dist))
 
 
 def norm_diagonal(rec: RecurrencePair, m: int, u0: float = 1.0) -> np.ndarray:
@@ -222,9 +185,9 @@ def verify_intertwining(
     if m < k + 3:
         raise ValueError(f"m must be at least k + 3 = {k + 3}")
     tilde = tilde_recurrence(rec, comb, m - 1, report=report)
-    JP = jacobi_truncation(rec, m).to_dense()
-    JQ = jacobi_truncation(tilde, m).to_dense()
-    M = change_basis_matrix(comb, report, m).array
+    JP = jacobi_truncation(rec, m)
+    JQ = jacobi_truncation(tilde, m)
+    M = change_basis_matrix(comb, report, m)
     resid_rows = (M @ JP - JQ @ M)[: m - k - 1]
     residual = float(np.max(np.abs(resid_rows)))
     return IntertwiningReport(residual <= tol, residual)
@@ -270,11 +233,11 @@ def solve_hk(
             f"solve_hk at m = {m} needs horizon >= {mm - 1}, have {rec.horizon}"
         )
     tilde = tilde_recurrence(rec, comb, mm - 1, report=report)
-    M = change_basis_matrix(comb, report, mm).array
+    M = change_basis_matrix(comb, report, mm)
     DP = norm_diagonal(rec, mm)
     DQ = norm_diagonal(tilde, mm)
     R = (DP[:, None] * M.T) @ (M / DQ[:, None])
-    JP = jacobi_truncation(rec, mm).to_dense()
+    JP = jacobi_truncation(rec, mm)
     powers = [np.eye(mm)]
     for _ in range(k):
         powers.append(powers[-1] @ JP)
@@ -358,7 +321,7 @@ def orthonormal_identity_check(
     if np.any(g_q <= 0.0):
         raise ValueError("orthonormal identity needs all tilde gamma_n > 0")
     hk = solve_hk(rec, comb, report, m)
-    M = change_basis_matrix(comb, report, mm).array
+    M = change_basis_matrix(comb, report, mm)
     DP = norm_diagonal(rec, mm)
     DQ = norm_diagonal(tilde, mm)
     Mt = (M / np.sqrt(DQ)[:, None]) * np.sqrt(DP)[None, :]

@@ -36,7 +36,6 @@ import numpy as np
 
 from ._exact import exact_gram
 from .errors import DegeneracyError, HorizonError, StateError
-from .moments import GramReport
 from .recurrence import Poly, RecurrencePair, poly_p
 
 
@@ -359,23 +358,19 @@ def tilde_recurrence(
     return RecurrencePair(beta_t, gamma_t)
 
 
-def complete_q_basis(rec: RecurrencePair, comb: CombCoeffs, n_max: int) -> list[Poly]:
-    """``Q_0..Q_n_max`` with the low degrees filled in by the canonical completion.
+@dataclass(frozen=True)
+class GramReport:
+    """Pairwise inner products of a candidate orthogonal basis.
 
-    Unlike :func:`q_poly` this does not demand that the full orthogonality
-    verdict holds -- only that the completion itself is constructible (the
-    low polynomials are fixed by the combination alone).  That makes it the
-    right basis feed for the brute-force Gram oracle, which must also be able
-    to *fail* on non-orthogonal combinations.
+    ``failures`` lists ``(i, j, value, bound)`` for every off-diagonal entry
+    above its bound and every zero diagonal; ``worst_ratio`` is the largest
+    off-diagonal ``|G_ij| / sqrt(|G_ii G_jj|)`` seen.
     """
-    k = comb.k
-    if n_max < k + 1:
-        raise ValueError(f"n_max must be at least k + 1 = {k + 1}")
-    completion = _complete_low(rec, comb, tol=1e-10)
-    qs = list(completion.q_low[: k + 1])
-    for n in range(k + 1, n_max + 1):
-        qs.append(_direct_q(rec, comb, n))
-    return qs
+
+    ok: bool
+    gram: np.ndarray
+    failures: tuple[tuple[int, int, float, float], ...]
+    worst_ratio: float
 
 
 def oracle_gram_check(

@@ -1,15 +1,16 @@
-"""Moment functionals and the brute-force orthogonality oracle.
+"""Moment functionals recovered from recurrence coefficients.
 
 Moments are recovered from recurrence coefficients rather than from a known
 weight: expanding ``x^m`` in the ``P``-basis via repeated application of
 ``x P_j = P_{j+1} + beta_j P_j + gamma_j P_{j-1}`` and reading off the ``P_0``
 coefficient gives ``u_m`` exactly (up to rounding) for ``m <= 2 N``.  This is
-what makes families with no known closed-form measure testable: Gram matrices,
-Hankel minors and functional applications all reduce to these numbers.
+what makes families with no known closed-form measure testable: inner
+products, quadrature weights and functional applications all reduce to these
+numbers.
 
 Computations are plain 64-bit floating point; horizons are sensible up to a
-few dozen (the CLI caps configs at ``N = 64`` by default) before Hankel
-determinants and high moments lose too many digits.
+few dozen (the CLI caps configs at ``N = 64`` by default) before high moments
+lose too many digits.
 """
 
 from __future__ import annotations
@@ -94,114 +95,3 @@ def inner(f: MomentFunctional, p: Poly, q: Poly) -> float:
     if (q.degree, q.coeffs) < (p.degree, p.coeffs):
         p, q = q, p
     return apply_functional(f, p * q)
-
-
-@dataclass(frozen=True)
-class QuasiDefiniteReport:
-    """Hankel-minor scan: ``minors`` holds ``(m, det, scale, ok)`` rows."""
-
-    ok: bool
-    first_failure: int | None
-    minors: tuple[tuple[int, float, float, bool], ...]
-
-
-def is_quasi_definite(
-    f: MomentFunctional, n: int, tol: float = 1e-10
-) -> QuasiDefiniteReport:
-    """Check ``det H_m != 0`` for every leading Hankel minor ``m <= n``.
-
-    The nonzero test is relative to the product of row 2-norms (Hadamard
-    scale); raw determinants underflow long before the minors become
-    genuinely singular.
-    """
-    if 2 * n > f.count + 2:
-        raise HorizonError(f"need moments to degree {2 * n - 2}, have {f.count}")
-    rows = []
-    ok = True
-    first_failure = None
-    for m in range(1, n + 1):
-        H = np.empty((m, m))
-        for i in range(m):
-            H[i] = f.moments[i : i + m]
-        det = float(np.linalg.det(H))
-        scale = float(np.prod(np.linalg.norm(H, axis=1)))
-        good = abs(det) > tol * scale
-        rows.append((m, det, scale, good))
-        if not good and first_failure is None:
-            first_failure = m
-            ok = False
-    return QuasiDefiniteReport(ok, first_failure, tuple(rows))
-
-
-@dataclass(frozen=True)
-class GramReport:
-    """Pairwise inner products of a candidate orthogonal basis.
-
-    ``failures`` lists ``(i, j, value, bound)`` for every off-diagonal entry
-    above its bound and every numerically-zero diagonal; ``worst_ratio`` is
-    the largest off-diagonal ``|G_ij| / sqrt(|G_ii G_jj|)`` seen.
-    """
-
-    ok: bool
-    gram: np.ndarray
-    failures: tuple[tuple[int, int, float, float], ...]
-    worst_ratio: float
-
-
-def gram_orthogonality_check(
-    f: MomentFunctional, polys, tol: float = 1e-10
-) -> GramReport:
-    """Oracle for orthogonality claims: pass iff the Gram matrix is diagonal.
-
-    ``polys`` must have strictly increasing degrees ``0..n``.  Off-diagonals
-    are compared against ``tol * sqrt(|G_ii G_jj|)``; diagonals must exceed
-    ``tol`` times their term-magnitude bound (the size of what got cancelled).
-    """
-    polys = list(polys)
-    for i, p in enumerate(polys):
-        if p.degree != i:
-            raise ValueError(f"polys[{i}] must have degree {i}, got {p.degree}")
-    n = len(polys)
-    G = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            G[i, j] = G[j, i] = inner(f, polys[i], polys[j])
-
-    failures = []
-    for i in range(n):
-        square = polys[i] * polys[i]
-        bound = tol * float(
-            np.dot(np.abs(square.as_array()), np.abs(f.moments[: square.degree + 1]))
-        )
-        if abs(G[i, i]) <= bound:
-            failures.append((i, i, float(G[i, i]), bound))
-    worst = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            denom = np.sqrt(abs(G[i, i] * G[j, j]))
-            bound = tol * denom
-            if denom > 0:
-                worst = max(worst, abs(G[i, j]) / denom)
-            if abs(G[i, j]) > bound:
-                failures.append((i, j, float(G[i, j]), float(bound)))
-    G.setflags(write=False)
-    return GramReport(not failures, G, tuple(failures), float(worst))
-
-
-def annihilator_moments(polys, u0: float = 1.0) -> MomentFunctional:
-    """Moments of the unique functional with ``<v, q> = 0`` for each given monic ``q``.
-
-    ``polys`` must hold one monic polynomial per degree ``1..D`` in order.
-    Since each ``q_m`` is monic, ``v_m = -sum_{i<m} q_m[i] v_i`` determines the
-    moments recursively; if the polynomials are orthogonal with respect to any
-    functional normalised to ``u0``, this reconstructs exactly its moments,
-    which makes it an independent cross-check against recurrence-derived ones.
-    """
-    vals = [float(u0)]
-    for m, q in enumerate(polys, start=1):
-        if q.degree != m:
-            raise ValueError(f"expected degree {m}, got {q.degree}")
-        if abs(q.leading - 1.0) > 1e-9:
-            raise ValueError(f"polynomial of degree {m} is not monic")
-        vals.append(-float(np.dot(q.as_array()[:-1], vals)))
-    return MomentFunctional(np.array(vals))

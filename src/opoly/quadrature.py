@@ -15,7 +15,7 @@ zeros of the length-``k`` combination ``Q_n`` costs exactly ``k`` degrees
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
@@ -160,20 +160,31 @@ def gauss_rule(rec: RecurrencePair, f: MomentFunctional, n: int) -> QuadratureRu
     return QuadratureRule(nodes, weights, d)
 
 
+@dataclass(frozen=True)
+class ShohatReport:
+    """Whether the degree-loss law held, and the rule on the zeros of ``Q_n``
+    with its measured degree of precision."""
+
+    ok: bool
+    rule: QuadratureRule
+
+
 def shohat_check(
     rec: RecurrencePair,
     comb: CombCoeffs,
     f: MomentFunctional,
     n: int,
     tol: float = 1e-9,
-) -> bool:
+    cross_tol: float = 1e-8,
+) -> ShohatReport:
     """Verify the k-degree loss law: nodes at the zeros of ``Q_n`` give a rule
     of degree of precision exactly ``2n - 1 - k``.
 
-    The quadrature construction needs real, pairwise distinct nodes; complex
-    or coincident zeros raise :class:`~opoly.errors.InapplicableError`.
+    ``cross_tol`` is passed to :func:`~opoly.jacobi.zeros_q`.  The quadrature
+    construction needs real, pairwise distinct nodes; complex or coincident
+    zeros raise :class:`~opoly.errors.InapplicableError`.
     """
-    zeros = zeros_q(rec, comb, n)
+    zeros = zeros_q(rec, comb, n, cross_tol=cross_tol).zeros
     z_scale = max(1.0, float(np.max(np.abs(zeros))))
     if float(np.max(np.abs(zeros.imag))) > 1e-9 * z_scale:
         raise InapplicableError("Q_n has complex zeros; quadrature undefined")
@@ -183,6 +194,6 @@ def shohat_check(
         if np.min(np.diff(nodes)) <= 1e-10 * span:
             raise InapplicableError("Q_n has coincident zeros; quadrature undefined")
     weights = christoffel_numbers(f, nodes)
-    max_degree = min(2 * n + 2, f.count)
-    d = _measured_degree(f, nodes, weights, max_degree, tol)
-    return d == 2 * n - 1 - comb.k
+    rule = QuadratureRule(nodes, weights, -1)
+    d = degree_of_precision(f, rule, min(2 * n + 2, f.count), tol)
+    return ShohatReport(d == 2 * n - 1 - comb.k, replace(rule, degree_of_precision=d))

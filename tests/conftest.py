@@ -157,6 +157,18 @@ CHEBYSHEV_COMBOS = {
 }
 
 
+def worst_gram_ratio(f, polys) -> float:
+    """Largest ``|<p_i, p_j>| / sqrt(|<p_i, p_i> <p_j, p_j>|)`` over ``i < j``,
+    from pairwise ``op.inner`` products; every norm must be nonzero."""
+    norms = [op.inner(f, p, p) for p in polys]
+    assert all(v != 0.0 for v in norms)
+    return max(
+        abs(op.inner(f, polys[i], polys[j])) / math.sqrt(abs(norms[i] * norms[j]))
+        for i in range(len(polys))
+        for j in range(i + 1, len(polys))
+    )
+
+
 def chebyshev_corpus(horizon: int = 26):
     """All four kinds crossed with one combination per classification case."""
     out = []

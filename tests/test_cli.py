@@ -166,6 +166,46 @@ def test_quad_command(tmp_path, capsys):
     assert result["combination"]["ok"] is True
 
 
+def test_reports_read_the_library_artifacts(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(BASE, horizon=24))
+    rec = op.chebyshev_family(1, 24)
+    comb = op.CombCoeffs((0.0, -0.125))
+    n = 6
+    code, out, _ = run(capsys, "quad", "--config", cfg, "--n", str(n))
+    assert code == 0
+    block = json.loads(out)["result"]["combination"]
+    f = op.moments_from_recurrence(rec, 2 * n + 2)
+    shohat = op.shohat_check(rec, comb, f, n, tol=1e-9, cross_tol=1e-8)
+    assert block["nodes"] == list(shohat.rule.nodes)
+    assert block["weights"] == list(shohat.rule.weights)
+    assert block["degree_of_precision"] == shohat.rule.degree_of_precision
+    assert block["ok"] is shohat.ok
+    code, out, _ = run(capsys, "zeros", "--config", cfg, "--n", str(n))
+    assert code == 0
+    result = json.loads(out)["result"]
+    zq = op.zeros_q(rec, comb, n, cross_tol=1e-8)
+    assert result["zeros"] == [{"re": z.real, "im": z.imag} for z in zq.zeros]
+    assert result["cross_check_distance"] == zq.cross_check_distance
+    assert result["coefficients"] == list(zq.poly.coeffs)
+
+
+@pytest.mark.parametrize(
+    "name,n",
+    [("gen_k2_a1_zero.json", 28), ("gen_k2_real_roots.json", 30), ("gen_k2_equal_roots.json", 34)],
+)
+def test_quad_honours_zeros_tolerance(capsys, name, n):
+    # the zeros cross-check on these families exceeds the default 1e-8 here
+    # but stays within the 1e-6 the run allows
+    argv = ("--config", str(CONFIG_DIR / name), "--n", str(n), "--tol-zeros", "1e-6")
+    code, out, err = run(capsys, "zeros", *argv)
+    assert code == 0, err
+    zeros = json.loads(out)["result"]["zeros"]
+    code, out, err = run(capsys, "quad", *argv)
+    assert code != 3, err
+    nodes = json.loads(out)["result"]["combination"]["nodes"]
+    assert nodes == sorted(z["re"] for z in zeros)
+
+
 def test_gen_requires_generator_family(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE)
     code, _, err = run(capsys, "gen", "--config", cfg)

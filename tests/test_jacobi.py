@@ -17,10 +17,10 @@ class TestJacobiTruncation:
     def test_one_by_one(self):
         rec = op.RecurrencePair([0.3, 0.0, 0.0], [0.25, 0.25])
         J = op.jacobi_truncation(rec, 1)
-        assert J.to_dense() == pytest.approx(np.array([[0.3]]))
+        assert J == pytest.approx(np.array([[0.3]]))
 
     def test_second_kind_two_by_two(self, cheb_u):
-        J = op.jacobi_truncation(cheb_u, 2).to_dense()
+        J = op.jacobi_truncation(cheb_u, 2)
         assert J == pytest.approx(np.array([[0.0, 1.0], [0.25, 0.0]]))
         assert char_poly_low_to_high(J) == pytest.approx(
             op.poly_p(cheb_u, 2).as_array(3)
@@ -30,7 +30,7 @@ class TestJacobiTruncation:
     @pytest.mark.parametrize("m", [3, 6, 10])
     def test_char_poly_is_p_m(self, kind, m):
         rec = op.chebyshev_family(kind, 12)
-        J = op.jacobi_truncation(rec, m).to_dense()
+        J = op.jacobi_truncation(rec, m)
         assert np.allclose(
             char_poly_low_to_high(J), op.poly_p(rec, m).as_array(m + 1), atol=1e-9
         )
@@ -44,14 +44,14 @@ class TestChangeBasis:
     def test_band_rows(self, cheb_u):
         comb = op.CombCoeffs((0.7,))
         report = op.check_conditions(cheb_u, comb, 10)
-        M = op.change_basis_matrix(comb, report, 3).array
+        M = op.change_basis_matrix(comb, report, 3)
         assert M[2] == pytest.approx(np.array([0.0, 0.7, 1.0]))
         assert M[0] == pytest.approx(np.array([1.0, 0.0, 0.0]))
 
     def test_fourier_row(self, cheb_t):
         comb = op.CombCoeffs((0.0, -0.125))
         report = op.check_conditions(cheb_t, comb, 10)
-        M = op.change_basis_matrix(comb, report, 4).array
+        M = op.change_basis_matrix(comb, report, 4)
         assert M[2] == pytest.approx(np.array([-0.25, 0.0, 1.0, 0.0]))
 
     def test_requires_passing_report(self, cheb_u):
@@ -65,7 +65,7 @@ class TestPerturbation:
     def test_canonical_two_by_two(self, cheb_u):
         # spec'd by behaviour: (J_P)_2 - L_2 must be [[0, 1], [1/4, -1/2]]
         comb = op.CombCoeffs((0.5,))
-        A = op.jacobi_truncation(cheb_u, 2).to_dense() - op.perturbation_L(comb, 2)
+        A = op.jacobi_truncation(cheb_u, 2) - op.perturbation_L(comb, 2)
         assert A == pytest.approx(np.array([[0.0, 1.0], [0.25, -0.5]]))
 
     def test_only_last_row(self):
@@ -77,7 +77,7 @@ class TestPerturbation:
     def test_char_poly_of_perturbed_truncation_is_q(self, cheb_t):
         comb = op.CombCoeffs((0.0, -0.125))
         for m in (3, 5, 7):
-            A = op.jacobi_truncation(cheb_t, m).to_dense() - op.perturbation_L(comb, m)
+            A = op.jacobi_truncation(cheb_t, m) - op.perturbation_L(comb, m)
             q = op.q_poly(cheb_t, comb, m)
             assert np.allclose(char_poly_low_to_high(A), q.as_array(m + 1), atol=1e-9)
 
@@ -88,13 +88,13 @@ class TestPerturbation:
 
 class TestZeros:
     def test_second_kind_quadratic(self, cheb_u):
-        z = op.zeros_q(cheb_u, op.CombCoeffs((0.5,)), 2)
+        z = op.zeros_q(cheb_u, op.CombCoeffs((0.5,)), 2).zeros
         expect = np.array([(-1 - math.sqrt(5)) / 4, (-1 + math.sqrt(5)) / 4])
         assert np.allclose(z.real, expect, atol=1e-12)
         assert np.allclose(z.imag, 0.0, atol=1e-12)
 
     def test_first_kind_biquadratic(self, cheb_t):
-        z = op.zeros_q(cheb_t, op.CombCoeffs((0.0, -0.125)), 4)
+        z = op.zeros_q(cheb_t, op.CombCoeffs((0.0, -0.125)), 4).zeros
         r_big = math.sqrt((9 + math.sqrt(33)) / 16)
         r_small = math.sqrt((9 - math.sqrt(33)) / 16)
         expect = np.array(sorted([-r_big, -r_small, r_small, r_big]))
@@ -104,7 +104,7 @@ class TestZeros:
     def test_eigenvalues_match_companion_roots(self, cheb_t, m):
         comb = op.CombCoeffs((0.0, -0.125))
         eigs = np.linalg.eigvals(
-            op.jacobi_truncation(cheb_t, m).to_dense() - op.perturbation_L(comb, m)
+            op.jacobi_truncation(cheb_t, m) - op.perturbation_L(comb, m)
         )
         q = op.q_poly(cheb_t, comb, m)
         roots = np.roots(q.as_array()[::-1])
@@ -114,8 +114,8 @@ class TestZeros:
         comb = op.CombCoeffs((0.5,))
         report = op.check_conditions(cheb_u, comb, 12)
         m = 8
-        A = op.jacobi_truncation(cheb_u, m).to_dense() - op.perturbation_L(comb, m)
-        M = op.change_basis_matrix(comb, report, m).array
+        A = op.jacobi_truncation(cheb_u, m) - op.perturbation_L(comb, m)
+        M = op.change_basis_matrix(comb, report, m)
         similar = M @ A @ np.linalg.inv(M)
         assert np.trace(A) == pytest.approx(np.trace(similar), abs=1e-10)
 
@@ -151,10 +151,10 @@ class TestIntertwining:
         beta = cheb_u.beta.copy()
         beta[5] += eps
         perturbed = op.RecurrencePair(beta, cheb_u.gamma[1:].copy())
-        M = op.change_basis_matrix(comb, report, m).array
-        JP = op.jacobi_truncation(perturbed, m).to_dense()
+        M = op.change_basis_matrix(comb, report, m)
+        JP = op.jacobi_truncation(perturbed, m)
         tilde = op.tilde_recurrence(cheb_u, comb, m - 1, report=report)
-        JQ = op.jacobi_truncation(tilde, m).to_dense()
+        JQ = op.jacobi_truncation(tilde, m)
         resid = np.max(np.abs((M @ JP - JQ @ M)[: m - comb.k - 1]))
         assert resid == pytest.approx(eps, rel=1e-6)
 
@@ -220,9 +220,9 @@ class TestHk:
         hk = op.solve_hk(cheb_t, comb, report, m)
         mm = m + 3 * k
         tilde = op.tilde_recurrence(cheb_t, comb, mm - 1, report=report)
-        M = op.change_basis_matrix(comb, report, mm).array
-        JP = op.jacobi_truncation(cheb_t, mm).to_dense()
-        JQ = op.jacobi_truncation(tilde, mm).to_dense()
+        M = op.change_basis_matrix(comb, report, mm)
+        JP = op.jacobi_truncation(cheb_t, mm)
+        JQ = op.jacobi_truncation(tilde, mm)
         DP = op.norm_diagonal(cheb_t, mm)
         DQ = op.norm_diagonal(tilde, mm)
 

@@ -3,7 +3,7 @@ import pytest
 
 import opoly as op
 
-from conftest import broken_families, k2_case_fixture
+from conftest import broken_families, k2_case_fixture, worst_gram_ratio
 
 
 def test_comb_coeffs_invariants():
@@ -199,19 +199,12 @@ def test_q_basis_orthogonal_under_tilde_moments():
     tilde = op.tilde_recurrence(rec, comb, 20, report=report)
     f = op.moments_from_recurrence(tilde, 16)
     qs = [op.q_poly(rec, comb, n, report=report) for n in range(9)]
-    assert op.gram_orthogonality_check(f, qs, tol=1e-9).ok
+    assert worst_gram_ratio(f, qs) <= 1e-9
 
 
 def test_oracle_degenerate_completion(cheb_u):
     with pytest.raises(op.DegeneracyError):
         op.oracle_gram_check(cheb_u, op.CombCoeffs((1.0, 0.25)), degree=8)
-
-
-def test_complete_q_basis_lenient_on_broken():
-    label, rec, comb = broken_families()[0]
-    qs = op.complete_q_basis(rec, comb, 10)
-    assert len(qs) == 11
-    assert all(q.degree == n for n, q in enumerate(qs))
 
 
 def test_k1_fourier_identity_holds_generally(cheb_t):

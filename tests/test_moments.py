@@ -3,7 +3,7 @@ import pytest
 
 import opoly as op
 
-from conftest import broken_families, k2_case_fixture
+from conftest import k2_case_fixture, worst_gram_ratio
 
 
 def test_first_moments_symmetric_quarter():
@@ -68,27 +68,12 @@ def test_squared_norms_are_gamma_products(kind):
         assert op.inner(f, p, p) == pytest.approx(prod, rel=1e-10)
 
 
-def test_quasi_definite_chebyshev(cheb_t):
-    f = op.moments_from_recurrence(cheb_t, 12)
-    report = op.is_quasi_definite(f, 6, tol=1e-10)
-    assert report.ok
-    assert report.first_failure is None
-    assert all(det > 0 for _, det, _, ok in report.minors if ok)
-
-
-def test_quasi_definite_detects_singular_hankel():
-    f = op.MomentFunctional(np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
-    report = op.is_quasi_definite(f, 2)
-    assert not report.ok
-    assert report.first_failure == 2
-
-
 @pytest.mark.parametrize("kind", [1, 2, 3, 4])
 def test_gram_round_trip(kind):
     rec = op.chebyshev_family(kind, 12)
     f = op.moments_from_recurrence(rec, 20)
     polys = [op.poly_p(rec, n) for n in range(11)]
-    assert op.gram_orthogonality_check(f, polys, tol=1e-10).ok
+    assert worst_gram_ratio(f, polys) <= 1e-10
 
 
 def test_gram_round_trip_generated_family():
@@ -96,36 +81,7 @@ def test_gram_round_trip_generated_family():
     _, _, _, rec = k2_case_fixture("real_roots", horizon=20)
     f = op.moments_from_recurrence(rec, 16)
     polys = [op.poly_p(rec, n) for n in range(9)]
-    assert op.gram_orthogonality_check(f, polys, tol=1e-9).ok
-
-
-def test_gram_detects_broken_combination():
-    label, rec, comb = broken_families()[0]
-    qs = op.complete_q_basis(rec, comb, 16)
-    f = op.annihilator_moments(qs[1:])
-    report = op.gram_orthogonality_check(f, qs[:9], tol=1e-9)
-    assert not report.ok
-    assert report.failures
-
-
-def test_gram_requires_increasing_degrees(cheb_u):
-    f = op.moments_from_recurrence(cheb_u, 10)
-    with pytest.raises(ValueError):
-        op.gram_orthogonality_check(f, [op.Poly((1.0,)), op.Poly((1.0,))])
-
-
-def test_annihilator_reconstructs_recurrence_moments(cheb_u):
-    f = op.moments_from_recurrence(cheb_u, 12)
-    polys = [op.poly_p(cheb_u, n) for n in range(1, 13)]
-    g = op.annihilator_moments(polys)
-    assert np.allclose(g.moments, f.moments, atol=1e-12)
-
-
-def test_annihilator_rejects_bad_input():
-    with pytest.raises(ValueError):
-        op.annihilator_moments([op.Poly((0.0, 2.0))])  # not monic
-    with pytest.raises(ValueError):
-        op.annihilator_moments([op.Poly((1.0,))])  # wrong degree
+    assert worst_gram_ratio(f, polys) <= 1e-9
 
 
 def test_moment_functional_validation():

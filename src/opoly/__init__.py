@@ -67,6 +67,7 @@ from .recurrence import (
     chebyshev_family,
     eval_p,
     k1_family,
+    k2_difference_residual,
     k2_family,
     poly_p,
 )
@@ -110,6 +111,7 @@ __all__ = [
     "inner",
     "jacobi_truncation",
     "k1_family",
+    "k2_difference_residual",
     "k2_family",
     "moments_from_recurrence",
     "multiset_distance",

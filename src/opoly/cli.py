@@ -6,11 +6,14 @@ Usage:
           [--format json|csv] [--n N] [--tol-conditions X] [--tol-zeros X]
           [--tol-hk X] [--tol-quad X]
 
-A config names exactly one family (``chebyshev``, ``explicit``, ``k2`` or
-``k1``), a combination ``a_1..a_k``, a horizon, and optional tolerances or a
-node count ``n``.  Numbers may be given as decimal strings to avoid
-double-rounding in published configs.  Reports are deterministic JSON
-(``schema: 1``); ``--format csv`` emits the command's main table instead.
+Every command takes the same options.  A config names exactly one family
+(``chebyshev``, ``explicit``, ``k2`` or ``k1``), a combination ``a_1..a_k``,
+a horizon, and optional tolerances or a node count ``n``.  Numbers may be
+given as decimal strings to avoid double-rounding in published configs.
+Reports are deterministic JSON (``schema: 1``); ``--format csv`` emits the
+command's main table instead.  ``gen`` on a ``k2`` family with ``a1 != 0``
+also reports ``difference_equation_max_residual``, the larger
+:func:`~opoly.recurrence.k2_difference_residual` of ``beta`` and ``gamma``.
 
 Exit codes: 0 pass, 1 checked-and-failed, 2 usage/config error,
 3 numeric/degeneracy error.
@@ -49,6 +52,7 @@ from .recurrence import (
     RecurrencePair,
     chebyshev_family,
     k1_family,
+    k2_difference_residual,
     k2_family,
 )
 
@@ -222,24 +226,6 @@ def load_config(path: str) -> JobConfig:
     )
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, complex):
-        return {"im": obj.imag, "re": obj.real}
-    return obj
-
-
 def _report(command: str, cfg: JobConfig, passed: bool, result: dict) -> dict:
     return {
         "schema": 1,
@@ -247,8 +233,21 @@ def _report(command: str, cfg: JobConfig, passed: bool, result: dict) -> dict:
         "command": command,
         "config": cfg.raw,
         "pass": bool(passed),
-        "result": _jsonable(result),
+        "result": result,
     }
+
+
+def _json_default(obj):
+    """``json.dumps`` hook for numpy and complex values (``np.float64`` is a float)."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, complex):
+        return {"im": obj.imag, "re": obj.real}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit(report: dict, csv_rows, args) -> None:
@@ -259,12 +258,16 @@ def _emit(report: dict, csv_rows, args) -> None:
             writer.writerow(row)
         text = buf.getvalue()
     else:
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _conditions(cfg: JobConfig):
+    return check_conditions(cfg.rec, cfg.comb, cfg.horizon, tol=cfg.tolerances["conditions"])
 
 
 def _condition_summary(rep) -> dict:
@@ -293,7 +296,7 @@ def _condition_summary(rep) -> dict:
 
 
 def _cmd_check(cfg: JobConfig, args) -> tuple[int, dict, list]:
-    rep = check_conditions(cfg.rec, cfg.comb, cfg.horizon, tol=cfg.tolerances["conditions"])
+    rep = _conditions(cfg)
     degree = min(12, (cfg.horizon + 1) // 2)
     try:
         gram = oracle_gram_check(cfg.rec, cfg.comb, degree=degree, tol=1e-9)
@@ -303,7 +306,6 @@ def _cmd_check(cfg: JobConfig, args) -> tuple[int, dict, list]:
             "degree": degree,
             "agrees_with_verdict": gram.ok == rep.verdict,
         }
-        agreement = gram.ok == rep.verdict
     except DegeneracyError as exc:
         # no orthogonal completion exists at all; oracle counts as failed
         gram_info = {
@@ -312,19 +314,18 @@ def _cmd_check(cfg: JobConfig, args) -> tuple[int, dict, list]:
             "degree": degree,
             "agrees_with_verdict": not rep.verdict,
         }
-        agreement = not rep.verdict
     result = {"conditions": _condition_summary(rep), "gram_oracle": gram_info}
     rows = [("section", "name", "value")]
     rows += [("conditions", "verdict", rep.verdict)]
     rows += [("conditions", f"fourier_{j+1}", v) for j, v in enumerate(rep.fourier)]
     rows += [("gram_oracle", "ok", gram_info["ok"])]
-    if not agreement:
+    if not gram_info["agrees_with_verdict"]:
         return 3, result, rows
     return (0 if rep.verdict else 1), result, rows
 
 
 def _cmd_tilde(cfg: JobConfig, args) -> tuple[int, dict, list]:
-    rep = check_conditions(cfg.rec, cfg.comb, cfg.horizon, tol=cfg.tolerances["conditions"])
+    rep = _conditions(cfg)
     if not rep.verdict:
         return 1, {"conditions": _condition_summary(rep)}, [("error", "not orthogonal")]
     tilde = tilde_recurrence(cfg.rec, cfg.comb, cfg.horizon, report=rep)
@@ -333,8 +334,7 @@ def _cmd_tilde(cfg: JobConfig, args) -> tuple[int, dict, list]:
         {"n": n, "beta": float(tilde.beta[n]), "gamma": float(tilde.gamma[n])}
         for n in range(1, cfg.horizon + 1)
     ]
-    rows = [("n", "beta", "gamma")]
-    rows.append((0, float(tilde.beta[0]), ""))
+    rows = [("n", "beta", "gamma"), (0, float(tilde.beta[0]), "")]
     rows += [(e["n"], e["beta"], e["gamma"]) for e in table[1:]]
     result = {"conditions": _condition_summary(rep), "tilde": table}
     return 0, result, rows
@@ -363,7 +363,7 @@ def _cmd_zeros(cfg: JobConfig, args) -> tuple[int, dict, list]:
 
 def _cmd_hk(cfg: JobConfig, args) -> tuple[int, dict, list]:
     k = cfg.comb.k
-    rep = check_conditions(cfg.rec, cfg.comb, cfg.horizon, tol=cfg.tolerances["conditions"])
+    rep = _conditions(cfg)
     if not rep.verdict:
         return 1, {"conditions": _condition_summary(rep)}, [("error", "not orthogonal")]
     m = cfg.hk_truncation or min(16, cfg.horizon + 1 - k)
@@ -440,21 +440,16 @@ def _cmd_quad(cfg: JobConfig, args) -> tuple[int, dict, list]:
 def _cmd_gen(cfg: JobConfig, args) -> tuple[int, dict, list]:
     if cfg.family_type not in ("k2", "k1"):
         raise ConfigError("gen requires a 'k2' or 'k1' generator family")
-    rep = check_conditions(cfg.rec, cfg.comb, cfg.horizon, tol=cfg.tolerances["conditions"])
+    rep = _conditions(cfg)
     fam = cfg.raw["family"]
     extras: dict = {}
     if cfg.family_type == "k2":
         a1 = _num(fam.get("a1", 0), "family.a1")
         a2 = _num(fam.get("a2"), "family.a2")
         if a1 != 0.0:
-            coef = 1.0 - a1 * a1 / a2
-            worst = 0.0
-            for seq in (cfg.rec.beta, cfg.rec.gamma):
-                for nn in range(5, cfg.horizon + 1):
-                    val = seq[nn] + coef * seq[nn - 1] - coef * seq[nn - 2] - seq[nn - 3]
-                    scale = max(1.0, *(abs(seq[nn - i]) for i in range(4)))
-                    worst = max(worst, abs(val) / scale)
-            extras["difference_equation_max_residual"] = worst
+            extras["difference_equation_max_residual"] = max(
+                k2_difference_residual(seq, a1, a2) for seq in (cfg.rec.beta, cfg.rec.gamma)
+            )
     result = {
         "family": {
             "beta": list(cfg.rec.beta),
@@ -463,8 +458,7 @@ def _cmd_gen(cfg: JobConfig, args) -> tuple[int, dict, list]:
         "validation": _condition_summary(rep),
         **extras,
     }
-    rows = [("n", "beta", "gamma")]
-    rows.append((0, float(cfg.rec.beta[0]), ""))
+    rows = [("n", "beta", "gamma"), (0, float(cfg.rec.beta[0]), "")]
     rows += [
         (n, float(cfg.rec.beta[n]), float(cfg.rec.gamma[n]))
         for n in range(1, cfg.horizon + 1)
@@ -487,15 +481,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="opoly",
         description="Constant-coefficient combinations of monic orthogonal polynomials",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to a JSON job config")
-        p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--n", type=int, default=None, help="polynomial index for zeros/quad")
-        for tol in DEFAULT_TOLERANCES:
-            p.add_argument(f"--tol-{tol}", type=float, default=None, dest=f"tol_{tol}")
+    parser.add_argument("command", choices=tuple(_COMMANDS))
+    parser.add_argument("--config", required=True, help="path to a JSON job config")
+    parser.add_argument("--out", default=None, help="write the report here instead of stdout")
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--n", type=int, default=None, help="polynomial index for zeros/quad")
+    for tol in DEFAULT_TOLERANCES:
+        parser.add_argument(f"--tol-{tol}", type=float, default=None, dest=f"tol_{tol}")
     return parser
 
 
@@ -511,10 +503,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"opoly: config error: {exc}", file=sys.stderr)
         return 2
-    except OpolyError as exc:
-        print(f"opoly: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (OpolyError, ValueError) as exc:
         print(f"opoly: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     report = _report(args.command, cfg, code == 0, result)

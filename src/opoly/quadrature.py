@@ -94,25 +94,6 @@ def christoffel_numbers(f: MomentFunctional, nodes) -> np.ndarray:
     return weights
 
 
-def _measured_degree(
-    f: MomentFunctional,
-    nodes: np.ndarray,
-    weights: np.ndarray,
-    max_degree: int,
-    tol: float,
-) -> int:
-    powers = np.ones_like(nodes)
-    d = -1
-    for m in range(max_degree + 1):
-        if m > 0:
-            powers = powers * nodes
-        approx = float(np.dot(weights, powers))
-        if abs(approx - f.moments[m]) > tol * (1.0 + abs(f.moments[m])):
-            break
-        d = m
-    return d
-
-
 def degree_of_precision(
     f: MomentFunctional,
     rule: QuadratureRule,
@@ -130,7 +111,24 @@ def degree_of_precision(
         max_degree = 2 * rule.n + 2
     if max_degree > f.count:
         raise HorizonError(f"max_degree = {max_degree} exceeds moments ({f.count})")
-    return _measured_degree(f, rule.nodes, rule.weights, max_degree, tol)
+    powers = np.ones_like(rule.nodes)
+    d = -1
+    for m in range(max_degree + 1):
+        if m > 0:
+            powers = powers * rule.nodes
+        approx = float(np.dot(rule.weights, powers))
+        if abs(approx - f.moments[m]) > tol * (1.0 + abs(f.moments[m])):
+            break
+        d = m
+    return d
+
+
+def _interpolatory_rule(f: MomentFunctional, nodes: np.ndarray, tol: float) -> QuadratureRule:
+    """The rule on ``nodes`` with Christoffel weights and its degree of
+    precision measured through ``min(2n + 2, f.count)``."""
+    rule = QuadratureRule(nodes, christoffel_numbers(f, nodes), -1)
+    d = degree_of_precision(f, rule, min(2 * rule.n + 2, f.count), tol)
+    return replace(rule, degree_of_precision=d)
 
 
 def gauss_rule(rec: RecurrencePair, f: MomentFunctional, n: int) -> QuadratureRule:
@@ -153,11 +151,7 @@ def gauss_rule(rec: RecurrencePair, f: MomentFunctional, n: int) -> QuadratureRu
     if n > 1:
         off = np.sqrt(rec.gamma[1:n])
         J += np.diag(off, 1) + np.diag(off, -1)
-    nodes = np.linalg.eigvalsh(J)
-    weights = christoffel_numbers(f, nodes)
-    max_degree = min(2 * n + 2, f.count)
-    d = _measured_degree(f, nodes, weights, max_degree, tol=1e-9)
-    return QuadratureRule(nodes, weights, d)
+    return _interpolatory_rule(f, np.linalg.eigvalsh(J), tol=1e-9)
 
 
 @dataclass(frozen=True)
@@ -193,7 +187,5 @@ def shohat_check(
         span = max(float(nodes[-1] - nodes[0]), 1.0)
         if np.min(np.diff(nodes)) <= 1e-10 * span:
             raise InapplicableError("Q_n has coincident zeros; quadrature undefined")
-    weights = christoffel_numbers(f, nodes)
-    rule = QuadratureRule(nodes, weights, -1)
-    d = degree_of_precision(f, rule, min(2 * n + 2, f.count), tol)
-    return ShohatReport(d == 2 * n - 1 - comb.k, replace(rule, degree_of_precision=d))
+    rule = _interpolatory_rule(f, nodes, tol)
+    return ShohatReport(rule.degree_of_precision == 2 * n - 1 - comb.k, rule)

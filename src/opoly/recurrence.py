@@ -412,6 +412,21 @@ def k2_family(
     return RecurrencePair(beta, gamma)
 
 
+def k2_difference_residual(seq, a1: float, a2: float) -> float:
+    """Worst residual of ``y_n + c (y_{n-1} - y_{n-2}) - y_{n-3} = 0``,
+    ``c = 1 - a1^2/a2``, over ``5 <= n < len(seq)``, each scaled by
+    ``max(1, |y_n|, .., |y_{n-3}|)``.  The ``beta`` and ``gamma`` tails of a
+    :func:`k2_family` solve it from index 2 on, so ``n = 5`` is the first
+    index whose four terms all lie in the tail."""
+    c = 1.0 - a1 * a1 / a2
+    worst = 0.0
+    for n in range(5, len(seq)):
+        val = seq[n] + c * seq[n - 1] - c * seq[n - 2] - seq[n - 3]
+        scale = max(1.0, *(abs(seq[n - i]) for i in range(4)))
+        worst = max(worst, abs(val) / scale)
+    return worst
+
+
 def k1_family(
     gammas,
     beta0: float,

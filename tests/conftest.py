@@ -90,18 +90,6 @@ def trig_square_in_x(a) -> np.ndarray:
     return out
 
 
-def diff_eq_max_residual(seq, a1: float, a2: float, start: int, stop: int) -> float:
-    """Worst relative residual of ``y_n + c(y_{n-1} - y_{n-2}) - y_{n-3} = 0``
-    with ``c = 1 - a1^2/a2`` over ``start <= n <= stop``."""
-    c = 1.0 - a1 * a1 / a2
-    worst = 0.0
-    for n in range(start, stop + 1):
-        val = seq[n] + c * seq[n - 1] - c * seq[n - 2] - seq[n - 3]
-        scale = max(1.0, *(abs(seq[n - i]) for i in range(4)))
-        worst = max(worst, abs(val) / scale)
-    return worst
-
-
 def k2_case_fixture(case: str, horizon: int = 50):
     """Reference parameter sets used across tests, one per classification case.
 

@@ -15,7 +15,6 @@ from opoly.cli import main as cli_main
 from conftest import (
     broken_families,
     chebyshev_corpus,
-    diff_eq_max_residual,
     k2_case_fixture,
 )
 
@@ -187,8 +186,8 @@ def test_criterion_6_k2_generator_round_trip():
         report = op.check_conditions(rec, op.CombCoeffs((a1, a2)), 50, tol=1e-10)
         case_ok = report.verdict
         if a1 != 0.0:
-            resid_b = diff_eq_max_residual(rec.beta, a1, a2, 5, 50)
-            resid_g = diff_eq_max_residual(rec.gamma, a1, a2, 5, 50)
+            resid_b = op.k2_difference_residual(rec.beta, a1, a2)
+            resid_g = op.k2_difference_residual(rec.gamma, a1, a2)
             case_ok = case_ok and resid_b < 1e-10 and resid_g < 1e-10
         else:
             case_ok = case_ok and bool(

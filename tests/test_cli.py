@@ -1,10 +1,13 @@
 import csv
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import opoly as op
+from opoly import cli
 from opoly.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -80,6 +83,38 @@ def test_malformed_configs_exit_two(tmp_path, capsys):
     payload = dict(BASE, horizon=4)
     code, _, err = run(capsys, "check", "--config", write_config(tmp_path, payload))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bogus", "--config", "job.json"],
+        ["check"],
+        ["check", "--config", "job.json", "--format", "xml"],
+    ],
+    ids=["unknown-command", "missing-config", "bad-format"],
+)
+def test_usage_errors_exit_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_json_encoding_of_numpy_and_complex_values(capsys):
+    args = SimpleNamespace(format="json", out=None)
+    cli._emit(
+        {"a": np.arange(2), "i": np.int64(3), "b": np.bool_(True), "z": 1 + 2j,
+         "f": np.float64(0.1)},
+        [], args,
+    )
+    numpy_text = capsys.readouterr().out
+    cli._emit(
+        {"a": [0, 1], "i": 3, "b": True, "z": {"im": 2.0, "re": 1.0}, "f": 0.1},
+        [], args,
+    )
+    assert numpy_text == capsys.readouterr().out
+    with pytest.raises(TypeError):
+        cli._emit({"x": object()}, [], args)
 
 
 def test_numeric_error_exits_three(tmp_path, capsys):
@@ -227,6 +262,21 @@ def test_gen_command(tmp_path, capsys):
     result = json.loads(out)["result"]
     assert result["validation"]["verdict"] is True
     assert len(result["family"]["beta"]) == 21
+
+
+@pytest.mark.parametrize(
+    "name", ["gen_k2_equal_roots.json", "gen_k2_real_roots.json", "gen_k2_complex_roots.json"]
+)
+def test_gen_reports_k2_difference_residual(name, capsys):
+    path = CONFIG_DIR / name
+    code, out, err = run(capsys, "gen", "--config", str(path))
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    cfg = cli.load_config(str(path))
+    a1, a2 = cfg.comb.a
+    expected = max(op.k2_difference_residual(seq, a1, a2) for seq in (cfg.rec.beta, cfg.rec.gamma))
+    assert result["difference_equation_max_residual"] == expected
+    assert expected < 1e-10
 
 
 def test_horizon_cap(tmp_path, capsys):

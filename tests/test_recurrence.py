@@ -8,7 +8,6 @@ from opoly import K2Case, K2Params
 
 from conftest import (
     chebyshev_weight_moments,
-    diff_eq_max_residual,
     k2_case_fixture,
     worst_gram_ratio,
 )
@@ -171,8 +170,11 @@ def test_k2_complex_case_real_output():
 @pytest.mark.parametrize("case", ["equal_roots", "real_roots", "complex_roots"])
 def test_k2_difference_equation(case):
     a1, a2, _, rec = k2_case_fixture(case, horizon=50)
-    assert diff_eq_max_residual(rec.beta, a1, a2, 5, 50) < 1e-10
-    assert diff_eq_max_residual(rec.gamma, a1, a2, 5, 50) < 1e-10
+    assert op.k2_difference_residual(rec.beta, a1, a2) < 1e-10
+    assert op.k2_difference_residual(rec.gamma, a1, a2) < 1e-10
+    bumped = rec.beta.copy()
+    bumped[20] += 0.01
+    assert op.k2_difference_residual(bumped, a1, a2) > 1e-3
 
 
 def test_k2_case_tag_consistency():

@@ -4,10 +4,10 @@ Every float is a dyadic rational, so converting recurrence data and
 combination coefficients to :class:`fractions.Fraction` makes the whole
 pipeline exact: basis polynomials, the canonical completion of the
 low-degree combination polynomials, the annihilating moment sequence, and
-the full Gram matrix.  Denominators stay powers of two throughout, so the
-arithmetic is cheap, and the oracle cannot be fooled by cancellation at the
-tiny norm scales (``prod gamma ~ 4^-n``) where a floating-point Gram test
-loses its footing.
+the full Gram matrix, computed as the Hankel sandwich ``G = C H C^T`` in
+``O(d^3)`` operations.  The oracle therefore cannot be fooled by cancellation
+at the tiny norm scales (``prod gamma ~ 4^-n``) where a floating-point Gram
+test loses its footing.
 """
 
 from __future__ import annotations
@@ -20,60 +20,34 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _add(p, q):
-    n = max(len(p), len(q))
-    return [
-        (p[i] if i < len(p) else _ZERO) + (q[i] if i < len(q) else _ZERO)
-        for i in range(n)
-    ]
-
-
-def _scale(p, c):
-    return [c * v for v in p]
-
-
-def _mul(p, q):
-    out = [_ZERO] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        if pi == 0:
-            continue
-        for j, qj in enumerate(q):
-            out[i + j] += pi * qj
+def _lincomb(*terms):
+    """``sum c * p`` over the ``(c, p)`` pairs, padded to the longest ``p``."""
+    out = [_ZERO] * max(len(p) for _, p in terms)
+    for c, p in terms:
+        for i, v in enumerate(p):
+            out[i] += c * v
     return out
-
-
-def _trim(p):
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return p
 
 
 def _basis_polys(beta, gamma, n_max):
     """Monic basis polynomials ``P_0..P_n_max`` as Fraction coefficient lists."""
-    polys = [[_ONE]]
-    if n_max >= 1:
-        polys.append([-beta[0], _ONE])
+    polys = [[_ONE], [-beta[0], _ONE]]
     for n in range(1, n_max):
         xp = [_ZERO] + polys[n]
-        t = _add(xp, _scale(polys[n], -beta[n]))
-        t = _add(t, _scale(polys[n - 1], -gamma[n]))
-        polys.append(t)
+        polys.append(_lincomb((_ONE, xp), (-beta[n], polys[n]), (-gamma[n], polys[n - 1])))
     return polys
 
 
 def _downward(q_next, q_cur):
-    """One exact downward three-term step; fails on an exact degree drop."""
+    """``Q_{m-1}`` from ``x Q_m = Q_{m+1} + tilde beta_m Q_m + tilde gamma_m Q_{m-1}``;
+    fails on an exact degree drop (``tilde gamma_m = 0``)."""
     m = len(q_cur) - 1
-    r = _trim(_add([_ZERO] + q_cur, _scale(q_next, -_ONE)))
-    b = r[m] if len(r) > m else _ZERO
-    s = _trim(_add(r, _scale(q_cur, -b)))
-    g = s[m - 1] if len(s) > m - 1 else _ZERO
+    r = _lincomb((_ONE, [_ZERO] + q_cur), (-_ONE, q_next))  # length m + 2
+    s = _lincomb((_ONE, r), (-r[m], q_cur))
+    g = s[m - 1]
     if g == 0:
-        raise DegeneracyError(
-            f"exact completion: tilde gamma at degree {m} is zero"
-        )
-    prev = [v / g for v in s[: m]]
-    return b, g, prev
+        raise DegeneracyError(f"exact completion: tilde gamma at degree {m} is zero")
+    return [v / g for v in s[:m]]
 
 
 def exact_combination_polys(beta_f, gamma_f, a_f, n_max):
@@ -87,32 +61,23 @@ def exact_combination_polys(beta_f, gamma_f, a_f, n_max):
     k = len(a_f)
     beta = [Fraction(float(b)) for b in beta_f]
     gamma = [_ZERO] + [Fraction(float(g)) for g in gamma_f[1:]]
-    a = [_ZERO] + [Fraction(float(v)) for v in a_f]
+    a = [_ONE] + [Fraction(float(v)) for v in a_f]  # a_0 = 1 weights P_n itself
     p = _basis_polys(beta, gamma, n_max)
 
     def direct(n):
-        q = p[n]
-        for j in range(1, k + 1):
-            q = _add(q, _scale(p[n - j], a[j]))
-        return q
+        return _lincomb(*((a[j], p[n - j]) for j in range(k + 1)))
 
     denom = gamma[k + 1] + a[1] * (beta[k] - beta[k + 1])
     if denom == 0:
         raise DegeneracyError("exact completion: denominator is zero")
-    fourier = [_ZERO] * (k + 1)
+    fourier = [_ONE] * (k + 1)
     for j in range(1, k):
         fourier[j] = (a[j] * gamma[k - j + 1] + a[j + 1] * (beta[k - j] - beta[k + 1])) / denom
     fourier[k] = a[k] * gamma[1] / denom
 
-    q_k = p[k]
-    for j in range(1, k + 1):
-        q_k = _add(q_k, _scale(p[k - j], fourier[j]))
-    qs = {k: q_k, k + 1: direct(k + 1)}
-    hi, lo = qs[k + 1], qs[k]
+    qs = {k: _lincomb(*((fourier[j], p[k - j]) for j in range(k + 1))), k + 1: direct(k + 1)}
     for m in range(k, 0, -1):
-        _, _, prev = _downward(hi, lo)
-        qs[m - 1] = prev
-        hi, lo = lo, prev
+        qs[m - 1] = _downward(qs[m + 1], qs[m])
     for n in range(k + 2, n_max + 1):
         qs[n] = direct(n)
     return [qs[n] for n in range(n_max + 1)]
@@ -128,13 +93,17 @@ def exact_annihilator_moments(polys):
 
 
 def exact_gram(beta_f, gamma_f, a_f, degree):
-    """Exact Gram matrix of ``Q_0..Q_degree`` under the annihilating functional."""
+    """Exact Gram matrix of ``Q_0..Q_degree`` under the annihilating functional.
+
+    ``w_j[t] = sum_s Q_j[s] v_{s+t}`` is row ``j`` of ``C H``; then
+    ``G[i][j] = sum_t Q_i[t] w_j[t]`` for ``i <= j``, mirrored below.
+    """
     qs = exact_combination_polys(beta_f, gamma_f, a_f, 2 * degree)
-    moments = exact_annihilator_moments(qs[1:])
+    v = exact_annihilator_moments(qs[1:])
+    qs = qs[: degree + 1]
     gram = [[_ZERO] * (degree + 1) for _ in range(degree + 1)]
-    for i in range(degree + 1):
-        for j in range(i, degree + 1):
-            prod = _mul(qs[i], qs[j])
-            val = sum(c * moments[t] for t, c in enumerate(prod) if c != 0)
-            gram[i][j] = gram[j][i] = val
+    for j, qj in enumerate(qs):
+        wj = [sum((c * v[s + t] for s, c in enumerate(qj) if c), _ZERO) for t in range(j + 1)]
+        for i in range(j + 1):
+            gram[i][j] = gram[j][i] = sum((c * wj[t] for t, c in enumerate(qs[i]) if c), _ZERO)
     return gram

@@ -63,6 +63,13 @@ def jacobi_truncation(rec: RecurrencePair, m: int) -> np.ndarray:
     return out
 
 
+def _symmetric_jacobi(rec: RecurrencePair, m: int) -> np.ndarray:
+    """``m x m`` symmetric Jacobi truncation: betas on the diagonal,
+    ``sqrt(gamma)`` on both off-diagonals (``gamma_1..gamma_{m-1} > 0``)."""
+    off = np.sqrt(rec.gamma[1:m])
+    return np.diag(rec.beta[:m]) + np.diag(off, 1) + np.diag(off, -1)
+
+
 def change_basis_matrix(comb: CombCoeffs, report: ConditionReport, m: int) -> np.ndarray:
     """Rows give the P-basis coefficients of ``Q_0..Q_{m-1}``.
 
@@ -325,9 +332,7 @@ def orthonormal_identity_check(
     DP = norm_diagonal(rec, mm)
     DQ = norm_diagonal(tilde, mm)
     Mt = (M / np.sqrt(DQ)[:, None]) * np.sqrt(DP)[None, :]
-    Jsym = np.diag(rec.beta[:mm]).astype(float)
-    off = np.sqrt(rec.gamma[1:mm])
-    Jsym += np.diag(off, 1) + np.diag(off, -1)
+    Jsym = _symmetric_jacobi(rec, mm)
     lhs = np.zeros((mm, mm))
     power = np.eye(mm)
     for c in hk.poly.coeffs:

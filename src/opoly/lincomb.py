@@ -65,8 +65,6 @@ class ConditionReport:
     Fields:
       * ``fourier``    -- ``a_j^(k)`` for ``j = 1..k`` (P-basis tail of ``Q_k``);
       * ``denom``      -- ``gamma_{k+1} + a_1 (beta_k - beta_{k+1})``;
-      * ``fourier_residuals`` -- residuals of the k defining equations after
-                          solving (zero up to rounding; kept for the record);
       * ``matching``   -- rows ``(n, main_residual, extra_residuals, ok)`` for
                           ``k+2 <= n <= n_max``;
       * ``completion`` -- rows ``(j, tilde_beta_j, tilde_gamma_j, ok)`` from
@@ -87,7 +85,6 @@ class ConditionReport:
     fourier: tuple[float, ...]
     completion: tuple[tuple[int, float, float, bool], ...]
     matching: tuple[tuple[int, float, tuple[float, ...], bool], ...]
-    fourier_residuals: tuple[float, ...]
     beta0_tilde: float | None
     q_low: tuple[Poly, ...]
     low_rows: tuple[tuple[float, ...], ...]
@@ -155,7 +152,6 @@ def _expand_in_p(rec: RecurrencePair, q: Poly) -> tuple[float, ...]:
 class _Completion:
     fourier: tuple[float, ...]
     denom: float
-    solve_residuals: tuple[float, ...]
     q_low: tuple[Poly, ...]          # Q_0..Q_{k+1}
     low_rows: tuple[tuple[float, ...], ...]
     tilde_beta: tuple[float, ...]    # tilde beta_1..tilde beta_k
@@ -184,13 +180,6 @@ def _complete_low(rec: RecurrencePair, comb: CombCoeffs, tol: float) -> _Complet
     for j in range(1, k):
         fourier[j - 1] = (a[j] * gamma[k - j + 1] + a[j + 1] * (beta[k - j] - beta[k + 1])) / denom
     fourier[k - 1] = a[k] * gamma[1] / denom
-    solve_res = []
-    for j in range(1, k):
-        solve_res.append(
-            a[j] * gamma[k - j + 1] + a[j + 1] * (beta[k - j] - beta[k + 1])
-            - fourier[j - 1] * denom
-        )
-    solve_res.append(a[k] * gamma[1] - fourier[k - 1] * denom)
 
     q_next = _direct_q(rec, comb, k + 1)
     q_cur = poly_p(rec, k)
@@ -214,7 +203,6 @@ def _complete_low(rec: RecurrencePair, comb: CombCoeffs, tol: float) -> _Complet
     return _Completion(
         fourier=tuple(float(v) for v in fourier),
         denom=denom,
-        solve_residuals=tuple(float(v) for v in solve_res),
         q_low=q_low,
         low_rows=low_rows,
         tilde_beta=tuple(float(v) for v in t_beta),
@@ -306,7 +294,6 @@ def check_conditions(
             k=k, n_max=n_max, tol=tol, verdict=verdict,
             denom=low.denom, fourier=low.fourier,
             completion=completion, matching=tuple(matching),
-            fourier_residuals=low.solve_residuals,
             beta0_tilde=low.beta0_tilde,
             q_low=low.q_low, low_rows=low.low_rows,
             tail_gamma_ok=tail_ok, failures=tuple(failures),
@@ -315,7 +302,7 @@ def check_conditions(
     return ConditionReport(
         k=k, n_max=n_max, tol=tol, verdict=False,
         denom=denom, fourier=(),
-        completion=(), matching=tuple(matching), fourier_residuals=(),
+        completion=(), matching=tuple(matching),
         beta0_tilde=None, q_low=(), low_rows=(),
         tail_gamma_ok=tail_ok, failures=tuple(failures),
     )

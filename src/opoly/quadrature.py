@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npp
 
 from .errors import HorizonError, InapplicableError, NumericError
-from .jacobi import zeros_q
+from .jacobi import _symmetric_jacobi, zeros_q
 from .lincomb import CombCoeffs
 from .moments import MomentFunctional, apply_functional
 from .recurrence import Poly, RecurrencePair
@@ -147,11 +147,7 @@ def gauss_rule(rec: RecurrencePair, f: MomentFunctional, n: int) -> QuadratureRu
     gam = rec.gamma[1 : n + 1]
     if np.any(gam <= 0.0):
         raise ValueError("Gauss rule requires gamma_1..gamma_n > 0")
-    J = np.diag(rec.beta[:n]).astype(float)
-    if n > 1:
-        off = np.sqrt(rec.gamma[1:n])
-        J += np.diag(off, 1) + np.diag(off, -1)
-    return _interpolatory_rule(f, np.linalg.eigvalsh(J), tol=1e-9)
+    return _interpolatory_rule(f, np.linalg.eigvalsh(_symmetric_jacobi(rec, n)), tol=1e-9)
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,21 @@ def test_json_encoding_of_numpy_and_complex_values(capsys):
         cli._emit({"x": object()}, [], args)
 
 
+def test_check_reports_degenerate_oracle_completion(tmp_path, capsys):
+    # no orthogonal completion exists (tilde gamma_1 = 0 exactly): the oracle
+    # reports the exact degeneracy, agrees with the failed verdict, exit 1
+    payload = dict(BASE, family={"type": "chebyshev", "kind": 2},
+                   combination={"k": 2, "a": ["1", "0.25"]}, horizon=24)
+    code, out, _ = run(capsys, "check", "--config", write_config(tmp_path, payload))
+    assert code == 1
+    report = json.loads(out)
+    assert report["result"]["conditions"]["verdict"] is False
+    gram = report["result"]["gram_oracle"]
+    assert gram["ok"] is False
+    assert gram["error"] == "exact completion: tilde gamma at degree 1 is zero"
+    assert gram["agrees_with_verdict"] is True
+
+
 def test_numeric_error_exits_three(tmp_path, capsys):
     payload = {
         "family": {

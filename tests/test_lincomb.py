@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import opoly as op
+from opoly._exact import exact_annihilator_moments, exact_combination_polys, exact_gram
 
-from conftest import broken_families, k2_case_fixture, worst_gram_ratio
+from conftest import broken_families, chebyshev_corpus, k2_case_fixture, worst_gram_ratio
 
 
 def test_comb_coeffs_invariants():
@@ -203,8 +206,38 @@ def test_q_basis_orthogonal_under_tilde_moments():
 
 
 def test_oracle_degenerate_completion(cheb_u):
-    with pytest.raises(op.DegeneracyError):
+    with pytest.raises(
+        op.DegeneracyError, match="^exact completion: tilde gamma at degree 1 is zero$"
+    ):
         op.oracle_gram_check(cheb_u, op.CombCoeffs((1.0, 0.25)), degree=8)
+
+
+def _exact_product(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, pi in enumerate(p):
+        for j, qj in enumerate(q):
+            out[i + j] += pi * qj
+    return out
+
+
+@pytest.mark.parametrize(
+    "label,rec,comb", chebyshev_corpus() + broken_families(),
+    ids=lambda v: v if isinstance(v, str) else "",
+)
+def test_exact_gram_matches_pairwise_products(label, rec, comb):
+    # reference for the Hankel sandwich: multiply out every Q_i Q_j and
+    # apply the annihilating moments term by term
+    degree = 6
+    gram = exact_gram(rec.beta, rec.gamma, comb.a, degree)
+    qs = exact_combination_polys(rec.beta, rec.gamma, comb.a, 2 * degree)
+    v = exact_annihilator_moments(qs[1:])
+    for i in range(degree + 1):
+        for j in range(degree + 1):
+            prod = _exact_product(qs[i], qs[j])
+            expect = sum((c * v[t] for t, c in enumerate(prod)), Fraction(0))
+            assert type(gram[i][j]) is Fraction
+            assert gram[i][j] == expect
+            assert gram[i][j] == gram[j][i]
 
 
 def test_k1_fourier_identity_holds_generally(cheb_t):

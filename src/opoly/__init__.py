@@ -38,7 +38,6 @@ from .lincomb import (
     ConditionReport,
     GramReport,
     check_conditions,
-    downward_favard,
     oracle_gram_check,
     q_poly,
     tilde_recurrence,
@@ -105,7 +104,6 @@ __all__ = [
     "check_conditions",
     "christoffel_numbers",
     "degree_of_precision",
-    "downward_favard",
     "eval_p",
     "gauss_rule",
     "inner",

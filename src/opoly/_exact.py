@@ -1,13 +1,13 @@
-"""Exact-rational engine behind the brute-force orthogonality oracle.
+"""Exact-rational engine: the low-degree completion and the Gram oracle.
 
 Every float is a dyadic rational, so converting recurrence data and
 combination coefficients to :class:`fractions.Fraction` makes the whole
-pipeline exact: basis polynomials, the canonical completion of the
-low-degree combination polynomials, the annihilating moment sequence, and
-the full Gram matrix, computed as the Hankel sandwich ``G = C H C^T`` in
-``O(d^3)`` operations.  The oracle therefore cannot be fooled by cancellation
-at the tiny norm scales (``prod gamma ~ 4^-n``) where a floating-point Gram
-test loses its footing.
+pipeline exact.  :func:`low_completion` is the one home of the paper's
+determination and completion blocks; ``check_conditions`` rounds it to
+floats and the oracle uses it as is.  The oracle's Gram matrix under the
+annihilating moments is the Hankel sandwich ``G = C H C^T`` (``O(d^3)``
+operations), so cancellation at the tiny norm scales (``prod gamma ~ 4^-n``)
+cannot fool it as it would a floating-point Gram test.
 """
 
 from __future__ import annotations
@@ -24,9 +24,19 @@ def _lincomb(*terms):
     """``sum c * p`` over the ``(c, p)`` pairs, padded to the longest ``p``."""
     out = [_ZERO] * max(len(p) for _, p in terms)
     for c, p in terms:
-        for i, v in enumerate(p):
-            out[i] += c * v
+        if c:
+            for i, v in enumerate(p):
+                if v:
+                    out[i] += c * v
     return out
+
+
+def _exact_data(beta_f, gamma_f, a_f, n):
+    """Fractions ``beta_0..beta_n``, ``gamma_0 = 0, gamma_1..gamma_n``, ``a_0 = 1, a_1..a_k``."""
+    beta = [Fraction(float(b)) for b in beta_f[: n + 1]]
+    gamma = [_ZERO] + [Fraction(float(g)) for g in gamma_f[1 : n + 1]]
+    a = [_ONE] + [Fraction(float(v)) for v in a_f]
+    return beta, gamma, a
 
 
 def _basis_polys(beta, gamma, n_max):
@@ -38,16 +48,48 @@ def _basis_polys(beta, gamma, n_max):
     return polys
 
 
-def _downward(q_next, q_cur):
-    """``Q_{m-1}`` from ``x Q_m = Q_{m+1} + tilde beta_m Q_m + tilde gamma_m Q_{m-1}``;
-    fails on an exact degree drop (``tilde gamma_m = 0``)."""
-    m = len(q_cur) - 1
-    r = _lincomb((_ONE, [_ZERO] + q_cur), (-_ONE, q_next))  # length m + 2
-    s = _lincomb((_ONE, r), (-r[m], q_cur))
-    g = s[m - 1]
-    if g == 0:
-        raise DegeneracyError(f"exact completion: tilde gamma at degree {m} is zero")
-    return [v / g for v in s[:m]]
+def low_completion(beta_f, gamma_f, a_f):
+    """The canonical completion ``Q_{k+1}, Q_k, ..., Q_0``, exactly.
+
+    The denominator ``gamma_{k+1} + a_1 (beta_k - beta_{k+1})`` fixes the
+    Fourier coefficients ``a_j^(k)`` of ``Q_k``, then
+    ``x Q_m = Q_{m+1} + tilde beta_m Q_m + tilde gamma_m Q_{m-1}`` is walked
+    down in the ``P``-basis, where ``x P_i = P_{i+1} + beta_i P_i + gamma_i
+    P_{i-1}`` makes each step one short row update.
+
+    Returns ``(denom, rows, polys, tilde)`` keyed by degree: ``rows[m][i]``
+    multiplies ``P_i`` in ``Q_m``, ``polys[m]`` are the monomial coefficients
+    of ``Q_m``, and ``tilde[m] = (tilde beta_m, tilde gamma_m)``, ``m <= k``.
+    Nothing raises: a zero ``denom`` leaves only ``Q_{k+1}``, and the walk
+    stops at the first zero ``tilde gamma_m`` (``min(tilde)``), so ``Q_0``
+    exists only when the completion does.
+    """
+    k = len(a_f)
+    beta, gamma, a = _exact_data(beta_f, gamma_f, a_f, k + 1)
+    rows = {k + 1: [_ZERO] + a[::-1]}
+    tilde = {}
+    denom = gamma[k + 1] + a[1] * (beta[k] - beta[k + 1])
+    if denom != 0:
+        ap = a + [_ZERO]  # a_{k+1} = 0 turns the j = k formula into a_k gamma_1 / denom
+        rows[k] = [(ap[j] * gamma[k - j + 1] + ap[j + 1] * (beta[k - j] - beta[k + 1])) / denom
+                   for j in range(k, 0, -1)] + [_ONE]
+        for m in range(k, 0, -1):
+            lo = rows[m]
+            r = [-c for c in rows[m + 1]]  # x Q_m - Q_{m+1}; r[m + 1] cancels
+            for i, c in enumerate(lo):
+                r[i + 1] += c
+                r[i] += beta[i] * c
+                if i:
+                    r[i - 1] += gamma[i] * c
+            tb = r[m]
+            s = [r[i] - tb * lo[i] for i in range(m)]
+            tilde[m] = (tb, s[m - 1])
+            if s[m - 1] == 0:
+                break
+            rows[m - 1] = [v / s[m - 1] for v in s]
+    p = _basis_polys(beta, gamma, k + 1)
+    polys = {m: _lincomb(*zip(row, p)) for m, row in rows.items()}
+    return denom, rows, polys, tilde
 
 
 def exact_combination_polys(beta_f, gamma_f, a_f, n_max):
@@ -58,29 +100,16 @@ def exact_combination_polys(beta_f, gamma_f, a_f, n_max):
     Raises :class:`~opoly.errors.DegeneracyError` when the completion does
     not exist (zero denominator or an exact downward degeneracy).
     """
-    k = len(a_f)
-    beta = [Fraction(float(b)) for b in beta_f]
-    gamma = [_ZERO] + [Fraction(float(g)) for g in gamma_f[1:]]
-    a = [_ONE] + [Fraction(float(v)) for v in a_f]  # a_0 = 1 weights P_n itself
-    p = _basis_polys(beta, gamma, n_max)
-
-    def direct(n):
-        return _lincomb(*((a[j], p[n - j]) for j in range(k + 1)))
-
-    denom = gamma[k + 1] + a[1] * (beta[k] - beta[k + 1])
+    denom, _, low, tilde = low_completion(beta_f, gamma_f, a_f)
     if denom == 0:
         raise DegeneracyError("exact completion: denominator is zero")
-    fourier = [_ONE] * (k + 1)
-    for j in range(1, k):
-        fourier[j] = (a[j] * gamma[k - j + 1] + a[j + 1] * (beta[k - j] - beta[k + 1])) / denom
-    fourier[k] = a[k] * gamma[1] / denom
-
-    qs = {k: _lincomb(*((fourier[j], p[k - j]) for j in range(k + 1))), k + 1: direct(k + 1)}
-    for m in range(k, 0, -1):
-        qs[m - 1] = _downward(qs[m + 1], qs[m])
-    for n in range(k + 2, n_max + 1):
-        qs[n] = direct(n)
-    return [qs[n] for n in range(n_max + 1)]
+    if 0 not in low:
+        raise DegeneracyError(f"exact completion: tilde gamma at degree {min(tilde)} is zero")
+    k = len(a_f)
+    beta, gamma, a = _exact_data(beta_f, gamma_f, a_f, n_max)
+    p = _basis_polys(beta, gamma, n_max)
+    return [low[n] if n <= k + 1 else _lincomb(*((a[j], p[n - j]) for j in range(k + 1)))
+            for n in range(n_max + 1)]
 
 
 def exact_annihilator_moments(polys):

@@ -25,6 +25,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -71,14 +72,22 @@ class ConfigError(ValueError):
 def _num(value, field: str) -> float:
     if isinstance(value, bool) or value is None:
         raise ConfigError(f"field {field!r} must be a number")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(value)
-        except ValueError as exc:
-            raise ConfigError(f"field {field!r}: cannot parse {value!r}") from exc
-    raise ConfigError(f"field {field!r} must be a number, got {type(value).__name__}")
+    if not isinstance(value, (int, float, str)):
+        raise ConfigError(f"field {field!r} must be a number, got {type(value).__name__}")
+    try:
+        out = float(value)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"field {field!r}: cannot parse {value!r}") from exc
+    if not math.isfinite(out):
+        raise ConfigError(f"field {field!r} must be finite, got {value!r}")
+    return out
+
+
+def _int(value, field: str) -> int:
+    out = _num(value, field)
+    if not out.is_integer():
+        raise ConfigError(f"field {field!r} must be an integer, got {value!r}")
+    return int(out)
 
 
 def _num_list(values, field: str) -> list[float]:
@@ -184,7 +193,7 @@ def load_config(path: str) -> JobConfig:
 
     if "horizon" not in raw:
         raise ConfigError("config needs a 'horizon' field")
-    horizon = int(_num(raw["horizon"], "horizon"))
+    horizon = _int(raw["horizon"], "horizon")
     if horizon > DEFAULT_MAX_HORIZON and not raw.get("allow_large_horizon", False):
         raise ConfigError(
             f"horizon {horizon} exceeds the default cap {DEFAULT_MAX_HORIZON}; "
@@ -196,7 +205,7 @@ def load_config(path: str) -> JobConfig:
     comb_cfg = raw.get("combination")
     if comb_cfg is not None:
         a = _num_list(comb_cfg.get("a"), "combination.a")
-        if "k" in comb_cfg and int(_num(comb_cfg["k"], "combination.k")) != len(a):
+        if "k" in comb_cfg and _int(comb_cfg["k"], "combination.k") != len(a):
             raise ConfigError("combination.k disagrees with len(combination.a)")
         try:
             comb = CombCoeffs(tuple(a))
@@ -217,9 +226,9 @@ def load_config(path: str) -> JobConfig:
         tolerances[key] = _num(val, f"tolerances.{key}")
 
     n = raw.get("n")
-    n = int(_num(n, "n")) if n is not None else None
+    n = _int(n, "n") if n is not None else None
     hk_m = raw.get("hk_truncation")
-    hk_m = int(_num(hk_m, "hk_truncation")) if hk_m is not None else None
+    hk_m = _int(hk_m, "hk_truncation") if hk_m is not None else None
     return JobConfig(
         raw=raw, rec=rec, comb=comb, horizon=horizon, n=n,
         hk_truncation=hk_m, tolerances=tolerances, family_type=ftype,
@@ -382,7 +391,9 @@ def _cmd_hk(cfg: JobConfig, args) -> tuple[int, dict, list]:
     }
     ortho = None
     if np.all(cfg.rec.gamma[1:] > 0) and np.all(tilde.gamma[1:] > 0):
-        rep_orth = orthonormal_identity_check(cfg.rec, cfg.comb, rep, m)
+        rep_orth = orthonormal_identity_check(
+            cfg.rec, cfg.comb, rep, m, hk_tol=cfg.tolerances["hk"]
+        )
         ortho = {"ok": rep_orth.ok, "residual": rep_orth.residual}
     result = {
         "truncation": m,

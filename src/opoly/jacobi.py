@@ -306,13 +306,14 @@ def orthonormal_identity_check(
     report: ConditionReport,
     m: int,
     tol: float = 1e-9,
+    hk_tol: float = 1e-8,
 ) -> OrthonormalReport:
     """Check ``h_k(J_sym) = Mt^T Mt`` in the orthonormal normalisation.
 
     ``J_sym`` is the symmetric Jacobi matrix (off-diagonal ``sqrt(gamma)``)
     and ``Mt = D_Q^{-1/2} M D_P^{1/2}``; the identity only makes sense in the
     positive-definite case, so any non-positive ``gamma`` or ``tilde gamma``
-    raises :class:`ValueError`.
+    raises :class:`ValueError`; :func:`solve_hk` fits ``h_k`` at ``hk_tol``.
     """
     k = comb.k
     mm = m + k
@@ -327,7 +328,7 @@ def orthonormal_identity_check(
         raise ValueError("orthonormal identity needs all gamma_n > 0")
     if np.any(g_q <= 0.0):
         raise ValueError("orthonormal identity needs all tilde gamma_n > 0")
-    hk = solve_hk(rec, comb, report, m)
+    hk = solve_hk(rec, comb, report, m, tol=hk_tol)
     M = change_basis_matrix(comb, report, mm)
     DP = norm_diagonal(rec, mm)
     DQ = norm_diagonal(tilde, mm)

@@ -25,17 +25,22 @@ When the verdict holds, the ``Q``-family satisfies its own recurrence with
     tilde gamma_n = gamma_n + a_1 (beta_{n-1} - beta_n),      n >= k + 1,
 
 and the entries below ``k + 1`` come from the downward completion.
+
+Determination and completion are computed once, exactly, by
+:func:`~opoly._exact.low_completion`, which the Gram oracle shares; the
+verdict rounds its values correctly to floats before the tolerance tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from ._exact import exact_gram
-from .errors import DegeneracyError, HorizonError, StateError
+from ._exact import exact_gram, low_completion
+from .errors import HorizonError, NumericError, StateError
 from .recurrence import Poly, RecurrencePair, poly_p
 
 
@@ -49,6 +54,8 @@ class CombCoeffs:
         coeffs = tuple(float(v) for v in self.a)
         if len(coeffs) < 1:
             raise ValueError("need at least one coefficient")
+        if not all(math.isfinite(v) for v in coeffs):
+            raise ValueError("combination coefficients must be finite")
         if coeffs[-1] == 0.0:
             raise ValueError("a_k must be nonzero")
         object.__setattr__(self, "a", coeffs)
@@ -68,7 +75,8 @@ class ConditionReport:
       * ``matching``   -- rows ``(n, main_residual, extra_residuals, ok)`` for
                           ``k+2 <= n <= n_max``;
       * ``completion`` -- rows ``(j, tilde_beta_j, tilde_gamma_j, ok)`` from
-                          the downward walk, ``j = 1..k``;
+                          the downward walk, ``j = 1..k`` (``ok`` is always
+                          True: a failing step leaves the block empty);
       * ``q_low``      -- the completed ``Q_0..Q_{k+1}``;
       * ``low_rows``   -- P-basis coefficient rows of ``Q_0..Q_k``;
       * ``tail_gamma_ok`` -- all ``tilde gamma_n`` nonzero for
@@ -92,43 +100,6 @@ class ConditionReport:
     failures: tuple[str, ...]
 
 
-def downward_favard(q_next: Poly, q_cur: Poly, tol: float = 1e-12):
-    """Recover ``(tilde_beta, tilde_gamma, q_prev)`` from two consecutive monic
-    polynomials via ``x q_cur = q_next + tilde_beta q_cur + tilde_gamma q_prev``.
-
-    Raises :class:`~opoly.errors.DegeneracyError` when the remainder loses a
-    degree (``tilde_gamma = 0`` within tolerance), i.e. the sequence cannot be
-    extended downward as an orthogonal one.
-    """
-    m = q_cur.degree
-    if m < 1:
-        raise ValueError("q_cur must have degree >= 1")
-    if q_next.degree != m + 1:
-        raise ValueError(
-            f"q_next must have degree {m + 1}, got {q_next.degree}"
-        )
-    if abs(q_next.leading - 1.0) > 1e-9 or abs(q_cur.leading - 1.0) > 1e-9:
-        raise ValueError("both polynomials must be monic")
-    remainder = q_cur.times_x() - q_next
-    arr = remainder.as_array(m + 2)
-    beta = float(arr[m])
-    rest = remainder - beta * q_cur
-    rest_arr = rest.as_array(m + 1)
-    gamma = float(rest_arr[m - 1])
-    scale = max(
-        1.0,
-        float(np.max(np.abs(q_next.as_array()))),
-        float(np.max(np.abs(q_cur.as_array()))),
-    )
-    if abs(gamma) <= tol * scale:
-        raise DegeneracyError(
-            f"tilde gamma at degree {m} is numerically zero ({gamma!r})"
-        )
-    prev_coeffs = rest_arr[:m] / gamma
-    prev_coeffs[m - 1] = 1.0
-    return beta, gamma, Poly(tuple(prev_coeffs))
-
-
 def _direct_q(rec: RecurrencePair, comb: CombCoeffs, n: int) -> Poly:
     q = poly_p(rec, n)
     for j, aj in enumerate(comb.a, start=1):
@@ -136,79 +107,41 @@ def _direct_q(rec: RecurrencePair, comb: CombCoeffs, n: int) -> Poly:
     return q
 
 
-def _expand_in_p(rec: RecurrencePair, q: Poly) -> tuple[float, ...]:
-    """P-basis coefficients of ``q`` (all basis polynomials are monic)."""
-    work = q.as_array().copy()
-    out = np.zeros(q.degree + 1)
-    for d in range(q.degree, -1, -1):
-        c = work[d]
-        out[d] = c
-        if c != 0.0:
-            work[: d + 1] -= c * poly_p(rec, d).as_array(d + 1)
-    return tuple(float(v) for v in out)
+def _complete_low(rec: RecurrencePair, comb: CombCoeffs, tol: float) -> tuple[dict, str | None]:
+    """The exact completion rounded to floats and held to the tolerance tests.
 
-
-@dataclass(frozen=True)
-class _Completion:
-    fourier: tuple[float, ...]
-    denom: float
-    q_low: tuple[Poly, ...]          # Q_0..Q_{k+1}
-    low_rows: tuple[tuple[float, ...], ...]
-    tilde_beta: tuple[float, ...]    # tilde beta_1..tilde beta_k
-    tilde_gamma: tuple[float, ...]   # tilde gamma_1..tilde gamma_k
-    beta0_tilde: float
-
-
-def _complete_low(rec: RecurrencePair, comb: CombCoeffs, tol: float) -> _Completion:
-    """Fix ``Q_k`` from the denominator equations, then walk downward to ``Q_0``.
-
-    Raises :class:`~opoly.errors.DegeneracyError` if the denominator vanishes
-    or any downward step degenerates; the combination then admits no
-    orthogonal completion at all.
+    Returns the report fields and the failure text, if any.  Only ``denom``
+    is filled when the denominator is numerically zero or a step has
+    ``|tilde gamma_m| <= tol * max(1, max|Q_{m+1}|, max|Q_m|)`` (monomial
+    coefficients).
     """
     k = comb.k
-    if rec.horizon < k + 1:
-        raise HorizonError(f"horizon {rec.horizon} too small for k = {k}")
-    a = (0.0,) + comb.a  # 1-indexed view
-    beta, gamma = rec.beta, rec.gamma
-    denom = float(gamma[k + 1] + a[1] * (beta[k] - beta[k + 1]))
-    if abs(denom) <= tol * max(1.0, abs(gamma[k + 1])):
-        raise DegeneracyError(
-            "gamma_{k+1} + a_1*(beta_k - beta_{k+1}) is numerically zero"
-        )
-    fourier = np.empty(k)
-    for j in range(1, k):
-        fourier[j - 1] = (a[j] * gamma[k - j + 1] + a[j + 1] * (beta[k - j] - beta[k + 1])) / denom
-    fourier[k - 1] = a[k] * gamma[1] / denom
+    denom, rows, polys, tilde = low_completion(rec.beta, rec.gamma, comb.a)
+    low = {"denom": float(denom), "fourier": (), "completion": (), "beta0_tilde": None,
+           "q_low": (), "low_rows": ()}
+    if abs(low["denom"]) <= tol * max(1.0, abs(rec.gamma[k + 1])):
+        return low, "gamma_{k+1} + a_1*(beta_k - beta_{k+1}) is numerically zero"
 
-    q_next = _direct_q(rec, comb, k + 1)
-    q_cur = poly_p(rec, k)
-    for j, fj in enumerate(fourier, start=1):
-        q_cur = q_cur + float(fj) * poly_p(rec, k - j)
+    def rounded(m):
+        return Poly(tuple(map(float, polys[m])))
 
-    qs: dict[int, Poly] = {k + 1: q_next, k: q_cur}
-    t_beta = np.empty(k)
-    t_gamma = np.empty(k)
-    hi, lo = q_next, q_cur
+    q = {k + 1: rounded(k + 1), k: rounded(k)}
+    completion = []
     for m in range(k, 0, -1):
-        b, g, prev = downward_favard(hi, lo, tol)
-        t_beta[m - 1] = b
-        t_gamma[m - 1] = g
-        qs[m - 1] = prev
-        hi, lo = lo, prev
-    beta0_tilde = -qs[1].coeffs[0]  # Q_1 = x - tilde beta_0
-
-    low_rows = tuple(_expand_in_p(rec, qs[j]) for j in range(k + 1))
-    q_low = tuple(qs[j] for j in range(k + 2))
-    return _Completion(
-        fourier=tuple(float(v) for v in fourier),
-        denom=denom,
-        q_low=q_low,
-        low_rows=low_rows,
-        tilde_beta=tuple(float(v) for v in t_beta),
-        tilde_gamma=tuple(float(v) for v in t_gamma),
-        beta0_tilde=float(beta0_tilde),
+        tb, tg = map(float, tilde[m])
+        scale = max(1.0, *map(abs, q[m + 1].coeffs), *map(abs, q[m].coeffs))
+        if abs(tg) <= tol * scale:
+            return low, f"tilde gamma at degree {m} is numerically zero ({tg!r})"
+        completion.append((m, tb, tg, True))
+        q[m - 1] = rounded(m - 1)
+    low.update(
+        fourier=tuple(float(rows[k][k - j]) for j in range(1, k + 1)),
+        completion=tuple(reversed(completion)),
+        beta0_tilde=-q[1].coeffs[0],  # Q_1 = x - tilde beta_0
+        q_low=tuple(q[j] for j in range(k + 2)),
+        low_rows=tuple(tuple(map(float, rows[j])) for j in range(k + 1)),
     )
+    return low, None
 
 
 def q_poly(
@@ -241,7 +174,8 @@ def check_conditions(
     """Decide orthogonality of the combination family up to index ``n_max``.
 
     Residuals are accepted when below ``tol * max(1, |gamma_n|)``.  Failures
-    never raise; they are encoded in the returned report.
+    never raise; they are encoded in the returned report.  A completion value
+    past the float range raises :class:`~opoly.errors.NumericError`.
     """
     k = comb.k
     if n_max < k + 2:
@@ -250,13 +184,11 @@ def check_conditions(
         raise HorizonError(f"n_max = {n_max} exceeds horizon {rec.horizon}")
     a = (0.0,) + comb.a
     beta, gamma = rec.beta, rec.gamma
-    failures: list[str] = []
-
-    low: _Completion | None = None
     try:
-        low = _complete_low(rec, comb, tol)
-    except DegeneracyError as exc:
-        failures.append(str(exc))
+        low, failure = _complete_low(rec, comb, tol)
+    except OverflowError as exc:  # an exact completion value past the float range
+        raise NumericError(f"low-degree completion: {exc}") from exc
+    failures = [failure] if failure else []
 
     matching = []
     for n in range(k + 2, n_max + 1):
@@ -278,33 +210,11 @@ def check_conditions(
             tail_ok = False
             failures.append(f"tilde gamma_{n} is numerically zero")
 
-    if low is not None:
-        completion = tuple(
-            (j, low.tilde_beta[j - 1], low.tilde_gamma[j - 1],
-             abs(low.tilde_gamma[j - 1]) > tol)
-            for j in range(1, k + 1)
-        )
-        for j, _, tg, ok in completion:
-            if not ok:
-                failures.append(f"completed tilde gamma_{j} is numerically zero")
-        verdict = tail_ok and all(row[3] for row in completion) and all(
-            row[3] for row in matching
-        )
-        return ConditionReport(
-            k=k, n_max=n_max, tol=tol, verdict=verdict,
-            denom=low.denom, fourier=low.fourier,
-            completion=completion, matching=tuple(matching),
-            beta0_tilde=low.beta0_tilde,
-            q_low=low.q_low, low_rows=low.low_rows,
-            tail_gamma_ok=tail_ok, failures=tuple(failures),
-        )
-    denom = float(gamma[k + 1] + a[1] * (beta[k] - beta[k + 1]))
     return ConditionReport(
-        k=k, n_max=n_max, tol=tol, verdict=False,
-        denom=denom, fourier=(),
-        completion=(), matching=tuple(matching),
-        beta0_tilde=None, q_low=(), low_rows=(),
-        tail_gamma_ok=tail_ok, failures=tuple(failures),
+        k=k, n_max=n_max, tol=tol,
+        verdict=failure is None and tail_ok and all(row[3] for row in matching),
+        matching=tuple(matching), tail_gamma_ok=tail_ok, failures=tuple(failures),
+        **low,
     )
 
 

@@ -86,6 +86,44 @@ def test_malformed_configs_exit_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "change",
+    [
+        {"combination": {"k": 2, "a": ["inf", "-0.125"]}},
+        {"combination": {"k": 2, "a": ["0", "nan"]}},
+        {"combination": {"k": 2, "a": ["0", "-1e400"]}},
+        {"combination": {"k": "2.5", "a": ["0", "-0.125"]}},
+        {"horizon": "24.9"},
+        {"horizon": float("inf")},
+        {"n": "6.7"},
+        {"hk_truncation": 12.5},
+        {"tolerances": {"conditions": "nan"}},
+    ],
+    ids=["a-inf", "a-nan", "a-overflow", "k-fraction", "horizon-fraction", "horizon-inf",
+         "n-fraction", "hk-truncation-fraction", "tol-nan"],
+)
+def test_non_finite_or_non_integral_numbers_exit_two(tmp_path, capsys, change):
+    code, _, err = run(capsys, "check", "--config", write_config(tmp_path, dict(BASE, **change)))
+    assert code == 2
+    assert err.startswith("opoly: config error: field ")
+
+
+def test_hk_honours_hk_tolerance_in_orthonormal_check(tmp_path, capsys):
+    # gamma_10 bumped by 1e-8: the h_k fit residual (~1.4e-7) passes
+    # --tol-hk 1e-5, and the orthonormal check must fit h_k at that same tolerance
+    gamma = ["0.5"] + ["0.25"] * 23
+    gamma[9] = repr(0.25 + 1e-8)
+    payload = dict(BASE, family={"type": "explicit", "beta": ["0"] * 25, "gamma": gamma},
+                   horizon=24)
+    cfg = write_config(tmp_path, payload)
+    code, out, err = run(capsys, "hk", "--config", cfg, "--tol-conditions", "1e-5",
+                         "--tol-hk", "1e-5")
+    assert code != 3, err
+    result = json.loads(out)["result"]
+    assert 1e-8 < result["residual"] <= 1e-5
+    assert result["orthonormal_identity"] is not None
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["bogus", "--config", "job.json"],
@@ -145,6 +183,12 @@ def test_numeric_error_exits_three(tmp_path, capsys):
     code, out, err = run(capsys, "gen", "--config", cfg)
     assert code == 3
     assert "ConstraintError" in err
+    # finite data whose exact completion leaves the float range
+    payload = dict(BASE, family={"type": "explicit", "beta": ["1e200", "-1e200"] * 10 + ["1e200"],
+                                 "gamma": ["0.25"] * 20}, combination={"k": 1, "a": ["0.5"]})
+    code, out, err = run(capsys, "check", "--config", write_config(tmp_path, payload))
+    assert code == 3
+    assert err.startswith("opoly: NumericError: low-degree completion: ")
 
 
 def test_tilde_table(tmp_path, capsys):

@@ -14,6 +14,9 @@ def test_comb_coeffs_invariants():
         op.CombCoeffs(())
     with pytest.raises(ValueError):
         op.CombCoeffs((0.5, 0.0))
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            op.CombCoeffs((bad, 0.5))
     assert op.CombCoeffs((0.0, -0.125)).k == 2
 
 
@@ -80,33 +83,102 @@ class TestCheckConditions:
         assert report.failures
 
 
-class TestDownwardFavard:
-    def test_degenerate_pair(self):
-        with pytest.raises(op.DegeneracyError):
-            op.downward_favard(op.Poly((0.0, 0.0, 1.0)), op.Poly((0.0, 1.0)))
+class TestCompletion:
+    def test_degenerate_step(self):
+        # Q_2 = x^2 and Q_1 = x: x Q_1 - Q_2 = 0 leaves no Q_0
+        rec = op.RecurrencePair(np.zeros(21), np.full(20, 0.5))
+        comb = op.CombCoeffs((0.0, 0.5))
+        report = op.check_conditions(rec, comb, 20)
+        assert not report.verdict
+        assert report.failures == ("tilde gamma at degree 1 is numerically zero (0.0)",)
+        assert report.completion == () and report.q_low == ()
+        with pytest.raises(op.StateError):
+            op.tilde_recurrence(rec, comb, 20, report=report)
 
     def test_quarter_shift(self):
-        beta, gamma, prev = op.downward_favard(
-            op.Poly((-0.25, 0.0, 1.0)), op.Poly((0.0, 1.0))
-        )
-        assert beta == 0.0
-        assert gamma == 0.25
-        assert prev.coeffs == (1.0,)
+        # Q_2 = x^2 - 1/4 over Q_1 = x: tilde beta_1 = 0, tilde gamma_1 = 1/4, Q_0 = 1
+        rec = op.RecurrencePair(np.zeros(21), np.full(20, 0.5))
+        comb = op.CombCoeffs((0.0, 0.25))
+        report = op.check_conditions(rec, comb, 20)
+        assert report.verdict
+        assert report.completion == ((1, 0.0, 0.25, True), (2, 0.0, 0.5, True))
+        assert [q.coeffs for q in report.q_low[:3]] == [(1.0,), (0.0, 1.0), (-0.25, 0.0, 1.0)]
+        tilde = op.tilde_recurrence(rec, comb, 20, report=report)
+        assert (tilde.beta[1], tilde.gamma[1]) == (0.0, 0.25)
 
     def test_second_kind_combination(self, cheb_u):
         comb = op.CombCoeffs((0.5,))
-        q2 = op.q_poly(cheb_u, comb, 2)
-        q1 = op.poly_p(cheb_u, 1) + 0.5 * op.poly_p(cheb_u, 0)
-        beta, gamma, prev = op.downward_favard(q2, q1)
-        assert beta == pytest.approx(0.0, abs=1e-15)
-        assert gamma == pytest.approx(0.25)
-        assert prev.coeffs == (1.0,)
+        report = op.check_conditions(cheb_u, comb, 20)
+        assert report.completion == ((1, 0.0, 0.25, True),)
+        assert [q.coeffs for q in report.q_low] == [
+            (1.0,), (0.5, 1.0), op.q_poly(cheb_u, comb, 2).coeffs
+        ]
+        tilde = op.tilde_recurrence(cheb_u, comb, 20, report=report)
+        assert (tilde.beta[0], tilde.beta[1], tilde.gamma[1]) == (-0.5, 0.0, 0.25)
 
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            op.downward_favard(op.Poly((0.0, 1.0)), op.Poly((1.0,)))
-        with pytest.raises(ValueError):
-            op.downward_favard(op.Poly((0.0, 0.0, 2.0)), op.Poly((0.0, 1.0)))
+
+def _exact_low_reference(rec, comb):
+    """``(denom, fourier, beta0_tilde, completion, low_rows)`` in Fractions,
+    walked downward in the monomial basis and expanded in the P-basis by
+    back-substitution."""
+    k = comb.k
+    beta = [Fraction(float(b)) for b in rec.beta[: k + 2]]
+    gamma = [Fraction(0)] + [Fraction(float(g)) for g in rec.gamma[1 : k + 2]]
+    a = [Fraction(1)] + [Fraction(v) for v in comb.a]
+    p = [[Fraction(1)], [-beta[0], Fraction(1)]]
+    for n in range(1, k + 1):
+        nxt = [Fraction(0)] + p[n]
+        for i, c in enumerate(p[n]):
+            nxt[i] -= beta[n] * c
+        for i, c in enumerate(p[n - 1]):
+            nxt[i] -= gamma[n] * c
+        p.append(nxt)
+
+    def combination(weights, n):  # sum_j weights[j] P_{n-j}
+        out = [Fraction(0)] * (n + 1)
+        for j, w in enumerate(weights):
+            for i, v in enumerate(p[n - j]):
+                out[i] += w * v
+        return out
+
+    denom = gamma[k + 1] + a[1] * (beta[k] - beta[k + 1])
+    fourier = [(a[j] * gamma[k - j + 1] + a[j + 1] * (beta[k - j] - beta[k + 1])) / denom
+               for j in range(1, k)] + [a[k] * gamma[1] / denom]
+    q = {k + 1: combination(a, k + 1), k: combination([Fraction(1)] + fourier, k)}
+    completion = []
+    for m in range(k, 0, -1):
+        r = [x - y for x, y in zip([Fraction(0)] + q[m], q[m + 1])]
+        s = [x - r[m] * y for x, y in zip(r, q[m])]
+        q[m - 1] = [v / s[m - 1] for v in s[:m]]
+        completion.insert(0, (m, r[m], s[m - 1]))
+    rows = []
+    for j in range(k + 1):
+        work, row = list(q[j]), [Fraction(0)] * (j + 1)
+        for d in range(j, -1, -1):
+            row[d] = work[d]
+            for i, v in enumerate(p[d]):
+                work[i] -= row[d] * v
+        rows.append(row)
+    return denom, fourier, -q[1][0], completion, rows
+
+
+@pytest.mark.parametrize(
+    "label,rec,comb",
+    chebyshev_corpus()
+    + [(case, rec, op.CombCoeffs((a1, a2)))
+       for case in ("a1_zero", "equal_roots", "real_roots", "complex_roots")
+       for a1, a2, _, rec in [k2_case_fixture(case)]],
+    ids=lambda v: v if isinstance(v, str) else "",
+)
+def test_completion_is_correctly_rounded(label, rec, comb):
+    denom, fourier, beta0, completion, rows = _exact_low_reference(rec, comb)
+    report = op.check_conditions(rec, comb, 20)
+    assert report.completion
+    assert report.denom == float(denom)
+    assert report.fourier == tuple(float(v) for v in fourier)
+    assert report.beta0_tilde == float(beta0)
+    assert report.completion == tuple((m, float(tb), float(tg), True) for m, tb, tg in completion)
+    assert report.low_rows == tuple(tuple(float(v) for v in row) for row in rows)
 
 
 class TestTildeRecurrence:

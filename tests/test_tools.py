@@ -1,0 +1,35 @@
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+import report_diff  # noqa: E402
+
+
+def test_report_diff_lists_changed_runs_and_fields():
+    report = {"result": {"rows": [{"beta": 0.1, "ok": True}, {"beta": 0.5, "ok": True}]}}
+    bumped = json.loads(json.dumps(report))
+    bumped["result"]["rows"][1]["beta"] = 0.5000000000000002  # 2 ulps
+    bumped["result"]["rows"][0]["ok"] = False
+    bumped["result"]["extra"] = 1
+    old = {
+        "tilde --format json": [0, json.dumps(report), ""],
+        "tilde --format csv": [0, "n,beta\n0,0.25\n1,-0.0\n", ""],
+        "hk --format json": [0, json.dumps(report), ""],
+        "check --format json": [1, "", "boom"],
+    }
+    new = {
+        "tilde --format json": [0, json.dumps(bumped), ""],
+        "tilde --format csv": [0, "n,beta\n0,0.25\n1,5e-324\n", ""],
+        "hk --format json": [0, json.dumps(report), ""],
+        "check --format json": [3, "", "bang"],
+    }
+    runs, fields = report_diff.compare(old, new)
+    assert runs == [("check --format json", 1, 3, "boom", "bang")]
+    assert fields == {
+        "tilde:result.rows[].beta": (1, 2),
+        "tilde:result.rows[].ok": (1, None),
+        "tilde:result.extra": (1, None),
+        "tilde:csv[].beta": (1, 1),
+    }

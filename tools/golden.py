@@ -28,18 +28,21 @@ FORMATS = ("json", "csv")
 NS = (None, 3, 10, 20, 27, 30)
 
 
-def run(main, argv: list[str]) -> list:
+def capture(main, argv: list[str]) -> list:
+    """``[exit code, stdout, stderr]`` of one in-process CLI run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    return [code, hashlib.sha256(out.getvalue().encode()).hexdigest(), err.getvalue()]
+    return [code, out.getvalue(), err.getvalue()]
 
 
-def golden() -> dict:
-    sys.path.insert(0, os.path.join(ROOT, "src"))
+def outputs(src: str = os.path.join(ROOT, "src")) -> dict:
+    """Map each argv of the grid (space-joined) to its :func:`capture`,
+    running the ``opoly`` found in ``src``."""
+    sys.path.insert(0, src)
     from opoly.cli import main
 
     os.chdir(ROOT)
@@ -52,8 +55,15 @@ def golden() -> dict:
                     argv = [command, "--config", f"configs/{name}", "--format", fmt]
                     if n is not None:
                         argv += ["--n", str(n)]
-                    table[" ".join(argv)] = run(main, argv)
+                    table[" ".join(argv)] = capture(main, argv)
     return table
+
+
+def golden() -> dict:
+    return {
+        argv: [code, hashlib.sha256(out.encode()).hexdigest(), err]
+        for argv, (code, out, err) in outputs().items()
+    }
 
 
 if __name__ == "__main__":

@@ -123,7 +123,7 @@ def _build_family(fam: dict, horizon: int) -> tuple[RecurrencePair, str, tuple[f
         raise ConfigError("family must be an object with a 'type' field")
     ftype = fam["type"]
     if ftype == "chebyshev":
-        kind = fam.get("kind")
+        kind = _int(fam.get("kind"), "family.kind")
         if kind not in (1, 2, 3, 4):
             raise ConfigError("chebyshev family needs 'kind' in {1,2,3,4}")
         return chebyshev_family(kind, horizon), ftype, None
@@ -147,15 +147,9 @@ def _build_family(fam: dict, horizon: int) -> tuple[RecurrencePair, str, tuple[f
             lam = _complex(fam["lambda"], "family.lambda")
             if lam.imag == 0.0:
                 lam = lam.real
-        kwargs = {}
-        for name in ("A", "D"):
-            kwargs[name] = _num(fam.get(name, 0.0), f"family.{name}")
-        for name in ("B", "C", "E", "F"):
-            val = fam.get(name, 0.0)
-            if case is K2Case.COMPLEX_ROOTS:
-                kwargs[name] = _complex(val, f"family.{name}")
-            else:
-                kwargs[name] = _num(val, f"family.{name}")
+        parse = _complex if case is K2Case.COMPLEX_ROOTS else _num
+        kwargs = {name: _num(fam.get(name, 0.0), f"family.{name}") for name in "AD"}
+        kwargs.update({name: parse(fam.get(name, 0.0), f"family.{name}") for name in "BCEF"})
         params = K2Params(
             case=case,
             beta0=_num(fam.get("beta0", 0.0), "family.beta0"),
@@ -406,7 +400,7 @@ def _cmd_hk(cfg: JobConfig, args) -> tuple[int, dict, list]:
     }
     rows = [("i", "c_i")]
     rows += [(i, c) for i, c in enumerate(hk.coeffs)]
-    return (0 if rel.ok else 1), result, rows
+    return (0 if rel.ok and (ortho is None or ortho["ok"]) else 1), result, rows
 
 
 def _cmd_quad(cfg: JobConfig, args) -> tuple[int, dict, list]:
@@ -487,23 +481,21 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="opoly",
-        description="Constant-coefficient combinations of monic orthogonal polynomials",
-    )
-    parser.add_argument("command", choices=tuple(_COMMANDS))
-    parser.add_argument("--config", required=True, help="path to a JSON job config")
-    parser.add_argument("--out", default=None, help="write the report here instead of stdout")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--n", type=int, default=None, help="polynomial index for zeros/quad")
-    for tol in DEFAULT_TOLERANCES:
-        parser.add_argument(f"--tol-{tol}", type=float, default=None, dest=f"tol_{tol}")
-    return parser
+_PARSER = argparse.ArgumentParser(
+    prog="opoly",
+    description="Constant-coefficient combinations of monic orthogonal polynomials",
+)
+_PARSER.add_argument("command", choices=tuple(_COMMANDS))
+_PARSER.add_argument("--config", required=True, help="path to a JSON job config")
+_PARSER.add_argument("--out", default=None, help="write the report here instead of stdout")
+_PARSER.add_argument("--format", choices=("json", "csv"), default="json")
+_PARSER.add_argument("--n", type=int, default=None, help="polynomial index for zeros/quad")
+for _tol in DEFAULT_TOLERANCES:
+    _PARSER.add_argument(f"--tol-{_tol}", type=float, default=None, dest=f"tol_{_tol}")
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = load_config(args.config)
         for tol in DEFAULT_TOLERANCES:

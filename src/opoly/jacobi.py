@@ -105,18 +105,21 @@ def perturbation_L(comb: CombCoeffs, m: int) -> np.ndarray:
 
 
 def multiset_distance(a, b) -> float:
-    """Greedy matching distance between two equal-size complex multisets."""
+    """Greedy matching distance between two equal-size complex multisets of
+    finite numbers: ``a`` in (real, imag) order takes the nearest unmatched
+    ``b`` (the first on ties) from one broadcast of ``np.hypot`` distances,
+    each equal to the scalar ``abs(z - w)``; matched columns become ``inf``."""
     a = np.asarray(a, dtype=complex).ravel()
     b = np.asarray(b, dtype=complex).ravel()
     if a.size != b.size:
         raise ValueError("multisets must have equal size")
-    remaining = list(b)
+    diff = a[np.lexsort((a.imag, a.real))][:, None] - b[None, :]
+    dists = np.hypot(diff.real, diff.imag)
     worst = 0.0
-    for z in sorted(a, key=lambda t: (t.real, t.imag)):
-        dists = [abs(z - w) for w in remaining]
-        i = int(np.argmin(dists))
-        worst = max(worst, dists[i])
-        remaining.pop(i)
+    for row in dists:
+        i = int(np.argmin(row))
+        worst = max(worst, row[i])
+        dists[:, i] = np.inf
     return worst
 
 

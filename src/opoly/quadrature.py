@@ -5,12 +5,13 @@ weights are the classical kernel integrals
 
     lambda_j = < u, q(x) / ((x - c_j) q'(c_j)) >,
 
-evaluated by exact synthetic-division deflation.  The degree of precision of
-a rule is measured directly against the moments: the largest ``d`` with
-``|sum lambda c^m - u_m| <= tol (1 + |u_m|)`` for all ``m <= d``.  Gauss rules
-built on the zeros of ``P_n`` reach ``d = 2n - 1``; replacing the nodes by the
-zeros of the length-``k`` combination ``Q_n`` costs exactly ``k`` degrees
-(``d = 2n - 1 - k``), which :func:`shohat_check` verifies end to end.
+evaluated by synthetic-division deflation over all nodes at once.  The
+degree of precision of a rule is measured directly against the moments: the
+largest ``d`` with ``|sum lambda c^m - u_m| <= tol (1 + |u_m|)`` for all
+``m <= d``.  Gauss rules built on the zeros of ``P_n`` reach ``d = 2n - 1``;
+replacing the nodes by the zeros of the length-``k`` combination ``Q_n`` costs
+exactly ``k`` degrees (``d = 2n - 1 - k``), which :func:`shohat_check`
+verifies end to end.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
 
 from .errors import HorizonError, InapplicableError, NumericError
 from .jacobi import _symmetric_jacobi, zeros_q
 from .lincomb import CombCoeffs
-from .moments import MomentFunctional, apply_functional
-from .recurrence import Poly, RecurrencePair
+from .moments import MomentFunctional
+from .recurrence import RecurrencePair
 
 
 @dataclass(frozen=True)
@@ -52,23 +52,13 @@ class QuadratureRule:
         return self.nodes.size
 
 
-def _deflate(coeffs: np.ndarray, c: float) -> tuple[np.ndarray, float]:
-    """Synthetic division by ``(x - c)``: quotient coefficients and remainder."""
-    n = coeffs.size - 1
-    out = np.empty(n)
-    acc = coeffs[n]
-    for i in range(n - 1, -1, -1):
-        out[i] = acc
-        acc = coeffs[i] + acc * c
-    return out, float(acc)
-
-
 def christoffel_numbers(f: MomentFunctional, nodes) -> np.ndarray:
     """Weights of the interpolatory rule on ``nodes`` under the functional ``f``.
 
-    ``lambda_j = <f, q/(x - c_j)> / q'(c_j)`` with ``q = prod (x - c_i)``;
-    the quotient is computed by exact synthetic division and ``q'(c_j)``
-    equals the quotient evaluated at the node.
+    ``lambda_j = <f, q/(x - c_j)> / q'(c_j)`` with ``q = prod (x - c_i)``.
+    One synthetic-division pass over all nodes at once fills row ``j`` with the
+    quotient ``q/(x - c_j)`` and, by Horner's rule on that row, ``q'(c_j)``;
+    each weight is then one ``np.dot`` of its row with the moments.
     """
     nodes = np.asarray(nodes, dtype=float).ravel()
     n = nodes.size
@@ -84,14 +74,21 @@ def christoffel_numbers(f: MomentFunctional, nodes) -> np.ndarray:
     q = np.array([1.0])
     for c in nodes:
         q = np.convolve(q, np.array([-c, 1.0]))
-    weights = np.empty(n)
-    for j, c in enumerate(nodes):
-        quotient, _ = _deflate(q, c)
-        deriv = float(npp.polyval(c, quotient))
-        if abs(deriv) <= 1e-13 * max(1.0, float(np.max(np.abs(quotient)))):
-            raise NumericError(f"node {c} too close to its neighbours to deflate")
-        weights[j] = apply_functional(f, Poly(tuple(quotient))) / deriv
-    return weights
+    quotients = np.empty((n, n))
+    acc, deriv = np.full(n, q[n]), np.zeros(n)
+    for i in range(n - 1, -1, -1):
+        quotients[:, i] = acc
+        deriv = acc + deriv * nodes
+        acc = q[i] + acc * nodes
+    close = np.abs(deriv) <= 1e-13 * np.fmax(1.0, np.max(np.abs(quotients), axis=1))
+    bad = close | ~np.all(np.isfinite(quotients), axis=1)
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        if close[j]:
+            raise NumericError(f"node {nodes[j]} too close to its neighbours to deflate")
+        raise ValueError("polynomial coefficients must be finite")
+    moments = f.moments[:n]
+    return np.array([float(np.dot(row, moments)) for row in quotients]) / deriv
 
 
 def degree_of_precision(

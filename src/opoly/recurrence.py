@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
 
 from .errors import ConstraintError, DegeneracyError, HorizonError, NumericError
 
@@ -57,7 +56,7 @@ class Poly:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _trimmed(self.coeffs))
-        if not all(math.isfinite(c) for c in self.coeffs):
+        if not all(map(math.isfinite, self.coeffs)):
             raise ValueError("polynomial coefficients must be finite")
 
     @classmethod
@@ -86,7 +85,15 @@ class Poly:
         return Poly((0.0,) + self.coeffs)
 
     def __call__(self, x):
-        return npp.polyval(x, np.array(self.coeffs))
+        # numpy.polynomial's Horner steps; np.polyval makes a complex scalar a
+        # 0-d array, whose products round unlike numpy's scalar arithmetic
+        c = np.array(self.coeffs)
+        if isinstance(x, (tuple, list)):
+            x = np.asarray(x)
+        y = c[-1] + x * 0
+        for coef in c[-2::-1]:
+            y = coef + y * x
+        return y
 
     def __add__(self, other):
         if not isinstance(other, Poly):

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -97,9 +100,11 @@ def test_malformed_configs_exit_two(tmp_path, capsys):
         {"n": "6.7"},
         {"hk_truncation": 12.5},
         {"tolerances": {"conditions": "nan"}},
+        {"family": {"type": "chebyshev", "kind": True}},
+        {"family": {"type": "chebyshev", "kind": 1.5}},
     ],
     ids=["a-inf", "a-nan", "a-overflow", "k-fraction", "horizon-fraction", "horizon-inf",
-         "n-fraction", "hk-truncation-fraction", "tol-nan"],
+         "n-fraction", "hk-truncation-fraction", "tol-nan", "kind-bool", "kind-fraction"],
 )
 def test_non_finite_or_non_integral_numbers_exit_two(tmp_path, capsys, change):
     code, _, err = run(capsys, "check", "--config", write_config(tmp_path, dict(BASE, **change)))
@@ -121,6 +126,32 @@ def test_hk_honours_hk_tolerance_in_orthonormal_check(tmp_path, capsys):
     result = json.loads(out)["result"]
     assert 1e-8 < result["residual"] <= 1e-5
     assert result["orthonormal_identity"] is not None
+
+
+def test_hk_fails_when_orthonormal_identity_fails(tmp_path, capsys):
+    # Chebyshev T with gamma_10 bumped by 1e-8: the relation passes at --tol-hk 1e-5,
+    # but the orthonormal identity misses its own fixed tolerance
+    rec = op.chebyshev_family(1, 24)
+    gamma = [float(g) for g in rec.gamma[1:]]
+    gamma[9] = 0.25 + 1e-8
+    payload = dict(BASE, family={"type": "explicit", "beta": [float(b) for b in rec.beta],
+                                 "gamma": gamma}, horizon=24)
+    code, out, err = run(capsys, "hk", "--config", write_config(tmp_path, payload),
+                         "--tol-conditions", "1e-5", "--tol-hk", "1e-5")
+    report = json.loads(out)
+    assert report["result"]["relation"]["ok"] is True
+    assert report["result"]["orthonormal_identity"]["ok"] is False
+    assert code == 1
+    assert report["pass"] is False
+
+
+@pytest.mark.parametrize("kind", [1.0, "2"])
+def test_integral_chebyshev_kind_is_accepted(tmp_path, capsys, kind):
+    cfg = write_config(tmp_path, dict(BASE, family={"type": "chebyshev", "kind": kind}))
+    assert run(capsys, "tilde", "--config", cfg)[0] == 0
+    rec, expected = cli.load_config(cfg).rec, op.chebyshev_family(int(float(kind)), 20)
+    assert np.array_equal(rec.beta, expected.beta)
+    assert np.array_equal(rec.gamma[1:], expected.gamma[1:])
 
 
 @pytest.mark.parametrize(
@@ -362,3 +393,11 @@ def test_bundled_configs(path, capsys):
     expected = 1 if path.name.startswith("broken") else 0
     assert code == expected, err
     assert json.loads(out)["schema"] == 1
+
+
+def test_import_does_not_load_numpy_polynomial():
+    # each bench process keeps whatever `import opoly.cli` loads resident
+    src = str(Path(op.__file__).resolve().parent.parent)
+    code = "import sys, opoly.cli; sys.exit('numpy.polynomial' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0

@@ -345,3 +345,33 @@ def test_multiset_distance():
     assert op.multiset_distance(a, b) < 1e-11
     with pytest.raises(ValueError):
         op.multiset_distance(a, np.array([1.0 + 0j]))
+
+
+def _greedy_distance_reference(a, b) -> float:
+    """The original Python greedy loop, kept as the reference for the broadcast."""
+    a = np.asarray(a, dtype=complex).ravel()
+    b = np.asarray(b, dtype=complex).ravel()
+    remaining = list(b)
+    worst = 0.0
+    for z in sorted(a, key=lambda t: (t.real, t.imag)):
+        dists = [abs(z - w) for w in remaining]
+        i = int(np.argmin(dists))
+        worst = max(worst, dists[i])
+        remaining.pop(i)
+    return worst
+
+
+def test_multiset_distance_matches_greedy_reference(rng):
+    for trial in range(200):
+        m = int(rng.integers(1, 12))
+        # few distinct grid values, so duplicates, conjugate pairs and exact ties are common
+        half = rng.integers(-2, 3, size=(m + 1) // 2) + 1j * rng.integers(0, 3, size=(m + 1) // 2)
+        a = np.concatenate((half, np.conj(half)))[:m] * 0.5
+        rng.shuffle(a)
+        b = a + (rng.integers(-1, 2, size=m) + 1j * rng.integers(-1, 2, size=m)) * 0.25
+        if trial % 2:
+            b = b + 1e-9 * rng.standard_normal(m)
+        rng.shuffle(b)
+        for x, y in ((a, b), (b, a), (a, a)):
+            got, want = op.multiset_distance(x, y), _greedy_distance_reference(x, y)
+            assert got == want and type(got) is type(want)

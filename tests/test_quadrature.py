@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -157,3 +158,60 @@ def test_rule_validation():
         op.QuadratureRule(np.array([0.5, 0.5]), np.array([1.0, 1.0]), 1)
     with pytest.raises(ValueError):
         op.QuadratureRule(np.array([0.0, 1.0]), np.array([1.0]), 1)
+
+
+def _christoffel_reference(f, nodes):
+    """The original per-node loop: synthetic division by each ``x - c_j``, the
+    Horner derivative through ``numpy.polynomial``, one moment dot per node."""
+    from numpy.polynomial import polynomial as npp
+
+    nodes = np.asarray(nodes, dtype=float).ravel()
+    q = np.array([1.0])
+    for c in nodes:
+        q = np.convolve(q, np.array([-c, 1.0]))
+    weights = np.empty(nodes.size)
+    for j, c in enumerate(nodes):
+        quotient = np.empty(nodes.size)
+        acc = q[-1]
+        for i in range(nodes.size - 1, -1, -1):
+            quotient[i] = acc
+            acc = q[i] + acc * c
+        deriv = float(npp.polyval(c, quotient))
+        if abs(deriv) <= 1e-13 * max(1.0, float(np.max(np.abs(quotient)))):
+            raise op.NumericError(f"node {c} too close to its neighbours to deflate")
+        weights[j] = op.apply_functional(f, op.Poly(tuple(quotient))) / deriv
+    return weights
+
+
+def test_christoffel_numbers_match_per_node_reference():
+    checked = 0
+    for label, rec, comb in chebyshev_corpus():
+        for n in (1, 2, 5, 9, 12):
+            f = op.moments_from_recurrence(rec, 2 * n + 2)
+            node_sets = [op.gauss_rule(rec, f, n).nodes]
+            if n > comb.k:
+                zeros = op.zeros_q(rec, comb, n).zeros
+                if np.all(zeros.imag == 0.0) and np.unique(zeros.real).size == n:
+                    node_sets.append(zeros.real[::-1])
+            for nodes in node_sets:
+                want = _christoffel_reference(f, nodes)
+                got = op.christoffel_numbers(f, nodes)
+                assert got.tobytes() == want.tobytes(), label
+                checked += 1
+    assert checked > 150
+
+
+@pytest.mark.parametrize(
+    "nodes",
+    [[100.0, 100.0 + 2e-10, 101.0], [101.0, 100.0 + 2e-10, 100.0], [1001.0, 999.0, 1000.0 + 1e-9, 1000.0]],
+)
+def test_christoffel_numbers_close_nodes_raise_like_reference(nodes):
+    f = op.MomentFunctional(np.linspace(1.0, 2.0, len(nodes) + 1))
+    with pytest.raises(op.NumericError) as want:
+        _christoffel_reference(f, nodes)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(op.NumericError) as got:
+            op.christoffel_numbers(f, nodes)
+    assert str(got.value) == str(want.value)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -254,3 +254,19 @@ def test_poly_arithmetic():
     assert p.times_x().coeffs == (0.0, 1.0, 2.0)
     assert op.Poly((1.0, 0.0, 0.0)).coeffs == (1.0,)
     assert op.Poly.monomial(3).degree == 3
+
+
+def test_poly_call_matches_numpy_polynomial_polyval(rng):
+    from numpy.polynomial import polynomial as npp
+
+    points = [0.0, -0.0, 3, -1.25, 0.7 - 0.3j, -2j, complex(-1.5, 0.0),
+              rng.standard_normal(7), rng.standard_normal(5) + 1j * rng.standard_normal(5),
+              np.array([-0.0, 0.0, 1e-300, -4e40]), [0.5, -0.5]]
+    for degree in range(8):
+        for coeffs in (rng.standard_normal(degree + 1), -rng.standard_normal(degree + 1) * 1e3):
+            p = op.Poly(tuple(coeffs))
+            for x in points:
+                got, want = p(x), npp.polyval(x, np.array(p.coeffs))
+                assert type(got) is type(want)
+                assert np.asarray(got).dtype == np.asarray(want).dtype
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

@@ -4,10 +4,15 @@ Every float is a dyadic rational, so converting recurrence data and
 combination coefficients to :class:`fractions.Fraction` makes the whole
 pipeline exact.  :func:`low_completion` is the one home of the paper's
 determination and completion blocks; ``check_conditions`` rounds it to
-floats and the oracle uses it as is.  The oracle's Gram matrix under the
-annihilating moments is the Hankel sandwich ``G = C H C^T`` (``O(d^3)``
-operations), so cancellation at the tiny norm scales (``prod gamma ~ 4^-n``)
-cannot fool it as it would a floating-point Gram test.
+floats and the oracle uses it as is.  The oracle stays in the ``P``-basis:
+modified moments ``v(P_m)`` of the annihilating functional, mixed moments
+``v(P_i P_j)`` by the modified Chebyshev algorithm (Sack & Donovan 1971;
+Gautschi 2004, §2.1.7), then the banded sandwich ``G = C Sigma C^T``; that
+is ``O(d^2)`` operations for fixed ``k``, on far smaller rationals than
+monomial coefficients.  It reads the recurrence data and the completion
+only, never the matching conditions or the tilde recurrence, so it stays
+independent of the verdict; and being exact, cancellation at the tiny norm
+scales (``prod gamma ~ 4^-n``) cannot fool it as it would a float Gram test.
 """
 
 from __future__ import annotations
@@ -92,47 +97,40 @@ def low_completion(beta_f, gamma_f, a_f):
     return denom, rows, polys, tilde
 
 
-def exact_combination_polys(beta_f, gamma_f, a_f, n_max):
-    """``Q_0..Q_n_max`` as exact Fraction coefficient lists.
-
-    ``beta_f`` and ``gamma_f`` are the recurrence arrays (``gamma_f[0]``
-    unused), ``a_f`` the combination constants; all are converted exactly.
-    Raises :class:`~opoly.errors.DegeneracyError` when the completion does
-    not exist (zero denominator or an exact downward degeneracy).
-    """
-    denom, _, low, tilde = low_completion(beta_f, gamma_f, a_f)
-    if denom == 0:
-        raise DegeneracyError("exact completion: denominator is zero")
-    if 0 not in low:
-        raise DegeneracyError(f"exact completion: tilde gamma at degree {min(tilde)} is zero")
-    k = len(a_f)
-    beta, gamma, a = _exact_data(beta_f, gamma_f, a_f, n_max)
-    p = _basis_polys(beta, gamma, n_max)
-    return [low[n] if n <= k + 1 else _lincomb(*((a[j], p[n - j]) for j in range(k + 1)))
-            for n in range(n_max + 1)]
-
-
-def exact_annihilator_moments(polys):
-    """Moments of the unique unit functional annihilating each given monic poly."""
-    vals = [_ONE]
-    for m, q in enumerate(polys, start=1):
-        assert len(q) == m + 1 and q[-1] == 1
-        vals.append(-sum(q[i] * vals[i] for i in range(m)))
-    return vals
-
-
 def exact_gram(beta_f, gamma_f, a_f, degree):
     """Exact Gram matrix of ``Q_0..Q_degree`` under the annihilating functional.
 
-    ``w_j[t] = sum_s Q_j[s] v_{s+t}`` is row ``j`` of ``C H``; then
-    ``G[i][j] = sum_t Q_i[t] w_j[t]`` for ``i <= j``, mirrored below.
+    Row ``m`` of ``C`` holds the ``P``-coefficients of ``Q_m``: the completion
+    row for ``m <= k``, the band ``(a_k..a_1, 1)`` from column ``m - k`` above.
+    ``v(Q_m) = 0`` fixes ``mu_m = v(P_m)`` for ``m <= 2 degree``, and
+    ``x P_j = P_{j+1} + beta_j P_j + gamma_j P_{j-1}`` taken on both sides of
+    ``v(x P_i P_j)`` gives ``sigma_{i,j} = v(P_i P_j)`` column by column.
+    Raises :class:`~opoly.errors.DegeneracyError` when the completion does
+    not exist (zero denominator or an exact downward degeneracy).
     """
-    qs = exact_combination_polys(beta_f, gamma_f, a_f, 2 * degree)
-    v = exact_annihilator_moments(qs[1:])
-    qs = qs[: degree + 1]
+    denom, rows, _, tilde = low_completion(beta_f, gamma_f, a_f)
+    if denom == 0:
+        raise DegeneracyError("exact completion: denominator is zero")
+    if 0 not in rows:
+        raise DegeneracyError(f"exact completion: tilde gamma at degree {min(tilde)} is zero")
+    k, n = len(a_f), 2 * degree
+    beta, gamma, a = _exact_data(beta_f, gamma_f, a_f, n - 1)
+    c_rows = [(0, rows[m]) if m <= k else (m - k, a[::-1]) for m in range(n + 1)]
+    mu = [_ONE]
+    for lo, row in c_rows[1:]:
+        mu.append(-sum((c * mu[lo + i] for i, c in enumerate(row[:-1]) if c), _ZERO))
+    sigma = [mu]  # sigma[j][i] = v(P_i P_j) for i + j <= n, both triangles
+    for j in range(degree):  # sigma[-1] = mu meets gamma_0 = 0 at j = 0
+        cur, prev = sigma[j], sigma[j - 1]
+        sigma.append([sigma[i][j + 1] for i in range(j + 1)] + [
+            cur[i + 1] + (beta[i] - beta[j]) * cur[i] + gamma[i] * cur[i - 1] - gamma[j] * prev[i]
+            for i in range(j + 1, n - j)])
+    # (C Sigma)[m][t]; G[m][p] with m <= p reads it only from t = lo_p >= lo_m on
+    cs = [[_ZERO] * lo + [sum((c * sigma[t][lo + i] for i, c in enumerate(row) if c), _ZERO)
+                          for t in range(lo, degree + 1)] for lo, row in c_rows[: degree + 1]]
     gram = [[_ZERO] * (degree + 1) for _ in range(degree + 1)]
-    for j, qj in enumerate(qs):
-        wj = [sum((c * v[s + t] for s, c in enumerate(qj) if c), _ZERO) for t in range(j + 1)]
-        for i in range(j + 1):
-            gram[i][j] = gram[j][i] = sum((c * wj[t] for t, c in enumerate(qs[i]) if c), _ZERO)
+    for p, (lo, row) in enumerate(c_rows[: degree + 1]):
+        for m in range(p + 1):
+            gram[m][p] = gram[p][m] = sum(
+                (c * cs[m][lo + i] for i, c in enumerate(row) if c), _ZERO)
     return gram

@@ -83,6 +83,13 @@ def _num(value, field: str) -> float:
     return out
 
 
+def _tolerance(value, field: str) -> float:
+    out = _num(value, field)
+    if out < 0:
+        raise ConfigError(f"field {field!r} must be nonnegative, got {value!r}")
+    return out
+
+
 def _int(value, field: str) -> int:
     out = _num(value, field)
     if not out.is_integer():
@@ -217,7 +224,7 @@ def load_config(path: str) -> JobConfig:
     for key, val in (raw.get("tolerances") or {}).items():
         if key not in tolerances:
             raise ConfigError(f"unknown tolerance {key!r}")
-        tolerances[key] = _num(val, f"tolerances.{key}")
+        tolerances[key] = _tolerance(val, f"tolerances.{key}")
 
     n = raw.get("n")
     n = _int(n, "n") if n is not None else None
@@ -501,7 +508,7 @@ def main(argv=None) -> int:
         for tol in DEFAULT_TOLERANCES:
             override = getattr(args, f"tol_{tol}")
             if override is not None:
-                cfg.tolerances[tol] = override
+                cfg.tolerances[tol] = _tolerance(override, f"--tol-{tol}")
         code, result, rows = _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"opoly: config error: {exc}", file=sys.stderr)

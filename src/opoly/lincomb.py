@@ -277,16 +277,22 @@ def oracle_gram_check(
 
     The candidate functional is reconstructed purely from the polynomials
     (the unique ``v`` with ``v_0 = 1`` annihilating each ``Q_m``) and the
-    Gram matrix under ``v`` is required to be diagonal.  No recurrence-level
-    shortcut is involved, so agreement with :func:`check_conditions` is a
-    genuine two-route check.
+    Gram matrix under ``v`` is required to be diagonal.  It is built from the
+    recurrence data and the shared exact completion alone, in ``O(degree^2)``
+    operations by modified moments in the ``P``-basis (see :mod:`opoly._exact`),
+    and never reads the matching conditions or the tilde recurrence, so
+    agreement with :func:`check_conditions` is a genuine two-route check.
 
     The whole computation runs in exact rational arithmetic (floats are
     dyadic rationals), because at degree 12 the diagonal norms shrink to
     ``~4^-12`` and a floating-point Gram matrix would drown real failures
     in cancellation noise.  The ``tol`` only classifies the exact ratios
-    ``|G_ij| / sqrt(G_ii G_jj)``.
+    ``|G_ij| / sqrt(|G_ii G_jj|)``, compared squared as integer cross
+    products.  Raises ``ValueError`` unless ``degree >= 1`` and ``tol`` is
+    finite and nonnegative.
     """
+    if degree < 1 or not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"oracle needs degree >= 1 and a finite tol >= 0, got {degree}, {tol}")
     if 2 * degree > rec.horizon + 1:
         raise HorizonError(
             f"oracle at degree {degree} needs horizon >= {2 * degree - 1}"
@@ -295,23 +301,23 @@ def oracle_gram_check(
     n = degree + 1
     gram = np.array([[float(v) for v in row] for row in gram_fr])
     gram.setflags(write=False)
-    failures = []
-    tol2 = Fraction(tol) ** 2
-    for i in range(n):
-        if gram_fr[i][i] == 0:
-            failures.append((i, i, 0.0, 0.0))
+    tol_num, tol_den = (Fraction(tol) ** 2).as_integer_ratio()
+    diag = [gram_fr[i][i].as_integer_ratio() for i in range(n)]
+    failures = [(i, i, 0.0, 0.0) for i in range(n) if diag[i][0] == 0]
     worst = 0.0
     for i in range(n):
         for j in range(i + 1, n):
-            dd = gram_fr[i][i] * gram_fr[j][j]
-            off2 = gram_fr[i][j] ** 2
-            if dd == 0:
-                if off2 != 0:
+            # G_ij^2 / |G_ii G_jj| = top / bottom for G = num / den
+            num, den = gram_fr[i][j].as_integer_ratio()
+            (n_i, d_i), (n_j, d_j) = diag[i], diag[j]
+            bottom = den * den * abs(n_i * n_j)
+            if bottom == 0:
+                if num != 0:
                     failures.append((i, j, gram[i, j], 0.0))
                 continue
-            ratio2 = off2 / abs(dd)
-            worst = max(worst, float(ratio2) ** 0.5)
-            if ratio2 > tol2:
+            top = num * num * d_i * d_j
+            worst = max(worst, (top / bottom) ** 0.5)  # int / int rounds correctly
+            if top * tol_den > tol_num * bottom:
                 failures.append(
                     (i, j, gram[i, j], tol * abs(gram[i, i] * gram[j, j]) ** 0.5)
                 )

@@ -100,16 +100,42 @@ def test_malformed_configs_exit_two(tmp_path, capsys):
         {"n": "6.7"},
         {"hk_truncation": 12.5},
         {"tolerances": {"conditions": "nan"}},
+        {"tolerances": {"conditions": -1e-10}},
         {"family": {"type": "chebyshev", "kind": True}},
         {"family": {"type": "chebyshev", "kind": 1.5}},
     ],
     ids=["a-inf", "a-nan", "a-overflow", "k-fraction", "horizon-fraction", "horizon-inf",
-         "n-fraction", "hk-truncation-fraction", "tol-nan", "kind-bool", "kind-fraction"],
+         "n-fraction", "hk-truncation-fraction", "tol-nan", "tol-negative",
+         "kind-bool", "kind-fraction"],
 )
 def test_non_finite_or_non_integral_numbers_exit_two(tmp_path, capsys, change):
     code, _, err = run(capsys, "check", "--config", write_config(tmp_path, dict(BASE, **change)))
     assert code == 2
     assert err.startswith("opoly: config error: field ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tilde", "--tol-conditions=nan"],
+        ["tilde", "--tol-conditions=-1e-10"],
+        ["zeros", "--n", "10", "--tol-zeros=nan"],
+        ["hk", "--tol-hk=inf"],
+        ["quad", "--n", "6", "--tol-quad=-inf"],
+    ],
+    ids=["conditions-nan", "conditions-negative", "zeros-nan", "hk-inf", "quad-minus-inf"],
+)
+def test_invalid_tolerance_flags_exit_two(capsys, argv):
+    # a NaN, infinite or negative tolerance would flip or disable the test it feeds
+    flag = argv[-1].split("=")[0]
+    code, out, err = run(capsys, *argv, "--config", str(CONFIG_DIR / "cheb1_k2.json"))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"opoly: config error: field '{flag}' must be ")
+
+
+def test_zero_tolerance_flag_is_accepted(capsys):
+    config = str(CONFIG_DIR / "cheb1_k2.json")
+    assert run(capsys, "tilde", "--config", config, "--tol-conditions=0")[0] == 0
 
 
 def test_hk_honours_hk_tolerance_in_orthonormal_check(tmp_path, capsys):

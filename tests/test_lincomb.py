@@ -1,12 +1,17 @@
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import opoly as op
-from opoly._exact import exact_annihilator_moments, exact_combination_polys, exact_gram
+from opoly._exact import _basis_polys, _exact_data, _lincomb, exact_gram, low_completion
+from opoly.cli import load_config
 
 from conftest import broken_families, chebyshev_corpus, k2_case_fixture, worst_gram_ratio
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_comb_coeffs_invariants():
@@ -284,32 +289,177 @@ def test_oracle_degenerate_completion(cheb_u):
         op.oracle_gram_check(cheb_u, op.CombCoeffs((1.0, 0.25)), degree=8)
 
 
+def exact_combination_polys(beta_f, gamma_f, a_f, n_max):
+    """``Q_0..Q_n_max`` as exact Fraction monomial coefficient lists."""
+    denom, _, low, tilde = low_completion(beta_f, gamma_f, a_f)
+    assert denom != 0 and 0 in low
+    k = len(a_f)
+    beta, gamma, a = _exact_data(beta_f, gamma_f, a_f, n_max)
+    p = _basis_polys(beta, gamma, n_max)
+    return [low[n] if n <= k + 1 else _lincomb(*((a[j], p[n - j]) for j in range(k + 1)))
+            for n in range(n_max + 1)]
+
+
+def exact_annihilator_moments(polys):
+    """Moments of the unique unit functional annihilating each given monic poly."""
+    vals = [Fraction(1)]
+    for m, q in enumerate(polys, start=1):
+        assert len(q) == m + 1 and q[-1] == 1
+        vals.append(-sum(q[i] * vals[i] for i in range(m)))
+    return vals
+
+
 def _exact_product(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, pi in enumerate(p):
-        for j, qj in enumerate(q):
-            out[i + j] += pi * qj
+        if pi:
+            for j, qj in enumerate(q):
+                out[i + j] += pi * qj
     return out
 
 
+def _integer_coeffs(values):
+    """``(ints, den)`` with ``values[t] == ints[t] / den``, so products stay integral."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+_K2_FIXTURES = [(f"k2/{case}", rec, op.CombCoeffs((a1, a2)))
+                for case in ("a1_zero", "equal_roots", "real_roots", "complex_roots")
+                for a1, a2, _, rec in [k2_case_fixture(case)]]
+
+
+def _bundled(name):
+    cfg = load_config(str(CONFIG_DIR / name))
+    return name, cfg.rec, cfg.comb
+
+
 @pytest.mark.parametrize(
-    "label,rec,comb", chebyshev_corpus() + broken_families(),
-    ids=lambda v: v if isinstance(v, str) else "",
+    "label,rec,comb,degree",
+    [pytest.param(*case, d, id=case[0] + ("--" if d == 6 else f"--d{d}"))
+     for d in (6, 12) for case in chebyshev_corpus() + broken_families() + _K2_FIXTURES]
+    + [pytest.param(*_bundled("gen_k2_real_roots.json"), 20, id="gen_k2_real_roots--d20")],
 )
-def test_exact_gram_matches_pairwise_products(label, rec, comb):
-    # reference for the Hankel sandwich: multiply out every Q_i Q_j and
-    # apply the annihilating moments term by term
-    degree = 6
+def test_exact_gram_matches_pairwise_products(label, rec, comb, degree):
+    # monomial reference for the modified-moment Gram: expand Q_0..Q_{2d},
+    # solve for the annihilating moments, multiply out every Q_i Q_j and
+    # apply the moments term by term
     gram = exact_gram(rec.beta, rec.gamma, comb.a, degree)
     qs = exact_combination_polys(rec.beta, rec.gamma, comb.a, 2 * degree)
-    v = exact_annihilator_moments(qs[1:])
-    for i in range(degree + 1):
-        for j in range(degree + 1):
-            prod = _exact_product(qs[i], qs[j])
-            expect = sum((c * v[t] for t, c in enumerate(prod)), Fraction(0))
+    v, v_den = _integer_coeffs(exact_annihilator_moments(qs[1:]))
+    scaled = [_integer_coeffs(q) for q in qs[: degree + 1]]
+    assert len(gram) == degree + 1
+    for i, (qi, di) in enumerate(scaled):
+        assert len(gram[i]) == degree + 1
+        for j, (qj, dj) in enumerate(scaled[: i + 1]):
+            prod = _exact_product(qi, qj)
+            expect = Fraction(sum(c * v[t] for t, c in enumerate(prod)), di * dj * v_den)
             assert type(gram[i][j]) is Fraction
-            assert gram[i][j] == expect
-            assert gram[i][j] == gram[j][i]
+            assert gram[i][j] == gram[j][i] == expect
+
+
+def test_exact_gram_degenerate_completion_texts(cheb_u):
+    # k = 1 with beta_1 = 1/2: gamma_2 + a_1 (beta_1 - beta_2) = 1/4 - 1/4
+    beta = cheb_u.beta.copy()
+    beta[1] = 0.5
+    rec = op.RecurrencePair(beta, cheb_u.gamma[1:].copy())
+    with pytest.raises(op.DegeneracyError, match="^exact completion: denominator is zero$"):
+        exact_gram(rec.beta, rec.gamma, (-0.5,), 6)
+    with pytest.raises(
+        op.DegeneracyError, match="^exact completion: tilde gamma at degree 1 is zero$"
+    ):
+        exact_gram(cheb_u.beta, cheb_u.gamma, (1.0, 0.25), 6)
+
+
+def test_oracle_horizon_edge():
+    # the Gram at degree d reads P_0..P_{2d}, i.e. beta and gamma up to 2d - 1
+    comb = op.CombCoeffs((0.0, -0.125))
+    edge = op.chebyshev_family(1, 25)
+    assert op.oracle_gram_check(edge, comb, degree=13).ok
+    qs = exact_combination_polys(edge.beta, edge.gamma, comb.a, 26)
+    v = exact_annihilator_moments(qs[1:])
+    gram = exact_gram(edge.beta, edge.gamma, comb.a, 13)
+    assert gram[13][13] == sum((c * v[t] for t, c in enumerate(_exact_product(qs[13], qs[13]))),
+                               Fraction(0))
+    with pytest.raises(op.HorizonError, match="needs horizon >= 25"):
+        op.oracle_gram_check(op.chebyshev_family(1, 24), comb, degree=13)
+
+
+@pytest.mark.parametrize(
+    "degree,tol", [(0, 1e-9), (-1, 1e-9), (6, -1e-9), (6, float("nan")), (6, float("inf"))]
+)
+def test_oracle_rejects_vacuous_arguments(cheb_t, degree, tol):
+    with pytest.raises(ValueError, match="^oracle needs degree >= 1 and a finite tol >= 0"):
+        op.oracle_gram_check(cheb_t, op.CombCoeffs((0.0, -0.125)), degree=degree, tol=tol)
+
+
+def _ratio_reference(gram_fr, tol):
+    """``(failures, worst_ratio)`` with every ratio taken as a Fraction."""
+    n = len(gram_fr)
+    gram = np.array([[float(v) for v in row] for row in gram_fr])
+    failures = [(i, i, 0.0, 0.0) for i in range(n) if gram_fr[i][i] == 0]
+    worst = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            dd = gram_fr[i][i] * gram_fr[j][j]
+            off2 = gram_fr[i][j] ** 2
+            if dd == 0:
+                if off2 != 0:
+                    failures.append((i, j, gram[i, j], 0.0))
+                continue
+            ratio2 = off2 / abs(dd)
+            worst = max(worst, float(ratio2) ** 0.5)
+            if ratio2 > Fraction(tol) ** 2:
+                failures.append((i, j, gram[i, j], tol * abs(gram[i, i] * gram[j, j]) ** 0.5))
+    return tuple(failures), worst
+
+
+def _assert_ratio_test_matches(rec, comb, degree, tol):
+    report = op.oracle_gram_check(rec, comb, degree=degree, tol=tol)
+    failures, worst = _ratio_reference(exact_gram(rec.beta, rec.gamma, comb.a, degree), tol)
+    assert report.failures == failures
+    assert report.worst_ratio.hex() == worst.hex()
+    assert report.ok == (not failures)
+    return report
+
+
+@pytest.mark.parametrize(
+    "label,rec,comb", broken_families(), ids=lambda v: v if isinstance(v, str) else ""
+)
+def test_gcd_free_ratio_test_on_broken_corpus(label, rec, comb):
+    assert not _assert_ratio_test_matches(rec, comb, 12, 1e-9).ok
+
+
+def test_gcd_free_ratio_test_passes_exact_zeros_at_zero_tol():
+    # every Chebyshev combination is exactly orthogonal, so ratio 0 meets tol 0
+    for label, rec, comb in chebyshev_corpus():
+        report = _assert_ratio_test_matches(rec, comb, 6, 0.0)
+        assert report.ok and report.worst_ratio == 0.0, label
+
+
+@pytest.mark.parametrize("name,degree", [("gen_k2_equal_roots.json", 14),
+                                         ("gen_k2_complex_roots.json", 16)])
+def test_gcd_free_ratio_test_one_ulp_around_the_worst_ratio(name, degree):
+    _, rec, comb = _bundled(name)
+    gram = exact_gram(rec.beta, rec.gamma, comb.a, degree)
+    pairs = [(i, j) for i in range(degree + 1) for j in range(i + 1, degree + 1)]
+    ratio2 = {(i, j): gram[i][j] ** 2 / abs(gram[i][i] * gram[j][j]) for i, j in pairs}
+    top = max(ratio2.values())
+    # below < sqrt(top) <= above, adjacent floats
+    below = float(top) ** 0.5
+    while Fraction(below) ** 2 >= top:
+        below = math.nextafter(below, 0.0)
+    while Fraction(math.nextafter(below, math.inf)) ** 2 < top:
+        below = math.nextafter(below, math.inf)
+    above = math.nextafter(below, math.inf)
+    worst_pairs = {p for p, r in ratio2.items() if r == top}
+    failing = {
+        tol: {(i, j) for i, j, _, _ in _assert_ratio_test_matches(rec, comb, degree, tol).failures}
+        for tol in (below, above)
+    }
+    assert worst_pairs <= failing[below]
+    assert not worst_pairs & failing[above]
+    assert failing[above] < failing[below]
 
 
 def test_k1_fourier_identity_holds_generally(cheb_t):

@@ -34,6 +34,7 @@ import numpy as np
 from . import __version__
 from .errors import DegeneracyError, OpolyError
 from .jacobi import (
+    jacobi_truncation,
     orthonormal_identity_check,
     solve_hk,
     verify_functional_relation,
@@ -43,6 +44,7 @@ from .lincomb import (
     CombCoeffs,
     check_conditions,
     oracle_gram_check,
+    q_poly,
     tilde_recurrence,
 )
 from .moments import DEFAULT_MAX_HORIZON, moments_from_recurrence
@@ -364,7 +366,7 @@ def _cmd_zeros(cfg: JobConfig, args) -> tuple[int, dict, list]:
         "n": n,
         "zeros": [{"re": z.real, "im": z.imag} for z in zq.zeros],
         "cross_check_distance": zq.cross_check_distance,
-        "coefficients": list(zq.poly.coeffs),
+        "coefficients": list(q_poly(cfg.rec, cfg.comb, n).coeffs),
     }
     rows = [("index", "re", "im")]
     rows += [(i, z.real, z.imag) for i, z in enumerate(zq.zeros)]
@@ -384,9 +386,11 @@ def _cmd_hk(cfg: JobConfig, args) -> tuple[int, dict, list]:
     v = moments_from_recurrence(tilde, n_moments + k)
     rel = verify_functional_relation(u, v, hk.poly, tol=cfg.tolerances["hk"])
     relation = {"ok": rel.ok, "scale": rel.scale, "max_residual": rel.max_residual}
-    grid = np.linspace(-0.99, 0.99, 100)
-    values = hk.poly(grid)
+    hull = np.linalg.eigvals(jacobi_truncation(cfg.rec, cfg.horizon + 1)).real
+    lo, hi = float(np.min(hull)), float(np.max(hull))
+    values = hk.poly(np.linspace(lo, hi, 100))
     positivity = {
+        "interval": [lo, hi],
         "grid_min": float(np.min(values)),
         "positive_on_grid": bool(np.all(values > 0.0)),
     }
@@ -413,14 +417,12 @@ def _cmd_hk(cfg: JobConfig, args) -> tuple[int, dict, list]:
 def _cmd_quad(cfg: JobConfig, args) -> tuple[int, dict, list]:
     n = _require_n(cfg, args)
     k = cfg.comb.k
-    count = 2 * n + 2
-    if count > 2 * cfg.horizon:
+    if n + 1 > cfg.horizon:
         raise ConfigError(f"horizon {cfg.horizon} too small for n = {n}")
-    f = moments_from_recurrence(cfg.rec, count)
-    rule = gauss_rule(cfg.rec, f, n)
+    rule = gauss_rule(cfg.rec, n)
     gauss_ok = rule.degree_of_precision == 2 * n - 1
     shohat = shohat_check(
-        cfg.rec, cfg.comb, f, n,
+        cfg.rec, cfg.comb, n,
         tol=cfg.tolerances["quad"], cross_tol=cfg.tolerances["zeros"],
     )
     comb_rule = shohat.rule

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, HorizonError, NumericError, StateError
-from .lincomb import CombCoeffs, ConditionReport, q_poly, tilde_recurrence
+from .lincomb import CombCoeffs, ConditionReport, tilde_recurrence
 from .moments import MomentFunctional, apply_functional, moments_from_recurrence
 from .recurrence import Poly, RecurrencePair
 
@@ -117,7 +117,7 @@ def multiset_distance(a, b) -> float:
     dists = np.hypot(diff.real, diff.imag)
     worst = 0.0
     for row in dists:
-        i = int(np.argmin(row))
+        i = int(row.argmin())
         worst = max(worst, row[i])
         dists[:, i] = np.inf
     return worst
@@ -125,41 +125,56 @@ def multiset_distance(a, b) -> float:
 
 @dataclass(frozen=True)
 class ZerosReport:
-    """Zeros of ``Q_m`` (sorted by real part, then imaginary part), the
-    explicit ``Q_m`` they were cross-checked against, and the multiset
-    distance between the two routes."""
+    """Zeros of ``Q_m`` (sorted by real part, then imaginary part) and their
+    multiset distance from their own one-step Newton refinements."""
 
     zeros: np.ndarray
-    poly: Poly
     cross_check_distance: float
+
+
+def _newton_step(rec: RecurrencePair, comb: CombCoeffs, z: np.ndarray) -> np.ndarray:
+    """``z - Q_m(z) / Q_m'(z)``, ``m = z.size``, from one stacked recurrence
+    whose rows carry ``P_j`` and ``P_j'`` at every ``z``."""
+    m, k, coef = z.size, comb.k, (1.0,) + comb.a  # coef[i] multiplies P_{m-i}
+    shifted = z - rec.beta[:m, None]
+    prev = np.array([np.ones_like(z), np.zeros_like(z)])
+    cur = np.array([shifted[0], np.ones_like(z)])
+    q = coef[m - 1] * cur if m - 1 <= k else 0.0
+    for j in range(1, m):
+        nxt = shifted[j] * cur
+        nxt -= rec.gamma[j] * prev
+        nxt[1] += cur[0]
+        prev, cur = cur, nxt
+        if m - 1 - j <= k:
+            q = q + coef[m - 1 - j] * cur
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return z - q[0] / q[1]
 
 
 def zeros_q(
     rec: RecurrencePair, comb: CombCoeffs, m: int, cross_tol: float = 1e-8
 ) -> ZerosReport:
-    """Zeros of ``Q_m`` as eigenvalues of the perturbed Jacobi truncation.
+    """Zeros of ``Q_m`` as the eigenvalues of ``(J_P)_m - L_m``.
 
-    The eigenvalues of ``(J_P)_m - L_m`` are cross-validated against the roots
-    of the explicit coefficient vector of ``Q_m`` (companion-matrix route);
-    disagreement beyond ``cross_tol`` raises
+    The eigenvalues are cross-checked against their Newton refinements
+    ``z - Q_m(z) / Q_m'(z)``, evaluated by the recurrence of ``P``; each step
+    is the first-order forward error of its ``z``.  A multiset distance above
+    ``cross_tol`` (infinite where ``Q_m'`` vanishes at a computed zero) raises
     :class:`~opoly.errors.NumericError`.
     """
-    if m < comb.k + 1:
-        raise ValueError(f"m must be at least k + 1 = {comb.k + 1}")
     A = jacobi_truncation(rec, m) - perturbation_L(comb, m)
     try:
         eigs = np.linalg.eigvals(A).astype(complex)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericError(f"eigenvalue iteration failed: {exc}") from exc
     eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
-    q = q_poly(rec, comb, m)
-    roots = np.roots(q.as_array()[::-1]).astype(complex)
-    dist = multiset_distance(eigs, roots)
+    refined = _newton_step(rec, comb, eigs)
+    dist = multiset_distance(eigs, refined) if np.all(np.isfinite(refined)) else np.inf
     if dist > cross_tol:
         raise NumericError(
-            f"eigenvalue/root cross-check mismatch: multiset distance {dist:.3e}"
+            f"eigenvalue/Newton cross-check mismatch: multiset distance {dist:.3e}"
         )
-    return ZerosReport(eigs, q, float(dist))
+    return ZerosReport(eigs, float(dist))
 
 
 def norm_diagonal(rec: RecurrencePair, m: int, u0: float = 1.0) -> np.ndarray:

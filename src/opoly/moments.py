@@ -5,8 +5,7 @@ weight: expanding ``x^m`` in the ``P``-basis via repeated application of
 ``x P_j = P_{j+1} + beta_j P_j + gamma_j P_{j-1}`` and reading off the ``P_0``
 coefficient gives ``u_m`` exactly (up to rounding) for ``m <= 2 N``.  This is
 what makes families with no known closed-form measure testable: inner
-products, quadrature weights and functional applications all reduce to these
-numbers.
+products and functional applications all reduce to these numbers.
 
 Computations are plain 64-bit floating point; horizons are sensible up to a
 few dozen (the CLI caps configs at ``N = 64`` by default) before high moments

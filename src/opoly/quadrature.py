@@ -1,17 +1,17 @@
-"""Gaussian quadrature from recurrence data and certified degrees of precision.
+"""Quadrature rules from recurrence data, in the orthonormal basis.
 
-For a node polynomial ``q = prod (x - c_j)`` and a moment functional, the
-weights are the classical kernel integrals
-
-    lambda_j = < u, q(x) / ((x - c_j) q'(c_j)) >,
-
-evaluated by synthetic-division deflation over all nodes at once.  The
-degree of precision of a rule is measured directly against the moments: the
-largest ``d`` with ``|sum lambda c^m - u_m| <= tol (1 + |u_m|)`` for all
-``m <= d``.  Gauss rules built on the zeros of ``P_n`` reach ``d = 2n - 1``;
-replacing the nodes by the zeros of the length-``k`` combination ``Q_n`` costs
-exactly ``k`` degrees (``d = 2n - 1 - k``), which :func:`shohat_check`
-verifies end to end.
+With ``u_0 = 1`` and ``gamma_n > 0`` the orthonormal polynomials obey
+``sqrt(gamma_{i+1}) p_{i+1} = (x - beta_i) p_i - sqrt(gamma_i) p_{i-1}``,
+``p_0 = 1``; no moment is formed.  The Gauss rule on the zeros of ``P_n`` is
+one ``eigh`` of the symmetric Jacobi truncation: nodes are its eigenvalues,
+weights the squared first eigenvector components (Golub & Welsch 1969).
+Weights on arbitrary distinct nodes solve ``V w = e_0`` with
+``V[i, j] = p_i(x_j)``, ``i < n``.  A rule is exact through degree ``d`` iff
+``sum_l w_l p_i(x_l) p_j(x_l) = delta_ij`` for all ``i + j <= d``, since those
+products span the polynomials of degree ``d`` (Gautschi, *Orthogonal
+Polynomials: Computation and Approximation*, 2004).  Gauss rules reach
+``d = 2n - 1``; nodes at the zeros of the length-``k`` combination ``Q_n``
+cost exactly ``k`` degrees, which :func:`shohat_check` verifies end to end.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 from .errors import HorizonError, InapplicableError, NumericError
 from .jacobi import _symmetric_jacobi, zeros_q
 from .lincomb import CombCoeffs
-from .moments import MomentFunctional
 from .recurrence import RecurrencePair
 
 
@@ -52,99 +51,84 @@ class QuadratureRule:
         return self.nodes.size
 
 
-def christoffel_numbers(f: MomentFunctional, nodes) -> np.ndarray:
-    """Weights of the interpolatory rule on ``nodes`` under the functional ``f``.
+def _require_positive(rec: RecurrencePair, top: int) -> None:
+    """``gamma_1..gamma_top`` must exist and be positive."""
+    if top > rec.horizon:
+        raise HorizonError(f"need gamma up to {top}, horizon {rec.horizon}")
+    if np.any(rec.gamma[1 : top + 1] <= 0.0):
+        raise InapplicableError(f"orthonormal basis needs gamma_1..gamma_{top} > 0")
 
-    ``lambda_j = <f, q/(x - c_j)> / q'(c_j)`` with ``q = prod (x - c_i)``.
-    One synthetic-division pass over all nodes at once fills row ``j`` with the
-    quotient ``q/(x - c_j)`` and, by Horner's rule on that row, ``q'(c_j)``;
-    each weight is then one ``np.dot`` of its row with the moments.
-    """
+
+def _orthonormal(rec: RecurrencePair, x: np.ndarray, size: int) -> np.ndarray:
+    """``V[i, j] = p_i(x_j)`` for the orthonormal ``p_0..p_{size-1}``."""
+    _require_positive(rec, size - 1)
+    root = np.sqrt(rec.gamma[1:size])
+    shifted = (x - rec.beta[: size - 1, None]) / root[:, None]
+    ratio = root[:-1] / root[1:]
+    V = np.empty((size, x.size))
+    V[0] = 1.0
+    V[1:2] = shifted[:1]
+    for i in range(1, size - 1):
+        np.multiply(shifted[i], V[i], out=V[i + 1])
+        V[i + 1] -= ratio[i - 1] * V[i - 1]
+    return V
+
+
+def christoffel_numbers(rec: RecurrencePair, nodes) -> np.ndarray:
+    """Weights of the interpolatory rule on ``nodes`` for the functional behind
+    ``rec`` (``u_0 = 1``): the solution of ``V w = e_0``, ``V[i, j] = p_i(x_j)``.
+    Nodes must be pairwise distinct (:class:`ValueError`), and ``gamma_1..
+    gamma_{n-1}`` positive (:class:`~opoly.errors.InapplicableError`)."""
     nodes = np.asarray(nodes, dtype=float).ravel()
     n = nodes.size
     if n < 1:
         raise ValueError("need at least one node")
-    if n > 1:
-        srt = np.sort(nodes)
-        span = max(float(srt[-1] - srt[0]), 1.0)
-        if np.min(np.diff(srt)) <= 1e-12 * span:
-            raise ValueError("nodes must be pairwise distinct")
-    if f.count < n - 1:
-        raise HorizonError(f"need moments to degree {n - 1}, have {f.count}")
-    q = np.array([1.0])
-    for c in nodes:
-        q = np.convolve(q, np.array([-c, 1.0]))
-    quotients = np.empty((n, n))
-    acc, deriv = np.full(n, q[n]), np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        quotients[:, i] = acc
-        deriv = acc + deriv * nodes
-        acc = q[i] + acc * nodes
-    close = np.abs(deriv) <= 1e-13 * np.fmax(1.0, np.max(np.abs(quotients), axis=1))
-    bad = close | ~np.all(np.isfinite(quotients), axis=1)
-    if np.any(bad):
-        j = int(np.argmax(bad))
-        if close[j]:
-            raise NumericError(f"node {nodes[j]} too close to its neighbours to deflate")
-        raise ValueError("polynomial coefficients must be finite")
-    moments = f.moments[:n]
-    return np.array([float(np.dot(row, moments)) for row in quotients]) / deriv
+    if n > 1 and np.min(np.diff(np.sort(nodes))) <= 1e-12 * max(float(np.ptp(nodes)), 1.0):
+        raise ValueError("nodes must be pairwise distinct")
+    try:
+        return np.linalg.solve(_orthonormal(rec, nodes, n), np.eye(1, n)[0])
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"node matrix is singular: {exc}") from exc
 
 
 def degree_of_precision(
-    f: MomentFunctional,
+    rec: RecurrencePair,
     rule: QuadratureRule,
     max_degree: int | None = None,
     tol: float = 1e-9,
 ) -> int:
-    """Largest ``d <= max_degree`` through which the rule reproduces the moments.
+    """Largest ``d <= max_degree`` with ``|sum_l w_l p_i(x_l) p_j(x_l) - delta_ij|
+    <= tol`` for every ``i + j <= d``, or -1 if even ``d = 0`` fails.
 
-    ``max_degree`` defaults to ``2 n + 2`` so that the first failing degree of
-    a Gauss rule is always observed.  Returns -1 if even degree 0 fails.
-    Exactness is relative with floor 1:
-    ``|sum lambda c^m - u_m| <= tol * (1 + |u_m|)``.
+    ``max_degree`` defaults to ``2 n + 2``, so that the first failing degree of
+    a Gauss rule is observed, or to ``2 N`` when the horizon ``N`` is ``n``.
+    It needs ``p_0..p_t``, ``t = ceil(max_degree / 2)``: ``gamma_1..gamma_t > 0``.
     """
     if max_degree is None:
-        max_degree = 2 * rule.n + 2
-    if max_degree > f.count:
-        raise HorizonError(f"max_degree = {max_degree} exceeds moments ({f.count})")
-    powers = np.ones_like(rule.nodes)
-    d = -1
-    for m in range(max_degree + 1):
-        if m > 0:
-            powers = powers * rule.nodes
-        approx = float(np.dot(rule.weights, powers))
-        if abs(approx - f.moments[m]) > tol * (1.0 + abs(f.moments[m])):
-            break
-        d = m
-    return d
+        max_degree = 2 * min(rule.n + 1, rec.horizon)
+    top = (max_degree + 1) // 2
+    V = _orthonormal(rec, rule.nodes, top + 1)
+    err = np.abs((V * rule.weights) @ V.T - np.eye(top + 1))
+    deg = np.add.outer(np.arange(top + 1), np.arange(top + 1))
+    failed = deg[~(err <= tol) & (deg <= max_degree)]
+    return int(failed.min()) - 1 if failed.size else max_degree
 
 
-def _interpolatory_rule(f: MomentFunctional, nodes: np.ndarray, tol: float) -> QuadratureRule:
-    """The rule on ``nodes`` with Christoffel weights and its degree of
-    precision measured through ``min(2n + 2, f.count)``."""
-    rule = QuadratureRule(nodes, christoffel_numbers(f, nodes), -1)
-    d = degree_of_precision(f, rule, min(2 * rule.n + 2, f.count), tol)
-    return replace(rule, degree_of_precision=d)
+def _measured(rec: RecurrencePair, nodes, weights, tol: float) -> QuadratureRule:
+    rule = QuadratureRule(nodes, weights, -1)
+    return replace(rule, degree_of_precision=degree_of_precision(rec, rule, tol=tol))
 
 
-def gauss_rule(rec: RecurrencePair, f: MomentFunctional, n: int) -> QuadratureRule:
-    """Gauss rule on the zeros of ``P_n`` for a positive-definite family.
-
-    Nodes are eigenvalues of the symmetrised Jacobi truncation (off-diagonal
-    ``sqrt(gamma)``); weights come from the kernel integrals rather than from
-    eigenvector components, so the same path serves arbitrary node sets.  The
-    measured degree of precision is stored on the rule (``2n - 1`` whenever
-    enough moments are supplied to certify it).
-    """
+def gauss_rule(rec: RecurrencePair, n: int) -> QuadratureRule:
+    """Gauss rule on the zeros of ``P_n`` by Golub-Welsch (one ``eigh`` of the
+    symmetric Jacobi truncation), with its measured degree (``2n - 1``)."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > rec.horizon:
         raise HorizonError(f"n = {n} exceeds horizon {rec.horizon}")
-    gam = rec.gamma[1 : n + 1]
-    if np.any(gam <= 0.0):
-        raise ValueError("Gauss rule requires gamma_1..gamma_n > 0")
-    return _interpolatory_rule(f, np.linalg.eigvalsh(_symmetric_jacobi(rec, n)), tol=1e-9)
+    _require_positive(rec, n)
+    nodes, vecs = np.linalg.eigh(_symmetric_jacobi(rec, n))
+    return _measured(rec, nodes, vecs[0] ** 2, tol=1e-9)
 
 
 @dataclass(frozen=True)
@@ -159,7 +143,6 @@ class ShohatReport:
 def shohat_check(
     rec: RecurrencePair,
     comb: CombCoeffs,
-    f: MomentFunctional,
     n: int,
     tol: float = 1e-9,
     cross_tol: float = 1e-8,
@@ -167,18 +150,15 @@ def shohat_check(
     """Verify the k-degree loss law: nodes at the zeros of ``Q_n`` give a rule
     of degree of precision exactly ``2n - 1 - k``.
 
-    ``cross_tol`` is passed to :func:`~opoly.jacobi.zeros_q`.  The quadrature
-    construction needs real, pairwise distinct nodes; complex or coincident
-    zeros raise :class:`~opoly.errors.InapplicableError`.
+    ``cross_tol`` is passed to :func:`~opoly.jacobi.zeros_q`.  Complex or
+    coincident zeros and non-positive gammas raise
+    :class:`~opoly.errors.InapplicableError`.
     """
     zeros = zeros_q(rec, comb, n, cross_tol=cross_tol).zeros
-    z_scale = max(1.0, float(np.max(np.abs(zeros))))
-    if float(np.max(np.abs(zeros.imag))) > 1e-9 * z_scale:
+    if float(np.max(np.abs(zeros.imag))) > 1e-9 * max(1.0, float(np.max(np.abs(zeros)))):
         raise InapplicableError("Q_n has complex zeros; quadrature undefined")
     nodes = np.sort(zeros.real)
-    if nodes.size > 1:
-        span = max(float(nodes[-1] - nodes[0]), 1.0)
-        if np.min(np.diff(nodes)) <= 1e-10 * span:
-            raise InapplicableError("Q_n has coincident zeros; quadrature undefined")
-    rule = _interpolatory_rule(f, nodes, tol)
+    if nodes.size > 1 and np.min(np.diff(nodes)) <= 1e-10 * max(float(np.ptp(nodes)), 1.0):
+        raise InapplicableError("Q_n has coincident zeros; quadrature undefined")
+    rule = _measured(rec, nodes, christoffel_numbers(rec, nodes), tol)
     return ShohatReport(rule.degree_of_precision == 2 * n - 1 - comb.k, rule)

@@ -325,8 +325,7 @@ def test_reports_read_the_library_artifacts(tmp_path, capsys):
     code, out, _ = run(capsys, "quad", "--config", cfg, "--n", str(n))
     assert code == 0
     block = json.loads(out)["result"]["combination"]
-    f = op.moments_from_recurrence(rec, 2 * n + 2)
-    shohat = op.shohat_check(rec, comb, f, n, tol=1e-9, cross_tol=1e-8)
+    shohat = op.shohat_check(rec, comb, n, tol=1e-9, cross_tol=1e-8)
     assert block["nodes"] == list(shohat.rule.nodes)
     assert block["weights"] == list(shohat.rule.weights)
     assert block["degree_of_precision"] == shohat.rule.degree_of_precision
@@ -337,7 +336,7 @@ def test_reports_read_the_library_artifacts(tmp_path, capsys):
     zq = op.zeros_q(rec, comb, n, cross_tol=1e-8)
     assert result["zeros"] == [{"re": z.real, "im": z.imag} for z in zq.zeros]
     assert result["cross_check_distance"] == zq.cross_check_distance
-    assert result["coefficients"] == list(zq.poly.coeffs)
+    assert result["coefficients"] == list(op.q_poly(rec, comb, n).coeffs)
 
 
 @pytest.mark.parametrize(
@@ -345,8 +344,8 @@ def test_reports_read_the_library_artifacts(tmp_path, capsys):
     [("gen_k2_a1_zero.json", 28), ("gen_k2_real_roots.json", 30), ("gen_k2_equal_roots.json", 34)],
 )
 def test_quad_honours_zeros_tolerance(capsys, name, n):
-    # the zeros cross-check on these families exceeds the default 1e-8 here
-    # but stays within the 1e-6 the run allows
+    # quad takes its nodes from the zeros_q run that zeros reports, under the
+    # same --tol-zeros
     argv = ("--config", str(CONFIG_DIR / name), "--n", str(n), "--tol-zeros", "1e-6")
     code, out, err = run(capsys, "zeros", *argv)
     assert code == 0, err
@@ -355,6 +354,33 @@ def test_quad_honours_zeros_tolerance(capsys, name, n):
     assert code != 3, err
     nodes = json.loads(out)["result"]["combination"]["nodes"]
     assert nodes == sorted(z["re"] for z in zeros)
+
+
+def test_quad_reaches_both_laws_at_n28_on_a1_zero(capsys):
+    argv = ("--config", str(CONFIG_DIR / "gen_k2_a1_zero.json"), "--n", "28", "--tol-zeros", "1e-6")
+    code, out, err = run(capsys, "quad", *argv)
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert result["gauss"]["degree_of_precision"] == 55
+    assert result["combination"]["degree_of_precision"] == 53
+
+
+@pytest.mark.parametrize("name", ["gen_k2_real_roots.json", "gen_k2_a1_zero.json"])
+def test_zeros_at_n30_pass_the_newton_cross_check(capsys, name):
+    code, out, err = run(capsys, "zeros", "--config", str(CONFIG_DIR / name), "--n", "30")
+    assert code == 0, err
+    assert json.loads(out)["result"]["cross_check_distance"] <= 1e-8
+
+
+def test_hk_positivity_samples_the_spectrum_hull(capsys):
+    path = CONFIG_DIR / "gen_k2_equal_roots.json"
+    code, out, err = run(capsys, "hk", "--config", str(path))
+    assert code == 0, err
+    block = json.loads(out)["result"]["positivity"]
+    cfg = cli.load_config(str(path))
+    eigs = np.linalg.eigvals(op.jacobi_truncation(cfg.rec, cfg.horizon + 1)).real
+    assert block["interval"] == [float(eigs.min()), float(eigs.max())]
+    assert block["interval"][1] > 5.0  # the spectrum reaches far past [-1, 1]
 
 
 def test_gen_requires_generator_family(tmp_path, capsys):

@@ -110,6 +110,20 @@ class TestZeros:
         roots = np.roots(q.as_array()[::-1])
         assert op.multiset_distance(eigs, roots) < 1e-8
 
+    def test_one_moved_eigenvalue_is_caught(self, cheb_t, monkeypatch):
+        comb = op.CombCoeffs((0.0, -0.125))
+        assert op.zeros_q(cheb_t, comb, 20).cross_check_distance < 1e-13
+        eigvals = np.linalg.eigvals
+
+        def moved(A):
+            out = eigvals(A).astype(complex)
+            out[3] += 1e-6
+            return out
+
+        monkeypatch.setattr(np.linalg, "eigvals", moved)
+        with pytest.raises(op.NumericError):
+            op.zeros_q(cheb_t, comb, 20)
+
     def test_trace_similarity_invariance(self, cheb_u):
         comb = op.CombCoeffs((0.5,))
         report = op.check_conditions(cheb_u, comb, 12)

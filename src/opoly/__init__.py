@@ -42,13 +42,7 @@ from .lincomb import (
     q_poly,
     tilde_recurrence,
 )
-from .moments import (
-    DEFAULT_MAX_HORIZON,
-    MomentFunctional,
-    apply_functional,
-    inner,
-    moments_from_recurrence,
-)
+from .moments import moments_from_recurrence
 from .quadrature import (
     QuadratureRule,
     ShohatReport,
@@ -58,6 +52,7 @@ from .quadrature import (
     shohat_check,
 )
 from .recurrence import (
+    DEFAULT_MAX_HORIZON,
     GAMMA_FLOOR,
     K2Case,
     K2Params,
@@ -87,7 +82,6 @@ __all__ = [
     "IntertwiningReport",
     "K2Case",
     "K2Params",
-    "MomentFunctional",
     "NumericError",
     "OpolyError",
     "OrthonormalReport",
@@ -98,7 +92,6 @@ __all__ = [
     "ShohatReport",
     "StateError",
     "ZerosReport",
-    "apply_functional",
     "change_basis_matrix",
     "chebyshev_family",
     "check_conditions",
@@ -106,7 +99,6 @@ __all__ = [
     "degree_of_precision",
     "eval_p",
     "gauss_rule",
-    "inner",
     "jacobi_truncation",
     "k1_family",
     "k2_difference_residual",

@@ -47,9 +47,9 @@ from .lincomb import (
     q_poly,
     tilde_recurrence,
 )
-from .moments import DEFAULT_MAX_HORIZON, moments_from_recurrence
 from .quadrature import gauss_rule, shohat_check
 from .recurrence import (
+    DEFAULT_MAX_HORIZON,
     K2Case,
     K2Params,
     RecurrencePair,
@@ -231,7 +231,11 @@ def load_config(path: str) -> JobConfig:
     n = raw.get("n")
     n = _int(n, "n") if n is not None else None
     hk_m = raw.get("hk_truncation")
-    hk_m = _int(hk_m, "hk_truncation") if hk_m is not None else None
+    if hk_m is not None:
+        hk_m = _int(hk_m, "hk_truncation")
+        lo, hi = 3 * comb.k + 3, horizon + 1 - comb.k
+        if not lo <= hk_m <= hi:
+            raise ConfigError(f"hk_truncation must lie in [{lo}, {hi}], got {hk_m}")
     return JobConfig(
         raw=raw, rec=rec, comb=comb, horizon=horizon, n=n,
         hk_truncation=hk_m, tolerances=tolerances, family_type=ftype,
@@ -378,13 +382,11 @@ def _cmd_hk(cfg: JobConfig, args) -> tuple[int, dict, list]:
     rep = _conditions(cfg)
     if not rep.verdict:
         return 1, {"conditions": _condition_summary(rep)}, [("error", "not orthogonal")]
-    m = cfg.hk_truncation or min(16, cfg.horizon + 1 - k)
+    m = cfg.hk_truncation
+    if m is None:
+        m = min(16, cfg.horizon + 1 - k)
     hk = solve_hk(cfg.rec, cfg.comb, rep, m, tol=cfg.tolerances["hk"])
-    n_moments = min(20, 2 * cfg.horizon - k)
-    u = moments_from_recurrence(cfg.rec, n_moments)
-    tilde = tilde_recurrence(cfg.rec, cfg.comb, cfg.horizon, report=rep)
-    v = moments_from_recurrence(tilde, n_moments + k)
-    rel = verify_functional_relation(u, v, hk.poly, tol=cfg.tolerances["hk"])
+    rel = verify_functional_relation(cfg.rec, cfg.comb, rep, hk.poly, tol=cfg.tolerances["hk"])
     relation = {"ok": rel.ok, "scale": rel.scale, "max_residual": rel.max_residual}
     hull = np.linalg.eigvals(jacobi_truncation(cfg.rec, cfg.horizon + 1)).real
     lo, hi = float(np.min(hull)), float(np.max(hull))
@@ -395,6 +397,7 @@ def _cmd_hk(cfg: JobConfig, args) -> tuple[int, dict, list]:
         "positive_on_grid": bool(np.all(values > 0.0)),
     }
     ortho = None
+    tilde = tilde_recurrence(cfg.rec, cfg.comb, cfg.horizon, report=rep)
     if np.all(cfg.rec.gamma[1:] > 0) and np.all(tilde.gamma[1:] > 0):
         rep_orth = orthonormal_identity_check(
             cfg.rec, cfg.comb, rep, m, hk_tol=cfg.tolerances["hk"]

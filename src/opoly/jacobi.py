@@ -14,7 +14,9 @@ On top of that sits the functional link ``u = h_k v``: with norm diagonals
 polynomial ``h_k`` satisfies ``h_k(J_P) = D_P M^T D_Q^{-1} M``, which is a
 small overdetermined linear system for its ``k + 1`` coefficients.  In the
 orthonormal normalisation the same identity reads
-``h_k(J_sym) = Mt^T Mt`` with ``Mt = D_Q^{-1/2} M D_P^{1/2}``.
+``h_k(J_sym) = Mt^T Mt`` with ``Mt = D_Q^{-1/2} M D_P^{1/2}``.  The link
+itself is checked apart from these matrices, on the modified moments
+``v(P_m)`` (:func:`verify_functional_relation`).
 
 Truncation convention: matrix identities are checked on interior rows
 ``0 .. m-k-2`` only, and any product or power that can leak across the
@@ -30,7 +32,7 @@ import numpy as np
 
 from .errors import DegeneracyError, HorizonError, NumericError, StateError
 from .lincomb import CombCoeffs, ConditionReport, tilde_recurrence
-from .moments import MomentFunctional, apply_functional, moments_from_recurrence
+from .moments import moments_from_recurrence
 from .recurrence import Poly, RecurrencePair
 
 
@@ -276,8 +278,7 @@ def solve_hk(
     if abs(coeffs[-1]) <= 1e-12 * max(1.0, float(np.max(np.abs(coeffs)))):
         raise DegeneracyError("leading coefficient of h_k is numerically zero")
     h = Poly(tuple(coeffs))
-    v_low = moments_from_recurrence(tilde, k)
-    pairing = apply_functional(v_low, h)
+    pairing = float(np.dot(h.as_array(), moments_from_recurrence(tilde, k)))
     if pairing == 0.0:
         raise DegeneracyError("<v, h_k> vanished; scale undefined")
     return HkSolution(h, residual, 1.0 / pairing)
@@ -290,26 +291,71 @@ class RelationReport:
     max_residual: float
 
 
+def _h_pairings(beta, gamma, low, band, c):
+    """``r_j = v(h P_j)`` for ``0 <= j <= horizon - deg h``.
+
+    ``mu_m = v(P_m)`` starts at ``mu_0 = 1`` and continues as
+    ``low[m] . mu[:m]`` for ``m <= k`` and ``band . mu[m-k:m]`` above;
+    ``y^(i)_j = v(x^i P_j)`` follows from
+    ``y^(i+1)_j = y^(i)_{j+1} + beta_j y^(i)_j + gamma_j y^(i)_{j-1}``.
+    """
+    k = len(band)
+    mu = np.empty(beta.size)
+    mu[0] = 1.0
+    for m in range(1, mu.size):
+        mu[m] = np.dot(low[m], mu[:m]) if m <= k else np.dot(band, mu[m - k : m])
+    y, size = mu, mu.size + 1 - c.size
+    r = c[0] * y[:size]
+    for ci in c[1:]:
+        n = y.size - 1
+        nxt = y[1:] + beta[:n] * y[:n]
+        nxt[1:] += gamma[1:n] * y[: n - 1]
+        y = nxt
+        r += ci * y[:size]
+    return r
+
+
 def verify_functional_relation(
-    u: MomentFunctional,
-    v: MomentFunctional,
+    rec: RecurrencePair,
+    comb: CombCoeffs,
+    report: ConditionReport,
     h: Poly,
     tol: float = 1e-8,
 ) -> RelationReport:
-    """Check ``u_m = s * <v, h x^m>`` for every available ``m``, with ``s``
-    fitted from ``m = 0``.  Residuals are relative with floor 1."""
-    max_m = min(u.count, v.count - h.degree)
-    if max_m < 0:
-        raise HorizonError("not enough moments to compare the functionals")
-    base = apply_functional(v, h)
-    if base == 0.0:
-        raise DegeneracyError("<v, h> vanished; scale cannot be fitted")
-    s = u.moments[0] / base
-    worst = 0.0
-    for mdeg in range(max_m + 1):
-        predicted = s * apply_functional(v, h * Poly.monomial(mdeg))
-        worst = max(worst, abs(u.moments[mdeg] - predicted) / (1.0 + abs(u.moments[mdeg])))
-    return RelationReport(worst <= tol, float(s), float(worst))
+    """Check ``u = s * h v`` on the modified moments ``mu_m = v(P_m)``.
+
+    ``u`` is the functional of ``P`` and ``v`` that of ``Q``, both with unit
+    zeroth moment.  ``v(Q_m) = 0`` for ``m >= 1`` gives ``mu_m`` from the
+    completion rows for ``m <= k`` and ``mu_m = -sum_j a_j mu_{m-j}`` above,
+    up to ``m = horizon``; multiplication by ``x`` in the ``P``-basis then
+    gives ``r_m = v(h P_m)`` for ``m <= horizon - deg h`` (Sack & Donovan
+    1971; Gautschi 2004, §2.1.7).  The relation holds iff ``r_m = 0`` for
+    ``m >= 1``, with ``s = 1 / r_0``.
+
+    Each ``|r_m|`` is divided by ``max(b_m, |r_0| sqrt|gamma_1 ... gamma_m|)``,
+    where ``b`` is the same computation on absolute values (it bounds the
+    rounding error of ``r_m``) and the second term is ``|r_0|`` times the
+    norm of ``P_m``.  Both scale like ``r_m`` under ``x -> s x``, so the
+    residual does not depend on the unit of ``x``.  A failed report raises
+    :class:`~opoly.errors.StateError`, a vanishing ``r_0``
+    :class:`~opoly.errors.DegeneracyError`.
+    """
+    if not report.verdict:
+        raise StateError("functional relation requires a passing condition report")
+    if h.degree >= rec.horizon:
+        raise HorizonError(f"horizon {rec.horizon} leaves no moment above deg h = {h.degree}")
+    low = [-np.array(row[:m]) for m, row in enumerate(report.low_rows)]
+    band = -np.array(comb.a[::-1])
+    c = np.array(h.coeffs)
+    r = _h_pairings(rec.beta, rec.gamma, low, band, c)
+    if r[0] == 0.0:
+        raise DegeneracyError("v(h) vanished; scale cannot be fitted")
+    b = _h_pairings(np.abs(rec.beta), np.abs(rec.gamma), [np.abs(row) for row in low],
+                    np.abs(band), np.abs(c))
+    norms = np.sqrt(np.cumprod(np.abs(rec.gamma[1 : r.size])))
+    resid = np.abs(r[1:]) / np.maximum(b[1:], abs(r[0]) * norms)
+    worst = float(np.max(resid))
+    return RelationReport(worst <= tol, float(1.0 / r[0]), worst)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,9 @@ from .errors import ConstraintError, DegeneracyError, HorizonError, NumericError
 #: Absolute floor below which a recurrence gamma counts as zero.
 GAMMA_FLOOR = 1e-14
 
+#: Largest horizon a job config may ask for without ``allow_large_horizon``.
+DEFAULT_MAX_HORIZON = 64
+
 
 def _trimmed(values) -> tuple[float, ...]:
     coeffs = [float(v) for v in values]
@@ -48,8 +51,8 @@ class Poly:
 
     Trailing exact zeros are trimmed on construction, so ``degree`` is the
     index of the last stored coefficient (the zero polynomial keeps a single
-    ``0.0`` entry).  Instances are immutable and support ``+``, ``-``, ``*``
-    (by scalar or polynomial) and evaluation via ``__call__``.
+    ``0.0`` entry).  Instances are immutable and support ``+``, ``*`` by a
+    scalar and evaluation via ``__call__``.
     """
 
     coeffs: tuple[float, ...]
@@ -58,11 +61,6 @@ class Poly:
         object.__setattr__(self, "coeffs", _trimmed(self.coeffs))
         if not all(map(math.isfinite, self.coeffs)):
             raise ValueError("polynomial coefficients must be finite")
-
-    @classmethod
-    def monomial(cls, n: int, scale: float = 1.0) -> "Poly":
-        """Return ``scale * x**n``."""
-        return cls((0.0,) * n + (float(scale),))
 
     @property
     def degree(self) -> int:
@@ -81,9 +79,6 @@ class Poly:
         out[: arr.size] = arr
         return out
 
-    def times_x(self) -> "Poly":
-        return Poly((0.0,) + self.coeffs)
-
     def __call__(self, x):
         # numpy.polynomial's Horner steps; np.polyval makes a complex scalar a
         # 0-d array, whose products round unlike numpy's scalar arithmetic
@@ -101,18 +96,7 @@ class Poly:
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly(tuple(self.as_array(n) + other.as_array(n)))
 
-    def __sub__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(tuple(self.as_array(n) - other.as_array(n)))
-
-    def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
-
     def __mul__(self, other):
-        if isinstance(other, Poly):
-            return Poly(tuple(np.convolve(self.as_array(), other.as_array())))
         if isinstance(other, (int, float)):
             return Poly(tuple(float(other) * c for c in self.coeffs))
         return NotImplemented

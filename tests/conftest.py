@@ -145,16 +145,36 @@ CHEBYSHEV_COMBOS = {
 }
 
 
-def worst_gram_ratio(f, polys) -> float:
+def inner(mu, p, q) -> float:
+    """``<u, p q>`` from the monomial moments ``mu`` of ``u``: the product's
+    monomial coefficients (``np.convolve``) paired with ``mu``."""
+    pq = np.convolve(p.as_array(), q.as_array())
+    return float(np.dot(pq, mu[: pq.size]))
+
+
+def worst_gram_ratio(mu, polys) -> float:
     """Largest ``|<p_i, p_j>| / sqrt(|<p_i, p_i> <p_j, p_j>|)`` over ``i < j``,
-    from pairwise ``op.inner`` products; every norm must be nonzero."""
-    norms = [op.inner(f, p, p) for p in polys]
+    from pairwise :func:`inner` products; every norm must be nonzero."""
+    norms = [inner(mu, p, p) for p in polys]
     assert all(v != 0.0 for v in norms)
     return max(
-        abs(op.inner(f, polys[i], polys[j])) / math.sqrt(abs(norms[i] * norms[j]))
+        abs(inner(mu, polys[i], polys[j])) / math.sqrt(abs(norms[i] * norms[j]))
         for i in range(len(polys))
         for j in range(i + 1, len(polys))
     )
+
+
+def three_term_residual(qs, n, beta, gamma) -> float:
+    """Largest monomial coefficient of ``x Q_n - Q_{n+1} - beta Q_n - gamma Q_{n-1}``."""
+    size = n + 2
+    x_qn = np.concatenate(([0.0], qs[n].as_array(size - 1)))
+    resid = (
+        x_qn
+        - qs[n + 1].as_array(size)
+        - beta * qs[n].as_array(size)
+        - gamma * qs[n - 1].as_array(size)
+    )
+    return float(np.max(np.abs(resid)))
 
 
 def chebyshev_corpus(horizon: int = 26):

@@ -307,6 +307,55 @@ def test_hk_command(tmp_path, capsys):
     assert result["orthonormal_identity"]["ok"] is True
 
 
+@pytest.mark.parametrize("m", [0, 5, 100])
+def test_hk_truncation_out_of_range_exits_two(tmp_path, capsys, m):
+    # cheb1_k2 has k = 2 and horizon 24, so solve_hk accepts m in [9, 23]
+    payload = json.loads((CONFIG_DIR / "cheb1_k2.json").read_text())
+    cfg = write_config(tmp_path, dict(payload, hk_truncation=m))
+    code, out, err = run(capsys, "hk", "--config", cfg)
+    assert code == 2
+    assert out == ""
+    assert "hk_truncation must lie in [9, 23]" in err
+
+
+@pytest.mark.parametrize("m", [9, 23])
+def test_hk_truncation_range_ends_are_used(tmp_path, capsys, m):
+    payload = json.loads((CONFIG_DIR / "cheb1_k2.json").read_text())
+    cfg = write_config(tmp_path, dict(payload, hk_truncation=m))
+    code, out, err = run(capsys, "hk", "--config", cfg)
+    assert code == 0, err
+    assert json.loads(out)["result"]["truncation"] == m
+
+
+def scaled_payload(path, s):
+    """The config at ``path`` under the exact map ``x -> s x``, as an explicit
+    family: ``beta -> s beta``, ``gamma -> s^2 gamma``, ``a_j -> s^j a_j``."""
+    cfg = cli.load_config(str(path))
+    return {
+        "family": {
+            "type": "explicit",
+            "beta": [s * b for b in cfg.rec.beta],
+            "gamma": [s * s * g for g in cfg.rec.gamma[1:]],
+        },
+        "combination": {"a": [s**j * a for j, a in enumerate(cfg.comb.a, start=1)]},
+        "horizon": cfg.horizon,
+    }
+
+
+@pytest.mark.parametrize("s", [2.0, -1.0, 0.125])
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
+def test_hk_verdict_is_covariant_under_scaling(tmp_path, capsys, path, s):
+    # powers of two keep every scaled coefficient exact, so the verdict and the
+    # relation residual must not depend on the unit of x
+    code, _, err = run(capsys, "hk", "--config", str(path))
+    cfg = write_config(tmp_path, scaled_payload(path, s))
+    scaled_code, out, scaled_err = run(capsys, "hk", "--config", cfg)
+    assert scaled_code == code, (err, scaled_err)
+    relation = json.loads(out)["result"].get("relation")
+    if relation is not None:
+        assert relation["max_residual"] <= 1e-13
+
+
 def test_quad_command(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(BASE, horizon=24))
     code, out, _ = run(capsys, "quad", "--config", cfg, "--n", "6")

@@ -1,11 +1,13 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import opoly as op
+from opoly.cli import load_config
 
-from conftest import chebyshev_corpus, trig_square_in_x
+from conftest import chebyshev_corpus, inner, trig_square_in_x
 
 
 def char_poly_low_to_high(A: np.ndarray) -> np.ndarray:
@@ -137,11 +139,11 @@ class TestZeros:
 def test_norm_diagonal(cheb_t):
     assert op.norm_diagonal(cheb_t, 1, 2.0) == pytest.approx(np.array([2.0]))
     assert op.norm_diagonal(cheb_t, 3) == pytest.approx(np.array([1.0, 0.5, 0.125]))
-    f = op.moments_from_recurrence(cheb_t, 20)
+    mu = op.moments_from_recurrence(cheb_t, 20)
     D = op.norm_diagonal(cheb_t, 9)
     for n in range(9):
         p = op.poly_p(cheb_t, n)
-        assert op.inner(f, p, p) == pytest.approx(D[n], rel=1e-10)
+        assert inner(mu, p, p) == pytest.approx(D[n], rel=1e-10)
 
 
 class TestIntertwining:
@@ -188,17 +190,17 @@ class TestHk:
         report = op.check_conditions(cheb_t, comb, 25)
         hk = op.solve_hk(cheb_t, comb, report, 16)
         assert hk.residual < 1e-9
-        u = op.moments_from_recurrence(cheb_t, 20)
-        tilde = op.tilde_recurrence(cheb_t, comb, 25, report=report)
-        v = op.moments_from_recurrence(tilde, 22)
-        rel = op.verify_functional_relation(u, v, hk.poly, tol=1e-8)
+        rel = op.verify_functional_relation(cheb_t, comb, report, hk.poly, tol=1e-8)
         assert rel.ok
         grid = np.linspace(-0.99, 0.99, 100)
         assert np.all(hk.poly(grid) > 0.0)
 
     def test_relation_trivial_identity(self, cheb_u):
-        f = op.moments_from_recurrence(cheb_u, 12)
-        rel = op.verify_functional_relation(f, f, op.Poly((1.0,)))
+        # U_n + U_{n-1}/2 is orthogonal for sqrt((1-x)/(1+x)), so h = 2(1 + x)
+        # exactly, and every modified moment is a dyadic rational
+        comb = op.CombCoeffs((0.5,))
+        report = op.check_conditions(cheb_u, comb, 25)
+        rel = op.verify_functional_relation(cheb_u, comb, report, op.Poly((2.0, 2.0)))
         assert rel.ok
         assert rel.scale == 1.0
         assert rel.max_residual == 0.0
@@ -207,12 +209,23 @@ class TestHk:
         comb = op.CombCoeffs((0.5,))
         report = op.check_conditions(cheb_u, comb, 25)
         hk = op.solve_hk(cheb_u, comb, report, 12)
-        u = op.moments_from_recurrence(cheb_u, 20)
-        tilde = op.tilde_recurrence(cheb_u, comb, 25, report=report)
-        v = op.moments_from_recurrence(tilde, 21)
         bad = hk.poly + op.Poly((1e-3,))
-        rel = op.verify_functional_relation(u, v, bad, tol=1e-8)
+        rel = op.verify_functional_relation(cheb_u, comb, report, bad, tol=1e-8)
         assert not rel.ok
+
+    def test_relation_refuses_bad_inputs(self, cheb_u):
+        comb = op.CombCoeffs((0.5,))
+        report = op.check_conditions(cheb_u, comb, 25)
+        beta = cheb_u.beta.copy()
+        beta[5] = 0.1
+        failed = op.check_conditions(op.RecurrencePair(beta, cheb_u.gamma[1:]), comb, 25)
+        assert not failed.verdict
+        with pytest.raises(op.StateError):
+            op.verify_functional_relation(cheb_u, comb, failed, op.Poly((2.0, 2.0)))
+        with pytest.raises(op.DegeneracyError):
+            op.verify_functional_relation(cheb_u, comb, report, op.Poly((0.0,)))
+        with pytest.raises(op.HorizonError):
+            op.verify_functional_relation(cheb_u, comb, report, op.Poly((1.0,) * 31))
 
     def test_inconsistent_inputs_raise(self, cheb_u):
         # a clean report paired with a different recurrence cannot satisfy
@@ -294,9 +307,7 @@ def test_hk_pipeline_on_indefinite_family():
     ratio = got[-1] / ref[-1]
     assert ratio < 0
     assert np.allclose(got, ref * ratio, atol=1e-9)
-    u = op.moments_from_recurrence(rec, 18)
-    v = op.moments_from_recurrence(tilde, 20)
-    assert op.verify_functional_relation(u, v, hk.poly, tol=1e-8).ok
+    assert op.verify_functional_relation(rec, comb, report, hk.poly, tol=1e-8).ok
 
 
 def test_hk_relation_on_generated_k1_family():
@@ -308,10 +319,7 @@ def test_hk_relation_on_generated_k1_family():
     assert report.verdict
     hk = op.solve_hk(rec, comb, report, 14)
     assert hk.residual < 1e-9
-    u = op.moments_from_recurrence(rec, 20)
-    tilde = op.tilde_recurrence(rec, comb, 24, report=report)
-    v = op.moments_from_recurrence(tilde, 21)
-    assert op.verify_functional_relation(u, v, hk.poly, tol=1e-8).ok
+    assert op.verify_functional_relation(rec, comb, report, hk.poly, tol=1e-8).ok
 
 
 @pytest.mark.parametrize(
@@ -323,11 +331,31 @@ def test_hk_relation_holds_across_corpus(label, rec, comb):
     report = op.check_conditions(rec, comb, 24)
     assert report.verdict, label
     hk = op.solve_hk(rec, comb, report, 16)
-    u = op.moments_from_recurrence(rec, 20)
-    tilde = op.tilde_recurrence(rec, comb, 24, report=report)
-    v = op.moments_from_recurrence(tilde, 20 + comb.k)
-    rel = op.verify_functional_relation(u, v, hk.poly, tol=1e-8)
+    rel = op.verify_functional_relation(rec, comb, report, hk.poly, tol=1e-8)
     assert rel.ok, label
+
+
+ORTHOGONAL_CONFIGS = sorted(
+    p for p in (Path(__file__).resolve().parent.parent / "configs").glob("*.json")
+    if not p.name.startswith("broken")
+)
+
+
+@pytest.mark.parametrize("path", ORTHOGONAL_CONFIGS, ids=lambda p: p.name)
+def test_relation_rejects_relative_change_of_c0(path):
+    # the fitted h_k passes and a 1e-6 relative change of c_0 fails, on the
+    # truncation and tolerances that `opoly hk` uses
+    cfg = load_config(str(path))
+    k = cfg.comb.k
+    report = op.check_conditions(cfg.rec, cfg.comb, cfg.horizon, tol=cfg.tolerances["conditions"])
+    assert report.verdict
+    hk = op.solve_hk(cfg.rec, cfg.comb, report, min(16, cfg.horizon + 1 - k))
+    assert op.verify_functional_relation(cfg.rec, cfg.comb, report, hk.poly).ok
+    c = hk.coeffs
+    bad = op.Poly((c[0] * (1 + 1e-6),) + c[1:])
+    rel = op.verify_functional_relation(cfg.rec, cfg.comb, report, bad, tol=1e-8)
+    assert rel.ok is False
+    assert rel.max_residual > 1e-8
 
 
 class TestOrthonormalIdentity:

@@ -9,7 +9,13 @@ import opoly as op
 from opoly._exact import _basis_polys, _exact_data, _lincomb, exact_gram, low_completion
 from opoly.cli import load_config
 
-from conftest import broken_families, chebyshev_corpus, k2_case_fixture, worst_gram_ratio
+from conftest import (
+    broken_families,
+    chebyshev_corpus,
+    k2_case_fixture,
+    three_term_residual,
+    worst_gram_ratio,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -223,13 +229,7 @@ def test_favard_round_trip(kind, a):
     tilde = op.tilde_recurrence(rec, comb, 17, report=report)
     qs = [op.q_poly(rec, comb, n, report=report) for n in range(18)]
     for n in range(1, 17):
-        resid = (
-            qs[n].times_x()
-            - qs[n + 1]
-            - tilde.beta[n] * qs[n]
-            - tilde.gamma[n] * qs[n - 1]
-        )
-        assert np.max(np.abs(resid.as_array())) < 1e-9
+        assert three_term_residual(qs, n, tilde.beta[n], tilde.gamma[n]) < 1e-9
 
 
 @pytest.mark.parametrize("kind", [1, 2, 3, 4])
@@ -260,13 +260,7 @@ def test_k3_combination_full_agreement(cheb_u):
     tilde = op.tilde_recurrence(cheb_u, comb, 20, report=report)
     qs = [op.q_poly(cheb_u, comb, n, report=report) for n in range(12)]
     for n in range(1, 11):
-        resid = (
-            qs[n].times_x()
-            - qs[n + 1]
-            - tilde.beta[n] * qs[n]
-            - tilde.gamma[n] * qs[n - 1]
-        )
-        assert np.max(np.abs(resid.as_array())) < 1e-9
+        assert three_term_residual(qs, n, tilde.beta[n], tilde.gamma[n]) < 1e-9
 
 
 def test_q_basis_orthogonal_under_tilde_moments():
@@ -277,9 +271,9 @@ def test_q_basis_orthogonal_under_tilde_moments():
     report = op.check_conditions(rec, comb, 20)
     assert report.verdict
     tilde = op.tilde_recurrence(rec, comb, 20, report=report)
-    f = op.moments_from_recurrence(tilde, 16)
+    mu = op.moments_from_recurrence(tilde, 16)
     qs = [op.q_poly(rec, comb, n, report=report) for n in range(9)]
-    assert worst_gram_ratio(f, qs) <= 1e-9
+    assert worst_gram_ratio(mu, qs) <= 1e-9
 
 
 def test_oracle_degenerate_completion(cheb_u):

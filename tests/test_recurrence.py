@@ -85,18 +85,18 @@ def test_chebyshev_moments_match_weight_integrals(kind):
     # closed-form weight moments are the independent oracle for the
     # recurrence conventions (including the kind-3/4 sign of beta_0)
     rec = op.chebyshev_family(kind, 14)
-    f = op.moments_from_recurrence(rec, 20)
+    mu = op.moments_from_recurrence(rec, 20)
     expected = chebyshev_weight_moments(kind, 20)
     for m in range(21):
-        assert f.moments[m] == pytest.approx(float(expected[m]), abs=1e-14)
+        assert mu[m] == pytest.approx(float(expected[m]), abs=1e-14)
 
 
 @pytest.mark.parametrize("kind", [1, 2, 3, 4])
 def test_chebyshev_gram_diagonality(kind):
     rec = op.chebyshev_family(kind, 14)
-    f = op.moments_from_recurrence(rec, 24)
+    mu = op.moments_from_recurrence(rec, 24)
     polys = [op.poly_p(rec, n) for n in range(13)]
-    assert worst_gram_ratio(f, polys) <= 1e-10
+    assert worst_gram_ratio(mu, polys) <= 1e-10
 
 
 def test_recurrence_pair_validation():
@@ -247,13 +247,12 @@ def test_k2_gamma_floor_invariant(case):
 def test_poly_arithmetic():
     p = op.Poly((1.0, 2.0))
     q = op.Poly((0.0, 1.0))
-    assert (p * q).coeffs == (0.0, 1.0, 2.0)
     assert (p + q).coeffs == (1.0, 3.0)
-    assert (p - q).coeffs == (1.0, 1.0)
     assert (2.0 * p).coeffs == (2.0, 4.0)
-    assert p.times_x().coeffs == (0.0, 1.0, 2.0)
+    assert (p * 0.5).coeffs == (0.5, 1.0)
     assert op.Poly((1.0, 0.0, 0.0)).coeffs == (1.0,)
-    assert op.Poly.monomial(3).degree == 3
+    with pytest.raises(TypeError):
+        p * q  # products of polynomials are not supported
 
 
 def test_poly_call_matches_numpy_polynomial_polyval(rng):

@@ -1,23 +1,29 @@
-"""Exact-rational engine: the low-degree completion and the Gram oracle.
+"""Exact engine: the low-degree completion and the Gram oracle.
 
 Every float is a dyadic rational, so converting recurrence data and
-combination coefficients to :class:`fractions.Fraction` makes the whole
-pipeline exact.  :func:`low_completion` is the one home of the paper's
+combination coefficients to :class:`fractions.Fraction` makes the
+completion exact.  :func:`low_completion` is the one home of the paper's
 determination and completion blocks; ``check_conditions`` rounds it to
 floats and the oracle uses it as is.  The oracle stays in the ``P``-basis:
 modified moments ``v(P_m)`` of the annihilating functional, mixed moments
 ``v(P_i P_j)`` by the modified Chebyshev algorithm (Sack & Donovan 1971;
 Gautschi 2004, §2.1.7), then the banded sandwich ``G = C Sigma C^T``; that
-is ``O(d^2)`` operations for fixed ``k``, on far smaller rationals than
-monomial coefficients.  It reads the recurrence data and the completion
-only, never the matching conditions or the tilde recurrence, so it stays
-independent of the verdict; and being exact, cancellation at the tiny norm
-scales (``prod gamma ~ 4^-n``) cannot fool it as it would a float Gram test.
+is ``O(d^2)`` operations for fixed ``k``.  Those loops run on Python
+integers: the exact map ``x -> 2^e x`` makes every scaled beta, gamma and
+``a_j`` integral, one common denominator clears the completion moments and
+one per row clears each completion row, so the Gram comes back as integer
+numerators with their row weights and no gcd is ever taken.  It reads the
+recurrence data and the completion only, never the matching conditions or
+the tilde recurrence, so it stays independent of the verdict; and being
+exact, cancellation at the tiny norm scales (``prod gamma ~ 4^-n``) cannot
+fool it as it would a float Gram test.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import DegeneracyError
 
@@ -44,8 +50,9 @@ def _exact_data(beta_f, gamma_f, a_f, n):
     return beta, gamma, a
 
 
-def _basis_polys(beta, gamma, n_max):
+def _basis_polys(beta_f, gamma_f, n_max):
     """Monic basis polynomials ``P_0..P_n_max`` as Fraction coefficient lists."""
+    beta, gamma, _ = _exact_data(beta_f, gamma_f, (), n_max)
     polys = [[_ONE], [-beta[0], _ONE]]
     for n in range(1, n_max):
         xp = [_ZERO] + polys[n]
@@ -62,12 +69,11 @@ def low_completion(beta_f, gamma_f, a_f):
     down in the ``P``-basis, where ``x P_i = P_{i+1} + beta_i P_i + gamma_i
     P_{i-1}`` makes each step one short row update.
 
-    Returns ``(denom, rows, polys, tilde)`` keyed by degree: ``rows[m][i]``
-    multiplies ``P_i`` in ``Q_m``, ``polys[m]`` are the monomial coefficients
-    of ``Q_m``, and ``tilde[m] = (tilde beta_m, tilde gamma_m)``, ``m <= k``.
-    Nothing raises: a zero ``denom`` leaves only ``Q_{k+1}``, and the walk
-    stops at the first zero ``tilde gamma_m`` (``min(tilde)``), so ``Q_0``
-    exists only when the completion does.
+    Returns ``(denom, rows, tilde)`` keyed by degree: ``rows[m][i]``
+    multiplies ``P_i`` in ``Q_m`` and ``tilde[m] = (tilde beta_m, tilde
+    gamma_m)``, ``m <= k``.  Nothing raises: a zero ``denom`` leaves only
+    ``Q_{k+1}``, and the walk stops at the first zero ``tilde gamma_m``
+    (``min(tilde)``), so ``Q_0`` exists only when the completion does.
     """
     k = len(a_f)
     beta, gamma, a = _exact_data(beta_f, gamma_f, a_f, k + 1)
@@ -92,9 +98,29 @@ def low_completion(beta_f, gamma_f, a_f):
             if s[m - 1] == 0:
                 break
             rows[m - 1] = [v / s[m - 1] for v in s]
-    p = _basis_polys(beta, gamma, k + 1)
-    polys = {m: _lincomb(*zip(row, p)) for m, row in rows.items()}
-    return denom, rows, polys, tilde
+    return denom, rows, tilde
+
+
+def _scaled_data(beta_f, gamma_f, a_f, n):
+    """The recurrence data under the exact map ``x -> 2^e x``, as integers.
+
+    ``e >= 0`` is the smallest exponent with ``B_i = 2^e beta_i``,
+    ``Gamma_i = 4^e gamma_i`` (``i < n``) and ``A_j = 2^(j e) a_j`` all
+    integral; every float is ``p / 2^q``, so ``e`` is the largest of ``q``
+    over the betas, ``ceil(q / 2)`` over the gammas and ``ceil(q / j)``
+    over the ``a_j``.  Returns ``(e, B, Gamma, A)`` with ``Gamma_0 = 0`` and
+    ``A`` the band ``(A_k, .., A_1, 1)``.
+    """
+    def dyadic(values):  # (p, q) with x = p / 2^q
+        return [(p, d.bit_length() - 1) for p, d in (float(v).as_integer_ratio() for v in values)]
+
+    beta, gamma, a = dyadic(beta_f[:n]), dyadic(gamma_f[1:n]), dyadic(a_f)
+    e = max([0] + [q for _, q in beta] + [-(-q // 2) for _, q in gamma]
+            + [-(-q // j) for j, (_, q) in enumerate(a, start=1)])
+    big_b = [p << e - q for p, q in beta]
+    big_g = [0] + [p << 2 * e - q for p, q in gamma]
+    big_a = [p << j * e - q for j, (p, q) in enumerate(a, start=1)]
+    return e, big_b, big_g, big_a[::-1] + [1]
 
 
 def exact_gram(beta_f, gamma_f, a_f, degree):
@@ -105,32 +131,51 @@ def exact_gram(beta_f, gamma_f, a_f, degree):
     ``v(Q_m) = 0`` fixes ``mu_m = v(P_m)`` for ``m <= 2 degree``, and
     ``x P_j = P_{j+1} + beta_j P_j + gamma_j P_{j-1}`` taken on both sides of
     ``v(x P_i P_j)`` gives ``sigma_{i,j} = v(P_i P_j)`` column by column.
-    Raises :class:`~opoly.errors.DegeneracyError` when the completion does
-    not exist (zero denominator or an exact downward degeneracy).
+
+    Everything runs on integers after the change of variable of
+    :func:`_scaled_data`: ``mu_m`` is scaled by ``L 2^(m e)``, with ``L`` the
+    common denominator of ``mu_0..mu_k`` (above ``k`` the band keeps it
+    integral), and completion row ``m`` by its own denominator ``R_m``.
+    Returns ``(N, w, L)`` with ``G[m][p] = N[m][p] / (L w[m] w[p])`` and
+    ``w[m] = R_m 2^(m e)``.  Raises :class:`~opoly.errors.DegeneracyError`
+    when the completion does not exist (zero denominator or an exact
+    downward degeneracy).
     """
-    denom, rows, _, tilde = low_completion(beta_f, gamma_f, a_f)
+    denom, rows, tilde = low_completion(beta_f, gamma_f, a_f)
     if denom == 0:
         raise DegeneracyError("exact completion: denominator is zero")
     if 0 not in rows:
         raise DegeneracyError(f"exact completion: tilde gamma at degree {min(tilde)} is zero")
     k, n = len(a_f), 2 * degree
-    beta, gamma, a = _exact_data(beta_f, gamma_f, a_f, n - 1)
-    c_rows = [(0, rows[m]) if m <= k else (m - k, a[::-1]) for m in range(n + 1)]
-    mu = [_ONE]
-    for lo, row in c_rows[1:]:
-        mu.append(-sum((c * mu[lo + i] for i, c in enumerate(row[:-1]) if c), _ZERO))
-    sigma = [mu]  # sigma[j][i] = v(P_i P_j) for i + j <= n, both triangles
+    e, beta, gamma, band = _scaled_data(beta_f, gamma_f, a_f, n)
+    c_rows, w, mu = [], [], []
+    for m in range(min(k, n) + 1):
+        # row m scaled to integers, then mu_m from v(Q_m) = 0 while still a Fraction
+        scaled = [c * (1 << (m - i) * e) for i, c in enumerate(rows[m])]
+        r = math.lcm(*(c.denominator for c in scaled))
+        row = [c.numerator * (r // c.denominator) for c in scaled]
+        c_rows.append((0, row))
+        w.append(r << m * e)
+        mu.append(Fraction(-sum(c * v for c, v in zip(row, mu)), r) if m else _ONE)
+    lcd = math.lcm(*(v.denominator for v in mu))
+    mu = [v.numerator * (lcd // v.denominator) for v in mu]
+    for m in range(k + 1, n + 1):
+        c_rows.append((m - k, band))
+        w.append(1 << m * e)
+        mu.append(-sum(map(mul, band, mu[m - k : m])))  # map stops before band[-1] = 1
+    sigma = [mu]  # sigma[j][i] = L 2^((i+j) e) v(P_i P_j) for i + j <= n, both triangles
     for j in range(degree):  # sigma[-1] = mu meets gamma_0 = 0 at j = 0
-        cur, prev = sigma[j], sigma[j - 1]
+        cur, prev, bj, gj = sigma[j], sigma[j - 1], beta[j], gamma[j]
         sigma.append([sigma[i][j + 1] for i in range(j + 1)] + [
-            cur[i + 1] + (beta[i] - beta[j]) * cur[i] + gamma[i] * cur[i - 1] - gamma[j] * prev[i]
+            cur[i + 1] + (beta[i] - bj) * cur[i] + gamma[i] * cur[i - 1] - gj * prev[i]
             for i in range(j + 1, n - j)])
-    # (C Sigma)[m][t]; G[m][p] with m <= p reads it only from t = lo_p >= lo_m on
-    cs = [[_ZERO] * lo + [sum((c * sigma[t][lo + i] for i, c in enumerate(row) if c), _ZERO)
-                          for t in range(lo, degree + 1)] for lo, row in c_rows[: degree + 1]]
-    gram = [[_ZERO] * (degree + 1) for _ in range(degree + 1)]
-    for p, (lo, row) in enumerate(c_rows[: degree + 1]):
+    # row m of C spans columns lo..m; (C Sigma)[m][t], and N[m][p] with m <= p
+    # reads it only from t = lo_p >= lo_m on
+    c_rows = c_rows[: degree + 1]
+    cs = [[0] * lo + [sum(map(mul, row, sigma[t][lo : m + 1])) for t in range(lo, degree + 1)]
+          for m, (lo, row) in enumerate(c_rows)]
+    gram = [[0] * (degree + 1) for _ in range(degree + 1)]
+    for p, (lo, row) in enumerate(c_rows):
         for m in range(p + 1):
-            gram[m][p] = gram[p][m] = sum(
-                (c * cs[m][lo + i] for i, c in enumerate(row) if c), _ZERO)
-    return gram
+            gram[m][p] = gram[p][m] = sum(map(mul, row, cs[m][lo : p + 1]))
+    return gram, w[: degree + 1], lcd

@@ -379,12 +379,14 @@ def _cmd_zeros(cfg: JobConfig, args) -> tuple[int, dict, list]:
 
 def _cmd_hk(cfg: JobConfig, args) -> tuple[int, dict, list]:
     k = cfg.comb.k
-    rep = _conditions(cfg)
-    if not rep.verdict:
-        return 1, {"conditions": _condition_summary(rep)}, [("error", "not orthogonal")]
     m = cfg.hk_truncation
     if m is None:
         m = min(16, cfg.horizon + 1 - k)
+        if m < 3 * k + 3:  # solve_hk's smallest truncation
+            raise ConfigError(f"hk needs horizon >= 4k + 2 = {4 * k + 2}, got {cfg.horizon}")
+    rep = _conditions(cfg)
+    if not rep.verdict:
+        return 1, {"conditions": _condition_summary(rep)}, [("error", "not orthogonal")]
     hk = solve_hk(cfg.rec, cfg.comb, rep, m, tol=cfg.tolerances["hk"])
     rel = verify_functional_relation(cfg.rec, cfg.comb, rep, hk.poly, tol=cfg.tolerances["hk"])
     relation = {"ok": rel.ok, "scale": rel.scale, "max_residual": rel.max_residual}

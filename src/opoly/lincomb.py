@@ -35,11 +35,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from ._exact import exact_gram, low_completion
+from ._exact import _basis_polys, _lincomb, exact_gram, low_completion
 from .errors import HorizonError, NumericError, StateError
 from .recurrence import Poly, RecurrencePair, poly_p
 
@@ -116,14 +115,15 @@ def _complete_low(rec: RecurrencePair, comb: CombCoeffs, tol: float) -> tuple[di
     coefficients).
     """
     k = comb.k
-    denom, rows, polys, tilde = low_completion(rec.beta, rec.gamma, comb.a)
+    denom, rows, tilde = low_completion(rec.beta, rec.gamma, comb.a)
     low = {"denom": float(denom), "fourier": (), "completion": (), "beta0_tilde": None,
            "q_low": (), "low_rows": ()}
     if abs(low["denom"]) <= tol * max(1.0, abs(rec.gamma[k + 1])):
         return low, "gamma_{k+1} + a_1*(beta_k - beta_{k+1}) is numerically zero"
+    p = _basis_polys(rec.beta, rec.gamma, k + 1)
 
-    def rounded(m):
-        return Poly(tuple(map(float, polys[m])))
+    def rounded(m):  # monomial coefficients of Q_m, exact, then correctly rounded
+        return Poly(tuple(map(float, _lincomb(*zip(rows[m], p)))))
 
     q = {k + 1: rounded(k + 1), k: rounded(k)}
     completion = []
@@ -283,12 +283,13 @@ def oracle_gram_check(
     and never reads the matching conditions or the tilde recurrence, so
     agreement with :func:`check_conditions` is a genuine two-route check.
 
-    The whole computation runs in exact rational arithmetic (floats are
-    dyadic rationals), because at degree 12 the diagonal norms shrink to
-    ``~4^-12`` and a floating-point Gram matrix would drown real failures
-    in cancellation noise.  The ``tol`` only classifies the exact ratios
-    ``|G_ij| / sqrt(|G_ii G_jj|)``, compared squared as integer cross
-    products.  Raises ``ValueError`` unless ``degree >= 1`` and ``tol`` is
+    The whole computation is exact (floats are dyadic rationals, so one
+    power-of-two change of variable makes it integral), because at degree 12
+    the diagonal norms shrink to ``~4^-12`` and a floating-point Gram matrix
+    would drown real failures in cancellation noise.  The ``tol`` only
+    classifies the exact ratios ``|G_ij| / sqrt(|G_ii G_jj|)``, compared
+    squared on the integer numerators ``N`` of ``G``, where the row weights
+    cancel.  Raises ``ValueError`` unless ``degree >= 1`` and ``tol`` is
     finite and nonnegative.
     """
     if degree < 1 or not (math.isfinite(tol) and tol >= 0):
@@ -297,25 +298,27 @@ def oracle_gram_check(
         raise HorizonError(
             f"oracle at degree {degree} needs horizon >= {2 * degree - 1}"
         )
-    gram_fr = exact_gram(rec.beta, rec.gamma, comb.a, degree)
+    num, w, lcd = exact_gram(rec.beta, rec.gamma, comb.a, degree)
     n = degree + 1
-    gram = np.array([[float(v) for v in row] for row in gram_fr])
+    # G = N / (L w_m w_p); int / int rounds correctly, as float(Fraction) did
+    gram = np.empty((n, n))
+    for m, row in enumerate(num):
+        lw = lcd * w[m]
+        gram[m, m:] = gram[m:, m] = [row[p] / (lw * w[p]) for p in range(m, n)]
     gram.setflags(write=False)
-    tol_num, tol_den = (Fraction(tol) ** 2).as_integer_ratio()
-    diag = [gram_fr[i][i].as_integer_ratio() for i in range(n)]
-    failures = [(i, i, 0.0, 0.0) for i in range(n) if diag[i][0] == 0]
+    tol_num, tol_den = (v * v for v in tol.as_integer_ratio())
+    diag = [abs(num[i][i]) for i in range(n)]
+    failures = [(i, i, 0.0, 0.0) for i in range(n) if diag[i] == 0]
     worst = 0.0
     for i in range(n):
+        row, d_i = num[i], diag[i]
         for j in range(i + 1, n):
-            # G_ij^2 / |G_ii G_jj| = top / bottom for G = num / den
-            num, den = gram_fr[i][j].as_integer_ratio()
-            (n_i, d_i), (n_j, d_j) = diag[i], diag[j]
-            bottom = den * den * abs(n_i * n_j)
+            # G_ij^2 / |G_ii G_jj| = N_ij^2 / |N_ii N_jj|: the weights cancel
+            top, bottom = row[j] * row[j], d_i * diag[j]
             if bottom == 0:
-                if num != 0:
+                if top:
                     failures.append((i, j, gram[i, j], 0.0))
                 continue
-            top = num * num * d_i * d_j
             worst = max(worst, (top / bottom) ** 0.5)  # int / int rounds correctly
             if top * tol_den > tol_num * bottom:
                 failures.append(

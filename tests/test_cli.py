@@ -318,6 +318,19 @@ def test_hk_truncation_out_of_range_exits_two(tmp_path, capsys, m):
     assert "hk_truncation must lie in [9, 23]" in err
 
 
+@pytest.mark.parametrize("horizon,code", [(8, 2), (9, 2), (10, 0)])
+def test_hk_default_truncation_needs_horizon_4k_plus_2(tmp_path, capsys, horizon, code):
+    # k = 2: the default truncation min(16, horizon + 1 - k) reaches 3k + 3 = 9 at horizon 10
+    cfg = write_config(tmp_path, dict(BASE, horizon=horizon))
+    got, out, err = run(capsys, "hk", "--config", cfg)
+    assert got == code, err
+    if code == 2:
+        assert out == ""
+        assert f"hk needs horizon >= 4k + 2 = 10, got {horizon}" in err
+    else:
+        assert json.loads(out)["result"]["truncation"] == 9
+
+
 @pytest.mark.parametrize("m", [9, 23])
 def test_hk_truncation_range_ends_are_used(tmp_path, capsys, m):
     payload = json.loads((CONFIG_DIR / "cheb1_k2.json").read_text())

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import opoly as op
-from opoly._exact import _basis_polys, _exact_data, _lincomb, exact_gram, low_completion
+from opoly._exact import _basis_polys, _lincomb, exact_gram, low_completion
 from opoly.cli import load_config
 
 from conftest import (
@@ -285,13 +285,23 @@ def test_oracle_degenerate_completion(cheb_u):
 
 def exact_combination_polys(beta_f, gamma_f, a_f, n_max):
     """``Q_0..Q_n_max`` as exact Fraction monomial coefficient lists."""
-    denom, _, low, tilde = low_completion(beta_f, gamma_f, a_f)
-    assert denom != 0 and 0 in low
-    k = len(a_f)
-    beta, gamma, a = _exact_data(beta_f, gamma_f, a_f, n_max)
-    p = _basis_polys(beta, gamma, n_max)
-    return [low[n] if n <= k + 1 else _lincomb(*((a[j], p[n - j]) for j in range(k + 1)))
+    denom, rows, _ = low_completion(beta_f, gamma_f, a_f)
+    assert denom != 0 and 0 in rows
+    k, a = len(a_f), [Fraction(1), *map(Fraction, a_f)]
+    p = _basis_polys(beta_f, gamma_f, n_max)
+    return [_lincomb(*zip(rows[n], p)) if n <= k
+            else _lincomb(*((a[j], p[n - j]) for j in range(k + 1)))
             for n in range(n_max + 1)]
+
+
+def exact_gram_fractions(beta_f, gamma_f, a_f, degree):
+    """:func:`exact_gram`'s integer form ``(N, w, L)`` read back as ``N / (L w_m w_p)``."""
+    num, w, lcd = exact_gram(beta_f, gamma_f, a_f, degree)
+    assert len(num) == len(w) == degree + 1 and type(lcd) is int and lcd > 0
+    assert all(type(v) is int and v > 0 for v in w)
+    assert all(type(v) is int for row in num for v in row)
+    return [[Fraction(v, lcd * w[m] * w[p]) for p, v in enumerate(row)]
+            for m, row in enumerate(num)]
 
 
 def exact_annihilator_moments(polys):
@@ -335,10 +345,14 @@ def _bundled(name):
     + [pytest.param(*_bundled("gen_k2_real_roots.json"), 20, id="gen_k2_real_roots--d20")],
 )
 def test_exact_gram_matches_pairwise_products(label, rec, comb, degree):
+    _assert_gram_matches_pairwise_products(rec, comb, degree)
+
+
+def _assert_gram_matches_pairwise_products(rec, comb, degree):
     # monomial reference for the modified-moment Gram: expand Q_0..Q_{2d},
     # solve for the annihilating moments, multiply out every Q_i Q_j and
     # apply the moments term by term
-    gram = exact_gram(rec.beta, rec.gamma, comb.a, degree)
+    gram = exact_gram_fractions(rec.beta, rec.gamma, comb.a, degree)
     qs = exact_combination_polys(rec.beta, rec.gamma, comb.a, 2 * degree)
     v, v_den = _integer_coeffs(exact_annihilator_moments(qs[1:]))
     scaled = [_integer_coeffs(q) for q in qs[: degree + 1]]
@@ -350,6 +364,67 @@ def test_exact_gram_matches_pairwise_products(label, rec, comb, degree):
             expect = Fraction(sum(c * v[t] for t, c in enumerate(prod)), di * dj * v_den)
             assert type(gram[i][j]) is Fraction
             assert gram[i][j] == gram[j][i] == expect
+
+
+def _edited_cheb_t(horizon, beta=(), gamma=()):
+    """Chebyshev T data up to ``horizon`` with ``(n, value)`` edits to beta and gamma."""
+    base = op.chebyshev_family(1, horizon)
+    b, g = base.beta.copy(), base.gamma.copy()
+    for n, v in beta:
+        b[n] = v
+    for n, v in gamma:
+        g[n] = v
+    return op.RecurrencePair(b, g[1:])
+
+
+@pytest.mark.parametrize("edits,a,e", [
+    # gamma_3 = p / 2^41 needs 4^e gamma_3 integral: e = ceil(41 / 2) = 21
+    ({"gamma": [(3, 0.25 + 2.0**-41)]}, (0.5, 0.25), 21),
+    # beta_2 = 3 / 2^61 needs 2^e beta_2 integral: e = 61
+    ({"beta": [(2, 3 * 2.0**-61)]}, (0.5, 0.25), 61),
+    # a_2 = -5 / 2^13 needs 4^e a_2 integral: e = ceil(13 / 2) = 7
+    ({}, (0.5, -5 * 2.0**-13), 7),
+    ({"beta": [(2, 3 * 2.0**-61)], "gamma": [(3, 0.25 + 2.0**-41)]},
+     (0.5, -5 * 2.0**-13), 61),
+], ids=["gamma-odd-exponent", "beta-near-2^-60", "a2-odd-exponent", "all-three"])
+def test_exact_gram_scaling_exponent(edits, a, e):
+    # the Gram runs on the integers of x -> 2^e x with the smallest such e,
+    # and a band row m > k carries the weight w_m = 2^(m e)
+    rec, comb, degree = _edited_cheb_t(12, **edits), op.CombCoeffs(a), 6
+    _, w, _ = exact_gram(rec.beta, rec.gamma, comb.a, degree)
+    assert w[comb.k + 1:] == [1 << m * e for m in range(comb.k + 1, degree + 1)]
+    _assert_gram_matches_pairwise_products(rec, comb, degree)
+
+
+def _scaled(rec, comb, s):
+    """The exact map ``x -> s x``: ``beta -> s beta``, ``gamma -> s^2 gamma``, ``a_j -> s^j a_j``."""
+    return (op.RecurrencePair(s * rec.beta, s * s * rec.gamma[1:]),
+            op.CombCoeffs(tuple(s**j * v for j, v in enumerate(comb.a, start=1))))
+
+
+def _oracle_outcome(rec, comb, degree):
+    try:
+        return op.oracle_gram_check(rec, comb, degree=degree, tol=1e-9)
+    except op.DegeneracyError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("s", [2.0, -1.0, 0.125])
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+def test_oracle_is_covariant_under_scaling(name, s):
+    # G_ij scales by s^(i+j), exactly for these s, so the ratios, the verdict
+    # and every failure entry (mapped back) must not depend on the unit of x
+    _, rec, comb = _bundled(name)
+    degree = min(12, (rec.horizon + 1) // 2)  # the CLI's oracle degree
+    base = _oracle_outcome(rec, comb, degree)
+    scaled = _oracle_outcome(*_scaled(rec, comb, s), degree)
+    if isinstance(base, str):
+        assert scaled == base
+        return
+    assert scaled.ok == base.ok
+    assert scaled.worst_ratio.hex() == base.worst_ratio.hex()
+    assert scaled.failures == tuple((i, j, v * s ** (i + j), b * abs(s) ** (i + j))
+                                    for i, j, v, b in base.failures)
 
 
 def test_exact_gram_degenerate_completion_texts(cheb_u):
@@ -372,7 +447,7 @@ def test_oracle_horizon_edge():
     assert op.oracle_gram_check(edge, comb, degree=13).ok
     qs = exact_combination_polys(edge.beta, edge.gamma, comb.a, 26)
     v = exact_annihilator_moments(qs[1:])
-    gram = exact_gram(edge.beta, edge.gamma, comb.a, 13)
+    gram = exact_gram_fractions(edge.beta, edge.gamma, comb.a, 13)
     assert gram[13][13] == sum((c * v[t] for t, c in enumerate(_exact_product(qs[13], qs[13]))),
                                Fraction(0))
     with pytest.raises(op.HorizonError, match="needs horizon >= 25"):
@@ -410,7 +485,8 @@ def _ratio_reference(gram_fr, tol):
 
 def _assert_ratio_test_matches(rec, comb, degree, tol):
     report = op.oracle_gram_check(rec, comb, degree=degree, tol=tol)
-    failures, worst = _ratio_reference(exact_gram(rec.beta, rec.gamma, comb.a, degree), tol)
+    failures, worst = _ratio_reference(
+        exact_gram_fractions(rec.beta, rec.gamma, comb.a, degree), tol)
     assert report.failures == failures
     assert report.worst_ratio.hex() == worst.hex()
     assert report.ok == (not failures)
@@ -435,7 +511,7 @@ def test_gcd_free_ratio_test_passes_exact_zeros_at_zero_tol():
                                          ("gen_k2_complex_roots.json", 16)])
 def test_gcd_free_ratio_test_one_ulp_around_the_worst_ratio(name, degree):
     _, rec, comb = _bundled(name)
-    gram = exact_gram(rec.beta, rec.gamma, comb.a, degree)
+    gram = exact_gram_fractions(rec.beta, rec.gamma, comb.a, degree)
     pairs = [(i, j) for i in range(degree + 1) for j in range(i + 1, degree + 1)]
     ratio2 = {(i, j): gram[i][j] ** 2 / abs(gram[i][i] * gram[j][j]) for i, j in pairs}
     top = max(ratio2.values())

@@ -31,35 +31,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _lincomb(*terms):
-    """``sum c * p`` over the ``(c, p)`` pairs, padded to the longest ``p``."""
-    out = [_ZERO] * max(len(p) for _, p in terms)
-    for c, p in terms:
-        if c:
-            for i, v in enumerate(p):
-                if v:
-                    out[i] += c * v
-    return out
-
-
-def _exact_data(beta_f, gamma_f, a_f, n):
-    """Fractions ``beta_0..beta_n``, ``gamma_0 = 0, gamma_1..gamma_n``, ``a_0 = 1, a_1..a_k``."""
-    beta = [Fraction(float(b)) for b in beta_f[: n + 1]]
-    gamma = [_ZERO] + [Fraction(float(g)) for g in gamma_f[1 : n + 1]]
-    a = [_ONE] + [Fraction(float(v)) for v in a_f]
-    return beta, gamma, a
-
-
-def _basis_polys(beta_f, gamma_f, n_max):
-    """Monic basis polynomials ``P_0..P_n_max`` as Fraction coefficient lists."""
-    beta, gamma, _ = _exact_data(beta_f, gamma_f, (), n_max)
-    polys = [[_ONE], [-beta[0], _ONE]]
-    for n in range(1, n_max):
-        xp = [_ZERO] + polys[n]
-        polys.append(_lincomb((_ONE, xp), (-beta[n], polys[n]), (-gamma[n], polys[n - 1])))
-    return polys
-
-
 def low_completion(beta_f, gamma_f, a_f):
     """The canonical completion ``Q_{k+1}, Q_k, ..., Q_0``, exactly.
 
@@ -76,7 +47,9 @@ def low_completion(beta_f, gamma_f, a_f):
     (``min(tilde)``), so ``Q_0`` exists only when the completion does.
     """
     k = len(a_f)
-    beta, gamma, a = _exact_data(beta_f, gamma_f, a_f, k + 1)
+    beta = [Fraction(float(b)) for b in beta_f[: k + 2]]
+    gamma = [_ZERO] + [Fraction(float(g)) for g in gamma_f[1 : k + 2]]
+    a = [_ONE] + [Fraction(float(v)) for v in a_f]
     rows = {k + 1: [_ZERO] + a[::-1]}
     tilde = {}
     denom = gamma[k + 1] + a[1] * (beta[k] - beta[k + 1])

@@ -253,19 +253,6 @@ def _report(command: str, cfg: JobConfig, passed: bool, result: dict) -> dict:
     }
 
 
-def _json_default(obj):
-    """``json.dumps`` hook for numpy and complex values (``np.float64`` is a float)."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, complex):
-        return {"im": obj.imag, "re": obj.real}
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def _emit(report: dict, csv_rows, args) -> None:
     if args.format == "csv":
         buf = io.StringIO()
@@ -274,7 +261,7 @@ def _emit(report: dict, csv_rows, args) -> None:
             writer.writerow(row)
         text = buf.getvalue()
     else:
-        text = json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -424,7 +411,7 @@ def _cmd_quad(cfg: JobConfig, args) -> tuple[int, dict, list]:
     k = cfg.comb.k
     if n + 1 > cfg.horizon:
         raise ConfigError(f"horizon {cfg.horizon} too small for n = {n}")
-    rule = gauss_rule(cfg.rec, n)
+    rule = gauss_rule(cfg.rec, n, tol=cfg.tolerances["quad"])
     gauss_ok = rule.degree_of_precision == 2 * n - 1
     shohat = shohat_check(
         cfg.rec, cfg.comb, n,

@@ -35,10 +35,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from ._exact import _basis_polys, _lincomb, exact_gram, low_completion
+from ._exact import exact_gram, low_completion
 from .errors import HorizonError, NumericError, StateError
 from .recurrence import Poly, RecurrencePair, poly_p
 
@@ -76,7 +77,6 @@ class ConditionReport:
       * ``completion`` -- rows ``(j, tilde_beta_j, tilde_gamma_j, ok)`` from
                           the downward walk, ``j = 1..k`` (``ok`` is always
                           True: a failing step leaves the block empty);
-      * ``q_low``      -- the completed ``Q_0..Q_{k+1}``;
       * ``low_rows``   -- P-basis coefficient rows of ``Q_0..Q_k``;
       * ``tail_gamma_ok`` -- all ``tilde gamma_n`` nonzero for
                           ``k+1 <= n <= n_max``.
@@ -93,17 +93,9 @@ class ConditionReport:
     completion: tuple[tuple[int, float, float, bool], ...]
     matching: tuple[tuple[int, float, tuple[float, ...], bool], ...]
     beta0_tilde: float | None
-    q_low: tuple[Poly, ...]
     low_rows: tuple[tuple[float, ...], ...]
     tail_gamma_ok: bool
     failures: tuple[str, ...]
-
-
-def _direct_q(rec: RecurrencePair, comb: CombCoeffs, n: int) -> Poly:
-    q = poly_p(rec, n)
-    for j, aj in enumerate(comb.a, start=1):
-        q = q + aj * poly_p(rec, n - j)
-    return q
 
 
 def _complete_low(rec: RecurrencePair, comb: CombCoeffs, tol: float) -> tuple[dict, str | None]:
@@ -111,34 +103,27 @@ def _complete_low(rec: RecurrencePair, comb: CombCoeffs, tol: float) -> tuple[di
 
     Returns the report fields and the failure text, if any.  Only ``denom``
     is filled when the denominator is numerically zero or a step has
-    ``|tilde gamma_m| <= tol * max(1, max|Q_{m+1}|, max|Q_m|)`` (monomial
-    coefficients).
+    ``|tilde gamma_m| <= tol * max(1, max|row_{m+1}|, max|row_m|)`` over the
+    exact ``P``-basis rows of ``Q_{m+1}`` and ``Q_m``.
     """
     k = comb.k
     denom, rows, tilde = low_completion(rec.beta, rec.gamma, comb.a)
     low = {"denom": float(denom), "fourier": (), "completion": (), "beta0_tilde": None,
-           "q_low": (), "low_rows": ()}
+           "low_rows": ()}
     if abs(low["denom"]) <= tol * max(1.0, abs(rec.gamma[k + 1])):
         return low, "gamma_{k+1} + a_1*(beta_k - beta_{k+1}) is numerically zero"
-    p = _basis_polys(rec.beta, rec.gamma, k + 1)
-
-    def rounded(m):  # monomial coefficients of Q_m, exact, then correctly rounded
-        return Poly(tuple(map(float, _lincomb(*zip(rows[m], p)))))
-
-    q = {k + 1: rounded(k + 1), k: rounded(k)}
     completion = []
     for m in range(k, 0, -1):
         tb, tg = map(float, tilde[m])
-        scale = max(1.0, *map(abs, q[m + 1].coeffs), *map(abs, q[m].coeffs))
+        scale = max(1.0, float(max(map(abs, rows[m + 1] + rows[m]))))
         if abs(tg) <= tol * scale:
             return low, f"tilde gamma at degree {m} is numerically zero ({tg!r})"
         completion.append((m, tb, tg, True))
-        q[m - 1] = rounded(m - 1)
     low.update(
         fourier=tuple(float(rows[k][k - j]) for j in range(1, k + 1)),
         completion=tuple(reversed(completion)),
-        beta0_tilde=-q[1].coeffs[0],  # Q_1 = x - tilde beta_0
-        q_low=tuple(q[j] for j in range(k + 2)),
+        # Q_1 = P_1 + rows[1][0] = x - tilde beta_0; negated so that 0 rounds to -0.0
+        beta0_tilde=-float(rows[1][0] - Fraction(float(rec.beta[0]))),
         low_rows=tuple(tuple(map(float, rows[j])) for j in range(k + 1)),
     )
     return low, None
@@ -150,22 +135,27 @@ def q_poly(
     n: int,
     report: ConditionReport | None = None,
 ) -> Poly:
-    """The monic combination polynomial ``Q_n``.
+    """The monic combination polynomial ``Q_n = P_n + sum_j c_j P_{n-j}``.
 
-    For ``n >= k + 1`` this is the direct sum; below that the sequence is only
-    defined once the orthogonality decision passed, so a passing ``report``
-    must be supplied (its completed polynomials are returned).
+    For ``n >= k + 1`` the ``c_j`` are the combination constants; below that
+    the sequence is only defined once the orthogonality decision passed, so a
+    passing ``report`` must be supplied and its ``P``-basis rows are used.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     k = comb.k
     if n >= k + 1:
-        return _direct_q(rec, comb, n)
-    if report is None or not report.verdict:
+        c = comb.a
+    elif report is None or not report.verdict:
         raise StateError(
             f"Q_{n} with n <= k = {k} requires a passing condition report"
         )
-    return report.q_low[n]
+    else:
+        c = report.low_rows[n][-2::-1]
+    q = poly_p(rec, n)
+    for j, cj in enumerate(c, start=1):
+        q = q + cj * poly_p(rec, n - j)
+    return q
 
 
 def check_conditions(
@@ -265,7 +255,6 @@ class GramReport:
     """
 
     ok: bool
-    gram: np.ndarray
     failures: tuple[tuple[int, int, float, float], ...]
     worst_ratio: float
 
@@ -289,8 +278,10 @@ def oracle_gram_check(
     would drown real failures in cancellation noise.  The ``tol`` only
     classifies the exact ratios ``|G_ij| / sqrt(|G_ii G_jj|)``, compared
     squared on the integer numerators ``N`` of ``G``, where the row weights
-    cancel.  Raises ``ValueError`` unless ``degree >= 1`` and ``tol`` is
-    finite and nonnegative.
+    cancel.  Only the diagonal and the failing entries are rounded to floats;
+    one past the float range raises :class:`~opoly.errors.NumericError`.
+    Raises ``ValueError`` unless ``degree >= 1`` and ``tol`` is finite and
+    nonnegative.
     """
     if degree < 1 or not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"oracle needs degree >= 1 and a finite tol >= 0, got {degree}, {tol}")
@@ -300,28 +291,29 @@ def oracle_gram_check(
         )
     num, w, lcd = exact_gram(rec.beta, rec.gamma, comb.a, degree)
     n = degree + 1
-    # G = N / (L w_m w_p); int / int rounds correctly, as float(Fraction) did
-    gram = np.empty((n, n))
-    for m, row in enumerate(num):
-        lw = lcd * w[m]
-        gram[m, m:] = gram[m:, m] = [row[p] / (lw * w[p]) for p in range(m, n)]
-    gram.setflags(write=False)
     tol_num, tol_den = (v * v for v in tol.as_integer_ratio())
     diag = [abs(num[i][i]) for i in range(n)]
     failures = [(i, i, 0.0, 0.0) for i in range(n) if diag[i] == 0]
     worst = 0.0
-    for i in range(n):
-        row, d_i = num[i], diag[i]
-        for j in range(i + 1, n):
-            # G_ij^2 / |G_ii G_jj| = N_ij^2 / |N_ii N_jj|: the weights cancel
-            top, bottom = row[j] * row[j], d_i * diag[j]
-            if bottom == 0:
-                if top:
-                    failures.append((i, j, gram[i, j], 0.0))
-                continue
-            worst = max(worst, (top / bottom) ** 0.5)  # int / int rounds correctly
-            if top * tol_den > tol_num * bottom:
-                failures.append(
-                    (i, j, gram[i, j], tol * abs(gram[i, i] * gram[j, j]) ** 0.5)
-                )
-    return GramReport(not failures, gram, tuple(failures), worst)
+
+    def entry(i, j):  # G_ij = N_ij / (L w_i w_j); int / int rounds correctly
+        return num[i][j] / (lcd * w[i] * w[j])
+
+    try:
+        gram_diag = [entry(i, i) for i in range(n)]
+        for i in range(n):
+            row, d_i = num[i], diag[i]
+            for j in range(i + 1, n):
+                # G_ij^2 / |G_ii G_jj| = N_ij^2 / |N_ii N_jj|: the weights cancel
+                top, bottom = row[j] * row[j], d_i * diag[j]
+                if bottom == 0:
+                    if top:
+                        failures.append((i, j, entry(i, j), 0.0))
+                    continue
+                worst = max(worst, (top / bottom) ** 0.5)
+                if top * tol_den > tol_num * bottom:
+                    bound = tol * abs(gram_diag[i] * gram_diag[j]) ** 0.5
+                    failures.append((i, j, entry(i, j), bound))
+    except OverflowError as exc:  # an exact Gram value or ratio past the float range
+        raise NumericError(f"Gram oracle: {exc}") from exc
+    return GramReport(not failures, tuple(failures), worst)

@@ -119,16 +119,17 @@ def _measured(rec: RecurrencePair, nodes, weights, tol: float) -> QuadratureRule
     return replace(rule, degree_of_precision=degree_of_precision(rec, rule, tol=tol))
 
 
-def gauss_rule(rec: RecurrencePair, n: int) -> QuadratureRule:
+def gauss_rule(rec: RecurrencePair, n: int, tol: float = 1e-9) -> QuadratureRule:
     """Gauss rule on the zeros of ``P_n`` by Golub-Welsch (one ``eigh`` of the
-    symmetric Jacobi truncation), with its measured degree (``2n - 1``)."""
+    symmetric Jacobi truncation), with its degree (``2n - 1``) measured at
+    exactness tolerance ``tol``."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > rec.horizon:
         raise HorizonError(f"n = {n} exceeds horizon {rec.horizon}")
     _require_positive(rec, n)
     nodes, vecs = np.linalg.eigh(_symmetric_jacobi(rec, n))
-    return _measured(rec, nodes, vecs[0] ** 2, tol=1e-9)
+    return _measured(rec, nodes, vecs[0] ** 2, tol)
 
 
 @dataclass(frozen=True)

@@ -195,19 +195,8 @@ def test_usage_errors_exit_two(argv, capsys):
     assert exc.value.code == 2
 
 
-def test_json_encoding_of_numpy_and_complex_values(capsys):
+def test_json_encoding_rejects_unknown_values():
     args = SimpleNamespace(format="json", out=None)
-    cli._emit(
-        {"a": np.arange(2), "i": np.int64(3), "b": np.bool_(True), "z": 1 + 2j,
-         "f": np.float64(0.1)},
-        [], args,
-    )
-    numpy_text = capsys.readouterr().out
-    cli._emit(
-        {"a": [0, 1], "i": 3, "b": True, "z": {"im": 2.0, "re": 1.0}, "f": 0.1},
-        [], args,
-    )
-    assert numpy_text == capsys.readouterr().out
     with pytest.raises(TypeError):
         cli._emit({"x": object()}, [], args)
 
@@ -240,12 +229,32 @@ def test_numeric_error_exits_three(tmp_path, capsys):
     code, out, err = run(capsys, "gen", "--config", cfg)
     assert code == 3
     assert "ConstraintError" in err
-    # finite data whose exact completion leaves the float range
+    # finite data whose exact values leave the float range
     payload = dict(BASE, family={"type": "explicit", "beta": ["1e200", "-1e200"] * 10 + ["1e200"],
                                  "gamma": ["0.25"] * 20}, combination={"k": 1, "a": ["0.5"]})
     code, out, err = run(capsys, "check", "--config", write_config(tmp_path, payload))
     assert code == 3
+    assert err.startswith("opoly: NumericError: ")
+    # a_1 gamma_1 / (gamma_2 + a_1 (beta_1 - beta_2)) = 0.5e300 / 1e-9 in the P-basis row of Q_1
+    payload = dict(BASE, family={"type": "explicit", "beta": ["0", "0", "0.5"] + ["0"] * 18,
+                                 "gamma": ["1e300", "0.250000001"] + ["0.25"] * 18},
+                   combination={"k": 1, "a": ["0.5"]})
+    code, out, err = run(capsys, "check", "--config", write_config(tmp_path, payload))
+    assert code == 3
     assert err.startswith("opoly: NumericError: low-degree completion: ")
+
+
+@pytest.mark.parametrize("beta,gamma", [
+    (["0"] * 3 + ["1e200", "-1e200"] * 11, ["0.25"] * 24),
+    (["0"] * 25, ["0.25"] * 3 + ["1e300"] * 21),
+], ids=["beta-1e200", "gamma-1e300"])
+def test_check_refuses_gram_past_float_range(tmp_path, capsys, beta, gamma):
+    # the completion is finite, but exact Gram values are not: exit 3, not a traceback
+    payload = dict(BASE, family={"type": "explicit", "beta": beta, "gamma": gamma},
+                   combination={"k": 1, "a": ["0.5"]}, horizon=24)
+    code, out, err = run(capsys, "check", "--config", write_config(tmp_path, payload))
+    assert (code, out) == (3, "")
+    assert err.startswith("opoly: NumericError: Gram oracle: ")
 
 
 def test_tilde_table(tmp_path, capsys):
@@ -425,6 +434,18 @@ def test_quad_reaches_both_laws_at_n28_on_a1_zero(capsys):
     result = json.loads(out)["result"]
     assert result["gauss"]["degree_of_precision"] == 55
     assert result["combination"]["degree_of_precision"] == 53
+
+
+def test_tol_quad_reaches_the_gauss_rule(capsys):
+    # at the default 1e-9 the Gauss rule of this config measures degree 38;
+    # --tol-quad sets the exactness tolerance of both rules
+    argv = ("--config", str(CONFIG_DIR / "gen_k2_equal_roots.json"), "--n", "34",
+            "--tol-quad", "1e-3")
+    code, out, err = run(capsys, "quad", *argv)
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert result["gauss"]["degree_of_precision"] == 67
+    assert result["combination"]["degree_of_precision"] == 65
 
 
 @pytest.mark.parametrize("name", ["gen_k2_real_roots.json", "gen_k2_a1_zero.json"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import opoly as op
-from opoly._exact import _basis_polys, _lincomb, exact_gram, low_completion
+from opoly._exact import exact_gram, low_completion
 from opoly.cli import load_config
 
 from conftest import (
@@ -102,7 +102,7 @@ class TestCompletion:
         report = op.check_conditions(rec, comb, 20)
         assert not report.verdict
         assert report.failures == ("tilde gamma at degree 1 is numerically zero (0.0)",)
-        assert report.completion == () and report.q_low == ()
+        assert report.completion == () and report.low_rows == ()
         with pytest.raises(op.StateError):
             op.tilde_recurrence(rec, comb, 20, report=report)
 
@@ -113,7 +113,9 @@ class TestCompletion:
         report = op.check_conditions(rec, comb, 20)
         assert report.verdict
         assert report.completion == ((1, 0.0, 0.25, True), (2, 0.0, 0.5, True))
-        assert [q.coeffs for q in report.q_low[:3]] == [(1.0,), (0.0, 1.0), (-0.25, 0.0, 1.0)]
+        assert [op.q_poly(rec, comb, n, report=report).coeffs for n in range(3)] == [
+            (1.0,), (0.0, 1.0), (-0.25, 0.0, 1.0)
+        ]
         tilde = op.tilde_recurrence(rec, comb, 20, report=report)
         assert (tilde.beta[1], tilde.gamma[1]) == (0.0, 0.25)
 
@@ -121,8 +123,8 @@ class TestCompletion:
         comb = op.CombCoeffs((0.5,))
         report = op.check_conditions(cheb_u, comb, 20)
         assert report.completion == ((1, 0.0, 0.25, True),)
-        assert [q.coeffs for q in report.q_low] == [
-            (1.0,), (0.5, 1.0), op.q_poly(cheb_u, comb, 2).coeffs
+        assert [op.q_poly(cheb_u, comb, n, report=report).coeffs for n in range(2)] == [
+            (1.0,), (0.5, 1.0)
         ]
         tilde = op.tilde_recurrence(cheb_u, comb, 20, report=report)
         assert (tilde.beta[0], tilde.beta[1], tilde.gamma[1]) == (-0.5, 0.0, 0.25)
@@ -281,6 +283,29 @@ def test_oracle_degenerate_completion(cheb_u):
         op.DegeneracyError, match="^exact completion: tilde gamma at degree 1 is zero$"
     ):
         op.oracle_gram_check(cheb_u, op.CombCoeffs((1.0, 0.25)), degree=8)
+
+
+def _lincomb(*terms):
+    """``sum c * p`` over the ``(c, p)`` pairs, padded to the longest ``p``."""
+    out = [Fraction(0)] * max(len(p) for _, p in terms)
+    for c, p in terms:
+        if c:
+            for i, v in enumerate(p):
+                if v:
+                    out[i] += c * v
+    return out
+
+
+def _basis_polys(beta_f, gamma_f, n_max):
+    """Monic basis polynomials ``P_0..P_n_max`` as Fraction coefficient lists."""
+    beta = [Fraction(float(b)) for b in beta_f[: n_max + 1]]
+    gamma = [Fraction(0)] + [Fraction(float(g)) for g in gamma_f[1 : n_max + 1]]
+    one = Fraction(1)
+    polys = [[one], [-beta[0], one]]
+    for n in range(1, n_max):
+        xp = [Fraction(0)] + polys[n]
+        polys.append(_lincomb((one, xp), (-beta[n], polys[n]), (-gamma[n], polys[n - 1])))
+    return polys
 
 
 def exact_combination_polys(beta_f, gamma_f, a_f, n_max):

@@ -33,3 +33,25 @@ def test_report_diff_lists_changed_runs_and_fields():
         "tilde:result.extra": (1, None),
         "tilde:csv[].beta": (1, 1),
     }
+
+
+def test_report_diff_lists_signed_zeros_and_unexplained_bytes():
+    report = {"result": {"beta0_tilde": -0.0, "n": 0}}
+    flipped = {"result": {"beta0_tilde": 0.0, "n": 0}}
+    old = {
+        "tilde --format json": [0, json.dumps(report), ""],
+        "tilde --format csv": [0, "n,beta\n0,-0.0\n", ""],
+        "gen --format json": [0, json.dumps(report), ""],
+    }
+    new = {
+        "tilde --format json": [0, json.dumps(flipped), ""],
+        "tilde --format csv": [0, "n,beta\n0,0.0\n", ""],
+        "gen --format json": [0, json.dumps(report, indent=2), ""],
+    }
+    runs, fields = report_diff.compare(old, new)
+    assert runs == []
+    assert fields == {
+        "tilde:result.beta0_tilde": (1, 0),
+        "tilde:csv[].beta": (1, 0),
+        "gen:<stdout>": (1, None),
+    }

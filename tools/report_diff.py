@@ -8,7 +8,9 @@ subprocess, against this checkout's ``configs/``, and prints:
   such runs and the largest distance in units in the last place (ulps)
   between the two values, or ``-`` where a value is not a float on both
   sides (a changed string, flag, count, or a key or row present on one side
-  only).
+  only).  Floats differ when their signs do, so ``-0.0 -> 0.0`` is listed
+  at 0 ulps; a run whose bytes differ with no leaf differing is listed as
+  ``<stdout>``.
 
 List indices fold into ``[]``, so ``check:result.conditions.tilde_low[].beta``
 covers every row.  CSV reports are compared cell by cell under
@@ -56,7 +58,10 @@ def _ulps(a, b):
 
 
 def _same(a, b) -> bool:
-    return a == b or (isinstance(a, float) and isinstance(b, float) and a != a and b != b)
+    """Equal values, with floats equal only in sign too (``-0.0 != 0.0``) and NaN equal to NaN."""
+    if isinstance(a, float) and isinstance(b, float):
+        return a != a and b != b or a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+    return a == b
 
 
 def _leaves(a, b, path: str):
@@ -109,6 +114,8 @@ def compare(old: dict, new: dict):
         in_run = {}
         for path, ulps in pairs:
             in_run[path] = _worse(in_run[path], ulps) if path in in_run else ulps
+        if not in_run:  # the bytes differ but no leaf does
+            in_run["<stdout>"] = None
         for path, ulps in in_run.items():
             key = f"{argv.split()[0]}:{path.lstrip('.')}"
             count, worst = fields.get(key, (0, 0))

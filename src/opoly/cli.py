@@ -197,11 +197,8 @@ def load_config(path: str) -> JobConfig:
     if "horizon" not in raw:
         raise ConfigError("config needs a 'horizon' field")
     horizon = _int(raw["horizon"], "horizon")
-    if horizon > DEFAULT_MAX_HORIZON and not raw.get("allow_large_horizon", False):
-        raise ConfigError(
-            f"horizon {horizon} exceeds the default cap {DEFAULT_MAX_HORIZON}; "
-            "set 'allow_large_horizon': true to override"
-        )
+    if horizon > DEFAULT_MAX_HORIZON:
+        raise ConfigError(f"horizon {horizon} exceeds the cap {DEFAULT_MAX_HORIZON}")
 
     rec, ftype, implied = _build_family(raw.get("family"), horizon)
 
@@ -282,7 +279,7 @@ def _condition_summary(rep) -> dict:
         "verdict": rep.verdict,
         "failures": list(rep.failures),
         "denominator": rep.denom,
-        "fourier": list(rep.fourier),
+        "fourier": list(rep.low_rows[-1][-2::-1] if rep.low_rows else ()),
         "beta0_tilde": rep.beta0_tilde,
         "tilde_low": [
             {"j": j, "beta": b, "gamma": g, "ok": ok}
@@ -320,7 +317,8 @@ def _cmd_check(cfg: JobConfig, args) -> tuple[int, dict, list]:
     result = {"conditions": _condition_summary(rep), "gram_oracle": gram_info}
     rows = [("section", "name", "value")]
     rows += [("conditions", "verdict", rep.verdict)]
-    rows += [("conditions", f"fourier_{j+1}", v) for j, v in enumerate(rep.fourier)]
+    rows += [("conditions", f"fourier_{j+1}", v)
+             for j, v in enumerate(result["conditions"]["fourier"])]
     rows += [("gram_oracle", "ok", gram_info["ok"])]
     if not gram_info["agrees_with_verdict"]:
         return 3, result, rows
@@ -343,15 +341,19 @@ def _cmd_tilde(cfg: JobConfig, args) -> tuple[int, dict, list]:
     return 0, result, rows
 
 
-def _require_n(cfg: JobConfig, args) -> int:
+def _require_n(cfg: JobConfig, args, hi: int) -> int:
+    """The node count of ``zeros``/``quad``, which must lie in ``[k + 1, hi]``."""
     n = args.n if args.n is not None else cfg.n
     if n is None:
         raise ConfigError("this command needs 'n' (config field or --n flag)")
+    lo = cfg.comb.k + 1
+    if not lo <= n <= hi:
+        raise ConfigError(f"{args.command} needs n in [{lo}, {hi}], got {n}")
     return int(n)
 
 
 def _cmd_zeros(cfg: JobConfig, args) -> tuple[int, dict, list]:
-    n = _require_n(cfg, args)
+    n = _require_n(cfg, args, cfg.horizon + 1)
     zq = zeros_q(cfg.rec, cfg.comb, n, cross_tol=cfg.tolerances["zeros"])
     result = {
         "n": n,
@@ -407,10 +409,8 @@ def _cmd_hk(cfg: JobConfig, args) -> tuple[int, dict, list]:
 
 
 def _cmd_quad(cfg: JobConfig, args) -> tuple[int, dict, list]:
-    n = _require_n(cfg, args)
+    n = _require_n(cfg, args, cfg.horizon - 1)
     k = cfg.comb.k
-    if n + 1 > cfg.horizon:
-        raise ConfigError(f"horizon {cfg.horizon} too small for n = {n}")
     rule = gauss_rule(cfg.rec, n, tol=cfg.tolerances["quad"])
     gauss_ok = rule.degree_of_precision == 2 * n - 1
     shohat = shohat_check(

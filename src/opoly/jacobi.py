@@ -179,17 +179,17 @@ def zeros_q(
     return ZerosReport(eigs, float(dist))
 
 
-def norm_diagonal(rec: RecurrencePair, m: int, u0: float = 1.0) -> np.ndarray:
-    """``D[n] = u0 * gamma_1 ... gamma_n`` for ``n = 0..m-1`` (the squared norms
-    ``<u, P_n^2>``)."""
+def norm_diagonal(rec: RecurrencePair, m: int) -> np.ndarray:
+    """``D[n] = gamma_1 ... gamma_n`` for ``n = 0..m-1`` (the squared norms
+    ``<u, P_n^2>`` with ``u_0 = 1``)."""
     if m < 1:
         raise ValueError("m must be positive")
     if m > rec.horizon + 1:
         raise HorizonError(f"m = {m} needs gamma up to {m - 1}, horizon {rec.horizon}")
     out = np.empty(m)
-    out[0] = u0
+    out[0] = 1.0
     if m > 1:
-        out[1:] = u0 * np.cumprod(rec.gamma[1:m])
+        out[1:] = np.cumprod(rec.gamma[1:m])
     return out
 
 
@@ -369,10 +369,9 @@ def orthonormal_identity_check(
     comb: CombCoeffs,
     report: ConditionReport,
     m: int,
-    tol: float = 1e-9,
     hk_tol: float = 1e-8,
 ) -> OrthonormalReport:
-    """Check ``h_k(J_sym) = Mt^T Mt`` in the orthonormal normalisation.
+    """Check ``h_k(J_sym) = Mt^T Mt`` in the orthonormal normalisation, to 1e-9.
 
     ``J_sym`` is the symmetric Jacobi matrix (off-diagonal ``sqrt(gamma)``)
     and ``Mt = D_Q^{-1/2} M D_P^{1/2}``; the identity only makes sense in the
@@ -406,4 +405,4 @@ def orthonormal_identity_check(
     rhs = Mt.T @ Mt
     cut = m - k - 1
     residual = float(np.max(np.abs(lhs[:cut, :cut] - rhs[:cut, :cut])))
-    return OrthonormalReport(residual <= tol, residual)
+    return OrthonormalReport(residual <= 1e-9, residual)

@@ -70,14 +70,15 @@ class ConditionReport:
     """Everything the orthogonality decision looked at.
 
     Fields:
-      * ``fourier``    -- ``a_j^(k)`` for ``j = 1..k`` (P-basis tail of ``Q_k``);
       * ``denom``      -- ``gamma_{k+1} + a_1 (beta_k - beta_{k+1})``;
       * ``matching``   -- rows ``(n, main_residual, extra_residuals, ok)`` for
                           ``k+2 <= n <= n_max``;
       * ``completion`` -- rows ``(j, tilde_beta_j, tilde_gamma_j, ok)`` from
                           the downward walk, ``j = 1..k`` (``ok`` is always
                           True: a failing step leaves the block empty);
-      * ``low_rows``   -- P-basis coefficient rows of ``Q_0..Q_k``;
+      * ``low_rows``   -- P-basis coefficient rows of ``Q_0..Q_k``; the
+                          Fourier coefficients ``a_j^(k)``, ``j = 1..k``, are
+                          ``low_rows[k][-2::-1]``;
       * ``tail_gamma_ok`` -- all ``tilde gamma_n`` nonzero for
                           ``k+1 <= n <= n_max``.
 
@@ -89,7 +90,6 @@ class ConditionReport:
     tol: float
     verdict: bool
     denom: float
-    fourier: tuple[float, ...]
     completion: tuple[tuple[int, float, float, bool], ...]
     matching: tuple[tuple[int, float, tuple[float, ...], bool], ...]
     beta0_tilde: float | None
@@ -108,8 +108,7 @@ def _complete_low(rec: RecurrencePair, comb: CombCoeffs, tol: float) -> tuple[di
     """
     k = comb.k
     denom, rows, tilde = low_completion(rec.beta, rec.gamma, comb.a)
-    low = {"denom": float(denom), "fourier": (), "completion": (), "beta0_tilde": None,
-           "low_rows": ()}
+    low = {"denom": float(denom), "completion": (), "beta0_tilde": None, "low_rows": ()}
     if abs(low["denom"]) <= tol * max(1.0, abs(rec.gamma[k + 1])):
         return low, "gamma_{k+1} + a_1*(beta_k - beta_{k+1}) is numerically zero"
     completion = []
@@ -120,7 +119,6 @@ def _complete_low(rec: RecurrencePair, comb: CombCoeffs, tol: float) -> tuple[di
             return low, f"tilde gamma at degree {m} is numerically zero ({tg!r})"
         completion.append((m, tb, tg, True))
     low.update(
-        fourier=tuple(float(rows[k][k - j]) for j in range(1, k + 1)),
         completion=tuple(reversed(completion)),
         # Q_1 = P_1 + rows[1][0] = x - tilde beta_0; negated so that 0 rounds to -0.0
         beta0_tilde=-float(rows[1][0] - Fraction(float(rec.beta[0]))),
@@ -158,6 +156,12 @@ def q_poly(
     return q
 
 
+def _tilde_gamma(rec: RecurrencePair, a1: float, lo: int, hi: int) -> np.ndarray:
+    """``tilde gamma_n = gamma_n + a_1 (beta_{n-1} - beta_n)`` for ``lo <= n <= hi``."""
+    beta, gamma = rec.beta, rec.gamma
+    return gamma[lo:hi + 1] + a1 * (beta[lo - 1:hi] - beta[lo:hi + 1])
+
+
 def check_conditions(
     rec: RecurrencePair, comb: CombCoeffs, n_max: int, tol: float = 1e-10
 ) -> ConditionReport:
@@ -180,30 +184,25 @@ def check_conditions(
         raise NumericError(f"low-degree completion: {exc}") from exc
     failures = [failure] if failure else []
 
-    matching = []
-    for n in range(k + 2, n_max + 1):
-        scale = max(1.0, abs(gamma[n]))
-        main = float(gamma[n] + a[1] * (beta[n - 1] - beta[n]) - gamma[n - k])
-        extras = tuple(
-            float(a[j - 1] * (gamma[n - k] - gamma[n - j + 1]) - a[j] * (beta[n - j] - beta[n]))
-            for j in range(2, k + 1)
-        )
-        ok = abs(main) <= tol * scale and all(abs(r) <= tol * scale for r in extras)
-        matching.append((n, main, extras, ok))
-        if not ok:
-            failures.append(f"recurrence-matching condition fails at n = {n}")
+    tg = _tilde_gamma(rec, a[1], k + 1, n_max)
+    bound = tol * np.maximum(1.0, np.abs(gamma[k + 1:n_max + 1]))  # tg's n = k+1..n_max
+    ns = np.arange(k + 2, n_max + 1)
+    main = tg[1:] - gamma[ns - k]
+    extras = np.array([
+        a[j - 1] * (gamma[ns - k] - gamma[ns - j + 1]) - a[j] * (beta[ns - j] - beta[ns])
+        for j in range(2, k + 1)
+    ]).reshape(k - 1, ns.size)
+    ok = (np.abs(main) <= bound[1:]) & np.all(np.abs(extras) <= bound[1:], axis=0)
+    matching = tuple(zip(ns.tolist(), main.tolist(), map(tuple, extras.T.tolist()), ok.tolist()))
+    failures += [f"recurrence-matching condition fails at n = {n}" for n in ns[~ok]]
 
-    tail_ok = True
-    for n in range(k + 1, n_max + 1):
-        tg = gamma[n] + a[1] * (beta[n - 1] - beta[n])
-        if abs(tg) <= tol * max(1.0, abs(gamma[n])):
-            tail_ok = False
-            failures.append(f"tilde gamma_{n} is numerically zero")
+    tail_zero = np.flatnonzero(np.abs(tg) <= bound) + k + 1
+    failures += [f"tilde gamma_{n} is numerically zero" for n in tail_zero]
 
     return ConditionReport(
         k=k, n_max=n_max, tol=tol,
-        verdict=failure is None and tail_ok and all(row[3] for row in matching),
-        matching=tuple(matching), tail_gamma_ok=tail_ok, failures=tuple(failures),
+        verdict=failure is None and tail_zero.size == 0 and bool(ok.all()),
+        matching=matching, tail_gamma_ok=tail_zero.size == 0, failures=tuple(failures),
         **low,
     )
 
@@ -218,7 +217,8 @@ def tilde_recurrence(
 
     Entries with ``n >= k + 1`` follow the closed formulas; entries below come
     from the report's downward completion.  A failed report (or a failing
-    internally-computed one) raises :class:`~opoly.errors.StateError`.
+    internally-computed one) raises :class:`~opoly.errors.StateError`, and so
+    does ``n_max`` past the index the report checked.
     """
     k = comb.k
     if n_max < k + 1:
@@ -232,16 +232,11 @@ def tilde_recurrence(
             "combination is not orthogonal; tilde recurrence undefined: "
             + "; ".join(report.failures)
         )
-    a1 = comb.a[0]
-    beta_t = np.empty(n_max + 1)
-    gamma_t = np.empty(n_max)  # gamma_t[i] = tilde gamma_{i+1}
-    beta_t[0] = report.beta0_tilde
-    for j, tb, tg, _ in report.completion:
-        beta_t[j] = tb
-        gamma_t[j - 1] = tg
-    for n in range(k + 1, n_max + 1):
-        beta_t[n] = rec.beta[n]
-        gamma_t[n - 1] = rec.gamma[n] + a1 * (rec.beta[n - 1] - rec.beta[n])
+    if n_max > report.n_max:
+        raise StateError(f"n_max = {n_max} exceeds the report's checked n_max = {report.n_max}")
+    _, beta_low, gamma_low, _ = zip(*report.completion)
+    beta_t = np.concatenate(([report.beta0_tilde], beta_low, rec.beta[k + 1:n_max + 1]))
+    gamma_t = np.concatenate((gamma_low, _tilde_gamma(rec, comb.a[0], k + 1, n_max)))
     return RecurrencePair(beta_t, gamma_t)
 
 

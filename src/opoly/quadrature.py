@@ -91,22 +91,16 @@ def christoffel_numbers(rec: RecurrencePair, nodes) -> np.ndarray:
         raise NumericError(f"node matrix is singular: {exc}") from exc
 
 
-def degree_of_precision(
-    rec: RecurrencePair,
-    rule: QuadratureRule,
-    max_degree: int | None = None,
-    tol: float = 1e-9,
-) -> int:
+def degree_of_precision(rec: RecurrencePair, rule: QuadratureRule, tol: float = 1e-9) -> int:
     """Largest ``d <= max_degree`` with ``|sum_l w_l p_i(x_l) p_j(x_l) - delta_ij|
     <= tol`` for every ``i + j <= d``, or -1 if even ``d = 0`` fails.
 
-    ``max_degree`` defaults to ``2 n + 2``, so that the first failing degree of
-    a Gauss rule is observed, or to ``2 N`` when the horizon ``N`` is ``n``.
-    It needs ``p_0..p_t``, ``t = ceil(max_degree / 2)``: ``gamma_1..gamma_t > 0``.
+    ``max_degree`` is ``2 n + 2``, so that the first failing degree of a Gauss
+    rule is observed, or ``2 N`` when the horizon ``N`` is ``n``.  It needs
+    ``p_0..p_t``, ``t = max_degree / 2``: ``gamma_1..gamma_t > 0``.
     """
-    if max_degree is None:
-        max_degree = 2 * min(rule.n + 1, rec.horizon)
-    top = (max_degree + 1) // 2
+    top = min(rule.n + 1, rec.horizon)
+    max_degree = 2 * top
     V = _orthonormal(rec, rule.nodes, top + 1)
     err = np.abs((V * rule.weights) @ V.T - np.eye(top + 1))
     deg = np.add.outer(np.arange(top + 1), np.arange(top + 1))

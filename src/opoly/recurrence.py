@@ -32,7 +32,7 @@ from .errors import ConstraintError, DegeneracyError, HorizonError, NumericError
 #: Absolute floor below which a recurrence gamma counts as zero.
 GAMMA_FLOOR = 1e-14
 
-#: Largest horizon a job config may ask for without ``allow_large_horizon``.
+#: Largest horizon a job config may ask for; larger ones are refused.
 DEFAULT_MAX_HORIZON = 64
 
 
@@ -266,7 +266,8 @@ class K2Params:
             raise ConstraintError("gamma1 must be nonzero")
 
 
-_K2_CONSTRAINT_TOL = 1e-12
+#: Relative tolerance of the k2 case constraints checked by :func:`k2_family`.
+_K2_TOL = 1e-12
 
 
 def _inner_real_root(a1: float, a2: float) -> float:
@@ -299,15 +300,13 @@ def k2_family(
     a2: float,
     params: K2Params,
     horizon: int,
-    *,
-    tol: float = _K2_CONSTRAINT_TOL,
 ) -> RecurrencePair:
     """Generate a family whose length-2 combination ``P_n + a1 P_{n-1} + a2 P_{n-2}``
     stays orthogonal, from the case data in ``params``.
 
     The case tag must match the discriminant ``a1^2 - 4 a2`` (values within
     1e-12 of zero count as the equal-root boundary, and ``A1_ZERO`` requires
-    ``a1 == 0`` exactly).  Case constraints are validated to ``tol``; any
+    ``a1 == 0`` exactly).  Case constraints are validated to 1e-12; any
     generated ``gamma_n`` within 1e-12 of zero raises
     :class:`~opoly.errors.DegeneracyError`.
     """
@@ -340,9 +339,9 @@ def k2_family(
     elif params.case is K2Case.EQUAL_ROOTS:
         A, B, C = params.A, float(np.real(params.B)), float(np.real(params.C))
         D, E, F = params.D, float(np.real(params.E)), float(np.real(params.F))
-        _require(abs(a1 * C - 2.0 * F) <= tol * max(1.0, abs(F)),
+        _require(abs(a1 * C - 2.0 * F) <= _K2_TOL * max(1.0, abs(F)),
                  "equal-root case needs a1*C = 2F")
-        _require(abs(a1 * B - 2.0 * E + 2.0 * F) <= tol * max(1.0, abs(E), abs(F)),
+        _require(abs(a1 * B - 2.0 * E + 2.0 * F) <= _K2_TOL * max(1.0, abs(E), abs(F)),
                  "equal-root case needs a1*B = 2E - 2F")
         beta_tail = A + B * ns + C * ns**2
         gamma_tail = D + E * ns + F * ns**2
@@ -358,9 +357,9 @@ def k2_family(
                      "lam does not solve a1^2 lam = a2 (1 + lam)^2")
         B, C = float(np.real(params.B)), float(np.real(params.C))
         E, F = float(np.real(params.E)), float(np.real(params.F))
-        _require(abs(a1 * C - (1.0 + lam) * F) <= tol * max(1.0, abs(F)),
+        _require(abs(a1 * C - (1.0 + lam) * F) <= _K2_TOL * max(1.0, abs(F)),
                  "real-root case needs a1*C = (1 + lam)*F")
-        _require(abs(a1 * lam * B - (1.0 + lam) * E) <= tol * max(1.0, abs(E)),
+        _require(abs(a1 * lam * B - (1.0 + lam) * E) <= _K2_TOL * max(1.0, abs(E)),
                  "real-root case needs a1*lam*B = (1 + lam)*E")
         pow_pos = lam ** ns.astype(float)
         pow_neg = lam ** (-ns.astype(float))
@@ -382,7 +381,7 @@ def k2_family(
         B = complex(params.B)
         E = complex(params.E)
         resid = a1 * lam * B - (1.0 + lam) * E
-        _require(abs(resid) <= tol * max(1.0, abs(E), abs(B)),
+        _require(abs(resid) <= _K2_TOL * max(1.0, abs(E), abs(B)),
                  "complex-root case needs a1*lam*B = (1 + lam)*E")
         powers = lam ** ns.astype(float)
         beta_c = params.A + B * powers + np.conj(B * powers)

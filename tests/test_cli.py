@@ -305,6 +305,27 @@ def test_zeros_needs_n(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command,n,lo,hi",
+    # cheb1_k2 has k = 2 and horizon 24
+    [("zeros", n, 3, 25) for n in (0, 1, 2, 26, 200)]
+    + [("quad", n, 3, 23) for n in (0, 1, 2, 24, 27)],
+)
+def test_n_out_of_range_exits_two(capsys, command, n, lo, hi):
+    code, out, err = run(capsys, command, "--config", str(CONFIG_DIR / "cheb1_k2.json"),
+                         "--n", str(n))
+    assert code == 2
+    assert out == ""
+    assert f"config error: {command} needs n in [{lo}, {hi}], got {n}" in err
+
+
+@pytest.mark.parametrize("command,n", [("zeros", 3), ("zeros", 25), ("quad", 3), ("quad", 23)])
+def test_n_range_ends_are_accepted(capsys, command, n):
+    code, _, err = run(capsys, command, "--config", str(CONFIG_DIR / "cheb1_k2.json"),
+                       "--n", str(n))
+    assert code == 0, err
+
+
 def test_hk_command(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(BASE, horizon=24))
     code, out, _ = run(capsys, "hk", "--config", cfg)
@@ -509,6 +530,14 @@ def test_horizon_cap(tmp_path, capsys):
     code, _, err = run(capsys, "check", "--config", cfg)
     assert code == 2
     assert "cap" in err
+
+
+@pytest.mark.parametrize("flag", ["false", True])
+def test_horizon_cap_has_no_override(tmp_path, capsys, flag):
+    cfg = write_config(tmp_path, dict(BASE, horizon=100, allow_large_horizon=flag))
+    code, _, err = run(capsys, "check", "--config", cfg)
+    assert code == 2
+    assert "horizon 100 exceeds the cap 64" in err
 
 
 @pytest.mark.parametrize("command", ["check", "quad"])

@@ -137,7 +137,7 @@ class TestZeros:
 
 
 def test_norm_diagonal(cheb_t):
-    assert op.norm_diagonal(cheb_t, 1, 2.0) == pytest.approx(np.array([2.0]))
+    assert op.norm_diagonal(cheb_t, 1) == pytest.approx(np.array([1.0]))
     assert op.norm_diagonal(cheb_t, 3) == pytest.approx(np.array([1.0, 0.5, 0.125]))
     mu = op.moments_from_recurrence(cheb_t, 20)
     D = op.norm_diagonal(cheb_t, 9)

@@ -20,6 +20,11 @@ from conftest import (
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
+def fourier(report):
+    """``a_j^(k)`` for ``j = 1..k``: the P-basis tail of ``Q_k``."""
+    return report.low_rows[-1][-2::-1]
+
+
 def test_comb_coeffs_invariants():
     with pytest.raises(ValueError):
         op.CombCoeffs(())
@@ -65,7 +70,7 @@ class TestCheckConditions:
     def test_first_kind_k2(self, cheb_t):
         report = op.check_conditions(cheb_t, op.CombCoeffs((0.0, -0.125)), 20)
         assert report.verdict
-        assert report.fourier == pytest.approx((0.0, -0.25))
+        assert fourier(report) == pytest.approx((0.0, -0.25))
         assert report.denom == pytest.approx(0.25)
 
     def test_second_kind_k1(self, cheb_u):
@@ -184,11 +189,11 @@ def _exact_low_reference(rec, comb):
     ids=lambda v: v if isinstance(v, str) else "",
 )
 def test_completion_is_correctly_rounded(label, rec, comb):
-    denom, fourier, beta0, completion, rows = _exact_low_reference(rec, comb)
+    denom, exact_fourier, beta0, completion, rows = _exact_low_reference(rec, comb)
     report = op.check_conditions(rec, comb, 20)
     assert report.completion
     assert report.denom == float(denom)
-    assert report.fourier == tuple(float(v) for v in fourier)
+    assert fourier(report) == tuple(float(v) for v in exact_fourier)
     assert report.beta0_tilde == float(beta0)
     assert report.completion == tuple((m, float(tb), float(tg), True) for m, tb, tg in completion)
     assert report.low_rows == tuple(tuple(float(v) for v in row) for row in rows)
@@ -217,6 +222,73 @@ class TestTildeRecurrence:
         label, rec, comb = broken_families()[0]
         with pytest.raises(op.StateError):
             op.tilde_recurrence(rec, comb, 15)
+
+    def test_refuses_indices_the_report_did_not_check(self, cheb_u):
+        comb = op.CombCoeffs((0.5,))
+        report = op.check_conditions(cheb_u, comb, 10)
+        assert report.verdict
+        with pytest.raises(op.StateError, match="n_max = 30"):
+            op.tilde_recurrence(cheb_u, comb, 30, report=report)
+        assert op.tilde_recurrence(cheb_u, comb, 10, report=report).horizon == 10
+
+
+def _per_index_conditions(rec, comb, n_max, tol):
+    """The matching rows, failures and tail flag of a per-index walk over ``n``."""
+    k, a = comb.k, (0.0,) + comb.a
+    beta, gamma = rec.beta, rec.gamma
+    matching, failures = [], []
+    for n in range(k + 2, n_max + 1):
+        scale = max(1.0, abs(gamma[n]))
+        main = float(gamma[n] + a[1] * (beta[n - 1] - beta[n]) - gamma[n - k])
+        extras = tuple(
+            float(a[j - 1] * (gamma[n - k] - gamma[n - j + 1]) - a[j] * (beta[n - j] - beta[n]))
+            for j in range(2, k + 1)
+        )
+        ok = abs(main) <= tol * scale and all(abs(r) <= tol * scale for r in extras)
+        matching.append((n, main, extras, ok))
+        if not ok:
+            failures.append(f"recurrence-matching condition fails at n = {n}")
+    tail_ok = True
+    for n in range(k + 1, n_max + 1):
+        tg = gamma[n] + a[1] * (beta[n - 1] - beta[n])
+        if abs(tg) <= tol * max(1.0, abs(gamma[n])):
+            tail_ok = False
+            failures.append(f"tilde gamma_{n} is numerically zero")
+    return tuple(matching), tuple(failures), tail_ok
+
+
+def _random_families(count=120, seed=11):
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        k = int(rng.integers(1, 5))
+        horizon = int(rng.integers(k + 3, 40))
+        base = op.chebyshev_family(int(rng.integers(1, 5)), horizon)
+        eps = (0.0, 1e-12, 1e-6, 1.0)[i % 4]
+        beta = base.beta + eps * rng.uniform(-1, 1, horizon + 1)
+        gamma = base.gamma[1:] * (1 + eps * rng.uniform(-0.5, 0.5, horizon))
+        gamma *= (1.0, 40.0)[i % 2]  # scales above and below 1
+        a = tuple(rng.choice([0.0, rng.uniform(-1, 1)]) for _ in range(k - 1))
+        yield op.RecurrencePair(beta, gamma), op.CombCoeffs(a + (rng.uniform(-1, 1),))
+    # tilde gamma_6 = 0.25 + 0.5 (beta_5 - beta_6) is exactly zero
+    beta = np.zeros(21)
+    beta[6:] = 0.5
+    yield op.RecurrencePair(beta, np.full(20, 0.25)), op.CombCoeffs((0.5,))
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-3])
+def test_conditions_match_a_per_index_walk(tol):
+    verdicts = set()
+    for rec, comb in _random_families():
+        report = op.check_conditions(rec, comb, rec.horizon, tol=tol)
+        matching, failures, tail_ok = _per_index_conditions(rec, comb, rec.horizon, tol)
+        assert report.matching == matching
+        assert all(type(row[3]) is bool for row in report.matching)
+        # a failed completion leaves no P-basis rows and heads the failures
+        head = report.failures[:1] if not report.low_rows else ()
+        assert report.failures == head + failures
+        assert report.tail_gamma_ok is tail_ok
+        verdicts.add((report.verdict, tail_ok, all(row[3] for row in matching)))
+    assert {(True, True, True), (False, True, False), (False, False, False)} <= verdicts
 
 
 @pytest.mark.parametrize(
@@ -257,7 +329,7 @@ def test_k3_combination_full_agreement(cheb_u):
     comb = op.CombCoeffs((0.3, 0.2, 0.1))
     report = op.check_conditions(cheb_u, comb, 24)
     assert report.verdict
-    assert report.fourier == pytest.approx((0.3, 0.2, 0.1))
+    assert fourier(report) == pytest.approx((0.3, 0.2, 0.1))
     assert op.oracle_gram_check(cheb_u, comb, degree=12).ok
     tilde = op.tilde_recurrence(cheb_u, comb, 20, report=report)
     qs = [op.q_poly(cheb_u, comb, n, report=report) for n in range(12)]
@@ -562,7 +634,7 @@ def test_k1_fourier_identity_holds_generally(cheb_t):
     for a1 in (0.2, 0.3, -0.3):
         comb = op.CombCoeffs((a1,))
         report = op.check_conditions(cheb_t, comb, 15)
-        assert report.fourier[0] * report.denom == pytest.approx(
+        assert fourier(report)[0] * report.denom == pytest.approx(
             a1 * cheb_t.gamma[1], abs=1e-14
         )
 

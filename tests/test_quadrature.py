@@ -66,15 +66,14 @@ class TestChristoffel:
 class TestDegreeOfPrecision:
     def test_gauss_four_nodes(self, cheb_u):
         rule = op.gauss_rule(cheb_u, 4)
-        assert op.degree_of_precision(cheb_u, rule, 10) == 7
+        assert op.degree_of_precision(cheb_u, rule) == 7
 
     def test_needs_enough_moments(self):
-        # degree 9 is checked on p_0..p_5, one step past horizon 4
+        # degrees stop at 2 min(n + 1, N), so p_0..p_N suffice: at n = N = 4
+        # degree 8 is checked on p_0..p_4 (and fails), degree 9 is not reached
         rec = op.chebyshev_family(2, 4)
-        rule = op.gauss_rule(rec, 2)
-        assert op.degree_of_precision(rec, rule, 8) == 3
-        with pytest.raises(op.HorizonError):
-            op.degree_of_precision(rec, rule, 9)
+        assert op.degree_of_precision(rec, op.gauss_rule(rec, 4)) == 7
+        assert op.degree_of_precision(rec, op.gauss_rule(rec, 2)) == 3
 
 
 class TestDegreeLossLaw:
@@ -95,7 +94,7 @@ class TestDegreeLossLaw:
         zeros = np.sort(op.zeros_q(cheb_t, comb, n).zeros.real)
         lam = op.christoffel_numbers(cheb_t, zeros)
         rule = op.QuadratureRule(zeros, lam, -1)
-        d = op.degree_of_precision(cheb_t, rule, 2 * n + 2)
+        d = op.degree_of_precision(cheb_t, rule)
         assert d == 2 * n - 1 - comb.k
         assert d < 2 * n - 1
 

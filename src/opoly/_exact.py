@@ -17,10 +17,16 @@ recurrence data and the completion only, never the matching conditions or
 the tilde recurrence, so it stays independent of the verdict; and being
 exact, cancellation at the tiny norm scales (``prod gamma ~ 4^-n``) cannot
 fool it as it would a float Gram test.
+
+``check_conditions`` and the oracle call :func:`low_completion` on the
+same data, so a one-entry memo keyed by the float values it reads computes
+the completion once per job; it keeps only the last family and hands out
+tuples, which no caller can alter.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from operator import mul
@@ -40,16 +46,27 @@ def low_completion(beta_f, gamma_f, a_f):
     down in the ``P``-basis, where ``x P_i = P_{i+1} + beta_i P_i + gamma_i
     P_{i-1}`` makes each step one short row update.
 
-    Returns ``(denom, rows, tilde)`` keyed by degree: ``rows[m][i]``
-    multiplies ``P_i`` in ``Q_m`` and ``tilde[m] = (tilde beta_m, tilde
-    gamma_m)``, ``m <= k``.  Nothing raises: a zero ``denom`` leaves only
-    ``Q_{k+1}``, and the walk stops at the first zero ``tilde gamma_m``
-    (``min(tilde)``), so ``Q_0`` exists only when the completion does.
+    Returns ``(denom, rows, tilde)``, tuples indexed by degree: ``rows[m][i]``
+    multiplies ``P_i`` in ``Q_m`` (``m <= k + 1``) and ``tilde[m] = (tilde
+    beta_m, tilde gamma_m)`` (``1 <= m <= k``), ``None`` where the walk did
+    not get to.  Nothing raises on finite data: a zero ``denom`` leaves only
+    ``Q_{k+1}``, and the walk stops at the first zero ``tilde gamma_m``,
+    the lowest ``m`` with a row, so ``Q_0`` exists only when the completion
+    does.  A NaN or infinite input raises on every call.
     """
     k = len(a_f)
-    beta = [Fraction(float(b)) for b in beta_f[: k + 2]]
-    gamma = [_ZERO] + [Fraction(float(g)) for g in gamma_f[1 : k + 2]]
-    a = [_ONE] + [Fraction(float(v)) for v in a_f]
+    return _low_completion(tuple(map(float, beta_f[: k + 2])),
+                           tuple(map(float, gamma_f[1 : k + 2])), tuple(map(float, a_f)))
+
+
+@functools.lru_cache(maxsize=1)
+def _low_completion(beta_f, gamma_f, a_f):
+    """:func:`low_completion` on float tuples ``beta_0..beta_{k+1}``,
+    ``gamma_1..gamma_{k+1}`` and ``a``, memoised for the last family only."""
+    k = len(a_f)
+    beta = [Fraction(b) for b in beta_f]
+    gamma = [_ZERO] + [Fraction(g) for g in gamma_f]
+    a = [_ONE] + [Fraction(v) for v in a_f]
     rows = {k + 1: [_ZERO] + a[::-1]}
     tilde = {}
     denom = gamma[k + 1] + a[1] * (beta[k] - beta[k + 1])
@@ -71,7 +88,8 @@ def low_completion(beta_f, gamma_f, a_f):
             if s[m - 1] == 0:
                 break
             rows[m - 1] = [v / s[m - 1] for v in s]
-    return denom, rows, tilde
+    return (denom, tuple(tuple(rows[m]) if m in rows else None for m in range(k + 2)),
+            tuple(tilde.get(m) for m in range(k + 1)))
 
 
 def _scaled_data(beta_f, gamma_f, a_f, n):
@@ -114,11 +132,11 @@ def exact_gram(beta_f, gamma_f, a_f, degree):
     when the completion does not exist (zero denominator or an exact
     downward degeneracy).
     """
-    denom, rows, tilde = low_completion(beta_f, gamma_f, a_f)
+    denom, rows, _ = low_completion(beta_f, gamma_f, a_f)
     if denom == 0:
         raise DegeneracyError("exact completion: denominator is zero")
-    if 0 not in rows:
-        raise DegeneracyError(f"exact completion: tilde gamma at degree {min(tilde)} is zero")
+    if rows[0] is None:  # the walk stopped at the lowest degree with a row
+        raise DegeneracyError(f"exact completion: tilde gamma at degree {rows.count(None)} is zero")
     k, n = len(a_f), 2 * degree
     e, beta, gamma, band = _scaled_data(beta_f, gamma_f, a_f, n)
     c_rows, w, mu = [], [], []

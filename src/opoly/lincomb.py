@@ -271,11 +271,9 @@ def oracle_gram_check(
     power-of-two change of variable makes it integral), because at degree 12
     the diagonal norms shrink to ``~4^-12`` and a floating-point Gram matrix
     would drown real failures in cancellation noise.  The ``tol`` only
-    classifies the exact ratios ``|G_ij| / sqrt(|G_ii G_jj|)``, compared
-    squared on the integer numerators ``N`` of ``G``, where the row weights
-    cancel.  Only the diagonal and the failing entries are rounded to floats;
-    one past the float range raises :class:`~opoly.errors.NumericError`.
-    Raises ``ValueError`` unless ``degree >= 1`` and ``tol`` is finite and
+    classifies the exact ratios ``|G_ij| / sqrt(|G_ii G_jj|)``; see
+    :func:`_gram_report` for how they are screened and compared.  Raises
+    ``ValueError`` unless ``degree >= 1`` and ``tol`` is finite and
     nonnegative.
     """
     if degree < 1 or not (math.isfinite(tol) and tol >= 0):
@@ -284,12 +282,31 @@ def oracle_gram_check(
         raise HorizonError(
             f"oracle at degree {degree} needs horizon >= {2 * degree - 1}"
         )
-    num, w, lcd = exact_gram(rec.beta, rec.gamma, comb.a, degree)
-    n = degree + 1
+    return _gram_report(*exact_gram(rec.beta, rec.gamma, comb.a, degree), tol)
+
+
+def _gram_report(num: list, w: list, lcd: int, tol: float) -> GramReport:
+    """Classify the exact Gram ``G_ij = N_ij / (L w_i w_j)`` of :func:`exact_gram`.
+
+    The squared ratio ``G_ij^2 / |G_ii G_jj| = N_ij^2 / |N_ii N_jj|`` needs
+    no weights.  Bit lengths screen it first: with ``s = 2 bl(N_ij) -
+    bl(N_ii) - bl(N_jj)`` it lies in ``(2^(s-2), 2^(s+2))``, and ``tol^2``
+    in a 2-bit bracket of its own, so the exact integer comparison with
+    ``tol^2`` runs only where the two brackets overlap.  ``worst_ratio``
+    rounds only the ratios with ``s`` within 3 of the largest ``s``: a pair
+    below that has a smaller ratio than the pair at the largest, and
+    rounding is monotone, so the largest rounded ratio is the same float.
+    Only the diagonal and the failing entries are rounded to floats; one
+    past the float range raises :class:`~opoly.errors.NumericError`.
+    """
+    n = len(num)
     tol_num, tol_den = (v * v for v in tol.as_integer_ratio())
+    # tol^2 in (2^(t-1), 2^(t+1)): fails from s >= t + 3, passes up to s <= t - 3
+    t = tol_num.bit_length() - tol_den.bit_length() if tol_num else -math.inf
     diag = [abs(num[i][i]) for i in range(n)]
+    bits = [v.bit_length() for v in diag]
     failures = [(i, i, 0.0, 0.0) for i in range(n) if diag[i] == 0]
-    worst = 0.0
+    screened = []  # (s, i, j) of every pair with a finite nonzero ratio
 
     def entry(i, j):  # G_ij = N_ij / (L w_i w_j); int / int rounds correctly
         return num[i][j] / (lcd * w[i] * w[j])
@@ -297,18 +314,22 @@ def oracle_gram_check(
     try:
         gram_diag = [entry(i, i) for i in range(n)]
         for i in range(n):
-            row, d_i = num[i], diag[i]
+            row, d_i, b_i = num[i], diag[i], bits[i]
             for j in range(i + 1, n):
-                # G_ij^2 / |G_ii G_jj| = N_ij^2 / |N_ii N_jj|: the weights cancel
-                top, bottom = row[j] * row[j], d_i * diag[j]
-                if bottom == 0:
-                    if top:
-                        failures.append((i, j, entry(i, j), 0.0))
+                v = row[j]
+                if not v:
                     continue
-                worst = max(worst, (top / bottom) ** 0.5)
-                if top * tol_den > tol_num * bottom:
+                if not (d_i and diag[j]):
+                    failures.append((i, j, entry(i, j), 0.0))
+                    continue
+                s = 2 * v.bit_length() - b_i - bits[j]
+                screened.append((s, i, j))
+                if s >= t + 3 or (s > t - 3 and v * v * tol_den > tol_num * d_i * diag[j]):
                     bound = tol * abs(gram_diag[i] * gram_diag[j]) ** 0.5
                     failures.append((i, j, entry(i, j), bound))
+        s_max = max(screened, default=(0,))[0]
+        worst = max(((num[i][j] * num[i][j] / (diag[i] * diag[j])) ** 0.5
+                     for s, i, j in screened if s >= s_max - 3), default=0.0)
     except OverflowError as exc:  # an exact Gram value or ratio past the float range
         raise NumericError(f"Gram oracle: {exc}") from exc
     return GramReport(not failures, tuple(failures), worst)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import opoly as op
+from opoly import _exact, cli, lincomb
 from opoly._exact import exact_gram, low_completion
 from opoly.cli import load_config
 
@@ -383,7 +384,7 @@ def _basis_polys(beta_f, gamma_f, n_max):
 def exact_combination_polys(beta_f, gamma_f, a_f, n_max):
     """``Q_0..Q_n_max`` as exact Fraction monomial coefficient lists."""
     denom, rows, _ = low_completion(beta_f, gamma_f, a_f)
-    assert denom != 0 and 0 in rows
+    assert denom != 0 and rows[0] is not None
     k, a = len(a_f), [Fraction(1), *map(Fraction, a_f)]
     p = _basis_polys(beta_f, gamma_f, n_max)
     return [_lincomb(*zip(rows[n], p)) if n <= k
@@ -627,6 +628,133 @@ def test_gcd_free_ratio_test_one_ulp_around_the_worst_ratio(name, degree):
     assert worst_pairs <= failing[below]
     assert not worst_pairs & failing[above]
     assert failing[above] < failing[below]
+
+
+def _full_ratio_loop(num, w, lcd, tol):
+    """The oracle's ratio test with no screen: every pair's squared integer
+    ratio compared with ``tol^2`` and its rounded square root taken."""
+    n = len(num)
+    tol_num, tol_den = (v * v for v in tol.as_integer_ratio())
+    diag = [abs(num[i][i]) for i in range(n)]
+    failures = [(i, i, 0.0, 0.0) for i in range(n) if diag[i] == 0]
+    worst = 0.0
+
+    def entry(i, j):
+        return num[i][j] / (lcd * w[i] * w[j])
+
+    gram_diag = [entry(i, i) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            top, bottom = num[i][j] * num[i][j], diag[i] * diag[j]
+            if bottom == 0:
+                if top:
+                    failures.append((i, j, entry(i, j), 0.0))
+                continue
+            worst = max(worst, (top / bottom) ** 0.5)
+            if top * tol_den > tol_num * bottom:
+                failures.append((i, j, entry(i, j), tol * abs(gram_diag[i] * gram_diag[j]) ** 0.5))
+    return op.GramReport(not failures, tuple(failures), worst)
+
+
+def _bits(report):
+    return (report.ok, [(i, j, v.hex(), b.hex()) for i, j, v, b in report.failures],
+            report.worst_ratio.hex())
+
+
+_SCREEN_TOLS = (0.0, 1e-12, 1e-9, 1e-3, 0.5)
+_SCREEN_CORPUS = ([_bundled(p.name) for p in sorted(CONFIG_DIR.glob("*.json"))]
+                  + broken_families() + _K2_FIXTURES)
+
+
+@pytest.mark.parametrize("label,rec,comb,degree", [
+    pytest.param(label, rec, comb, d, id=f"{label}--d{d}")
+    for label, rec, comb in _SCREEN_CORPUS for d in (6, 12, 18, 24)
+    if 2 * d <= rec.horizon + 1
+])
+def test_ratio_screen_matches_full_loop(label, rec, comb, degree):
+    # the bit-length screen skips exact comparisons and float ratios, never
+    # a failure or a bit of worst_ratio
+    gram = exact_gram(rec.beta, rec.gamma, comb.a, degree)
+    for tol in _SCREEN_TOLS:
+        report = op.oracle_gram_check(rec, comb, degree=degree, tol=tol)
+        assert _bits(report) == _bits(_full_ratio_loop(*gram, tol))
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.1, 0.5, 3.0])
+@pytest.mark.parametrize("shift", [0, 1000])
+def test_ratio_screen_at_exactly_tol(tol, shift):
+    # tol = p / 2^q and N = [[2^q, p + c], [p + c, -2^q]] put the ratio at,
+    # just above and just below tol; the test is strict, so equality passes
+    p, q = tol.as_integer_ratio()
+    for c, fails in ((0, False), (1, True), (-1, False)):
+        off = (p + c) << shift
+        num, lcd = [[q << shift, off], [off, -(q << shift)]], 1 << shift
+        report = lincomb._gram_report(num, [1, 1], lcd, tol)
+        assert _bits(report) == _bits(_full_ratio_loop(num, [1, 1], lcd, tol))
+        assert report.ok != fails
+        if c == 0:
+            assert report.worst_ratio == tol
+
+
+def test_ratio_screen_zero_diagonal():
+    num = [[0, 5, 0, 3],
+           [5, 7, 0, 2],
+           [0, 0, 0, 0],
+           [3, 2, 0, -11]]
+    w, lcd = [1, 2, 4, 8], 3
+    for tol in _SCREEN_TOLS:
+        report = lincomb._gram_report(num, w, lcd, tol)
+        assert _bits(report) == _bits(_full_ratio_loop(num, w, lcd, tol))
+    report = lincomb._gram_report(num, w, lcd, 0.5)
+    assert [f[:2] for f in report.failures] == [(0, 0), (2, 2), (0, 1), (0, 3)]
+    assert report.worst_ratio == (4 / 77) ** 0.5
+
+
+def test_ratio_screen_past_float_range():
+    big = 1 << 600  # ratio 2^600 squares to 2^1200, past the float range
+    num = [[1, big], [big, 1]]
+    with pytest.raises(OverflowError):
+        _full_ratio_loop(num, [1, 1], 1, 1e-9)
+    with pytest.raises(op.NumericError, match="^Gram oracle: "):
+        lincomb._gram_report(num, [1, 1], 1, 1e-9)
+
+
+def _completion_misses():
+    return _exact._low_completion.cache_info().misses
+
+
+def test_check_builds_the_completion_once(capsys):
+    path = str(CONFIG_DIR / "gen_k2_real_roots.json")
+    _exact._low_completion.cache_clear()
+    assert cli.main(["check", "--config", path]) == 0
+    capsys.readouterr()
+    assert _completion_misses() == 1
+
+    _, rec, comb = _bundled("cheb2_k1.json")
+    _exact._low_completion.cache_clear()
+    report = op.check_conditions(rec, comb, 24)
+    gram = op.oracle_gram_check(rec, comb, degree=12)
+    assert report.verdict and gram.ok
+    assert _completion_misses() == 1
+
+    _, other, other_comb = _bundled("cheb1_k2.json")
+    _exact._low_completion.cache_clear()
+    op.check_conditions(rec, comb, 24)
+    op.check_conditions(other, other_comb, 24)
+    assert _completion_misses() == 2
+
+
+def test_completion_memo_hands_out_tuples_and_raises_on_bad_data(cheb_u):
+    denom, rows, tilde = low_completion(cheb_u.beta, cheb_u.gamma, (1.0, 0.25))
+    assert type(rows) is tuple and type(tilde) is tuple
+    assert all(type(r) is tuple for r in rows if r is not None)
+    assert rows[:1] == (None,) and tilde[1][1] == 0  # the walk stops at degree 1
+    for bad, exc in ((float("nan"), ValueError), (float("inf"), OverflowError)):
+        gamma = cheb_u.gamma.copy()
+        gamma[2] = bad
+        for _ in range(2):
+            with pytest.raises(exc):
+                low_completion(cheb_u.beta, gamma, (0.5,))
 
 
 def test_k1_fourier_identity_holds_generally(cheb_t):

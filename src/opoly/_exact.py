@@ -1,22 +1,25 @@
 """Exact engine: the low-degree completion and the Gram oracle.
 
-Every float is a dyadic rational, so converting recurrence data and
-combination coefficients to :class:`fractions.Fraction` makes the
-completion exact.  :func:`low_completion` is the one home of the paper's
-determination and completion blocks; ``check_conditions`` rounds it to
-floats and the oracle uses it as is.  The oracle stays in the ``P``-basis:
-modified moments ``v(P_m)`` of the annihilating functional, mixed moments
-``v(P_i P_j)`` by the modified Chebyshev algorithm (Sack & Donovan 1971;
-Gautschi 2004, §2.1.7), then the banded sandwich ``G = C Sigma C^T``; that
-is ``O(d^2)`` operations for fixed ``k``.  Those loops run on Python
-integers: the exact map ``x -> 2^e x`` makes every scaled beta, gamma and
-``a_j`` integral, one common denominator clears the completion moments and
-one per row clears each completion row, so the Gram comes back as integer
-numerators with their row weights and no gcd is ever taken.  It reads the
-recurrence data and the completion only, never the matching conditions or
-the tilde recurrence, so it stays independent of the verdict; and being
-exact, cancellation at the tiny norm scales (``prod gamma ~ 4^-n``) cannot
-fool it as it would a float Gram test.
+Every float is a dyadic rational ``p / 2^q``, so the exact map
+``x -> 2^e x`` with a large enough ``e`` makes every scaled beta, gamma and
+``a_j`` an integer (:func:`_scaled_data`), and the whole engine runs on
+Python integers.  :func:`low_completion` is the one home of the paper's
+determination and completion blocks: it walks them on those integers,
+keeping each completion row in lowest terms as integer numerators over one
+positive denominator (one gcd per row, without which the denominators
+square at every step), and ``check_conditions`` rounds its values to
+floats by one correctly rounded integer division each.  The oracle uses
+the same rows as they are.  It stays in the ``P``-basis: modified moments
+``v(P_m)`` of the annihilating functional, mixed moments ``v(P_i P_j)`` by
+the modified Chebyshev algorithm (Sack & Donovan 1971; Gautschi 2004,
+§2.1.7), then the banded sandwich ``G = C Sigma C^T``; that is ``O(d^2)``
+operations for fixed ``k``.  The product of the row denominators clears
+the completion moments, so the Gram comes back as integer numerators with
+their row weights and takes no gcd.  It reads the recurrence data and the
+completion only, never the matching conditions or the tilde recurrence, so
+it stays independent of the verdict; and being exact, cancellation at the
+tiny norm scales (``prod gamma ~ 4^-n``) cannot fool it as it would a
+float Gram test.
 
 ``check_conditions`` and the oracle call :func:`low_completion` on the
 same data, so a one-entry memo keyed by the float values it reads computes
@@ -28,13 +31,9 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from operator import mul
 
 from .errors import DegeneracyError
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def low_completion(beta_f, gamma_f, a_f):
@@ -44,15 +43,23 @@ def low_completion(beta_f, gamma_f, a_f):
     Fourier coefficients ``a_j^(k)`` of ``Q_k``, then
     ``x Q_m = Q_{m+1} + tilde beta_m Q_m + tilde gamma_m Q_{m-1}`` is walked
     down in the ``P``-basis, where ``x P_i = P_{i+1} + beta_i P_i + gamma_i
-    P_{i-1}`` makes each step one short row update.
+    P_{i-1}`` makes each step one short row update.  The walk runs on the
+    integers of :func:`_scaled_data` over ``beta_0..beta_{k+1}``,
+    ``gamma_1..gamma_{k+1}`` and ``a``.
 
-    Returns ``(denom, rows, tilde)``, tuples indexed by degree: ``rows[m][i]``
-    multiplies ``P_i`` in ``Q_m`` (``m <= k + 1``) and ``tilde[m] = (tilde
-    beta_m, tilde gamma_m)`` (``1 <= m <= k``), ``None`` where the walk did
-    not get to.  Nothing raises on finite data: a zero ``denom`` leaves only
-    ``Q_{k+1}``, and the walk stops at the first zero ``tilde gamma_m``,
-    the lowest ``m`` with a row, so ``Q_0`` exists only when the completion
-    does.  A NaN or infinite input raises on every call.
+    Returns ``(e, denom, rows, tilde)``, the last two tuples indexed by
+    degree, ``None`` where the walk did not get to.  ``e`` is the exponent of
+    the map, ``rows[m] = (nums, d)`` gives ``Q_m`` (``m <= k + 1``) in the
+    scaled ``P``-basis: ``P_i`` has the coefficient ``nums[i] / (d 2^((m-i)
+    e))``, in lowest terms, with ``d > 0`` and ``nums[m] = d``.  ``denom`` and the values of
+    ``tilde[m] = (tilde beta_m, tilde gamma_m)`` (``1 <= m <= k``) are
+    integer ratios ``(p, q)`` with ``q > 0``; ``tilde[0] = (tilde beta_0,
+    None)``.  A positive denominator keeps the sign of zero when a reader
+    divides.  Nothing raises on finite data: a zero ``denom`` leaves only
+    ``Q_{k+1}``, and the walk stops at the first zero ``tilde gamma_m``, the
+    lowest ``m`` with a row, so ``Q_0`` and ``tilde[0]`` exist only when the
+    completion does.  A NaN input raises ``ValueError`` and an infinite one
+    ``OverflowError``, on every call.
     """
     k = len(a_f)
     return _low_completion(tuple(map(float, beta_f[: k + 2])),
@@ -64,32 +71,43 @@ def _low_completion(beta_f, gamma_f, a_f):
     """:func:`low_completion` on float tuples ``beta_0..beta_{k+1}``,
     ``gamma_1..gamma_{k+1}`` and ``a``, memoised for the last family only."""
     k = len(a_f)
-    beta = [Fraction(b) for b in beta_f]
-    gamma = [_ZERO] + [Fraction(g) for g in gamma_f]
-    a = [_ONE] + [Fraction(v) for v in a_f]
-    rows = {k + 1: [_ZERO] + a[::-1]}
+    e, beta, gamma, band = _scaled_data(beta_f, (0.0,) + gamma_f, a_f, k + 2)
+    a = band[::-1] + [0]  # A_{k+1} = 0 turns the j = k formula into A_k Gamma_1 / denom
+    rows = {k + 1: ([0] + band, 1)}
     tilde = {}
     denom = gamma[k + 1] + a[1] * (beta[k] - beta[k + 1])
-    if denom != 0:
-        ap = a + [_ZERO]  # a_{k+1} = 0 turns the j = k formula into a_k gamma_1 / denom
-        rows[k] = [(ap[j] * gamma[k - j + 1] + ap[j + 1] * (beta[k - j] - beta[k + 1])) / denom
-                   for j in range(k, 0, -1)] + [_ONE]
+    if denom:
+        rows[k] = _lowest([a[j] * gamma[k - j + 1] + a[j + 1] * (beta[k - j] - beta[k + 1])
+                           for j in range(k, 0, -1)] + [denom])
         for m in range(k, 0, -1):
-            lo = rows[m]
-            r = [-c for c in rows[m + 1]]  # x Q_m - Q_{m+1}; r[m + 1] cancels
+            (lo, d), (hi, d_hi) = rows[m], rows[m + 1]
+            r = [-d * c for c in hi]  # d d_hi (x Q_m - Q_{m+1}); r[m + 1] cancels
             for i, c in enumerate(lo):
+                c *= d_hi
                 r[i + 1] += c
                 r[i] += beta[i] * c
                 if i:
                     r[i - 1] += gamma[i] * c
             tb = r[m]
-            s = [r[i] - tb * lo[i] for i in range(m)]
-            tilde[m] = (tb, s[m - 1])
-            if s[m - 1] == 0:
+            s = [r[i] * d - tb * lo[i] for i in range(m)]  # d^2 d_hi tilde gamma_m Q_{m-1}
+            tg = s[m - 1]
+            tilde[m] = ((tb, d * d_hi << e), (tg, d * d * d_hi << 2 * e))
+            if not tg:
                 break
-            rows[m - 1] = [v / s[m - 1] for v in s]
-    return (denom, tuple(tuple(rows[m]) if m in rows else None for m in range(k + 2)),
+            rows[m - 1] = _lowest(s)
+        if 0 in rows:  # Q_1 = P_1 + c P_0 = x - (beta_0 - c)
+            nums, d = rows[1]
+            tilde[0] = ((beta[0] * d - nums[0], d << e), None)
+    return (e, (denom, 1 << 2 * e),
+            tuple((tuple(rows[m][0]), rows[m][1]) if m in rows else None for m in range(k + 2)),
             tuple(tilde.get(m) for m in range(k + 1)))
+
+
+def _lowest(nums):
+    """``(nums, d)`` for the row ``nums / nums[-1]`` in lowest terms, ``d > 0``."""
+    g = math.gcd(*nums) if nums[-1] > 0 else -math.gcd(*nums)
+    nums = [v // g for v in nums]
+    return nums, nums[-1]
 
 
 def _scaled_data(beta_f, gamma_f, a_f, n):
@@ -124,32 +142,31 @@ def exact_gram(beta_f, gamma_f, a_f, degree):
     ``v(x P_i P_j)`` gives ``sigma_{i,j} = v(P_i P_j)`` column by column.
 
     Everything runs on integers after the change of variable of
-    :func:`_scaled_data`: ``mu_m`` is scaled by ``L 2^(m e)``, with ``L`` the
-    common denominator of ``mu_0..mu_k`` (above ``k`` the band keeps it
-    integral), and completion row ``m`` by its own denominator ``R_m``.
-    Returns ``(N, w, L)`` with ``G[m][p] = N[m][p] / (L w[m] w[p])`` and
-    ``w[m] = R_m 2^(m e)``.  Raises :class:`~opoly.errors.DegeneracyError`
-    when the completion does not exist (zero denominator or an exact
-    downward degeneracy).
+    :func:`_scaled_data` over the data up to ``2 degree`` (and never below
+    the completion's, whose rows are shifted to this exponent): ``mu_m`` is
+    scaled by ``L 2^(m e)``, with ``L`` the product of the completion row
+    denominators ``R_1..R_k`` (above ``k`` the band keeps it integral), and
+    completion row ``m`` by ``R_m``.  Returns ``(N, w, L)`` with ``G[m][p] =
+    N[m][p] / (L w[m] w[p])`` and ``w[m] = R_m 2^(m e)``.  Raises
+    :class:`~opoly.errors.DegeneracyError` when the completion does not exist
+    (zero denominator or an exact downward degeneracy).
     """
-    denom, rows, _ = low_completion(beta_f, gamma_f, a_f)
-    if denom == 0:
+    e_low, denom, rows, _ = low_completion(beta_f, gamma_f, a_f)
+    if not denom[0]:
         raise DegeneracyError("exact completion: denominator is zero")
     if rows[0] is None:  # the walk stopped at the lowest degree with a row
         raise DegeneracyError(f"exact completion: tilde gamma at degree {rows.count(None)} is zero")
     k, n = len(a_f), 2 * degree
-    e, beta, gamma, band = _scaled_data(beta_f, gamma_f, a_f, n)
-    c_rows, w, mu = [], [], []
-    for m in range(min(k, n) + 1):
-        # row m scaled to integers, then mu_m from v(Q_m) = 0 while still a Fraction
-        scaled = [c * (1 << (m - i) * e) for i, c in enumerate(rows[m])]
-        r = math.lcm(*(c.denominator for c in scaled))
-        row = [c.numerator * (r // c.denominator) for c in scaled]
-        c_rows.append((0, row))
-        w.append(r << m * e)
-        mu.append(Fraction(-sum(c * v for c, v in zip(row, mu)), r) if m else _ONE)
-    lcd = math.lcm(*(v.denominator for v in mu))
-    mu = [v.numerator * (lcd // v.denominator) for v in mu]
+    e, beta, gamma, band = _scaled_data(beta_f, gamma_f, a_f, max(n, k + 2))
+    shift, top = e - e_low, min(k, n)
+    c_rows, w = [], []
+    for m, (nums, d) in enumerate(rows[: top + 1]):
+        c_rows.append((0, [c << (m - i) * shift for i, c in enumerate(nums)]))
+        w.append(d << m * e)
+    lcd = math.prod(d for _, d in rows[1 : top + 1])
+    mu = [lcd]
+    for m in range(1, top + 1):  # exact: L v(P_m) is integral, so R_m divides the sum
+        mu.append(-sum(map(mul, c_rows[m][1], mu)) // rows[m][1])  # map stops at i = m - 1
     for m in range(k + 1, n + 1):
         c_rows.append((m - k, band))
         w.append(1 << m * e)

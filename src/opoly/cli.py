@@ -34,6 +34,7 @@ import numpy as np
 from . import __version__
 from .errors import DegeneracyError, OpolyError
 from .jacobi import (
+    _symmetric_jacobi,
     jacobi_truncation,
     orthonormal_identity_check,
     solve_hk,
@@ -355,14 +356,15 @@ def _require_n(cfg: JobConfig, args, hi: int) -> int:
 def _cmd_zeros(cfg: JobConfig, args) -> tuple[int, dict, list]:
     n = _require_n(cfg, args, cfg.horizon + 1)
     zq = zeros_q(cfg.rec, cfg.comb, n, cross_tol=cfg.tolerances["zeros"])
+    parts = list(zip(zq.zeros.real.tolist(), zq.zeros.imag.tolist()))
     result = {
         "n": n,
-        "zeros": [{"re": z.real, "im": z.imag} for z in zq.zeros],
+        "zeros": [{"re": re, "im": im} for re, im in parts],
         "cross_check_distance": zq.cross_check_distance,
         "coefficients": list(q_poly(cfg.rec, cfg.comb, n).coeffs),
     }
     rows = [("index", "re", "im")]
-    rows += [(i, z.real, z.imag) for i, z in enumerate(zq.zeros)]
+    rows += [(i, re, im) for i, (re, im) in enumerate(parts)]
     return 0, result, rows
 
 
@@ -379,7 +381,11 @@ def _cmd_hk(cfg: JobConfig, args) -> tuple[int, dict, list]:
     hk = solve_hk(cfg.rec, cfg.comb, rep, m, tol=cfg.tolerances["hk"])
     rel = verify_functional_relation(cfg.rec, cfg.comb, rep, hk.poly, tol=cfg.tolerances["hk"])
     relation = {"ok": rel.ok, "scale": rel.scale, "max_residual": rel.max_residual}
-    hull = np.linalg.eigvals(jacobi_truncation(cfg.rec, cfg.horizon + 1)).real
+    size = cfg.horizon + 1
+    if np.all(cfg.rec.gamma[1:size] > 0):  # the symmetric form is balanced and real
+        hull = np.linalg.eigvalsh(_symmetric_jacobi(cfg.rec, size))
+    else:
+        hull = np.linalg.eigvals(jacobi_truncation(cfg.rec, size)).real
     lo, hi = float(np.min(hull)), float(np.max(hull))
     values = hk.poly(np.linspace(lo, hi, 100))
     positivity = {
@@ -421,16 +427,16 @@ def _cmd_quad(cfg: JobConfig, args) -> tuple[int, dict, list]:
     result = {
         "n": n,
         "gauss": {
-            "nodes": list(rule.nodes),
-            "weights": list(rule.weights),
+            "nodes": rule.nodes.tolist(),
+            "weights": rule.weights.tolist(),
             "degree_of_precision": rule.degree_of_precision,
             "expected": 2 * n - 1,
             "weights_positive": bool(np.all(rule.weights > 0)),
             "ok": gauss_ok,
         },
         "combination": {
-            "nodes": list(comb_rule.nodes),
-            "weights": list(comb_rule.weights),
+            "nodes": comb_rule.nodes.tolist(),
+            "weights": comb_rule.weights.tolist(),
             "degree_of_precision": comb_rule.degree_of_precision,
             "expected": 2 * n - 1 - k,
             "bracket": [n - 1, 2 * n - 1],
@@ -458,8 +464,8 @@ def _cmd_gen(cfg: JobConfig, args) -> tuple[int, dict, list]:
             )
     result = {
         "family": {
-            "beta": list(cfg.rec.beta),
-            "gamma": list(cfg.rec.gamma[1:]),
+            "beta": cfg.rec.beta.tolist(),
+            "gamma": cfg.rec.gamma[1:].tolist(),
         },
         "validation": _condition_summary(rep),
         **extras,

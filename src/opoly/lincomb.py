@@ -27,15 +27,18 @@ When the verdict holds, the ``Q``-family satisfies its own recurrence with
 and the entries below ``k + 1`` come from the downward completion.
 
 Determination and completion are computed once, exactly, by
-:func:`~opoly._exact.low_completion`, which the Gram oracle shares; the
-verdict rounds its values correctly to floats before the tolerance tests.
+:func:`~opoly._exact.low_completion` on the same scaled integers as the Gram
+oracle, which shares it: every row is integer numerators over one positive
+denominator and every tilde value an integer ratio with a positive
+denominator.  The verdict rounds each value by one correctly rounded
+integer division before the tolerance tests, and the positive denominators
+give exact zeros the sign an exact rational would.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -101,28 +104,38 @@ class ConditionReport:
 def _complete_low(rec: RecurrencePair, comb: CombCoeffs, tol: float) -> tuple[dict, str | None]:
     """The exact completion rounded to floats and held to the tolerance tests.
 
-    Returns the report fields and the failure text, if any.  Only ``denom``
-    is filled when the denominator is numerically zero or a step has
+    Each value is one correctly rounded integer division over a positive
+    denominator, so zeros keep the sign the exact value gives them.  Returns
+    the report fields and the failure text, if any.  Only ``denom`` is
+    filled when the denominator is numerically zero or a step has
     ``|tilde gamma_m| <= tol * max(1, max|row_{m+1}|, max|row_m|)`` over the
-    exact ``P``-basis rows of ``Q_{m+1}`` and ``Q_m``.
+    ``P``-basis rows of ``Q_{m+1}`` and ``Q_m`` (rounding is monotone, so the
+    largest rounded entry is the rounded largest exact one).
     """
     k = comb.k
-    denom, rows, tilde = low_completion(rec.beta, rec.gamma, comb.a)
-    low = {"denom": float(denom), "completion": (), "beta0_tilde": None, "low_rows": ()}
+    e, (dp, dq), rows, tilde = low_completion(rec.beta, rec.gamma, comb.a)
+    low = {"denom": dp / dq, "completion": (), "beta0_tilde": None, "low_rows": ()}
     if abs(low["denom"]) <= tol * max(1.0, abs(rec.gamma[k + 1])):
         return low, "gamma_{k+1} + a_1*(beta_k - beta_{k+1}) is numerically zero"
+
+    def row(m):  # P_i's coefficient in Q_m is nums[i] / (d 2^((m-i) e))
+        nums, d = rows[m]
+        return tuple(v / (d << (m - i) * e) for i, v in enumerate(nums))
+
+    low_rows = [row(k + 1)]
     completion = []
     for m in range(k, 0, -1):
-        tb, tg = map(float, tilde[m])
-        scale = max(1.0, float(max(map(abs, rows[m + 1] + rows[m]))))
-        if abs(tg) <= tol * scale:
+        (bp, bq), (gp, gq) = tilde[m]
+        tb, tg = bp / bq, gp / gq
+        low_rows.append(row(m))
+        if abs(tg) <= tol * max(1.0, *map(abs, low_rows[-2] + low_rows[-1])):
             return low, f"tilde gamma at degree {m} is numerically zero ({tg!r})"
         completion.append((m, tb, tg, True))
+    p, q = tilde[0][0]
     low.update(
         completion=tuple(reversed(completion)),
-        # Q_1 = P_1 + rows[1][0] = x - tilde beta_0; negated so that 0 rounds to -0.0
-        beta0_tilde=-float(rows[1][0] - Fraction(float(rec.beta[0]))),
-        low_rows=tuple(tuple(map(float, rows[j])) for j in range(k + 1)),
+        beta0_tilde=-(-p / q),  # negated twice so that an exact 0 reads -0.0
+        low_rows=(row(0), *reversed(low_rows[1:])),
     )
     return low, None
 

@@ -408,6 +408,7 @@ def k2_difference_residual(seq, a1: float, a2: float) -> float:
     ``max(1, |y_n|, .., |y_{n-3}|)``.  The ``beta`` and ``gamma`` tails of a
     :func:`k2_family` solve it from index 2 on, so ``n = 5`` is the first
     index whose four terms all lie in the tail."""
+    seq = np.asarray(seq, dtype=float).tolist()
     c = 1.0 - a1 * a1 / a2
     worst = 0.0
     for n in range(5, len(seq)):

@@ -482,9 +482,56 @@ def test_hk_positivity_samples_the_spectrum_hull(capsys):
     assert code == 0, err
     block = json.loads(out)["result"]["positivity"]
     cfg = cli.load_config(str(path))
-    eigs = np.linalg.eigvals(op.jacobi_truncation(cfg.rec, cfg.horizon + 1)).real
+    assert np.all(cfg.rec.gamma[1:] > 0)  # so the hull comes from the symmetric matrix
+    eigs = np.linalg.eigvalsh(op.jacobi._symmetric_jacobi(cfg.rec, cfg.horizon + 1))
     assert block["interval"] == [float(eigs.min()), float(eigs.max())]
     assert block["interval"][1] > 5.0  # the spectrum reaches far past [-1, 1]
+
+
+def test_hk_hull_scales_with_x(tmp_path, capsys):
+    # under the exact map x -> 16 x the hull must scale by 16, to within a
+    # few ulps of the spectral radius
+    cfg = cli.load_config(str(CONFIG_DIR / "gen_k2_equal_roots.json"))
+    hulls = []
+    for s in (1.0, 16.0):
+        payload = {
+            "family": {"type": "explicit", "beta": (s * cfg.rec.beta).tolist(),
+                       "gamma": (s * s * cfg.rec.gamma[1:]).tolist()},
+            "combination": {"a": [s**j * v for j, v in enumerate(cfg.comb.a, start=1)]},
+            "horizon": cfg.horizon,
+        }
+        code, out, err = run(capsys, "hk", "--config", write_config(tmp_path, payload))
+        assert code == 0, err
+        hulls.append(json.loads(out)["result"]["positivity"]["interval"])
+    (lo, hi), (lo16, hi16) = hulls
+    ulp = np.spacing(16.0 * max(abs(lo), abs(hi)))
+    assert abs(lo16 - 16.0 * lo) <= 4 * ulp and abs(hi16 - 16.0 * hi) <= 4 * ulp
+
+
+def _leaf_types(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return set().union(*map(_leaf_types, value))
+    return {type(value)}
+
+
+@pytest.mark.parametrize("command", ["check", "tilde", "zeros", "hk", "quad", "gen"])
+def test_results_hold_builtin_scalars(command):
+    # the pure-Python JSON encoder runs three numpy comparisons per numpy
+    # float; a report built from .tolist() gives it Python floats
+    seen = set()
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        args = cli._PARSER.parse_args([command, "--config", str(path), "--n", "10"])
+        cfg = cli.load_config(args.config)
+        if command == "gen" and cfg.family_type not in ("k1", "k2"):
+            continue
+        try:
+            _, result, _ = cli._COMMANDS[command](cfg, args)
+        except op.OpolyError:  # e.g. quad on a Q_n with complex zeros
+            continue
+        seen |= _leaf_types(result)
+    assert float in seen and seen <= {int, float, bool, str, type(None)}
 
 
 def test_gen_requires_generator_family(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -381,13 +382,19 @@ def _basis_polys(beta_f, gamma_f, n_max):
     return polys
 
 
+def _row_fractions(e, row, m):
+    """Completion row ``m``, ``(nums, d)`` on the integers of ``x -> 2^e x``, as Fractions."""
+    nums, d = row
+    return [Fraction(v, d << (m - i) * e) for i, v in enumerate(nums)]
+
+
 def exact_combination_polys(beta_f, gamma_f, a_f, n_max):
     """``Q_0..Q_n_max`` as exact Fraction monomial coefficient lists."""
-    denom, rows, _ = low_completion(beta_f, gamma_f, a_f)
-    assert denom != 0 and rows[0] is not None
+    e, denom, rows, _ = low_completion(beta_f, gamma_f, a_f)
+    assert denom[0] != 0 and rows[0] is not None
     k, a = len(a_f), [Fraction(1), *map(Fraction, a_f)]
     p = _basis_polys(beta_f, gamma_f, n_max)
-    return [_lincomb(*zip(rows[n], p)) if n <= k
+    return [_lincomb(*zip(_row_fractions(e, rows[n], n), p)) if n <= k
             else _lincomb(*((a[j], p[n - j]) for j in range(k + 1)))
             for n in range(n_max + 1)]
 
@@ -475,7 +482,7 @@ def _edited_cheb_t(horizon, beta=(), gamma=()):
     return op.RecurrencePair(b, g[1:])
 
 
-@pytest.mark.parametrize("edits,a,e", [
+_SCALING_EDITS = [
     # gamma_3 = p / 2^41 needs 4^e gamma_3 integral: e = ceil(41 / 2) = 21
     ({"gamma": [(3, 0.25 + 2.0**-41)]}, (0.5, 0.25), 21),
     # beta_2 = 3 / 2^61 needs 2^e beta_2 integral: e = 61
@@ -484,7 +491,11 @@ def _edited_cheb_t(horizon, beta=(), gamma=()):
     ({}, (0.5, -5 * 2.0**-13), 7),
     ({"beta": [(2, 3 * 2.0**-61)], "gamma": [(3, 0.25 + 2.0**-41)]},
      (0.5, -5 * 2.0**-13), 61),
-], ids=["gamma-odd-exponent", "beta-near-2^-60", "a2-odd-exponent", "all-three"])
+]
+_SCALING_IDS = ["gamma-odd-exponent", "beta-near-2^-60", "a2-odd-exponent", "all-three"]
+
+
+@pytest.mark.parametrize("edits,a,e", _SCALING_EDITS, ids=_SCALING_IDS)
 def test_exact_gram_scaling_exponent(edits, a, e):
     # the Gram runs on the integers of x -> 2^e x with the smallest such e,
     # and a band row m > k carries the weight w_m = 2^(m e)
@@ -745,16 +756,157 @@ def test_check_builds_the_completion_once(capsys):
 
 
 def test_completion_memo_hands_out_tuples_and_raises_on_bad_data(cheb_u):
-    denom, rows, tilde = low_completion(cheb_u.beta, cheb_u.gamma, (1.0, 0.25))
+    e, denom, rows, tilde = low_completion(cheb_u.beta, cheb_u.gamma, (1.0, 0.25))
+    assert type(e) is int and type(denom) is tuple
     assert type(rows) is tuple and type(tilde) is tuple
-    assert all(type(r) is tuple for r in rows if r is not None)
-    assert rows[:1] == (None,) and tilde[1][1] == 0  # the walk stops at degree 1
+    assert all(type(r) is tuple and type(r[0]) is tuple for r in rows if r is not None)
+    assert rows[:1] == (None,) and tilde[1][1][0] == 0  # the walk stops at degree 1
+    assert tilde[0] is None
     for bad, exc in ((float("nan"), ValueError), (float("inf"), OverflowError)):
         gamma = cheb_u.gamma.copy()
         gamma[2] = bad
         for _ in range(2):
             with pytest.raises(exc):
                 low_completion(cheb_u.beta, gamma, (0.5,))
+
+
+def _fraction_completion(beta_f, gamma_f, a_f):
+    """The completion walked in Fractions: ``(denom, rows, tilde)`` indexed by
+    degree, ``None`` where the walk did not get to, each row the Fraction
+    ``P``-coefficients of ``Q_m``.  The reference for the integer walk."""
+    k = len(a_f)
+    beta = [Fraction(float(b)) for b in beta_f[: k + 2]]
+    gamma = [Fraction(0)] + [Fraction(float(g)) for g in gamma_f[1 : k + 2]]
+    a = [Fraction(1)] + [Fraction(float(v)) for v in a_f]
+    rows = {k + 1: [Fraction(0)] + a[::-1]}
+    tilde = {}
+    denom = gamma[k + 1] + a[1] * (beta[k] - beta[k + 1])
+    if denom != 0:
+        ap = a + [Fraction(0)]
+        rows[k] = [(ap[j] * gamma[k - j + 1] + ap[j + 1] * (beta[k - j] - beta[k + 1])) / denom
+                   for j in range(k, 0, -1)] + [Fraction(1)]
+        for m in range(k, 0, -1):
+            lo = rows[m]
+            r = [-c for c in rows[m + 1]]
+            for i, c in enumerate(lo):
+                r[i + 1] += c
+                r[i] += beta[i] * c
+                if i:
+                    r[i - 1] += gamma[i] * c
+            tb = r[m]
+            s = [r[i] - tb * lo[i] for i in range(m)]
+            tilde[m] = (tb, s[m - 1])
+            if s[m - 1] == 0:
+                break
+            rows[m - 1] = [v / s[m - 1] for v in s]
+    return (denom, [rows.get(m) for m in range(k + 2)], [tilde.get(m) for m in range(k + 1)])
+
+
+def _fraction_low_fields(rec, comb, tol):
+    """``check_conditions``' completion fields and failure text, rounded from
+    :func:`_fraction_completion` one Fraction at a time."""
+    k = comb.k
+    denom, rows, tilde = _fraction_completion(rec.beta, rec.gamma, comb.a)
+    low = {"denom": float(denom), "completion": (), "beta0_tilde": None, "low_rows": ()}
+    if abs(low["denom"]) <= tol * max(1.0, abs(rec.gamma[k + 1])):
+        return low, "gamma_{k+1} + a_1*(beta_k - beta_{k+1}) is numerically zero"
+    completion = []
+    for m in range(k, 0, -1):
+        tb, tg = map(float, tilde[m])
+        scale = max(1.0, float(max(map(abs, rows[m + 1] + rows[m]))))
+        if abs(tg) <= tol * scale:
+            return low, f"tilde gamma at degree {m} is numerically zero ({tg!r})"
+        completion.append((m, tb, tg, True))
+    low.update(completion=tuple(reversed(completion)),
+               beta0_tilde=-float(rows[1][0] - Fraction(float(rec.beta[0]))),
+               low_rows=tuple(tuple(map(float, rows[j])) for j in range(k + 1)))
+    return low, None
+
+
+def _low_bits(denom, completion, beta0_tilde, low_rows):
+    """The completion fields with every float as ``float.hex``, so ``-0.0 != 0.0``."""
+    return (denom.hex(), [(m, tb.hex(), tg.hex(), ok) for m, tb, tg, ok in completion],
+            None if beta0_tilde is None else beta0_tilde.hex(),
+            [[v.hex() for v in row] for row in low_rows])
+
+
+def _assert_completion_matches_fractions(rec, comb):
+    k = comb.k
+    ref_denom, ref_rows, ref_tilde = _fraction_completion(rec.beta, rec.gamma, comb.a)
+    e, (dp, dq), rows, tilde = low_completion(rec.beta, rec.gamma, comb.a)
+    assert dq > 0 and Fraction(dp, dq) == ref_denom
+    assert [r is None for r in rows] == [r is None for r in ref_rows]
+    for m, row in enumerate(rows):
+        if row is not None:
+            assert row[1] > 0 and row[0][m] == row[1] and math.gcd(*row[0]) == 1
+            assert _row_fractions(e, row, m) == ref_rows[m]
+    assert [t is None for t in tilde[1:]] == [t is None for t in ref_tilde[1:]]
+    for got, want in zip(tilde[1:], ref_tilde[1:]):
+        if got is not None:
+            assert all(q > 0 for _, q in got)
+            assert [Fraction(p, q) for p, q in got] == list(want)
+    assert (tilde[0] is None) == (ref_rows[0] is None)
+    if tilde[0] is not None:
+        (p, q), none = tilde[0]
+        assert none is None and q > 0
+        assert Fraction(p, q) == Fraction(float(rec.beta[0])) - ref_rows[1][0]
+    for tol in (1e-10, 1e-3):
+        report = op.check_conditions(rec, comb, k + 2, tol)
+        low, failure = _fraction_low_fields(rec, comb, tol)
+        assert _low_bits(report.denom, report.completion, report.beta0_tilde,
+                         report.low_rows) == _low_bits(**low)
+        if failure is not None:
+            assert report.failures[0] == failure
+
+
+def _workload_families(workload, seed, work_dir):
+    """``(label, rec, comb)`` of every family the bench workload runs at ``seed``:
+    CLI jobs through the config files it writes, oracle jobs as it builds them."""
+    bench_dir = str(CONFIG_DIR.parent / "bench")
+    if bench_dir not in sys.path:
+        sys.path.insert(0, bench_dir)
+    import workloads
+
+    jobs = workloads.build_jobs(workload, seed, str(CONFIG_DIR))
+    workloads.write_configs(jobs, str(work_dir))
+    seen, out = set(), []
+    for job in jobs:
+        key = job.argv[2] if job.argv else id(job.family)
+        if key in seen:
+            continue
+        seen.add(key)
+        if job.argv:
+            cfg = load_config(job.argv[2])
+            out.append((job.family.label, cfg.rec, cfg.comb))
+        else:
+            out.append((job.family.label, workloads.library_pair(job.family),
+                        op.CombCoeffs(job.family.a)))
+    return out
+
+
+_EDITED = [(f"edited/{label}", _edited_cheb_t(12, **edits), op.CombCoeffs(a))
+           for label, (edits, a, _) in zip(_SCALING_IDS, _SCALING_EDITS)]
+
+
+@pytest.mark.parametrize("label,rec,comb", (
+    [_bundled(p.name) for p in sorted(CONFIG_DIR.glob("*.json"))]
+    + chebyshev_corpus() + broken_families() + _K2_FIXTURES + _EDITED
+    # tilde gamma_2 = -1/4 < 0 here: a negative row denominator would turn
+    # tilde beta_1 = 0 into -0.0, and beta0_tilde = -0.0 into 0.0
+    + [(f"cheb_t/{a}", op.chebyshev_family(1, 12), op.CombCoeffs(a))
+       for a in ((0.0, -0.5), (0.0, 0.0, -0.5))]
+), ids=lambda v: v if isinstance(v, str) else "")
+def test_integer_completion_matches_fractions(label, rec, comb):
+    _assert_completion_matches_fractions(rec, comb)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("workload", ["check_mix", "oracle_deep", "derive_mix"])
+def test_integer_completion_matches_fractions_on_workloads(workload, seed, tmp_path):
+    families = _workload_families(workload, seed, tmp_path)
+    assert len(families) >= 13
+    for label, rec, comb in families:
+        _assert_completion_matches_fractions(rec, comb)
 
 
 def test_k1_fourier_identity_holds_generally(cheb_t):

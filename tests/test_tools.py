@@ -61,8 +61,9 @@ def test_report_diff_lists_signed_zeros_and_unexplained_bytes():
 def test_oracle_curve_smoke(capsys):
     assert oracle_curve.main(["--degrees", "2", "3", "4", "--repeat", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["config", "degree", "exact_gram_ms", "ratio_loop_ms"]
+    assert lines[0].split() == ["config", "degree", "completion_ms", "exact_gram_ms",
+                                "ratio_loop_ms"]
     rows = [line.split() for line in lines[1:]]
-    assert [(name, int(d)) for name, d, _, _ in rows] == [
+    assert [(name, int(d)) for name, d, *_ in rows] == [
         (name, d) for name in oracle_curve.CONFIGS for d in (2, 3, 4)]
     assert all(float(v) >= 0.0 for row in rows for v in row[2:])

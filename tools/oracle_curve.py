@@ -4,6 +4,9 @@ For one bundled ``k = 1`` and one bundled ``k = 2`` config, rebuilt at
 horizon ``2 * max(degrees) - 1``, prints per degree the best-of-``repeat``
 milliseconds of
 
+* ``completion`` -- the exact low-degree completion that ``check_conditions``
+  and the oracle share, with its one-entry memo cleared before each call
+  (it reads only the data up to ``k + 1``, so its curve is flat);
 * ``exact_gram`` -- the integer Gram matrix, called right after
   ``check_conditions`` on the same data, as in ``opoly check``;
 * ``ratio_loop`` -- ``oracle_gram_check`` with ``exact_gram`` answered from
@@ -53,11 +56,15 @@ def load_at_horizon(load_config, name: str, horizon: int):
         return load_config(path)
 
 
-def curve(src: str, degrees: list[int], repeat: int) -> list[tuple[str, int, float, float]]:
-    """``(config, degree, exact_gram_ms, ratio_loop_ms)`` rows."""
+def curve(src: str, degrees: list[int], repeat: int) -> list[tuple[str, int, float, float, float]]:
+    """``(config, degree, completion_ms, exact_gram_ms, ratio_loop_ms)`` rows."""
     sys.path.insert(0, src)
-    from opoly import lincomb
+    from opoly import _exact, lincomb
     from opoly.cli import load_config
+
+    def completion(rec, comb):
+        _exact._low_completion.cache_clear()
+        _exact.low_completion(rec.beta, rec.gamma, comb.a)
 
     exact_gram = lincomb.exact_gram
     rows = []
@@ -65,6 +72,7 @@ def curve(src: str, degrees: list[int], repeat: int) -> list[tuple[str, int, flo
         cfg = load_at_horizon(load_config, name, 2 * max(degrees) - 1)
         rec, comb = cfg.rec, cfg.comb
         for degree in degrees:
+            completion_ms = best_ms(lambda: completion(rec, comb), repeat)
             lincomb.check_conditions(rec, comb, cfg.horizon)
             gram = exact_gram(rec.beta, rec.gamma, comb.a, degree)
             gram_ms = best_ms(lambda: exact_gram(rec.beta, rec.gamma, comb.a, degree), repeat)
@@ -74,7 +82,7 @@ def curve(src: str, degrees: list[int], repeat: int) -> list[tuple[str, int, flo
                     lambda: lincomb.oracle_gram_check(rec, comb, degree=degree, tol=1e-9), repeat)
             finally:
                 lincomb.exact_gram = exact_gram
-            rows.append((name, degree, gram_ms, loop_ms))
+            rows.append((name, degree, completion_ms, gram_ms, loop_ms))
     return rows
 
 
@@ -86,9 +94,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if min(args.degrees) < 1 or args.repeat < 1:
         parser.error("degrees and --repeat must be at least 1")
-    print(f"{'config':26s} {'degree':>6s} {'exact_gram_ms':>14s} {'ratio_loop_ms':>14s}")
-    for name, degree, gram_ms, loop_ms in curve(args.src, args.degrees, args.repeat):
-        print(f"{name:26s} {degree:6d} {gram_ms:14.4f} {loop_ms:14.4f}")
+    print(f"{'config':26s} {'degree':>6s} {'completion_ms':>14s} {'exact_gram_ms':>14s} "
+          f"{'ratio_loop_ms':>14s}")
+    for name, degree, *times in curve(args.src, args.degrees, args.repeat):
+        print(f"{name:26s} {degree:6d}" + "".join(f" {t:14.4f}" for t in times))
     return 0
 
 

@@ -32,10 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import DegeneracyError, OpolyError
+from .errors import DegeneracyError, InapplicableError, OpolyError
 from .jacobi import (
     _symmetric_jacobi,
-    jacobi_truncation,
     orthonormal_identity_check,
     solve_hk,
     verify_functional_relation,
@@ -381,25 +380,23 @@ def _cmd_hk(cfg: JobConfig, args) -> tuple[int, dict, list]:
     hk = solve_hk(cfg.rec, cfg.comb, rep, m, tol=cfg.tolerances["hk"])
     rel = verify_functional_relation(cfg.rec, cfg.comb, rep, hk.poly, tol=cfg.tolerances["hk"])
     relation = {"ok": rel.ok, "scale": rel.scale, "max_residual": rel.max_residual}
-    size = cfg.horizon + 1
-    if np.all(cfg.rec.gamma[1:size] > 0):  # the symmetric form is balanced and real
-        hull = np.linalg.eigvalsh(_symmetric_jacobi(cfg.rec, size))
-    else:
-        hull = np.linalg.eigvals(jacobi_truncation(cfg.rec, size)).real
-    lo, hi = float(np.min(hull)), float(np.max(hull))
-    values = hk.poly(np.linspace(lo, hi, 100))
-    positivity = {
-        "interval": [lo, hi],
-        "grid_min": float(np.min(values)),
-        "positive_on_grid": bool(np.all(values > 0.0)),
-    }
-    ortho = None
-    tilde = tilde_recurrence(cfg.rec, cfg.comb, cfg.horizon, report=rep)
-    if np.all(cfg.rec.gamma[1:] > 0) and np.all(tilde.gamma[1:] > 0):
+    positivity = None
+    if np.all(cfg.rec.gamma[1:] > 0):  # h_k > 0 means something only for a positive-definite u
+        hull = np.linalg.eigvalsh(_symmetric_jacobi(cfg.rec, cfg.horizon + 1))
+        lo, hi = float(np.min(hull)), float(np.max(hull))
+        values = hk.poly(np.linspace(lo, hi, 100))
+        positivity = {
+            "interval": [lo, hi],
+            "grid_min": float(np.min(values)),
+            "positive_on_grid": bool(np.all(values > 0.0)),
+        }
+    try:
         rep_orth = orthonormal_identity_check(
             cfg.rec, cfg.comb, rep, m, hk_tol=cfg.tolerances["hk"]
         )
         ortho = {"ok": rep_orth.ok, "residual": rep_orth.residual}
+    except InapplicableError:  # not positive definite up to m + k
+        ortho = None
     result = {
         "truncation": m,
         "coefficients": list(hk.coeffs),

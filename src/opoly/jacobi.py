@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, HorizonError, NumericError, StateError
+from .errors import DegeneracyError, HorizonError, InapplicableError, NumericError, StateError
 from .lincomb import CombCoeffs, ConditionReport, tilde_recurrence
 from .moments import moments_from_recurrence
 from .recurrence import Poly, RecurrencePair
@@ -193,6 +193,18 @@ def norm_diagonal(rec: RecurrencePair, m: int) -> np.ndarray:
     return out
 
 
+def _identity_operands(
+    rec: RecurrencePair, comb: CombCoeffs, report: ConditionReport, size: int
+) -> tuple[RecurrencePair, np.ndarray, np.ndarray, np.ndarray]:
+    """``(tilde, M, D_P, D_Q)`` at truncation ``size``: the tilde recurrence up
+    to ``size - 1``, the change of basis and both norm diagonals."""
+    if size > rec.horizon + 1:
+        raise HorizonError(f"truncation {size} needs horizon >= {size - 1}, have {rec.horizon}")
+    tilde = tilde_recurrence(rec, comb, size - 1, report=report)
+    return (tilde, change_basis_matrix(comb, report, size),
+            norm_diagonal(rec, size), norm_diagonal(tilde, size))
+
+
 @dataclass(frozen=True)
 class IntertwiningReport:
     ok: bool
@@ -211,25 +223,12 @@ def verify_intertwining(
     k = comb.k
     if m < k + 3:
         raise ValueError(f"m must be at least k + 3 = {k + 3}")
-    tilde = tilde_recurrence(rec, comb, m - 1, report=report)
+    tilde, M, _, _ = _identity_operands(rec, comb, report, m)
     JP = jacobi_truncation(rec, m)
     JQ = jacobi_truncation(tilde, m)
-    M = change_basis_matrix(comb, report, m)
     resid_rows = (M @ JP - JQ @ M)[: m - k - 1]
     residual = float(np.max(np.abs(resid_rows)))
     return IntertwiningReport(residual <= tol, residual)
-
-
-def _interior_equations(mats_lhs, rhs, m, k):
-    """Assemble the banded linear system ``sum_i c_i lhs_i[r, c] = rhs[r, c]``
-    over interior rows and the (2k+1)-band where the entries can be nonzero."""
-    rows = []
-    target = []
-    for r in range(0, m - k - 1):
-        for c in range(max(0, r - k), min(m, r + k + 1)):
-            rows.append([mat[r, c] for mat in mats_lhs])
-            target.append(rhs[r, c])
-    return np.array(rows), np.array(target)
 
 
 def solve_hk(
@@ -255,20 +254,16 @@ def solve_hk(
     if m < 3 * k + 3:
         raise ValueError(f"m must be at least 3k + 3 = {3 * k + 3}")
     mm = m + k
-    if mm > rec.horizon + 1:
-        raise HorizonError(
-            f"solve_hk at m = {m} needs horizon >= {mm - 1}, have {rec.horizon}"
-        )
-    tilde = tilde_recurrence(rec, comb, mm - 1, report=report)
-    M = change_basis_matrix(comb, report, mm)
-    DP = norm_diagonal(rec, mm)
-    DQ = norm_diagonal(tilde, mm)
+    tilde, M, DP, DQ = _identity_operands(rec, comb, report, mm)
     R = (DP[:, None] * M.T) @ (M / DQ[:, None])
     JP = jacobi_truncation(rec, mm)
     powers = [np.eye(mm)]
     for _ in range(k):
         powers.append(powers[-1] @ JP)
-    A, b = _interior_equations([p[:m, :m] for p in powers], R[:m, :m], m, k)
+    # interior rows 0..m-k-2 and the (2k+1)-band, row by row
+    r, c = np.nonzero(np.abs(np.subtract.outer(np.arange(m - k - 1), np.arange(m))) <= k)
+    A = np.stack([p[r, c] for p in powers], axis=1)
+    b = R[r, c]
     coeffs, *_ = np.linalg.lstsq(A, b, rcond=None)
     residual = float(np.linalg.norm(A @ coeffs - b))
     if residual > tol * max(1.0, float(np.linalg.norm(b))):
@@ -375,26 +370,19 @@ def orthonormal_identity_check(
 
     ``J_sym`` is the symmetric Jacobi matrix (off-diagonal ``sqrt(gamma)``)
     and ``Mt = D_Q^{-1/2} M D_P^{1/2}``; the identity only makes sense in the
-    positive-definite case, so any non-positive ``gamma`` or ``tilde gamma``
-    raises :class:`ValueError`; :func:`solve_hk` fits ``h_k`` at ``hk_tol``.
+    positive-definite case, so a non-positive ``gamma_n`` or ``tilde gamma_n``
+    with ``n < m + k`` (the ones it reads) raises
+    :class:`~opoly.errors.InapplicableError` before ``h_k`` is fitted;
+    :func:`solve_hk` fits ``h_k`` at ``hk_tol``.
     """
     k = comb.k
     mm = m + k
-    if mm > rec.horizon + 1:
-        raise HorizonError(
-            f"m = {m} needs horizon >= {mm - 1}, have {rec.horizon}"
-        )
-    tilde = tilde_recurrence(rec, comb, mm - 1, report=report)
-    g_p = rec.gamma[1:mm]
-    g_q = tilde.gamma[1:mm]
-    if np.any(g_p <= 0.0):
-        raise ValueError("orthonormal identity needs all gamma_n > 0")
-    if np.any(g_q <= 0.0):
-        raise ValueError("orthonormal identity needs all tilde gamma_n > 0")
+    tilde, M, DP, DQ = _identity_operands(rec, comb, report, mm)
+    if np.any(rec.gamma[1:mm] <= 0.0):
+        raise InapplicableError("orthonormal identity needs all gamma_n > 0")
+    if np.any(tilde.gamma[1:mm] <= 0.0):
+        raise InapplicableError("orthonormal identity needs all tilde gamma_n > 0")
     hk = solve_hk(rec, comb, report, m, tol=hk_tol)
-    M = change_basis_matrix(comb, report, mm)
-    DP = norm_diagonal(rec, mm)
-    DQ = norm_diagonal(tilde, mm)
     Mt = (M / np.sqrt(DQ)[:, None]) * np.sqrt(DP)[None, :]
     Jsym = _symmetric_jacobi(rec, mm)
     lhs = np.zeros((mm, mm))

@@ -104,7 +104,7 @@ def degree_of_precision(rec: RecurrencePair, rule: QuadratureRule, tol: float = 
     V = _orthonormal(rec, rule.nodes, top + 1)
     err = np.abs((V * rule.weights) @ V.T - np.eye(top + 1))
     deg = np.add.outer(np.arange(top + 1), np.arange(top + 1))
-    failed = deg[~(err <= tol) & (deg <= max_degree)]
+    failed = deg[~(err <= tol)]
     return int(failed.min()) - 1 if failed.size else max_degree
 
 

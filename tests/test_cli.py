@@ -1,5 +1,7 @@
+import cmath
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -214,6 +216,23 @@ def test_check_reports_degenerate_oracle_completion(tmp_path, capsys):
     assert gram["ok"] is False
     assert gram["error"] == "exact completion: tilde gamma at degree 1 is zero"
     assert gram["agrees_with_verdict"] is True
+
+
+def test_check_reports_zero_determination_denominator(tmp_path, capsys):
+    # k = 1: gamma_2 + a_1 (beta_1 - beta_2) = 1/4 + (0 - 1/2)/2 = 0, so the
+    # combination is not determined; the oracle's exact completion agrees
+    payload = {"family": {"type": "explicit", "beta": ["0", "0", "0.5"] + ["0"] * 10,
+                          "gamma": ["0.25"] * 12},
+               "combination": {"a": ["0.5"]}, "horizon": 12}
+    code, out, _ = run(capsys, "check", "--config", write_config(tmp_path, payload))
+    assert code == 1
+    result = json.loads(out)["result"]
+    conditions = result["conditions"]
+    assert conditions["failures"][0] == (
+        "gamma_{k+1} + a_1*(beta_k - beta_{k+1}) is numerically zero")
+    assert conditions["denominator"] == 0.0
+    assert result["gram_oracle"]["error"] == "exact completion: denominator is zero"
+    assert result["gram_oracle"]["agrees_with_verdict"] is True
 
 
 def test_numeric_error_exits_three(tmp_path, capsys):
@@ -508,6 +527,32 @@ def test_hk_hull_scales_with_x(tmp_path, capsys):
     assert abs(lo16 - 16.0 * lo) <= 4 * ulp and abs(hi16 - 16.0 * hi) <= 4 * ulp
 
 
+@pytest.mark.parametrize("family,ortho", [
+    # every gamma_n = -1/4: eigvals of J_P would give the real parts of an
+    # imaginary spectrum, and the orthonormal form has no square roots
+    ({"type": "explicit", "beta": ["0"] * 25, "gamma": ["-0.25"] * 24}, None),
+    # gamma_22..24 = -1/4: no hull, but at m = 16 the orthonormal identity
+    # reads gamma_n and tilde gamma_n only for n < m + k = 17
+    ({"type": "k1", "a1": "0.5", "beta0": "0", "beta1": "0", "beta2": "0",
+      "gammas": ["0.25"] * 21 + ["-0.25"] * 3}, True),
+], ids=["all-negative", "negative-tail"])
+def test_hk_blocks_need_positive_gammas(tmp_path, capsys, family, ortho):
+    payload = {"family": family, "horizon": 24}
+    if family["type"] == "explicit":
+        payload["combination"] = {"a": ["0", "0.125"]}
+    code, out, err = run(capsys, "hk", "--config", write_config(tmp_path, payload))
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert result["relation"]["ok"] is True
+    assert result["positivity"] is None
+    if ortho is None:
+        assert result["orthonormal_identity"] is None
+    else:
+        assert result["truncation"] == 16
+        assert result["orthonormal_identity"]["ok"] is True
+        assert result["orthonormal_identity"]["residual"] < 1e-14
+
+
 def _leaf_types(value):
     if isinstance(value, dict):
         value = list(value.values())
@@ -570,6 +615,40 @@ def test_gen_reports_k2_difference_residual(name, capsys):
     expected = max(op.k2_difference_residual(seq, a1, a2) for seq in (cfg.rec.beta, cfg.rec.gamma))
     assert result["difference_equation_max_residual"] == expected
     assert expected < 1e-10
+
+
+def _derived_lambda(name):
+    """The root of ``a1^2 lam = a2 (1 + lam)^2`` that ``k2_family`` derives."""
+    fam = cli.load_config(str(CONFIG_DIR / name)).raw["family"]
+    a1, a2 = float(fam["a1"]), float(fam["a2"])
+    if fam["case"] == "real_roots":
+        return op.recurrence._inner_real_root(a1, a2)
+    lam = cmath.exp(1j * math.acos(a1 * a1 / (2.0 * a2) - 1.0))
+    return [lam.real, lam.imag]
+
+
+@pytest.mark.parametrize("name", ["gen_k2_real_roots.json", "gen_k2_complex_roots.json"])
+def test_gen_accepts_the_derived_lambda(tmp_path, capsys, name):
+    # pinning lambda to the root the generator derives changes nothing
+    payload = json.loads((CONFIG_DIR / name).read_text())
+    payload["family"]["lambda"] = _derived_lambda(name)
+    code, out, err = run(capsys, "gen", "--config", write_config(tmp_path, payload))
+    assert code == 0, err
+    pinned = json.loads(out)["result"]
+    code, out, err = run(capsys, "gen", "--config", str(CONFIG_DIR / name))
+    assert code == 0, err
+    derived = json.loads(out)["result"]
+    assert json.dumps(pinned) == json.dumps(derived)
+
+
+@pytest.mark.parametrize("name,lam", [("gen_k2_real_roots.json", 0.38),
+                                      ("gen_k2_complex_roots.json", [0.0, 1.0])])
+def test_gen_rejects_lambda_off_the_root(tmp_path, capsys, name, lam):
+    payload = json.loads((CONFIG_DIR / name).read_text())
+    payload["family"]["lambda"] = lam
+    code, out, err = run(capsys, "gen", "--config", write_config(tmp_path, payload))
+    assert (code, out) == (3, "")
+    assert err == "opoly: ConstraintError: lam does not solve a1^2 lam = a2 (1 + lam)^2\n"
 
 
 def test_horizon_cap(tmp_path, capsys):

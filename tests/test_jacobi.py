@@ -377,7 +377,7 @@ class TestOrthonormalIdentity:
         comb = op.CombCoeffs((2.0, 1.0))
         report = op.check_conditions(rec, comb, 22)
         assert report.verdict
-        with pytest.raises(ValueError):
+        with pytest.raises(op.InapplicableError, match="tilde gamma_n > 0"):
             op.orthonormal_identity_check(rec, comb, report, 12)
 
 

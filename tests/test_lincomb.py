@@ -538,9 +538,7 @@ def test_oracle_is_covariant_under_scaling(name, s):
 
 def test_exact_gram_degenerate_completion_texts(cheb_u):
     # k = 1 with beta_1 = 1/2: gamma_2 + a_1 (beta_1 - beta_2) = 1/4 - 1/4
-    beta = cheb_u.beta.copy()
-    beta[1] = 0.5
-    rec = op.RecurrencePair(beta, cheb_u.gamma[1:].copy())
+    rec = _cheb_u_with_beta1(0.5)
     with pytest.raises(op.DegeneracyError, match="^exact completion: denominator is zero$"):
         exact_gram(rec.beta, rec.gamma, (-0.5,), 6)
     with pytest.raises(
@@ -884,6 +882,13 @@ def _workload_families(workload, seed, work_dir):
     return out
 
 
+def _cheb_u_with_beta1(beta1):
+    u = op.chebyshev_family(2, 30)
+    beta = u.beta.copy()
+    beta[1] = beta1
+    return op.RecurrencePair(beta, u.gamma[1:].copy())
+
+
 _EDITED = [(f"edited/{label}", _edited_cheb_t(12, **edits), op.CombCoeffs(a))
            for label, (edits, a, _) in zip(_SCALING_IDS, _SCALING_EDITS)]
 
@@ -895,6 +900,8 @@ _EDITED = [(f"edited/{label}", _edited_cheb_t(12, **edits), op.CombCoeffs(a))
     # tilde beta_1 = 0 into -0.0, and beta0_tilde = -0.0 into 0.0
     + [(f"cheb_t/{a}", op.chebyshev_family(1, 12), op.CombCoeffs(a))
        for a in ((0.0, -0.5), (0.0, 0.0, -0.5))]
+    # gamma_2 + a_1 (beta_1 - beta_2) = 1/4 - 1/4: the determination fails
+    + [("cheb_u/beta1=0.5", _cheb_u_with_beta1(0.5), op.CombCoeffs((-0.5,)))]
 ), ids=lambda v: v if isinstance(v, str) else "")
 def test_integer_completion_matches_fractions(label, rec, comb):
     _assert_completion_matches_fractions(rec, comb)

@@ -4,8 +4,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
+import golden  # noqa: E402
 import oracle_curve  # noqa: E402
 import report_diff  # noqa: E402
+from opoly.cli import load_config  # noqa: E402
 
 
 def test_report_diff_lists_changed_runs_and_fields():
@@ -56,6 +58,18 @@ def test_report_diff_lists_signed_zeros_and_unexplained_bytes():
         "tilde:csv[].beta": (1, 0),
         "gen:<stdout>": (1, None),
     }
+
+
+def test_golden_grid_writes_edge_configs_outside_configs(tmp_path):
+    bundled = sorted(p.name for p in (Path(golden.ROOT) / "configs").glob("*.json"))
+    paths = golden.config_paths(str(tmp_path))
+    assert list(paths) == ([f"configs/{name}" for name in bundled]
+                           + [f"edge/{name}.json" for name in golden.edge_configs()])
+    assert sorted(p.name for p in (Path(golden.ROOT) / "configs").glob("*.json")) == bundled
+    for name, config in golden.edge_configs().items():
+        path = paths[f"edge/{name}.json"]
+        assert Path(path).parent == tmp_path
+        assert load_config(path).raw == config
 
 
 def test_oracle_curve_smoke(capsys):

@@ -1,10 +1,13 @@
 """Fingerprint every CLI report so two checkouts can be compared byte for byte.
 
-Runs ``opoly.cli.main`` in-process on every command x bundled config x
+Runs ``opoly.cli.main`` in-process on every command x config x
 ``--format json|csv`` x ``--n`` (none, 3, 10, 20, 27, 30) and prints one JSON
 object mapping each argv (space-joined) to ``[exit code, sha256 of stdout,
-stderr]``.  Config paths are relative to the repository root, so the output of
-two checkouts is directly comparable::
+stderr]``.  The configs are the bundled ones plus :func:`edge_configs`, which
+reach paths no bundled config does; those are written to a temporary
+directory (``configs/`` must match the benchmark's truth table) and keyed as
+``edge/<name>.json``.  Bundled paths are relative to the repository root, so
+the output of two checkouts is directly comparable::
 
     python tools/golden.py > before.json     # in the parent checkout
     python tools/golden.py > after.json      # in the changed checkout
@@ -21,6 +24,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMMANDS = ("check", "tilde", "zeros", "hk", "quad", "gen")
@@ -39,23 +43,76 @@ def capture(main, argv: list[str]) -> list:
     return [code, out.getvalue(), err.getvalue()]
 
 
+
+
+def _with_lambda(name: str, lam) -> dict:
+    """The bundled config ``name`` with ``family.lambda`` set to ``lam``."""
+    with open(os.path.join(ROOT, "configs", name), encoding="utf-8") as fh:
+        config = json.load(fh)
+    config["family"]["lambda"] = lam
+    return config
+
+
+def edge_configs() -> dict:
+    """Configs that reach paths no bundled config does, by name."""
+    return {
+        # gamma_n = -1/4 throughout: u is not positive definite, so hk has no hull
+        "all_negative": {
+            "family": {"type": "explicit", "beta": ["0"] * 25, "gamma": ["-0.25"] * 24},
+            "combination": {"a": ["0", "0.125"]},
+            "horizon": 24,
+        },
+        # gamma_22..24 < 0: no hull, but the orthonormal identity at m = 16 reads
+        # gammas only up to index 17
+        "negative_tail": {
+            "family": {"type": "k1", "a1": "0.5", "beta0": "0", "beta1": "0", "beta2": "0",
+                       "gammas": ["0.25"] * 21 + ["-0.25"] * 3},
+            "horizon": 24,
+        },
+        # gamma_2 + a_1 (beta_1 - beta_2) = 1/4 + (0 - 1/2)/2 = 0
+        "zero_denominator": {
+            "family": {"type": "explicit", "beta": ["0", "0", "0.5"] + ["0"] * 10,
+                       "gamma": ["0.25"] * 12},
+            "combination": {"a": ["0.5"]},
+            "horizon": 12,
+        },
+        # the bundled k2 generators with lambda pinned to the root they derive
+        "lambda_real": _with_lambda("gen_k2_real_roots.json", 0.3819660112501051),
+        "lambda_complex": _with_lambda("gen_k2_complex_roots.json",
+                                       [-0.5000000000000002, 0.8660254037844385]),
+    }
+
+
+def config_paths(edge_dir: str) -> dict:
+    """Map each config's label in the grid to the path the CLI reads: bundled
+    configs as ``configs/<name>``, :func:`edge_configs` written to ``edge_dir``."""
+    paths = {f"configs/{f}": f"configs/{f}"
+             for f in sorted(os.listdir(os.path.join(ROOT, "configs"))) if f.endswith(".json")}
+    for name, config in edge_configs().items():
+        path = os.path.join(edge_dir, f"{name}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        paths[f"edge/{name}.json"] = path
+    return paths
+
+
 def outputs(src: str = os.path.join(ROOT, "src")) -> dict:
-    """Map each argv of the grid (space-joined) to its :func:`capture`,
-    running the ``opoly`` found in ``src``."""
+    """Map each argv of the grid (space-joined, with the config's label) to
+    its :func:`capture`, running the ``opoly`` found in ``src``."""
     sys.path.insert(0, src)
     from opoly.cli import main
 
     os.chdir(ROOT)
-    configs = sorted(f for f in os.listdir("configs") if f.endswith(".json"))
     table = {}
-    for command in COMMANDS:
-        for name in configs:
-            for fmt in FORMATS:
-                for n in NS:
-                    argv = [command, "--config", f"configs/{name}", "--format", fmt]
-                    if n is not None:
-                        argv += ["--n", str(n)]
-                    table[" ".join(argv)] = capture(main, argv)
+    with tempfile.TemporaryDirectory() as edge_dir:
+        paths = config_paths(edge_dir)
+        for command in COMMANDS:
+            for label, path in paths.items():
+                for fmt in FORMATS:
+                    for n in NS:
+                        tail = ["--format", fmt] + ([] if n is None else ["--n", str(n)])
+                        key = " ".join([command, "--config", label, *tail])
+                        table[key] = capture(main, [command, "--config", path, *tail])
     return table
 
 

@@ -1,7 +1,8 @@
 """List every CLI report field that differs between two ``src/`` trees.
 
 Runs the argv grid of ``tools/golden.py`` under each tree, each in its own
-subprocess, against this checkout's ``configs/``, and prints:
+subprocess, against this checkout's ``configs/`` and ``golden.edge_configs()``,
+and prints:
 
 * every run whose exit code or stderr differs;
 * every report path whose value differs in some run, with the number of

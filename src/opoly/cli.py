@@ -10,6 +10,8 @@ Every command takes the same options.  A config names exactly one family
 (``chebyshev``, ``explicit``, ``k2`` or ``k1``), a combination ``a_1..a_k``,
 a horizon, and optional tolerances or a node count ``n``.  Numbers may be
 given as decimal strings to avoid double-rounding in published configs.
+``--n`` overrides the config's ``n`` as ``--tol-*`` override its tolerances,
+and each command then reads only the resolved :class:`JobConfig`.
 Reports are deterministic JSON (``schema: 1``); ``--format csv`` emits the
 command's main table instead.  ``gen`` on a ``k2`` family with ``a1 != 0``
 also reports ``difference_equation_max_residual``, the larger
@@ -120,14 +122,18 @@ class JobConfig:
     n: int | None
     hk_truncation: int | None
     tolerances: dict
-    family_type: str
+    generator_a: tuple[float, ...] | None  # the combination a k1/k2 family was built for
 
 
-_K2_CASES = {c.value: c for c in K2Case}
+def _object(raw: dict, field: str) -> dict | None:
+    value = raw.get(field)
+    if value is not None and not isinstance(value, dict):
+        raise ConfigError(f"field {field!r} must be an object")
+    return value
 
 
-def _build_family(fam: dict, horizon: int) -> tuple[RecurrencePair, str, tuple[float, ...] | None]:
-    """Returns (pair, family_type, implied combination or None)."""
+def _build_family(fam: dict, horizon: int) -> tuple[RecurrencePair, tuple[float, ...] | None]:
+    """Returns (pair, the generator's combination or None)."""
     if not isinstance(fam, dict) or "type" not in fam:
         raise ConfigError("family must be an object with a 'type' field")
     ftype = fam["type"]
@@ -135,7 +141,7 @@ def _build_family(fam: dict, horizon: int) -> tuple[RecurrencePair, str, tuple[f
         kind = _int(fam.get("kind"), "family.kind")
         if kind not in (1, 2, 3, 4):
             raise ConfigError("chebyshev family needs 'kind' in {1,2,3,4}")
-        return chebyshev_family(kind, horizon), ftype, None
+        return chebyshev_family(kind, horizon), None
     if ftype == "explicit":
         beta = _num_list(fam.get("beta"), "family.beta")
         gamma = _num_list(fam.get("gamma"), "family.gamma")
@@ -143,14 +149,15 @@ def _build_family(fam: dict, horizon: int) -> tuple[RecurrencePair, str, tuple[f
             raise ConfigError(
                 f"explicit family needs {horizon + 1} betas and {horizon} gammas"
             )
-        return RecurrencePair(beta, gamma), ftype, None
+        return RecurrencePair(beta, gamma), None
     if ftype == "k2":
-        case_name = fam.get("case")
-        if case_name not in _K2_CASES:
-            raise ConfigError(f"k2 family 'case' must be one of {sorted(_K2_CASES)}")
+        try:
+            case = K2Case(fam.get("case"))
+        except ValueError as exc:
+            names = sorted(c.value for c in K2Case)
+            raise ConfigError(f"k2 family 'case' must be one of {names}") from exc
         a1 = _num(fam.get("a1", 0), "family.a1")
         a2 = _num(fam.get("a2"), "family.a2")
-        case = _K2_CASES[case_name]
         lam = None
         if "lambda" in fam:
             lam = _complex(fam["lambda"], "family.lambda")
@@ -167,9 +174,11 @@ def _build_family(fam: dict, horizon: int) -> tuple[RecurrencePair, str, tuple[f
             lam=lam,
             **kwargs,
         )
-        return k2_family(a1, a2, params, horizon), ftype, (a1, a2)
+        return k2_family(a1, a2, params, horizon), (a1, a2)
     if ftype == "k1":
         gammas = _num_list(fam.get("gammas"), "family.gammas")
+        if len(gammas) < horizon:
+            raise ConfigError(f"k1 family needs {horizon} gammas, got {len(gammas)}")
         a1 = _num(fam.get("a1"), "family.a1")
         pair = k1_family(
             gammas,
@@ -179,7 +188,7 @@ def _build_family(fam: dict, horizon: int) -> tuple[RecurrencePair, str, tuple[f
             a1,
             horizon,
         )
-        return pair, ftype, (a1,)
+        return pair, (a1,)
     raise ConfigError(f"unknown family type {ftype!r}")
 
 
@@ -199,10 +208,12 @@ def load_config(path: str) -> JobConfig:
     horizon = _int(raw["horizon"], "horizon")
     if horizon > DEFAULT_MAX_HORIZON:
         raise ConfigError(f"horizon {horizon} exceeds the cap {DEFAULT_MAX_HORIZON}")
+    if horizon < 4:
+        raise ConfigError(f"horizon must be at least 4 (k + 3 with k >= 1), got {horizon}")
 
-    rec, ftype, implied = _build_family(raw.get("family"), horizon)
+    rec, generator_a = _build_family(raw.get("family"), horizon)
 
-    comb_cfg = raw.get("combination")
+    comb_cfg = _object(raw, "combination")
     if comb_cfg is not None:
         a = _num_list(comb_cfg.get("a"), "combination.a")
         if "k" in comb_cfg and _int(comb_cfg["k"], "combination.k") != len(a):
@@ -211,8 +222,8 @@ def load_config(path: str) -> JobConfig:
             comb = CombCoeffs(tuple(a))
         except ValueError as exc:
             raise ConfigError(f"invalid combination: {exc}") from exc
-    elif implied is not None:
-        comb = CombCoeffs(implied)
+    elif generator_a is not None:
+        comb = CombCoeffs(generator_a)
     else:
         raise ConfigError("config needs a 'combination' (or a generator family)")
 
@@ -220,7 +231,7 @@ def load_config(path: str) -> JobConfig:
         raise ConfigError(f"horizon must be at least k + 3 = {comb.k + 3}")
 
     tolerances = dict(DEFAULT_TOLERANCES)
-    for key, val in (raw.get("tolerances") or {}).items():
+    for key, val in (_object(raw, "tolerances") or {}).items():
         if key not in tolerances:
             raise ConfigError(f"unknown tolerance {key!r}")
         tolerances[key] = _tolerance(val, f"tolerances.{key}")
@@ -235,7 +246,7 @@ def load_config(path: str) -> JobConfig:
             raise ConfigError(f"hk_truncation must lie in [{lo}, {hi}], got {hk_m}")
     return JobConfig(
         raw=raw, rec=rec, comb=comb, horizon=horizon, n=n,
-        hk_truncation=hk_m, tolerances=tolerances, family_type=ftype,
+        hk_truncation=hk_m, tolerances=tolerances, generator_a=generator_a,
     )
 
 
@@ -295,7 +306,7 @@ def _condition_summary(rep) -> dict:
     }
 
 
-def _cmd_check(cfg: JobConfig, args) -> tuple[int, dict, list]:
+def _cmd_check(cfg: JobConfig) -> tuple[int, dict, list]:
     rep = _conditions(cfg)
     degree = min(12, (cfg.horizon + 1) // 2)
     try:
@@ -325,7 +336,7 @@ def _cmd_check(cfg: JobConfig, args) -> tuple[int, dict, list]:
     return (0 if rep.verdict else 1), result, rows
 
 
-def _cmd_tilde(cfg: JobConfig, args) -> tuple[int, dict, list]:
+def _cmd_tilde(cfg: JobConfig) -> tuple[int, dict, list]:
     rep = _conditions(cfg)
     if not rep.verdict:
         return 1, {"conditions": _condition_summary(rep)}, [("error", "not orthogonal")]
@@ -341,19 +352,18 @@ def _cmd_tilde(cfg: JobConfig, args) -> tuple[int, dict, list]:
     return 0, result, rows
 
 
-def _require_n(cfg: JobConfig, args, hi: int) -> int:
+def _require_n(cfg: JobConfig, command: str, hi: int) -> int:
     """The node count of ``zeros``/``quad``, which must lie in ``[k + 1, hi]``."""
-    n = args.n if args.n is not None else cfg.n
-    if n is None:
+    if cfg.n is None:
         raise ConfigError("this command needs 'n' (config field or --n flag)")
     lo = cfg.comb.k + 1
-    if not lo <= n <= hi:
-        raise ConfigError(f"{args.command} needs n in [{lo}, {hi}], got {n}")
-    return int(n)
+    if not lo <= cfg.n <= hi:
+        raise ConfigError(f"{command} needs n in [{lo}, {hi}], got {cfg.n}")
+    return cfg.n
 
 
-def _cmd_zeros(cfg: JobConfig, args) -> tuple[int, dict, list]:
-    n = _require_n(cfg, args, cfg.horizon + 1)
+def _cmd_zeros(cfg: JobConfig) -> tuple[int, dict, list]:
+    n = _require_n(cfg, "zeros", cfg.horizon + 1)
     zq = zeros_q(cfg.rec, cfg.comb, n, cross_tol=cfg.tolerances["zeros"])
     parts = list(zip(zq.zeros.real.tolist(), zq.zeros.imag.tolist()))
     result = {
@@ -367,7 +377,7 @@ def _cmd_zeros(cfg: JobConfig, args) -> tuple[int, dict, list]:
     return 0, result, rows
 
 
-def _cmd_hk(cfg: JobConfig, args) -> tuple[int, dict, list]:
+def _cmd_hk(cfg: JobConfig) -> tuple[int, dict, list]:
     k = cfg.comb.k
     m = cfg.hk_truncation
     if m is None:
@@ -411,8 +421,8 @@ def _cmd_hk(cfg: JobConfig, args) -> tuple[int, dict, list]:
     return (0 if rel.ok and (ortho is None or ortho["ok"]) else 1), result, rows
 
 
-def _cmd_quad(cfg: JobConfig, args) -> tuple[int, dict, list]:
-    n = _require_n(cfg, args, cfg.horizon - 1)
+def _cmd_quad(cfg: JobConfig) -> tuple[int, dict, list]:
+    n = _require_n(cfg, "quad", cfg.horizon - 1)
     k = cfg.comb.k
     rule = gauss_rule(cfg.rec, n, tol=cfg.tolerances["quad"])
     gauss_ok = rule.degree_of_precision == 2 * n - 1
@@ -446,19 +456,16 @@ def _cmd_quad(cfg: JobConfig, args) -> tuple[int, dict, list]:
     return (0 if (gauss_ok and shohat.ok) else 1), result, rows
 
 
-def _cmd_gen(cfg: JobConfig, args) -> tuple[int, dict, list]:
-    if cfg.family_type not in ("k2", "k1"):
+def _cmd_gen(cfg: JobConfig) -> tuple[int, dict, list]:
+    a = cfg.generator_a
+    if a is None:
         raise ConfigError("gen requires a 'k2' or 'k1' generator family")
     rep = _conditions(cfg)
-    fam = cfg.raw["family"]
     extras: dict = {}
-    if cfg.family_type == "k2":
-        a1 = _num(fam.get("a1", 0), "family.a1")
-        a2 = _num(fam.get("a2"), "family.a2")
-        if a1 != 0.0:
-            extras["difference_equation_max_residual"] = max(
-                k2_difference_residual(seq, a1, a2) for seq in (cfg.rec.beta, cfg.rec.gamma)
-            )
+    if len(a) == 2 and a[0] != 0.0:
+        extras["difference_equation_max_residual"] = max(
+            k2_difference_residual(seq, *a) for seq in (cfg.rec.beta, cfg.rec.gamma)
+        )
     result = {
         "family": {
             "beta": cfg.rec.beta.tolist(),
@@ -502,11 +509,13 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         cfg = load_config(args.config)
+        if args.n is not None:
+            cfg.n = args.n
         for tol in DEFAULT_TOLERANCES:
             override = getattr(args, f"tol_{tol}")
             if override is not None:
                 cfg.tolerances[tol] = _tolerance(override, f"--tol-{tol}")
-        code, result, rows = _COMMANDS[args.command](cfg, args)
+        code, result, rows = _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"opoly: config error: {exc}", file=sys.stderr)
         return 2

@@ -198,8 +198,6 @@ def _identity_operands(
 ) -> tuple[RecurrencePair, np.ndarray, np.ndarray, np.ndarray]:
     """``(tilde, M, D_P, D_Q)`` at truncation ``size``: the tilde recurrence up
     to ``size - 1``, the change of basis and both norm diagonals."""
-    if size > rec.horizon + 1:
-        raise HorizonError(f"truncation {size} needs horizon >= {size - 1}, have {rec.horizon}")
     tilde = tilde_recurrence(rec, comb, size - 1, report=report)
     return (tilde, change_basis_matrix(comb, report, size),
             norm_diagonal(rec, size), norm_diagonal(tilde, size))
@@ -244,7 +242,8 @@ def solve_hk(
     the compared entries are exact operator entries; the ``k + 1`` coefficients
     are then the least-squares solution of the interior-row system.  A fit
     residual above ``tol * max(1, |rhs|)`` means the functional relation
-    ``u = h_k v`` cannot hold and raises :class:`~opoly.errors.NumericError`.
+    ``u = h_k v`` cannot hold and raises :class:`~opoly.errors.NumericError`,
+    as does a system with non-finite entries.
 
     The reported ``scale`` is the proportionality constant making
     ``u = scale * h_k v`` exact at degree zero under the ``u_0 = v_0 = 1``
@@ -264,6 +263,8 @@ def solve_hk(
     r, c = np.nonzero(np.abs(np.subtract.outer(np.arange(m - k - 1), np.arange(m))) <= k)
     A = np.stack([p[r, c] for p in powers], axis=1)
     b = R[r, c]
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        raise NumericError("h_k system has non-finite entries")
     coeffs, *_ = np.linalg.lstsq(A, b, rcond=None)
     residual = float(np.linalg.norm(A @ coeffs - b))
     if residual > tol * max(1.0, float(np.linalg.norm(b))):

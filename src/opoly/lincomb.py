@@ -239,7 +239,7 @@ def tilde_recurrence(
     if n_max > rec.horizon:
         raise HorizonError(f"n_max = {n_max} exceeds horizon {rec.horizon}")
     if report is None:
-        report = check_conditions(rec, comb, max(n_max, k + 2), tol=1e-10)
+        report = check_conditions(rec, comb, max(n_max, k + 2))
     if not report.verdict:
         raise StateError(
             "combination is not orthogonal; tilde recurrence undefined: "

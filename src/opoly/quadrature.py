@@ -119,8 +119,6 @@ def gauss_rule(rec: RecurrencePair, n: int, tol: float = 1e-9) -> QuadratureRule
     exactness tolerance ``tol``."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n > rec.horizon:
-        raise HorizonError(f"n = {n} exceeds horizon {rec.horizon}")
     _require_positive(rec, n)
     nodes, vecs = np.linalg.eigh(_symmetric_jacobi(rec, n))
     return _measured(rec, nodes, vecs[0] ** 2, tol)
@@ -152,7 +150,7 @@ def shohat_check(
     zeros = zeros_q(rec, comb, n, cross_tol=cross_tol).zeros
     if float(np.max(np.abs(zeros.imag))) > 1e-9 * max(1.0, float(np.max(np.abs(zeros)))):
         raise InapplicableError("Q_n has complex zeros; quadrature undefined")
-    nodes = np.sort(zeros.real)
+    nodes = zeros.real  # zeros_q sorts by real part
     if nodes.size > 1 and np.min(np.diff(nodes)) <= 1e-10 * max(float(np.ptp(nodes)), 1.0):
         raise InapplicableError("Q_n has coincident zeros; quadrature undefined")
     rule = _measured(rec, nodes, christoffel_numbers(rec, nodes), tol)

@@ -105,15 +105,62 @@ def test_malformed_configs_exit_two(tmp_path, capsys):
         {"tolerances": {"conditions": -1e-10}},
         {"family": {"type": "chebyshev", "kind": True}},
         {"family": {"type": "chebyshev", "kind": 1.5}},
+        {"horizon": {"value": 20}},
+        {"combination": {"a": "0.5"}},
+        {"combination": [0.5]},
+        {"tolerances": [1]},
+        {"tolerances": 0},
+        {"tolerances": ""},
+        {"tolerances": []},
     ],
     ids=["a-inf", "a-nan", "a-overflow", "k-fraction", "horizon-fraction", "horizon-inf",
          "n-fraction", "hk-truncation-fraction", "tol-nan", "tol-negative",
-         "kind-bool", "kind-fraction"],
+         "kind-bool", "kind-fraction", "horizon-object", "a-not-list", "combination-list",
+         "tolerances-list", "tolerances-zero", "tolerances-empty-string", "tolerances-empty-list"],
 )
 def test_non_finite_or_non_integral_numbers_exit_two(tmp_path, capsys, change):
     code, _, err = run(capsys, "check", "--config", write_config(tmp_path, dict(BASE, **change)))
     assert code == 2
     assert err.startswith("opoly: config error: field ")
+
+
+K1 = {"type": "k1", "a1": "0.5", "beta0": "0", "beta1": "0", "beta2": "0", "gammas": ["0.25"] * 20}
+
+
+@pytest.mark.parametrize(
+    "payload,message",
+    [
+        ([BASE], "config must be a JSON object"),
+        ({key: v for key, v in BASE.items() if key != "horizon"}, "config needs a 'horizon' field"),
+        (dict(BASE, family=["chebyshev"]), "family must be an object with a 'type' field"),
+        (dict(BASE, family={"type": "chebyshev", "kind": 5}),
+         "chebyshev family needs 'kind' in {1,2,3,4}"),
+        (dict(BASE, family={"type": "explicit", "beta": ["0"] * 20, "gamma": ["0.25"] * 20}),
+         "explicit family needs 21 betas and 20 gammas"),
+        (dict(BASE, family={"type": "laguerre"}), "unknown family type 'laguerre'"),
+        (dict(BASE, family={"type": "k2", "case": ["x"], "a2": "0.2", "gamma1": "0.3"}),
+         "k2 family 'case' must be one of "
+         "['a1_zero', 'complex_roots', 'equal_roots', 'real_roots']"),
+        (dict(BASE, combination={"k": 1, "a": ["0", "-0.125"]}),
+         "combination.k disagrees with len(combination.a)"),
+        ({key: v for key, v in BASE.items() if key != "combination"},
+         "config needs a 'combination' (or a generator family)"),
+        (dict(BASE, tolerances={"gram": 1e-9}), "unknown tolerance 'gram'"),
+        (dict(BASE, horizon=1), "horizon must be at least 4 (k + 3 with k >= 1), got 1"),
+        (dict(BASE, horizon=0, family={"type": "explicit", "beta": ["0"], "gamma": []}),
+         "horizon must be at least 4 (k + 3 with k >= 1), got 0"),
+        ({"family": K1, "horizon": 2}, "horizon must be at least 4 (k + 3 with k >= 1), got 2"),
+        ({"family": dict(K1, gammas=["0.25"] * 2), "horizon": 12},
+         "k1 family needs 12 gammas, got 2"),
+    ],
+    ids=["not-object", "no-horizon", "family-not-object", "kind-5", "explicit-length",
+         "unknown-family", "k2-case-list", "k-mismatch", "no-combination", "unknown-tolerance",
+         "chebyshev-horizon-1", "explicit-horizon-0", "k1-horizon-2", "k1-short-gammas"],
+)
+def test_inconsistent_configs_exit_two(tmp_path, capsys, payload, message):
+    code, out, err = run(capsys, "check", "--config", write_config(tmp_path, payload))
+    assert (code, out) == (2, "")
+    assert err == f"opoly: config error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -567,12 +614,12 @@ def test_results_hold_builtin_scalars(command):
     # float; a report built from .tolist() gives it Python floats
     seen = set()
     for path in sorted(CONFIG_DIR.glob("*.json")):
-        args = cli._PARSER.parse_args([command, "--config", str(path), "--n", "10"])
-        cfg = cli.load_config(args.config)
-        if command == "gen" and cfg.family_type not in ("k1", "k2"):
+        cfg = cli.load_config(str(path))
+        cfg.n = 10
+        if command == "gen" and cfg.generator_a is None:
             continue
         try:
-            _, result, _ = cli._COMMANDS[command](cfg, args)
+            _, result, _ = cli._COMMANDS[command](cfg)
         except op.OpolyError:  # e.g. quad on a Q_n with complex zeros
             continue
         seen |= _leaf_types(result)

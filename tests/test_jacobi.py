@@ -238,6 +238,18 @@ class TestHk:
         with pytest.raises(op.NumericError):
             op.solve_hk(other, comb, report, 12)
 
+    def test_non_finite_system_raises(self):
+        # gen_k2_real_roots with D = 1e200: the verdict passes, but D_P and
+        # the powers of J_P overflow, and LAPACK must not see the system
+        params = op.K2Params(op.K2Case.REAL_ROOTS, beta0=0.0, beta1=0.05, gamma1=0.3,
+                             A=0.0, B=0.2, D=1e200, E=0.055278640450004204)
+        rec = op.k2_family(1.0, 0.2, params, 50)
+        comb = op.CombCoeffs((1.0, 0.2))
+        report = op.check_conditions(rec, comb, 50)
+        assert report.verdict
+        with np.errstate(all="ignore"), pytest.raises(op.NumericError, match="non-finite"):
+            op.solve_hk(rec, comb, report, 16)
+
     def test_equation_route_equivalence(self, cheb_t):
         # h(J_Q) agrees with M D_P M^T D_Q^{-1} and with M h(J_P) M^{-1}
         comb = op.CombCoeffs((0.0, -0.125))

@@ -30,6 +30,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -174,21 +175,20 @@ def _build_family(fam: dict, horizon: int) -> tuple[RecurrencePair, tuple[float,
             lam=lam,
             **kwargs,
         )
-        return k2_family(a1, a2, params, horizon), (a1, a2)
+        try:
+            return k2_family(a1, a2, params, horizon), (a1, a2)
+        except ValueError as exc:  # a generator parameter out of its domain
+            raise ConfigError(f"k2 family: {exc}") from exc
     if ftype == "k1":
         gammas = _num_list(fam.get("gammas"), "family.gammas")
         if len(gammas) < horizon:
             raise ConfigError(f"k1 family needs {horizon} gammas, got {len(gammas)}")
         a1 = _num(fam.get("a1"), "family.a1")
-        pair = k1_family(
-            gammas,
-            _num(fam.get("beta0", 0.0), "family.beta0"),
-            _num(fam.get("beta1", 0.0), "family.beta1"),
-            _num(fam.get("beta2", 0.0), "family.beta2"),
-            a1,
-            horizon,
-        )
-        return pair, (a1,)
+        betas = [_num(fam.get(f"beta{i}", 0.0), f"family.beta{i}") for i in range(3)]
+        try:
+            return k1_family(gammas, *betas, a1, horizon), (a1,)
+        except ValueError as exc:  # a generator parameter out of its domain
+            raise ConfigError(f"k1 family: {exc}") from exc
     raise ConfigError(f"unknown family type {ftype!r}")
 
 
@@ -261,6 +261,68 @@ def _report(command: str, cfg: JobConfig, passed: bool, result: dict) -> dict:
     }
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+# the text of each JSON leaf, by exact type; ``_json_text`` falls back to
+# ``isinstance`` for subclasses (``np.float64`` is a ``float``)
+_LEAVES = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_key(key) -> str:
+    """A dict key as ``json.dumps`` writes it: converted to a string, quoted."""
+    if not isinstance(key, str):
+        if isinstance(key, float):
+            key = _float_text(key)
+        elif isinstance(key, (bool, type(None))):
+            key = _LEAVES[type(key)](key)
+        elif isinstance(key, int):
+            key = int.__repr__(key)
+        else:
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+    return encode_basestring_ascii(key)
+
+
+def _json_text(value, indent: str) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it
+    at the nesting whose closing bracket is indented by ``indent``.
+
+    With ``indent`` set, the stdlib runs its pure-Python encoder; this one
+    keeps its leaf texts (``float.__repr__``, the C string escaper) and its
+    layout, and builds each container with one join.
+    """
+    leaf = _LEAVES.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{_json_key(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    for base in (str, int, float):
+        if isinstance(value, base):
+            return _LEAVES[base](value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(report: dict, csv_rows, args) -> None:
     if args.format == "csv":
         buf = io.StringIO()
@@ -269,7 +331,7 @@ def _emit(report: dict, csv_rows, args) -> None:
             writer.writerow(row)
         text = buf.getvalue()
     else:
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = _json_text(report, "") + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

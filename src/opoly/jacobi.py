@@ -110,13 +110,21 @@ def multiset_distance(a, b) -> float:
     """Greedy matching distance between two equal-size complex multisets of
     finite numbers: ``a`` in (real, imag) order takes the nearest unmatched
     ``b`` (the first on ties) from one broadcast of ``np.hypot`` distances,
-    each equal to the scalar ``abs(z - w)``; matched columns become ``inf``."""
+    each equal to the scalar ``abs(z - w)``; matched columns become ``inf``.
+
+    When every sorted ``a_i`` is strictly nearest to ``b_i`` (as for
+    :func:`zeros_q`'s eigenvalues and their own refinements), the greedy
+    matching is the identity and its distance is read off the diagonal."""
     a = np.asarray(a, dtype=complex).ravel()
     b = np.asarray(b, dtype=complex).ravel()
     if a.size != b.size:
         raise ValueError("multisets must have equal size")
     diff = a[np.lexsort((a.imag, a.real))][:, None] - b[None, :]
     dists = np.hypot(diff.real, diff.imag)
+    own = dists.diagonal()
+    if a.size and np.all(own < np.where(np.eye(a.size, dtype=bool), np.inf, dists).min(axis=1)):
+        top = own.max()
+        return top if top > 0.0 else 0.0  # as the loop's max(0.0, ...) on all-zero rows
     worst = 0.0
     for row in dists:
         i = int(row.argmin())
@@ -142,14 +150,14 @@ def _newton_step(rec: RecurrencePair, comb: CombCoeffs, z: np.ndarray) -> np.nda
     prev = np.array([np.ones_like(z), np.zeros_like(z)])
     cur = np.array([shifted[0], np.ones_like(z)])
     q = coef[m - 1] * cur if m - 1 <= k else 0.0
-    for j in range(1, m):
-        nxt = shifted[j] * cur
-        nxt -= rec.gamma[j] * prev
-        nxt[1] += cur[0]
-        prev, cur = cur, nxt
-        if m - 1 - j <= k:
-            q = q + coef[m - 1 - j] * cur
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):  # a non-finite step fails the cross-check
+        for j in range(1, m):
+            nxt = shifted[j] * cur
+            nxt -= rec.gamma[j] * prev
+            nxt[1] += cur[0]
+            prev, cur = cur, nxt
+            if m - 1 - j <= k:
+                q = q + coef[m - 1 - j] * cur
         return z - q[0] / q[1]
 
 
@@ -253,12 +261,13 @@ def solve_hk(
     if m < 3 * k + 3:
         raise ValueError(f"m must be at least 3k + 3 = {3 * k + 3}")
     mm = m + k
-    tilde, M, DP, DQ = _identity_operands(rec, comb, report, mm)
-    R = (DP[:, None] * M.T) @ (M / DQ[:, None])
-    JP = jacobi_truncation(rec, mm)
-    powers = [np.eye(mm)]
-    for _ in range(k):
-        powers.append(powers[-1] @ JP)
+    with np.errstate(all="ignore"):  # overflow is refused below, without warnings
+        tilde, M, DP, DQ = _identity_operands(rec, comb, report, mm)
+        R = (DP[:, None] * M.T) @ (M / DQ[:, None])
+        JP = jacobi_truncation(rec, mm)
+        powers = [np.eye(mm)]
+        for _ in range(k):
+            powers.append(powers[-1] @ JP)
     # interior rows 0..m-k-2 and the (2k+1)-band, row by row
     r, c = np.nonzero(np.abs(np.subtract.outer(np.arange(m - k - 1), np.arange(m))) <= k)
     A = np.stack([p[r, c] for p in powers], axis=1)

@@ -131,7 +131,7 @@ class RecurrencePair:
         if np.any(np.abs(g_in) <= GAMMA_FLOOR):
             n_bad = int(np.argmax(np.abs(g_in) <= GAMMA_FLOOR)) + 1
             raise DegeneracyError(
-                f"gamma_{n_bad} = {g_in[n_bad - 1]!r} is numerically zero; "
+                f"gamma_{n_bad} = {float(g_in[n_bad - 1])!r} is numerically zero; "
                 "the family is not quasi-definite"
             )
         g = np.concatenate(([np.nan], g_in))
@@ -177,13 +177,13 @@ def poly_p(rec: RecurrencePair, n: int) -> Poly:
     _check_index(rec, n)
     if n == 0:
         return Poly((1.0,))
-    prev = np.array([1.0])
-    cur = np.array([-rec.beta[0], 1.0])
+    beta, gamma = rec.beta.tolist(), rec.gamma.tolist()
+    prev, cur = [1.0], [-beta[0], 1.0]
     for j in range(1, n):
-        nxt = np.zeros(j + 2)
-        nxt[1:] = cur
-        nxt[: j + 1] -= rec.beta[j] * cur
-        nxt[:j] -= rec.gamma[j] * prev
+        b, g = beta[j], gamma[j]
+        # x P_j - beta_j P_j - gamma_j P_{j-1}, coefficient i = (c[i-1] - b c[i]) - g p[i]
+        nxt = [c1 - b * c0 - g * p for c1, c0, p in zip([0.0] + cur, cur, prev)]
+        nxt += (cur[j - 1] - b * cur[j], cur[j])
         prev, cur = cur, nxt
     return Poly(tuple(cur))
 

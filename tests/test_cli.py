@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -152,10 +153,16 @@ K1 = {"type": "k1", "a1": "0.5", "beta0": "0", "beta1": "0", "beta2": "0", "gamm
         ({"family": K1, "horizon": 2}, "horizon must be at least 4 (k + 3 with k >= 1), got 2"),
         ({"family": dict(K1, gammas=["0.25"] * 2), "horizon": 12},
          "k1 family needs 12 gammas, got 2"),
+        ({"family": dict(K1, a1="0"), "horizon": 12}, "k1 family: a1 must be nonzero"),
+        ({"family": dict(K1, gammas=["0"] * 20), "horizon": 12},
+         "k1 family: all gammas must be nonzero"),
+        ({"family": {"type": "k2", "case": "real_roots", "a1": "1", "a2": "0", "gamma1": "0.3"},
+          "horizon": 20}, "k2 family: a2 must be nonzero"),
     ],
     ids=["not-object", "no-horizon", "family-not-object", "kind-5", "explicit-length",
          "unknown-family", "k2-case-list", "k-mismatch", "no-combination", "unknown-tolerance",
-         "chebyshev-horizon-1", "explicit-horizon-0", "k1-horizon-2", "k1-short-gammas"],
+         "chebyshev-horizon-1", "explicit-horizon-0", "k1-horizon-2", "k1-short-gammas",
+         "k1-a1-zero", "k1-gammas-zero", "k2-a2-zero"],
 )
 def test_inconsistent_configs_exit_two(tmp_path, capsys, payload, message):
     code, out, err = run(capsys, "check", "--config", write_config(tmp_path, payload))
@@ -250,6 +257,54 @@ def test_json_encoding_rejects_unknown_values():
         cli._emit({"x": object()}, [], args)
 
 
+class _Str(str):
+    pass
+
+
+@pytest.mark.parametrize("value", [
+    float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1.7976931348623157e308,
+    0.1, 2**70, -(2**70), 0, True, False, None, "", "plain", "caf\u00e9 \u2211 \U0001f600",
+    "tab\tquote\"slash\\nl\n\x00\x1f\x7f", [], {}, [[]], {"a": {}}, [{}, [[]], ()],
+    (1.5, "x", None), np.float64(0.1), np.float64("nan"), [np.float64(-0.0), 3],
+    _Str("sub"), {"\u00e9": 1, "b\n": [1, {"c": []}], "a": (2.5, {"z": None, "y": True})},
+    {"deep": [[[{"x": [1.0, float("inf")]}]]], "empty": {"l": [], "d": {}}},
+], ids=repr)
+def test_json_text_matches_stdlib_indent(value):
+    assert cli._json_text(value, "") == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("keys", [(2, 10, -1, 2**70), (1.5, -0.25, float("inf"), float("nan")),
+                                  (True, False), (None,), ("b", "a", "\u00e9", "\x01", "")])
+def test_json_text_converts_keys_like_stdlib(keys):
+    value = {"outer": [{key: i for i, key in enumerate(keys)}]}
+    assert cli._json_text(value, "") == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [{"x": np.int64(1)}, [np.bool_(True)], {"x": {1, 2}},
+                                   {(1, 2): 0}, {"x": 1j}])
+def test_json_text_rejects_what_stdlib_rejects(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        cli._json_text(value, "")
+
+
+@pytest.mark.parametrize("command", ["check", "tilde", "zeros", "hk", "quad", "gen"])
+def test_reports_equal_stdlib_indented_json(command):
+    emitted = 0
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        cfg = cli.load_config(str(path))
+        cfg.n = 10
+        try:
+            code, result, _ = cli._COMMANDS[command](cfg)
+        except (op.OpolyError, ValueError):  # the runs that print no report
+            continue
+        report = cli._report(command, cfg, code == 0, result)
+        assert cli._json_text(report, "") == json.dumps(report, sort_keys=True, indent=2)
+        emitted += 1
+    assert emitted
+
+
 def test_check_reports_degenerate_oracle_completion(tmp_path, capsys):
     # no orthogonal completion exists (tilde gamma_1 = 0 exactly): the oracle
     # reports the exact degeneracy, agrees with the failed verdict, exit 1
@@ -308,6 +363,33 @@ def test_numeric_error_exits_three(tmp_path, capsys):
     code, out, err = run(capsys, "check", "--config", write_config(tmp_path, payload))
     assert code == 3
     assert err.startswith("opoly: NumericError: low-degree completion: ")
+
+
+def test_zero_gamma_is_named_as_a_plain_float(tmp_path, capsys):
+    payload = dict(BASE, family={"type": "explicit", "beta": ["0"] * 21,
+                                 "gamma": ["0"] + ["0.25"] * 19})
+    code, out, err = run(capsys, "check", "--config", write_config(tmp_path, payload))
+    assert (code, out) == (3, "")
+    assert err == ("opoly: DegeneracyError: gamma_1 = 0.0 is numerically zero; "
+                   "the family is not quasi-definite\n")
+
+
+@pytest.mark.parametrize("command,message", [
+    ("hk", "h_k system has non-finite entries"),
+    ("zeros", "eigenvalue/Newton cross-check mismatch: multiset distance inf"),
+    ("quad", "eigenvalue/Newton cross-check mismatch: multiset distance inf"),
+])
+def test_overflow_refusals_print_one_line(tmp_path, capsys, command, message):
+    # gen_k2_real_roots with D = 1e200 passes the verdict, but D_P, the powers
+    # of J_P and the Newton recurrence overflow: one refusal line, no warnings
+    payload = json.loads((CONFIG_DIR / "gen_k2_real_roots.json").read_text())
+    payload["family"]["D"] = "1e200"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, command, "--config", write_config(tmp_path, payload),
+                             "--n", "10")
+    assert (code, out) == (3, "")
+    assert err == f"opoly: NumericError: {message}\n"
 
 
 @pytest.mark.parametrize("beta,gamma", [
@@ -610,8 +692,8 @@ def _leaf_types(value):
 
 @pytest.mark.parametrize("command", ["check", "tilde", "zeros", "hk", "quad", "gen"])
 def test_results_hold_builtin_scalars(command):
-    # the pure-Python JSON encoder runs three numpy comparisons per numpy
-    # float; a report built from .tolist() gives it Python floats
+    # the report emitter dispatches on exact types, and a numpy float takes
+    # its slower isinstance fallback; a report built from .tolist() avoids it
     seen = set()
     for path in sorted(CONFIG_DIR.glob("*.json")):
         cfg = cli.load_config(str(path))

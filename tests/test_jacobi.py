@@ -429,3 +429,34 @@ def test_multiset_distance_matches_greedy_reference(rng):
         for x, y in ((a, b), (b, a), (a, a)):
             got, want = op.multiset_distance(x, y), _greedy_distance_reference(x, y)
             assert got == want and type(got) is type(want)
+
+
+def _takes_identity_path(a, b) -> bool:
+    """Whether every sorted ``a_i`` is strictly nearest to ``b_i``."""
+    a = np.sort_complex(np.asarray(a, dtype=complex))
+    d = np.abs(a[:, None] - np.asarray(b, dtype=complex)[None, :])
+    return all(d[i, i] < min(np.delete(d[i], i), default=np.inf) for i in range(a.size))
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 12, 40])
+def test_multiset_distance_aligned_and_shuffled(rng, m):
+    # zeros_q's case: sorted points against their own small perturbations
+    # (the identity path), then shuffled, tied and reversed inputs (the loop)
+    a = np.sort_complex(rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    b = a + 1e-9 * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    aligned = [(a, b), (a, a.copy())]
+    looped = [(a, b[rng.permutation(m)])]
+    if m > 1:
+        tied = a.copy()
+        tied[1] = a[0]
+        looped += [(tied, tied.copy()), (a, b[::-1].copy())]
+    assert all(_takes_identity_path(x, y) for x, y in aligned)
+    assert not any(_takes_identity_path(x, y) for x, y in looped[1:])
+    for x, y in aligned + looped:
+        got, want = op.multiset_distance(x, y), _greedy_distance_reference(x, y)
+        assert got == want and type(got) is type(want)
+
+
+def test_multiset_distance_of_empty_sets():
+    got = op.multiset_distance(np.array([], dtype=complex), np.array([], dtype=complex))
+    assert got == 0.0 and type(got) is float

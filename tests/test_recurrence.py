@@ -1,10 +1,13 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import opoly as op
 from opoly import K2Case, K2Params
+from opoly.cli import load_config
 
 from conftest import (
     chebyshev_weight_moments,
@@ -55,6 +58,43 @@ def test_poly_p_matches_eval_p(kind, rng):
             direct = op.eval_p(rec, n, x)
             via_coeffs = p(x)
             assert via_coeffs == pytest.approx(direct, rel=1e-10, abs=1e-12)
+
+
+def _poly_p_numpy(rec, n):
+    """The three-numpy-ops-per-step walk, kept as the bit-level reference."""
+    if n == 0:
+        return (1.0,)
+    prev, cur = np.array([1.0]), np.array([-rec.beta[0], 1.0])
+    for j in range(1, n):
+        nxt = np.zeros(j + 2)
+        nxt[1:] = cur
+        nxt[: j + 1] -= rec.beta[j] * cur
+        nxt[:j] -= rec.gamma[j] * prev
+        prev, cur = cur, nxt
+    return tuple(cur.tolist())
+
+
+def test_poly_p_matches_numpy_walk_bit_for_bit(tmp_path):
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+    import golden
+
+    walked = 0
+    for label, path in golden.config_paths(str(tmp_path)).items():
+        try:
+            rec = load_config(path).rec
+        except (op.OpolyError, ValueError):  # the edge configs that are refused
+            continue
+        for n in range(rec.horizon + 2):
+            with np.errstate(all="ignore"):
+                walk = _poly_p_numpy(rec, n)
+            if not all(map(math.isfinite, walk)):  # coefficients past the float range
+                with pytest.raises(ValueError, match="finite"):
+                    op.poly_p(rec, n)
+                continue
+            got = op.poly_p(rec, n).coeffs
+            assert [c.hex() for c in got] == [c.hex() for c in op.Poly(walk).coeffs], (label, n)
+            walked += 1
+    assert walked > 500
 
 
 def test_poly_p_monic(cheb_t):

@@ -7,7 +7,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import golden  # noqa: E402
 import oracle_curve  # noqa: E402
 import report_diff  # noqa: E402
-from opoly.cli import load_config  # noqa: E402
 
 
 def test_report_diff_lists_changed_runs_and_fields():
@@ -69,7 +68,7 @@ def test_golden_grid_writes_edge_configs_outside_configs(tmp_path):
     for name, config in golden.edge_configs().items():
         path = paths[f"edge/{name}.json"]
         assert Path(path).parent == tmp_path
-        assert load_config(path).raw == config
+        assert json.loads(Path(path).read_text()) == config
 
 
 def test_oracle_curve_smoke(capsys):

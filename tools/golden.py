@@ -45,11 +45,11 @@ def capture(main, argv: list[str]) -> list:
 
 
 
-def _with_lambda(name: str, lam) -> dict:
-    """The bundled config ``name`` with ``family.lambda`` set to ``lam``."""
+def _with_family(name: str, fields: dict) -> dict:
+    """The bundled config ``name`` with ``family`` fields set to ``fields``."""
     with open(os.path.join(ROOT, "configs", name), encoding="utf-8") as fh:
         config = json.load(fh)
-    config["family"]["lambda"] = lam
+    config["family"].update(fields)
     return config
 
 
@@ -77,9 +77,20 @@ def edge_configs() -> dict:
             "horizon": 12,
         },
         # the bundled k2 generators with lambda pinned to the root they derive
-        "lambda_real": _with_lambda("gen_k2_real_roots.json", 0.3819660112501051),
-        "lambda_complex": _with_lambda("gen_k2_complex_roots.json",
-                                       [-0.5000000000000002, 0.8660254037844385]),
+        "lambda_real": _with_family("gen_k2_real_roots.json", {"lambda": 0.3819660112501051}),
+        "lambda_complex": _with_family("gen_k2_complex_roots.json",
+                                       {"lambda": [-0.5000000000000002, 0.8660254037844385]}),
+        # generator parameters out of their domain: config errors
+        "k1_a1_zero": _with_family("gen_k1.json", {"a1": "0"}),
+        "k2_a2_zero": _with_family("gen_k2_real_roots.json", {"a2": "0"}),
+        # gamma_1 = 0: the family is not quasi-definite
+        "explicit_gamma1_zero": {
+            "family": {"type": "explicit", "beta": ["0"] * 13, "gamma": ["0"] + ["0.25"] * 11},
+            "combination": {"a": ["0.5"]},
+            "horizon": 12,
+        },
+        # the verdict passes, but h_k's norm products and the Newton steps overflow
+        "k2_overflow": _with_family("gen_k2_real_roots.json", {"D": "1e200"}),
     }
 
 

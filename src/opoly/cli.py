@@ -159,11 +159,6 @@ def _build_family(fam: dict, horizon: int) -> tuple[RecurrencePair, tuple[float,
             raise ConfigError(f"k2 family 'case' must be one of {names}") from exc
         a1 = _num(fam.get("a1", 0), "family.a1")
         a2 = _num(fam.get("a2"), "family.a2")
-        lam = None
-        if "lambda" in fam:
-            lam = _complex(fam["lambda"], "family.lambda")
-            if lam.imag == 0.0:
-                lam = lam.real
         parse = _complex if case is K2Case.COMPLEX_ROOTS else _num
         kwargs = {name: _num(fam.get(name, 0.0), f"family.{name}") for name in "AD"}
         kwargs.update({name: parse(fam.get(name, 0.0), f"family.{name}") for name in "BCEF"})
@@ -172,7 +167,6 @@ def _build_family(fam: dict, horizon: int) -> tuple[RecurrencePair, tuple[float,
             beta0=_num(fam.get("beta0", 0.0), "family.beta0"),
             beta1=_num(fam.get("beta1", 0.0), "family.beta1"),
             gamma1=_num(fam.get("gamma1"), "family.gamma1"),
-            lam=lam,
             **kwargs,
         )
         try:
@@ -280,28 +274,14 @@ _LEAVES = {
 }
 
 
-def _json_key(key) -> str:
-    """A dict key as ``json.dumps`` writes it: converted to a string, quoted."""
-    if not isinstance(key, str):
-        if isinstance(key, float):
-            key = _float_text(key)
-        elif isinstance(key, (bool, type(None))):
-            key = _LEAVES[type(key)](key)
-        elif isinstance(key, int):
-            key = int.__repr__(key)
-        else:
-            raise TypeError(f"keys must be str, int, float, bool or None, "
-                            f"not {type(key).__name__}")
-    return encode_basestring_ascii(key)
-
-
 def _json_text(value, indent: str) -> str:
     """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it
     at the nesting whose closing bracket is indented by ``indent``.
 
     With ``indent`` set, the stdlib runs its pure-Python encoder; this one
     keeps its leaf texts (``float.__repr__``, the C string escaper) and its
-    layout, and builds each container with one join.
+    layout, and builds each container with one join.  Every dict key must
+    be a ``str``; the string escaper raises ``TypeError`` on any other.
     """
     leaf = _LEAVES.get(type(value))
     if leaf is not None:
@@ -310,7 +290,8 @@ def _json_text(value, indent: str) -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [f"{_json_key(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())]
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                 for k, v in sorted(value.items())]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
     if isinstance(value, (list, tuple)):
         if not value:

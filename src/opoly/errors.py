@@ -13,8 +13,9 @@ class DegeneracyError(OpolyError):
     """A quantity that must be nonzero (gamma, pivot, denominator) vanished."""
 
 
-class ConstraintError(OpolyError):
-    """Structural parameter constraints are violated."""
+class ConstraintError(OpolyError, ValueError):
+    """Structural parameter constraints are violated (a parameter out of its
+    domain, hence also a ``ValueError``)."""
 
 
 class StateError(OpolyError):

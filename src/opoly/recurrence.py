@@ -245,8 +245,8 @@ class K2Params:
     otherwise unconstrained; whether a given seed choice keeps the combined
     sequence quasi-definite is checked numerically downstream, not assumed.
 
-    ``lam`` may be supplied to pin the root explicitly (it is validated
-    against ``a_1, a_2``); when ``None`` it is derived.
+    The root ``lam`` is not a parameter: :func:`k2_family` derives it from
+    ``a_1, a_2``.
     """
 
     case: K2Case
@@ -259,11 +259,6 @@ class K2Params:
     D: float = 0.0
     E: complex | float = 0.0
     F: complex | float = 0.0
-    lam: complex | float | None = None
-
-    def __post_init__(self):
-        if abs(self.gamma1) <= GAMMA_FLOOR:
-            raise ConstraintError("gamma1 must be nonzero")
 
 
 #: Relative tolerance of the k2 case constraints checked by :func:`k2_family`.
@@ -284,12 +279,6 @@ def _inner_real_root(a1: float, a2: float) -> float:
     return lam
 
 
-def _root_residual(a1: float, a2: float, lam: complex) -> float:
-    val = a1 * a1 * lam - a2 * (1.0 + lam) ** 2
-    scale = max(1.0, abs(a1 * a1 * lam), abs(a2 * (1.0 + lam) ** 2))
-    return abs(val) / scale
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConstraintError(message)
@@ -307,7 +296,7 @@ def k2_family(
     The case tag must match the discriminant ``a1^2 - 4 a2`` (values within
     1e-12 of zero count as the equal-root boundary, and ``A1_ZERO`` requires
     ``a1 == 0`` exactly).  Case constraints are validated to 1e-12; any
-    generated ``gamma_n`` within 1e-12 of zero raises
+    ``gamma_n``, the seed ``gamma_1`` included, within 1e-12 of zero raises
     :class:`~opoly.errors.DegeneracyError`.
     """
     if a2 == 0.0:
@@ -346,15 +335,7 @@ def k2_family(
         beta_tail = A + B * ns + C * ns**2
         gamma_tail = D + E * ns + F * ns**2
     elif params.case is K2Case.REAL_ROOTS:
-        lam = params.lam
-        if lam is None:
-            lam = _inner_real_root(a1, a2)
-        else:
-            lam = float(np.real(lam))
-            _require(-1.0 < lam < 1.0 and lam != 0.0,
-                     "lam must lie in (-1, 1) and be nonzero")
-            _require(_root_residual(a1, a2, lam) <= 1e-12,
-                     "lam does not solve a1^2 lam = a2 (1 + lam)^2")
+        lam = _inner_real_root(a1, a2)
         B, C = float(np.real(params.B)), float(np.real(params.C))
         E, F = float(np.real(params.E)), float(np.real(params.F))
         _require(abs(a1 * C - (1.0 + lam) * F) <= _K2_TOL * max(1.0, abs(F)),
@@ -366,18 +347,9 @@ def k2_family(
         beta_tail = params.A + B * pow_pos + C * pow_neg
         gamma_tail = params.D + E * pow_pos + F * pow_neg
     else:  # COMPLEX_ROOTS
-        lam = params.lam
-        if lam is None:
-            ctheta = a1 * a1 / (2.0 * a2) - 1.0
-            if not -1.0 < ctheta < 1.0:
-                raise ConstraintError("a1^2 < 4 a2 required for the unit-circle pair")
-            lam = cmath.exp(1j * math.acos(ctheta))
-        else:
-            lam = complex(lam)
-            _require(abs(abs(lam) - 1.0) <= 1e-12 and lam.imag > 0.0,
-                     "lam must be on the upper unit circle")
-            _require(_root_residual(a1, a2, lam) <= 1e-12,
-                     "lam does not solve a1^2 lam = a2 (1 + lam)^2")
+        ctheta = a1 * a1 / (2.0 * a2) - 1.0
+        _require(-1.0 < ctheta < 1.0, "a1^2 < 4 a2 required for the unit-circle pair")
+        lam = cmath.exp(1j * math.acos(ctheta))
         B = complex(params.B)
         E = complex(params.E)
         resid = a1 * lam * B - (1.0 + lam) * E

@@ -1,7 +1,5 @@
-import cmath
 import csv
 import json
-import math
 import os
 import subprocess
 import sys
@@ -126,6 +124,9 @@ def test_non_finite_or_non_integral_numbers_exit_two(tmp_path, capsys, change):
 
 
 K1 = {"type": "k1", "a1": "0.5", "beta0": "0", "beta1": "0", "beta2": "0", "gammas": ["0.25"] * 20}
+# a_1 lam B = (1 + lam) E fails: E = 0.9 where the real-root case needs about 0.0553
+K2 = {"type": "k2", "case": "real_roots", "a1": "1", "a2": "0.2", "A": "0", "B": "0.2",
+      "D": "0.25", "E": "0.9", "beta0": "0", "beta1": "0", "gamma1": "0.3"}
 
 
 @pytest.mark.parametrize(
@@ -158,11 +159,18 @@ K1 = {"type": "k1", "a1": "0.5", "beta0": "0", "beta1": "0", "beta2": "0", "gamm
          "k1 family: all gammas must be nonzero"),
         ({"family": {"type": "k2", "case": "real_roots", "a1": "1", "a2": "0", "gamma1": "0.3"},
           "horizon": 20}, "k2 family: a2 must be nonzero"),
+        ({"family": K2, "horizon": 20}, "k2 family: real-root case needs a1*lam*B = (1 + lam)*E"),
+        ({"family": dict(K2, case="equal_roots"), "horizon": 20},
+         "k2 family: case 'equal_roots' inconsistent with a1=1.0, a2=0.2 (expected 'real_roots')"),
+        # a1^2 > 4 a2, but 2 - a1^2/a2 rounds to 2.0, so the root formula sees a double root
+        ({"family": dict(K2, a1="1e-9", a2="-1"), "horizon": 20},
+         "k2 family: a1^2 - 4 a2 must be positive for distinct real roots"),
     ],
     ids=["not-object", "no-horizon", "family-not-object", "kind-5", "explicit-length",
          "unknown-family", "k2-case-list", "k-mismatch", "no-combination", "unknown-tolerance",
          "chebyshev-horizon-1", "explicit-horizon-0", "k1-horizon-2", "k1-short-gammas",
-         "k1-a1-zero", "k1-gammas-zero", "k2-a2-zero"],
+         "k1-a1-zero", "k1-gammas-zero", "k2-a2-zero", "k2-off-constraint", "k2-case-mismatch",
+         "k2-double-root"],
 )
 def test_inconsistent_configs_exit_two(tmp_path, capsys, payload, message):
     code, out, err = run(capsys, "check", "--config", write_config(tmp_path, payload))
@@ -255,6 +263,8 @@ def test_json_encoding_rejects_unknown_values():
     args = SimpleNamespace(format="json", out=None)
     with pytest.raises(TypeError):
         cli._emit({"x": object()}, [], args)
+    with pytest.raises(TypeError):  # report keys are strings; stdlib would write "1"
+        cli._emit({"x": {1: 0}}, [], args)
 
 
 class _Str(str):
@@ -268,15 +278,9 @@ class _Str(str):
     (1.5, "x", None), np.float64(0.1), np.float64("nan"), [np.float64(-0.0), 3],
     _Str("sub"), {"\u00e9": 1, "b\n": [1, {"c": []}], "a": (2.5, {"z": None, "y": True})},
     {"deep": [[[{"x": [1.0, float("inf")]}]]], "empty": {"l": [], "d": {}}},
+    {"b": 0, "a": 1, "\u00e9": 2, "\x01": 3, "": 4},
 ], ids=repr)
 def test_json_text_matches_stdlib_indent(value):
-    assert cli._json_text(value, "") == json.dumps(value, sort_keys=True, indent=2)
-
-
-@pytest.mark.parametrize("keys", [(2, 10, -1, 2**70), (1.5, -0.25, float("inf"), float("nan")),
-                                  (True, False), (None,), ("b", "a", "\u00e9", "\x01", "")])
-def test_json_text_converts_keys_like_stdlib(keys):
-    value = {"outer": [{key: i for i, key in enumerate(keys)}]}
     assert cli._json_text(value, "") == json.dumps(value, sort_keys=True, indent=2)
 
 
@@ -338,18 +342,6 @@ def test_check_reports_zero_determination_denominator(tmp_path, capsys):
 
 
 def test_numeric_error_exits_three(tmp_path, capsys):
-    payload = {
-        "family": {
-            "type": "k2", "case": "real_roots", "a1": "1", "a2": "0.2",
-            "A": "0", "B": "0.2", "D": "0.25", "E": "0.9",
-            "beta0": "0", "beta1": "0", "gamma1": "0.3",
-        },
-        "horizon": 20,
-    }
-    cfg = write_config(tmp_path, payload)
-    code, out, err = run(capsys, "gen", "--config", cfg)
-    assert code == 3
-    assert "ConstraintError" in err
     # finite data whose exact values leave the float range
     payload = dict(BASE, family={"type": "explicit", "beta": ["1e200", "-1e200"] * 10 + ["1e200"],
                                  "gamma": ["0.25"] * 20}, combination={"k": 1, "a": ["0.5"]})
@@ -746,38 +738,18 @@ def test_gen_reports_k2_difference_residual(name, capsys):
     assert expected < 1e-10
 
 
-def _derived_lambda(name):
-    """The root of ``a1^2 lam = a2 (1 + lam)^2`` that ``k2_family`` derives."""
-    fam = cli.load_config(str(CONFIG_DIR / name)).raw["family"]
-    a1, a2 = float(fam["a1"]), float(fam["a2"])
-    if fam["case"] == "real_roots":
-        return op.recurrence._inner_real_root(a1, a2)
-    lam = cmath.exp(1j * math.acos(a1 * a1 / (2.0 * a2) - 1.0))
-    return [lam.real, lam.imag]
-
-
-@pytest.mark.parametrize("name", ["gen_k2_real_roots.json", "gen_k2_complex_roots.json"])
-def test_gen_accepts_the_derived_lambda(tmp_path, capsys, name):
-    # pinning lambda to the root the generator derives changes nothing
+@pytest.mark.parametrize("name,lam", [("gen_k2_real_roots.json", 0.38),
+                                      ("gen_k2_complex_roots.json", [0.0, 1.0])])
+def test_gen_ignores_lambda(tmp_path, capsys, name, lam):
+    # a_1 and a_2 fix the root; a config's lambda is an ignored field
     payload = json.loads((CONFIG_DIR / name).read_text())
-    payload["family"]["lambda"] = _derived_lambda(name)
+    payload["family"]["lambda"] = lam
     code, out, err = run(capsys, "gen", "--config", write_config(tmp_path, payload))
     assert code == 0, err
     pinned = json.loads(out)["result"]
     code, out, err = run(capsys, "gen", "--config", str(CONFIG_DIR / name))
     assert code == 0, err
-    derived = json.loads(out)["result"]
-    assert json.dumps(pinned) == json.dumps(derived)
-
-
-@pytest.mark.parametrize("name,lam", [("gen_k2_real_roots.json", 0.38),
-                                      ("gen_k2_complex_roots.json", [0.0, 1.0])])
-def test_gen_rejects_lambda_off_the_root(tmp_path, capsys, name, lam):
-    payload = json.loads((CONFIG_DIR / name).read_text())
-    payload["family"]["lambda"] = lam
-    code, out, err = run(capsys, "gen", "--config", write_config(tmp_path, payload))
-    assert (code, out) == (3, "")
-    assert err == "opoly: ConstraintError: lam does not solve a1^2 lam = a2 (1 + lam)^2\n"
+    assert pinned == json.loads(out)["result"]
 
 
 def test_horizon_cap(tmp_path, capsys):

@@ -177,15 +177,7 @@ def test_k2_real_root_value():
     lam = (3.0 - math.sqrt(5.0)) / 2.0
     assert abs(lam - 0.381966011250105) < 1e-12
     assert abs(a1 * a1 * lam - a2 * (1.0 + lam) ** 2) < 1e-12
-    # an explicit lam is validated; a wrong one is rejected
-    params = K2Params(K2Case.REAL_ROOTS, beta0=0.0, beta1=0.0, gamma1=0.3,
-                      D=0.25, lam=lam)
-    rec = op.k2_family(a1, a2, params, 12)
-    assert np.all(rec.gamma[2:] == 0.25)
-    bad = K2Params(K2Case.REAL_ROOTS, beta0=0.0, beta1=0.0, gamma1=0.3,
-                   D=0.25, lam=0.5)
-    with pytest.raises(op.ConstraintError):
-        op.k2_family(a1, a2, bad, 12)
+    assert abs(op.recurrence._inner_real_root(a1, a2) - lam) < 1e-15
 
 
 def test_k2_real_root_tail_matches_closed_form():
@@ -240,6 +232,10 @@ def test_k2_degenerate_gamma_detected():
     params = K2Params(K2Case.EQUAL_ROOTS, beta0=0.0, beta1=0.0, gamma1=0.25,
                       A=0.0, B=0.005, C=0.0, D=-0.01, E=0.005, F=0.0)
     with pytest.raises(op.DegeneracyError):
+        op.k2_family(2.0, 1.0, params, 10)
+    # the same check covers the seed gamma_1
+    params = K2Params(K2Case.EQUAL_ROOTS, beta0=0.0, beta1=0.0, gamma1=0.0, D=0.25)
+    with pytest.raises(op.DegeneracyError, match="gamma_1 is numerically zero"):
         op.k2_family(2.0, 1.0, params, 10)
 
 

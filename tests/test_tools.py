@@ -1,4 +1,5 @@
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -69,6 +70,24 @@ def test_golden_grid_writes_edge_configs_outside_configs(tmp_path):
         path = paths[f"edge/{name}.json"]
         assert Path(path).parent == tmp_path
         assert json.loads(Path(path).read_text()) == config
+
+
+def test_golden_capture_shows_every_warning():
+    # under the default filter a warning prints once per code location, so the
+    # second run's stderr would depend on the first; a fresh interpreter keeps
+    # pytest's own warning capture out of the way
+    script = (
+        "import sys, warnings\n"
+        f"sys.path.insert(0, {str(Path(golden.__file__).parent)!r})\n"
+        "import golden\n"
+        "def main(argv):\n"
+        "    warnings.warn('overflow', RuntimeWarning)\n"
+        "    return 0\n"
+        "runs = [golden.capture(main, []) for _ in range(2)]\n"
+        "print(runs[0] == runs[1] and 'RuntimeWarning: overflow' in runs[0][2])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (proc.stdout, proc.stderr) == ("True\n", "")
 
 
 def test_oracle_curve_smoke(capsys):

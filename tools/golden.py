@@ -25,6 +25,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMMANDS = ("check", "tilde", "zeros", "hk", "quad", "gen")
@@ -33,9 +34,12 @@ NS = (None, 3, 10, 20, 27, 30)
 
 
 def capture(main, argv: list[str]) -> list:
-    """``[exit code, stdout, stderr]`` of one in-process CLI run."""
+    """``[exit code, stdout, stderr]`` of one in-process CLI run.  Every warning
+    is shown, so a run's stderr does not depend on the runs before it."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings()):
+        warnings.simplefilter("always")
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -76,13 +80,13 @@ def edge_configs() -> dict:
             "combination": {"a": ["0.5"]},
             "horizon": 12,
         },
-        # the bundled k2 generators with lambda pinned to the root they derive
-        "lambda_real": _with_family("gen_k2_real_roots.json", {"lambda": 0.3819660112501051}),
-        "lambda_complex": _with_family("gen_k2_complex_roots.json",
-                                       {"lambda": [-0.5000000000000002, 0.8660254037844385]}),
+        # a_1, a_2 fix the root: a lambda off it is an ignored field
+        "k2_lambda_off_root": _with_family("gen_k2_real_roots.json", {"lambda": 0.5}),
         # generator parameters out of their domain: config errors
         "k1_a1_zero": _with_family("gen_k1.json", {"a1": "0"}),
         "k2_a2_zero": _with_family("gen_k2_real_roots.json", {"a2": "0"}),
+        "k2_case_mismatch": _with_family("gen_k2_real_roots.json", {"case": "equal_roots"}),
+        "k2_off_constraint": _with_family("gen_k2_real_roots.json", {"B": "0.3"}),
         # gamma_1 = 0: the family is not quasi-definite
         "explicit_gamma1_zero": {
             "family": {"type": "explicit", "beta": ["0"] * 13, "gamma": ["0"] + ["0.25"] * 11},

@@ -3,8 +3,7 @@
 Usage:
 
     opoly check|tilde|zeros|hk|quad|gen --config job.json [--out path]
-          [--format json|csv] [--n N] [--tol-conditions X] [--tol-zeros X]
-          [--tol-hk X] [--tol-quad X]
+          [--n N] [--tol-conditions X] [--tol-zeros X] [--tol-hk X] [--tol-quad X]
 
 Every command takes the same options.  A config names exactly one family
 (``chebyshev``, ``explicit``, ``k2`` or ``k1``), a combination ``a_1..a_k``,
@@ -12,9 +11,8 @@ a horizon, and optional tolerances or a node count ``n``.  Numbers may be
 given as decimal strings to avoid double-rounding in published configs.
 ``--n`` overrides the config's ``n`` as ``--tol-*`` override its tolerances,
 and each command then reads only the resolved :class:`JobConfig`.
-Reports are deterministic JSON (``schema: 1``); ``--format csv`` emits the
-command's main table instead.  ``gen`` on a ``k2`` family with ``a1 != 0``
-also reports ``difference_equation_max_residual``, the larger
+Reports are deterministic JSON (``schema: 1``).  ``gen`` on a ``k2`` family
+with ``a1 != 0`` also reports ``difference_equation_max_residual``, the larger
 :func:`~opoly.recurrence.k2_difference_residual` of ``beta`` and ``gamma``.
 
 Exit codes: 0 pass, 1 checked-and-failed, 2 usage/config error,
@@ -24,8 +22,6 @@ Exit codes: 0 pass, 1 checked-and-failed, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -119,9 +115,7 @@ class JobConfig:
     raw: dict
     rec: RecurrencePair
     comb: CombCoeffs
-    horizon: int
     n: int | None
-    hk_truncation: int | None
     tolerances: dict
     generator_a: tuple[float, ...] | None  # the combination a k1/k2 family was built for
 
@@ -232,15 +226,8 @@ def load_config(path: str) -> JobConfig:
 
     n = raw.get("n")
     n = _int(n, "n") if n is not None else None
-    hk_m = raw.get("hk_truncation")
-    if hk_m is not None:
-        hk_m = _int(hk_m, "hk_truncation")
-        lo, hi = 3 * comb.k + 3, horizon + 1 - comb.k
-        if not lo <= hk_m <= hi:
-            raise ConfigError(f"hk_truncation must lie in [{lo}, {hi}], got {hk_m}")
     return JobConfig(
-        raw=raw, rec=rec, comb=comb, horizon=horizon, n=n,
-        hk_truncation=hk_m, tolerances=tolerances, generator_a=generator_a,
+        raw=raw, rec=rec, comb=comb, n=n, tolerances=tolerances, generator_a=generator_a,
     )
 
 
@@ -304,24 +291,17 @@ def _json_text(value, indent: str) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _emit(report: dict, csv_rows, args) -> None:
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        for row in csv_rows:
-            writer.writerow(row)
-        text = buf.getvalue()
-    else:
-        text = _json_text(report, "") + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+def _emit(report: dict, out: str | None) -> None:
+    text = _json_text(report, "") + "\n"
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
 def _conditions(cfg: JobConfig):
-    return check_conditions(cfg.rec, cfg.comb, cfg.horizon, tol=cfg.tolerances["conditions"])
+    return check_conditions(cfg.rec, cfg.comb, cfg.rec.horizon, tol=cfg.tolerances["conditions"])
 
 
 def _condition_summary(rep) -> dict:
@@ -349,9 +329,9 @@ def _condition_summary(rep) -> dict:
     }
 
 
-def _cmd_check(cfg: JobConfig) -> tuple[int, dict, list]:
+def _cmd_check(cfg: JobConfig) -> tuple[int, dict]:
     rep = _conditions(cfg)
-    degree = min(12, (cfg.horizon + 1) // 2)
+    degree = min(12, (cfg.rec.horizon + 1) // 2)
     try:
         gram = oracle_gram_check(cfg.rec, cfg.comb, degree=degree, tol=1e-9)
         gram_info = {
@@ -369,30 +349,22 @@ def _cmd_check(cfg: JobConfig) -> tuple[int, dict, list]:
             "agrees_with_verdict": not rep.verdict,
         }
     result = {"conditions": _condition_summary(rep), "gram_oracle": gram_info}
-    rows = [("section", "name", "value")]
-    rows += [("conditions", "verdict", rep.verdict)]
-    rows += [("conditions", f"fourier_{j+1}", v)
-             for j, v in enumerate(result["conditions"]["fourier"])]
-    rows += [("gram_oracle", "ok", gram_info["ok"])]
     if not gram_info["agrees_with_verdict"]:
-        return 3, result, rows
-    return (0 if rep.verdict else 1), result, rows
+        return 3, result
+    return (0 if rep.verdict else 1), result
 
 
-def _cmd_tilde(cfg: JobConfig) -> tuple[int, dict, list]:
+def _cmd_tilde(cfg: JobConfig) -> tuple[int, dict]:
     rep = _conditions(cfg)
     if not rep.verdict:
-        return 1, {"conditions": _condition_summary(rep)}, [("error", "not orthogonal")]
-    tilde = tilde_recurrence(cfg.rec, cfg.comb, cfg.horizon, report=rep)
+        return 1, {"conditions": _condition_summary(rep)}
+    tilde = tilde_recurrence(cfg.rec, cfg.comb, cfg.rec.horizon, report=rep)
     table = [{"n": 0, "beta": float(tilde.beta[0]), "gamma": None}]
     table += [
         {"n": n, "beta": float(tilde.beta[n]), "gamma": float(tilde.gamma[n])}
-        for n in range(1, cfg.horizon + 1)
+        for n in range(1, cfg.rec.horizon + 1)
     ]
-    rows = [("n", "beta", "gamma"), (0, float(tilde.beta[0]), "")]
-    rows += [(e["n"], e["beta"], e["gamma"]) for e in table[1:]]
-    result = {"conditions": _condition_summary(rep), "tilde": table}
-    return 0, result, rows
+    return 0, {"conditions": _condition_summary(rep), "tilde": table}
 
 
 def _require_n(cfg: JobConfig, command: str, hi: int) -> int:
@@ -405,37 +377,32 @@ def _require_n(cfg: JobConfig, command: str, hi: int) -> int:
     return cfg.n
 
 
-def _cmd_zeros(cfg: JobConfig) -> tuple[int, dict, list]:
-    n = _require_n(cfg, "zeros", cfg.horizon + 1)
+def _cmd_zeros(cfg: JobConfig) -> tuple[int, dict]:
+    n = _require_n(cfg, "zeros", cfg.rec.horizon + 1)
     zq = zeros_q(cfg.rec, cfg.comb, n, cross_tol=cfg.tolerances["zeros"])
-    parts = list(zip(zq.zeros.real.tolist(), zq.zeros.imag.tolist()))
-    result = {
+    return 0, {
         "n": n,
-        "zeros": [{"re": re, "im": im} for re, im in parts],
+        "zeros": [{"re": re, "im": im}
+                  for re, im in zip(zq.zeros.real.tolist(), zq.zeros.imag.tolist())],
         "cross_check_distance": zq.cross_check_distance,
         "coefficients": list(q_poly(cfg.rec, cfg.comb, n).coeffs),
     }
-    rows = [("index", "re", "im")]
-    rows += [(i, re, im) for i, (re, im) in enumerate(parts)]
-    return 0, result, rows
 
 
-def _cmd_hk(cfg: JobConfig) -> tuple[int, dict, list]:
+def _cmd_hk(cfg: JobConfig) -> tuple[int, dict]:
     k = cfg.comb.k
-    m = cfg.hk_truncation
-    if m is None:
-        m = min(16, cfg.horizon + 1 - k)
-        if m < 3 * k + 3:  # solve_hk's smallest truncation
-            raise ConfigError(f"hk needs horizon >= 4k + 2 = {4 * k + 2}, got {cfg.horizon}")
+    m = min(16, cfg.rec.horizon + 1 - k)
+    if m < 3 * k + 3:  # solve_hk's smallest truncation
+        raise ConfigError(f"hk needs horizon >= 4k + 2 = {4 * k + 2}, got {cfg.rec.horizon}")
     rep = _conditions(cfg)
     if not rep.verdict:
-        return 1, {"conditions": _condition_summary(rep)}, [("error", "not orthogonal")]
+        return 1, {"conditions": _condition_summary(rep)}
     hk = solve_hk(cfg.rec, cfg.comb, rep, m, tol=cfg.tolerances["hk"])
     rel = verify_functional_relation(cfg.rec, cfg.comb, rep, hk.poly, tol=cfg.tolerances["hk"])
     relation = {"ok": rel.ok, "scale": rel.scale, "max_residual": rel.max_residual}
     positivity = None
     if np.all(cfg.rec.gamma[1:] > 0):  # h_k > 0 means something only for a positive-definite u
-        hull = np.linalg.eigvalsh(_symmetric_jacobi(cfg.rec, cfg.horizon + 1))
+        hull = np.linalg.eigvalsh(_symmetric_jacobi(cfg.rec, cfg.rec.horizon + 1))
         lo, hi = float(np.min(hull)), float(np.max(hull))
         values = hk.poly(np.linspace(lo, hi, 100))
         positivity = {
@@ -459,13 +426,11 @@ def _cmd_hk(cfg: JobConfig) -> tuple[int, dict, list]:
         "positivity": positivity,
         "orthonormal_identity": ortho,
     }
-    rows = [("i", "c_i")]
-    rows += [(i, c) for i, c in enumerate(hk.coeffs)]
-    return (0 if rel.ok and (ortho is None or ortho["ok"]) else 1), result, rows
+    return (0 if rel.ok and (ortho is None or ortho["ok"]) else 1), result
 
 
-def _cmd_quad(cfg: JobConfig) -> tuple[int, dict, list]:
-    n = _require_n(cfg, "quad", cfg.horizon - 1)
+def _cmd_quad(cfg: JobConfig) -> tuple[int, dict]:
+    n = _require_n(cfg, "quad", cfg.rec.horizon - 1)
     k = cfg.comb.k
     rule = gauss_rule(cfg.rec, n, tol=cfg.tolerances["quad"])
     gauss_ok = rule.degree_of_precision == 2 * n - 1
@@ -493,13 +458,10 @@ def _cmd_quad(cfg: JobConfig) -> tuple[int, dict, list]:
             "ok": shohat.ok,
         },
     }
-    rows = [("set", "node", "weight")]
-    rows += [("gauss", x, w) for x, w in zip(rule.nodes, rule.weights)]
-    rows += [("combination", x, w) for x, w in zip(comb_rule.nodes, comb_rule.weights)]
-    return (0 if (gauss_ok and shohat.ok) else 1), result, rows
+    return (0 if (gauss_ok and shohat.ok) else 1), result
 
 
-def _cmd_gen(cfg: JobConfig) -> tuple[int, dict, list]:
+def _cmd_gen(cfg: JobConfig) -> tuple[int, dict]:
     a = cfg.generator_a
     if a is None:
         raise ConfigError("gen requires a 'k2' or 'k1' generator family")
@@ -517,12 +479,7 @@ def _cmd_gen(cfg: JobConfig) -> tuple[int, dict, list]:
         "validation": _condition_summary(rep),
         **extras,
     }
-    rows = [("n", "beta", "gamma"), (0, float(cfg.rec.beta[0]), "")]
-    rows += [
-        (n, float(cfg.rec.beta[n]), float(cfg.rec.gamma[n]))
-        for n in range(1, cfg.horizon + 1)
-    ]
-    return (0 if rep.verdict else 1), result, rows
+    return (0 if rep.verdict else 1), result
 
 
 _COMMANDS = {
@@ -542,7 +499,6 @@ _PARSER = argparse.ArgumentParser(
 _PARSER.add_argument("command", choices=tuple(_COMMANDS))
 _PARSER.add_argument("--config", required=True, help="path to a JSON job config")
 _PARSER.add_argument("--out", default=None, help="write the report here instead of stdout")
-_PARSER.add_argument("--format", choices=("json", "csv"), default="json")
 _PARSER.add_argument("--n", type=int, default=None, help="polynomial index for zeros/quad")
 for _tol in DEFAULT_TOLERANCES:
     _PARSER.add_argument(f"--tol-{_tol}", type=float, default=None, dest=f"tol_{_tol}")
@@ -558,7 +514,7 @@ def main(argv=None) -> int:
             override = getattr(args, f"tol_{tol}")
             if override is not None:
                 cfg.tolerances[tol] = _tolerance(override, f"--tol-{tol}")
-        code, result, rows = _COMMANDS[args.command](cfg)
+        code, result = _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"opoly: config error: {exc}", file=sys.stderr)
         return 2
@@ -566,7 +522,7 @@ def main(argv=None) -> int:
         print(f"opoly: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     report = _report(args.command, cfg, code == 0, result)
-    _emit(report, rows, args)
+    _emit(report, args.out)
     return code
 
 

@@ -88,9 +88,7 @@ class ConditionReport:
     ``verdict`` is True iff every block passed.
     """
 
-    k: int
     n_max: int
-    tol: float
     verdict: bool
     denom: float
     completion: tuple[tuple[int, float, float, bool], ...]
@@ -213,7 +211,7 @@ def check_conditions(
     failures += [f"tilde gamma_{n} is numerically zero" for n in tail_zero]
 
     return ConditionReport(
-        k=k, n_max=n_max, tol=tol,
+        n_max=n_max,
         verdict=failure is None and tail_zero.size == 0 and bool(ok.all()),
         matching=matching, tail_gamma_ok=tail_zero.size == 0, failures=tuple(failures),
         **low,

@@ -1,11 +1,9 @@
-import csv
 import json
 import os
 import subprocess
 import sys
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -99,7 +97,6 @@ def test_malformed_configs_exit_two(tmp_path, capsys):
         {"horizon": "24.9"},
         {"horizon": float("inf")},
         {"n": "6.7"},
-        {"hk_truncation": 12.5},
         {"tolerances": {"conditions": "nan"}},
         {"tolerances": {"conditions": -1e-10}},
         {"family": {"type": "chebyshev", "kind": True}},
@@ -113,7 +110,7 @@ def test_malformed_configs_exit_two(tmp_path, capsys):
         {"tolerances": []},
     ],
     ids=["a-inf", "a-nan", "a-overflow", "k-fraction", "horizon-fraction", "horizon-inf",
-         "n-fraction", "hk-truncation-fraction", "tol-nan", "tol-negative",
+         "n-fraction", "tol-nan", "tol-negative",
          "kind-bool", "kind-fraction", "horizon-object", "a-not-list", "combination-list",
          "tolerances-list", "tolerances-zero", "tolerances-empty-string", "tolerances-empty-list"],
 )
@@ -250,21 +247,24 @@ def test_integral_chebyshev_kind_is_accepted(tmp_path, capsys, kind):
         ["bogus", "--config", "job.json"],
         ["check"],
         ["check", "--config", "job.json", "--format", "xml"],
+        # reports are JSON only, and there is no format flag to choose it
+        ["check", "--config", str(CONFIG_DIR / "cheb1_k2.json"), "--format", "json"],
+        ["tilde", "--config", str(CONFIG_DIR / "cheb1_k2.json"), "--format", "csv"],
     ],
-    ids=["unknown-command", "missing-config", "bad-format"],
+    ids=["unknown-command", "missing-config", "bad-format", "format-json", "format-csv"],
 )
 def test_usage_errors_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_json_encoding_rejects_unknown_values():
-    args = SimpleNamespace(format="json", out=None)
     with pytest.raises(TypeError):
-        cli._emit({"x": object()}, [], args)
+        cli._emit({"x": object()}, None)
     with pytest.raises(TypeError):  # report keys are strings; stdlib would write "1"
-        cli._emit({"x": {1: 0}}, [], args)
+        cli._emit({"x": {1: 0}}, None)
 
 
 class _Str(str):
@@ -300,7 +300,7 @@ def test_reports_equal_stdlib_indented_json(command):
         cfg = cli.load_config(str(path))
         cfg.n = 10
         try:
-            code, result, _ = cli._COMMANDS[command](cfg)
+            code, result = cli._COMMANDS[command](cfg)
         except (op.OpolyError, ValueError):  # the runs that print no report
             continue
         report = cli._report(command, cfg, code == 0, result)
@@ -412,20 +412,6 @@ def test_tilde_table(tmp_path, capsys):
         assert entry["gamma"] == pytest.approx(tilde.gamma[n], abs=1e-15)
 
 
-def test_tilde_csv_round_trip(tmp_path, capsys):
-    cfg = write_config(tmp_path, BASE)
-    code, out, _ = run(capsys, "tilde", "--config", cfg, "--format", "csv")
-    assert code == 0
-    rows = list(csv.reader(out.splitlines()))
-    assert rows[0] == ["n", "beta", "gamma"]
-    rec = op.chebyshev_family(1, 20)
-    tilde = op.tilde_recurrence(rec, op.CombCoeffs((0.0, -0.125)), 20)
-    for row in rows[2:]:
-        n = int(row[0])
-        assert float(row[1]) == tilde.beta[n]
-        assert float(row[2]) == tilde.gamma[n]
-
-
 def test_zeros_command(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE)
     code, out, _ = run(capsys, "zeros", "--config", cfg, "--n", "4")
@@ -477,20 +463,10 @@ def test_hk_command(tmp_path, capsys):
     assert result["orthonormal_identity"]["ok"] is True
 
 
-@pytest.mark.parametrize("m", [0, 5, 100])
-def test_hk_truncation_out_of_range_exits_two(tmp_path, capsys, m):
-    # cheb1_k2 has k = 2 and horizon 24, so solve_hk accepts m in [9, 23]
-    payload = json.loads((CONFIG_DIR / "cheb1_k2.json").read_text())
-    cfg = write_config(tmp_path, dict(payload, hk_truncation=m))
-    code, out, err = run(capsys, "hk", "--config", cfg)
-    assert code == 2
-    assert out == ""
-    assert "hk_truncation must lie in [9, 23]" in err
-
-
-@pytest.mark.parametrize("horizon,code", [(8, 2), (9, 2), (10, 0)])
+@pytest.mark.parametrize("horizon,code", [(8, 2), (9, 2), (10, 0), (17, 0)])
 def test_hk_default_truncation_needs_horizon_4k_plus_2(tmp_path, capsys, horizon, code):
-    # k = 2: the default truncation min(16, horizon + 1 - k) reaches 3k + 3 = 9 at horizon 10
+    # k = 2: the truncation min(16, horizon + 1 - k) reaches solve_hk's lower
+    # end 3k + 3 = 9 at horizon 10, and 16 = horizon + 1 - k, its upper end, at 17
     cfg = write_config(tmp_path, dict(BASE, horizon=horizon))
     got, out, err = run(capsys, "hk", "--config", cfg)
     assert got == code, err
@@ -498,16 +474,20 @@ def test_hk_default_truncation_needs_horizon_4k_plus_2(tmp_path, capsys, horizon
         assert out == ""
         assert f"hk needs horizon >= 4k + 2 = 10, got {horizon}" in err
     else:
-        assert json.loads(out)["result"]["truncation"] == 9
+        assert json.loads(out)["result"]["truncation"] == min(16, horizon - 1)
 
 
-@pytest.mark.parametrize("m", [9, 23])
-def test_hk_truncation_range_ends_are_used(tmp_path, capsys, m):
+def test_hk_ignores_truncation_field(tmp_path, capsys):
+    # the truncation is always min(16, horizon + 1 - k); a config's
+    # hk_truncation is an ignored field
     payload = json.loads((CONFIG_DIR / "cheb1_k2.json").read_text())
-    cfg = write_config(tmp_path, dict(payload, hk_truncation=m))
-    code, out, err = run(capsys, "hk", "--config", cfg)
+    code, out, err = run(capsys, "hk", "--config", write_config(tmp_path, payload))
     assert code == 0, err
-    assert json.loads(out)["result"]["truncation"] == m
+    pinned = json.loads(out)["result"]
+    payload["hk_truncation"] = 9
+    code, out, err = run(capsys, "hk", "--config", write_config(tmp_path, payload))
+    assert code == 0, err
+    assert json.loads(out)["result"] == pinned
 
 
 def scaled_payload(path, s):
@@ -521,7 +501,7 @@ def scaled_payload(path, s):
             "gamma": [s * s * g for g in cfg.rec.gamma[1:]],
         },
         "combination": {"a": [s**j * a for j, a in enumerate(cfg.comb.a, start=1)]},
-        "horizon": cfg.horizon,
+        "horizon": cfg.rec.horizon,
     }
 
 
@@ -623,7 +603,7 @@ def test_hk_positivity_samples_the_spectrum_hull(capsys):
     block = json.loads(out)["result"]["positivity"]
     cfg = cli.load_config(str(path))
     assert np.all(cfg.rec.gamma[1:] > 0)  # so the hull comes from the symmetric matrix
-    eigs = np.linalg.eigvalsh(op.jacobi._symmetric_jacobi(cfg.rec, cfg.horizon + 1))
+    eigs = np.linalg.eigvalsh(op.jacobi._symmetric_jacobi(cfg.rec, cfg.rec.horizon + 1))
     assert block["interval"] == [float(eigs.min()), float(eigs.max())]
     assert block["interval"][1] > 5.0  # the spectrum reaches far past [-1, 1]
 
@@ -638,7 +618,7 @@ def test_hk_hull_scales_with_x(tmp_path, capsys):
             "family": {"type": "explicit", "beta": (s * cfg.rec.beta).tolist(),
                        "gamma": (s * s * cfg.rec.gamma[1:]).tolist()},
             "combination": {"a": [s**j * v for j, v in enumerate(cfg.comb.a, start=1)]},
-            "horizon": cfg.horizon,
+            "horizon": cfg.rec.horizon,
         }
         code, out, err = run(capsys, "hk", "--config", write_config(tmp_path, payload))
         assert code == 0, err
@@ -693,7 +673,7 @@ def test_results_hold_builtin_scalars(command):
         if command == "gen" and cfg.generator_a is None:
             continue
         try:
-            _, result, _ = cli._COMMANDS[command](cfg)
+            _, result = cli._COMMANDS[command](cfg)
         except op.OpolyError:  # e.g. quad on a Q_n with complex zeros
             continue
         seen |= _leaf_types(result)

@@ -359,9 +359,10 @@ def test_relation_rejects_relative_change_of_c0(path):
     # truncation and tolerances that `opoly hk` uses
     cfg = load_config(str(path))
     k = cfg.comb.k
-    report = op.check_conditions(cfg.rec, cfg.comb, cfg.horizon, tol=cfg.tolerances["conditions"])
+    horizon = cfg.rec.horizon
+    report = op.check_conditions(cfg.rec, cfg.comb, horizon, tol=cfg.tolerances["conditions"])
     assert report.verdict
-    hk = op.solve_hk(cfg.rec, cfg.comb, report, min(16, cfg.horizon + 1 - k))
+    hk = op.solve_hk(cfg.rec, cfg.comb, report, min(16, horizon + 1 - k))
     assert op.verify_functional_relation(cfg.rec, cfg.comb, report, hk.poly).ok
     c = hk.coeffs
     bad = op.Poly((c[0] * (1 + 1e-6),) + c[1:])

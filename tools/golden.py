@@ -1,17 +1,13 @@
-"""Fingerprint every CLI report so two checkouts can be compared byte for byte.
+"""The argv grid on which two checkouts' CLI reports are compared.
 
-Runs ``opoly.cli.main`` in-process on every command x config x
-``--format json|csv`` x ``--n`` (none, 3, 10, 20, 27, 30) and prints one JSON
-object mapping each argv (space-joined) to ``[exit code, sha256 of stdout,
-stderr]``.  The configs are the bundled ones plus :func:`edge_configs`, which
-reach paths no bundled config does; those are written to a temporary
-directory (``configs/`` must match the benchmark's truth table) and keyed as
-``edge/<name>.json``.  Bundled paths are relative to the repository root, so
-the output of two checkouts is directly comparable::
-
-    python tools/golden.py > before.json     # in the parent checkout
-    python tools/golden.py > after.json      # in the changed checkout
-    diff before.json after.json
+:func:`outputs` runs ``opoly.cli.main`` in-process on every command x config
+x ``--n`` (none, 3, 10, 20, 27, 30) and maps each argv (space-joined) to
+``[exit code, stdout, stderr]``.  The configs are the bundled ones plus
+:func:`edge_configs`, which reach paths no bundled config does; those are
+written to a temporary directory (``configs/`` must match the benchmark's
+truth table) and keyed as ``edge/<name>.json``; bundled ones are read from
+the repository root.  ``tools/report_diff.py OLD_SRC NEW_SRC`` runs this grid
+under two ``src/`` trees and lists what differs.
 
 Stdlib only (opoly itself needs numpy).
 """
@@ -19,7 +15,6 @@ Stdlib only (opoly itself needs numpy).
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import io
 import json
 import os
@@ -29,7 +24,6 @@ import warnings
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMMANDS = ("check", "tilde", "zeros", "hk", "quad", "gen")
-FORMATS = ("json", "csv")
 NS = (None, 3, 10, 20, 27, 30)
 
 
@@ -45,8 +39,6 @@ def capture(main, argv: list[str]) -> list:
         except SystemExit as exc:
             code = exc.code
     return [code, out.getvalue(), err.getvalue()]
-
-
 
 
 def _with_family(name: str, fields: dict) -> dict:
@@ -123,21 +115,8 @@ def outputs(src: str = os.path.join(ROOT, "src")) -> dict:
         paths = config_paths(edge_dir)
         for command in COMMANDS:
             for label, path in paths.items():
-                for fmt in FORMATS:
-                    for n in NS:
-                        tail = ["--format", fmt] + ([] if n is None else ["--n", str(n)])
-                        key = " ".join([command, "--config", label, *tail])
-                        table[key] = capture(main, [command, "--config", path, *tail])
+                for n in NS:
+                    tail = [] if n is None else ["--n", str(n)]
+                    key = " ".join([command, "--config", label, *tail])
+                    table[key] = capture(main, [command, "--config", path, *tail])
     return table
-
-
-def golden() -> dict:
-    return {
-        argv: [code, hashlib.sha256(out.encode()).hexdigest(), err]
-        for argv, (code, out, err) in outputs().items()
-    }
-
-
-if __name__ == "__main__":
-    json.dump(golden(), sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")

@@ -73,7 +73,7 @@ def curve(src: str, degrees: list[int], repeat: int) -> list[tuple[str, int, flo
         rec, comb = cfg.rec, cfg.comb
         for degree in degrees:
             completion_ms = best_ms(lambda: completion(rec, comb), repeat)
-            lincomb.check_conditions(rec, comb, cfg.horizon)
+            lincomb.check_conditions(rec, comb, rec.horizon)
             gram = exact_gram(rec.beta, rec.gamma, comb.a, degree)
             gram_ms = best_ms(lambda: exact_gram(rec.beta, rec.gamma, comb.a, degree), repeat)
             lincomb.exact_gram = lambda *args: gram

@@ -14,8 +14,7 @@ and prints:
   ``<stdout>``.
 
 List indices fold into ``[]``, so ``check:result.conditions.tilde_low[].beta``
-covers every row.  CSV reports are compared cell by cell under
-``<command>:csv[].<column>``.  Usage::
+covers every row.  Usage::
 
     python tools/report_diff.py OLD_SRC NEW_SRC
 
@@ -24,8 +23,6 @@ Stdlib only (opoly itself needs numpy).
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import os
@@ -80,19 +77,6 @@ def _leaves(a, b, path: str):
         yield path, _ulps(a, b)
 
 
-def _csv_cells(text: str):
-    rows = list(csv.reader(io.StringIO(text)))
-    header = rows[0] if rows else []
-    return [{col: _number(cell) for col, cell in zip(header, row)} for row in rows[1:]]
-
-
-def _number(cell: str):
-    try:
-        return float(cell)
-    except ValueError:
-        return cell
-
-
 def _worse(u, v):
     return None if u is None or v is None else max(u, v)
 
@@ -106,9 +90,7 @@ def compare(old: dict, new: dict):
             runs.append((argv, code_a, code_b, err_a, err_b))
         if out_a == out_b:
             continue
-        if "--format csv" in argv:
-            pairs = _leaves(_csv_cells(out_a), _csv_cells(out_b), "csv")
-        elif out_a and out_b:
+        if out_a and out_b:
             pairs = _leaves(json.loads(out_a), json.loads(out_b), "")
         else:
             pairs = [("<stdout>", None)]

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from operator import mul
+from operator import add, mul
 
 from .errors import DegeneracyError
 
@@ -140,6 +140,9 @@ def exact_gram(beta_f, gamma_f, a_f, degree):
     ``v(Q_m) = 0`` fixes ``mu_m = v(P_m)`` for ``m <= 2 degree``, and
     ``x P_j = P_{j+1} + beta_j P_j + gamma_j P_{j-1}`` taken on both sides of
     ``v(x P_i P_j)`` gives ``sigma_{i,j} = v(P_i P_j)`` column by column.
+    Each row of ``C Sigma`` is then one elementwise combination of ``Sigma``
+    rows, and each band row of ``G = C Sigma C^T`` one correlation of a row
+    of ``C Sigma`` with the band, so no entry takes a call of its own.
 
     Everything runs on integers after the change of variable of
     :func:`_scaled_data` over the data up to ``2 degree`` (and never below
@@ -168,22 +171,37 @@ def exact_gram(beta_f, gamma_f, a_f, degree):
     for m in range(1, top + 1):  # exact: L v(P_m) is integral, so R_m divides the sum
         mu.append(-sum(map(mul, c_rows[m][1], mu)) // rows[m][1])  # map stops at i = m - 1
     for m in range(k + 1, n + 1):
-        c_rows.append((m - k, band))
-        w.append(1 << m * e)
         mu.append(-sum(map(mul, band, mu[m - k : m])))  # map stops before band[-1] = 1
+    end, low = degree + 1, min(k, degree)  # rows and columns 0..low are the completion's
+    c_rows = c_rows[:end] + [(m - k, band) for m in range(k + 1, end)]
+    w = w[:end] + [1 << m * e for m in range(k + 1, end)]
     sigma = [mu]  # sigma[j][i] = L 2^((i+j) e) v(P_i P_j) for i + j <= n, both triangles
     for j in range(degree):  # sigma[-1] = mu meets gamma_0 = 0 at j = 0
         cur, prev, bj, gj = sigma[j], sigma[j - 1], beta[j], gamma[j]
         sigma.append([sigma[i][j + 1] for i in range(j + 1)] + [
             cur[i + 1] + (beta[i] - bj) * cur[i] + gamma[i] * cur[i - 1] - gj * prev[i]
             for i in range(j + 1, n - j)])
-    # row m of C spans columns lo..m; (C Sigma)[m][t], and N[m][p] with m <= p
-    # reads it only from t = lo_p >= lo_m on
-    c_rows = c_rows[: degree + 1]
-    cs = [[0] * lo + [sum(map(mul, row, sigma[t][lo : m + 1])) for t in range(lo, degree + 1)]
-          for m, (lo, row) in enumerate(c_rows)]
-    gram = [[0] * (degree + 1) for _ in range(degree + 1)]
-    for p, (lo, row) in enumerate(c_rows):
-        for m in range(p + 1):
-            gram[m][p] = gram[p][m] = sum(map(mul, row, cs[m][lo : p + 1]))
-    return gram, w[: degree + 1], lcd
+    # Sigma is symmetric, so row m of C Sigma is one combination of Sigma rows,
+    # (C Sigma)[m][t] = sum_a C[m][lo + a] Sigma[lo + a][t], kept from t = lo on:
+    # N[m][p] with m <= p reads it only from t = lo_p >= lo_m on
+    cs = [[0] * lo + _combine(row, [sigma[lo + a][lo:end] for a in range(len(row))])
+          for lo, row in c_rows]
+    upper = []  # N[m][p] for p >= m, after m zeros
+    for m, row in enumerate(cs):
+        upper.append([0] * m + [sum(map(mul, c_rows[p][1], row[: p + 1])) for p in range(m, low + 1)])
+        p0 = max(m, low + 1)  # band columns: one correlation of the row with (A_k..A_1, 1)
+        if p0 < end:
+            upper[m] += _combine(band, [row[p0 - k + b : end - k + b] for b in range(k + 1)])
+    gram = [list(col[:m]) + upper[m][m:] for m, col in enumerate(zip(*upper))]
+    return gram, w, lcd
+
+
+def _combine(coeffs, rows):
+    """The elementwise sum of ``c * row`` over ``zip(coeffs, rows)``, the rows
+    of equal length, as a new list; at least one ``c`` is nonzero."""
+    out = None
+    for c, row in zip(coeffs, rows):
+        if c:
+            term = row if c == 1 else map(c.__mul__, row)
+            out = list(term) if out is None else list(map(add, out, term))
+    return out

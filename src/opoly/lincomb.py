@@ -296,28 +296,37 @@ def oracle_gram_check(
     return _gram_report(*exact_gram(rec.beta, rec.gamma, comb.a, degree), tol)
 
 
+# The log2 screen's margin: far above its 1.5e-11 rounding error at 20,000 bits
+_LOG2_MARGIN = 2.0**-20
+
+
 def _gram_report(num: list, w: list, lcd: int, tol: float) -> GramReport:
     """Classify the exact Gram ``G_ij = N_ij / (L w_i w_j)`` of :func:`exact_gram`.
 
     The squared ratio ``G_ij^2 / |G_ii G_jj| = N_ij^2 / |N_ii N_jj|`` needs
-    no weights.  Bit lengths screen it first: with ``s = 2 bl(N_ij) -
-    bl(N_ii) - bl(N_jj)`` it lies in ``(2^(s-2), 2^(s+2))``, and ``tol^2``
-    in a 2-bit bracket of its own, so the exact integer comparison with
-    ``tol^2`` runs only where the two brackets overlap.  ``worst_ratio``
-    rounds only the ratios with ``s`` within 3 of the largest ``s``: a pair
-    below that has a smaller ratio than the pair at the largest, and
-    rounding is monotone, so the largest rounded ratio is the same float.
-    Only the diagonal and the failing entries are rounded to floats; one
-    past the float range raises :class:`~opoly.errors.NumericError`.
+    no weights, and a log2 screen settles most pairs in floats.  ``l_ij = 2
+    log2|N_ij| - log2|N_ii| - log2|N_jj|``, with ``math.log2`` on the
+    integers (it rounds each to 53 bits and adds its exponent), is within
+    1.5e-11 of the exact ``log2`` of the squared ratio for integers up to
+    20,000 bits: each log errs by half an ulp of a number below 2^15, each
+    difference by half an ulp of one below 2^16.  A pair fails when ``l_ij``
+    exceeds ``2 log2(tol)`` by more than the margin 2^-20 and passes when it
+    falls short by more; only a pair within the margin runs the exact
+    integer comparison with ``tol^2``, and ``tol = 0`` fails every nonzero
+    entry.  ``worst_ratio`` rounds only the ratios with ``l_ij`` within the
+    margin of the largest: a pair below that has a smaller ratio than the
+    pair at the largest, and rounding is monotone, so the largest rounded
+    ratio is the same float.  Only the diagonal and the failing entries are
+    rounded to floats; one past the float range raises
+    :class:`~opoly.errors.NumericError`.
     """
-    n = len(num)
+    n, log2, margin = len(num), math.log2, _LOG2_MARGIN
     tol_num, tol_den = (v * v for v in tol.as_integer_ratio())
-    # tol^2 in (2^(t-1), 2^(t+1)): fails from s >= t + 3, passes up to s <= t - 3
-    t = tol_num.bit_length() - tol_den.bit_length() if tol_num else -math.inf
+    tol_l = 2 * log2(tol) if tol else -math.inf
     diag = [abs(num[i][i]) for i in range(n)]
-    bits = [v.bit_length() for v in diag]
+    logs = [log2(v) if v else 0.0 for v in diag]
     failures = [(i, i, 0.0, 0.0) for i in range(n) if diag[i] == 0]
-    screened = []  # (s, i, j) of every pair with a finite nonzero ratio
+    l_max, near = -math.inf, []  # near: (l, i, j) within the margin of the largest l so far
 
     def entry(i, j):  # G_ij = N_ij / (L w_i w_j); int / int rounds correctly
         return num[i][j] / (lcd * w[i] * w[j])
@@ -325,7 +334,7 @@ def _gram_report(num: list, w: list, lcd: int, tol: float) -> GramReport:
     try:
         gram_diag = [entry(i, i) for i in range(n)]
         for i in range(n):
-            row, d_i, b_i = num[i], diag[i], bits[i]
+            row, d_i, l_i = num[i], diag[i], logs[i]
             for j in range(i + 1, n):
                 v = row[j]
                 if not v:
@@ -333,14 +342,17 @@ def _gram_report(num: list, w: list, lcd: int, tol: float) -> GramReport:
                 if not (d_i and diag[j]):
                     failures.append((i, j, entry(i, j), 0.0))
                     continue
-                s = 2 * v.bit_length() - b_i - bits[j]
-                screened.append((s, i, j))
-                if s >= t + 3 or (s > t - 3 and v * v * tol_den > tol_num * d_i * diag[j]):
+                l = 2 * log2(v if v > 0 else -v) - l_i - logs[j]
+                if l > l_max - margin:
+                    near.append((l, i, j))
+                    if l > l_max:
+                        l_max = l
+                if l > tol_l - margin and (
+                        l > tol_l + margin or v * v * tol_den > tol_num * d_i * diag[j]):
                     bound = tol * abs(gram_diag[i] * gram_diag[j]) ** 0.5
                     failures.append((i, j, entry(i, j), bound))
-        s_max = max(screened, default=(0,))[0]
         worst = max(((num[i][j] * num[i][j] / (diag[i] * diag[j])) ** 0.5
-                     for s, i, j in screened if s >= s_max - 3), default=0.0)
+                     for l, i, j in near if l >= l_max - margin), default=0.0)
     except OverflowError as exc:  # an exact Gram value or ratio past the float range
         raise NumericError(f"Gram oracle: {exc}") from exc
     return GramReport(not failures, tuple(failures), worst)

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -447,7 +448,12 @@ def _bundled(name):
     "label,rec,comb,degree",
     [pytest.param(*case, d, id=case[0] + ("--" if d == 6 else f"--d{d}"))
      for d in (6, 12) for case in chebyshev_corpus() + broken_families() + _K2_FIXTURES]
-    + [pytest.param(*_bundled("gen_k2_real_roots.json"), 20, id="gen_k2_real_roots--d20")],
+    + [pytest.param(*_bundled("gen_k2_real_roots.json"), 20, id="gen_k2_real_roots--d20")]
+    # k = 3 and 4: degrees up to k take the Gram from completion rows alone
+    + [pytest.param(f"kind{kind}/k{len(a)}", op.chebyshev_family(kind, 26), op.CombCoeffs(a), d,
+                    id=f"kind{kind}/k{len(a)}--d{d}")
+       for a in ((0.0, 0.0, 0.5), (0.25, 0.0, 0.0, 0.5)) for kind in (1, 2, 3, 4)
+       for d in sorted({1, 2, len(a), len(a) + 1, 6})],
 )
 def test_exact_gram_matches_pairwise_products(label, rec, comb, degree):
     _assert_gram_matches_pairwise_products(rec, comb, degree)
@@ -681,8 +687,8 @@ _SCREEN_CORPUS = ([_bundled(p.name) for p in sorted(CONFIG_DIR.glob("*.json"))]
     if 2 * d <= rec.horizon + 1
 ])
 def test_ratio_screen_matches_full_loop(label, rec, comb, degree):
-    # the bit-length screen skips exact comparisons and float ratios, never
-    # a failure or a bit of worst_ratio
+    # the log2 screen skips exact comparisons and float ratios, never a
+    # failure or a bit of worst_ratio
     gram = exact_gram(rec.beta, rec.gamma, comb.a, degree)
     for tol in _SCREEN_TOLS:
         report = op.oracle_gram_check(rec, comb, degree=degree, tol=tol)
@@ -690,7 +696,7 @@ def test_ratio_screen_matches_full_loop(label, rec, comb, degree):
 
 
 @pytest.mark.parametrize("tol", [1e-9, 0.1, 0.5, 3.0])
-@pytest.mark.parametrize("shift", [0, 1000])
+@pytest.mark.parametrize("shift", [0, 1000, 5000])
 def test_ratio_screen_at_exactly_tol(tol, shift):
     # tol = p / 2^q and N = [[2^q, p + c], [p + c, -2^q]] put the ratio at,
     # just above and just below tol; the test is strict, so equality passes
@@ -703,6 +709,47 @@ def test_ratio_screen_at_exactly_tol(tol, shift):
         assert report.ok != fails
         if c == 0:
             assert report.worst_ratio == tol
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_ratio_screen_below_log2_resolution(swap):
+    # squared ratios c (2^61 / (2^61 -+ 1)) with c = 1 + 3 2^-53 the midpoint
+    # of two adjacent floats: they differ by a relative 2^-60, far below what
+    # log2 resolves, yet round to different floats, and only the larger may
+    # set worst_ratio
+    big_c = (1 << 53) + 3
+    d_hi, d_lo = (1 << 61) - 1, (1 << 61) + 1
+    if swap:
+        d_hi, d_lo = d_lo, d_hi
+    x = 16 * big_c
+    num = [[big_c, x, x], [x, d_hi, 0], [x, 0, d_lo]]
+    ratios = [(x * x / (big_c * d)) ** 0.5 for d in (d_hi, d_lo)]
+    assert ratios[0] != ratios[1]
+    for tol in _SCREEN_TOLS + (1.0, max(ratios), min(ratios)):
+        report = lincomb._gram_report(num, [1, 1, 1], 1, tol)
+        assert _bits(report) == _bits(_full_ratio_loop(num, [1, 1, 1], 1, tol))
+        assert report.worst_ratio == max(ratios) == 1 + 2.0**-52
+
+
+def test_ratio_screen_on_10000_bit_integers():
+    # diagonals of 10,000 to 10,350 bits, ratios below 2^30,
+    # signs of both kinds and some zero entries
+    rng = random.Random(24)
+    n = 8
+    diag = [rng.getrandbits(10_000 + 50 * i) | 1 << (9_999 + 50 * i) for i in range(n)]
+    num = [[0] * n for _ in range(n)]
+    for i in range(n):
+        num[i][i] = diag[i] if i % 3 else -diag[i]
+        for j in range(i + 1, n):
+            if (i + j) % 5:
+                v = math.isqrt(diag[i] * diag[j]) * rng.getrandbits(30) >> rng.randrange(60)
+                num[i][j] = num[j][i] = v if j % 2 else -v
+    w, lcd = [1 << (5_000 + 25 * i) for i in range(n)], 3
+    assert min(abs(v).bit_length() for row in num for v in row if v) > 9_900
+    for tol in _SCREEN_TOLS + (1.0, 1e6):
+        report = lincomb._gram_report(num, w, lcd, tol)
+        assert _bits(report) == _bits(_full_ratio_loop(num, w, lcd, tol))
+    assert 1.0 < report.worst_ratio < 2.0**30
 
 
 def test_ratio_screen_zero_diagonal():

@@ -12,13 +12,17 @@ milliseconds of
 * ``ratio_loop`` -- ``oracle_gram_check`` with ``exact_gram`` answered from
   a precomputed result, i.e. the argument checks and the ratio test alone.
 
+Every figure is at reference host speed, as in ``bench/run.py``: the
+benchmark's kernel (``bench/calibrate.py``) is timed before and after each
+row, and the row's times are divided by the mean of the two samples and
+multiplied by the kernel's reference time.
+
 Usage::
 
     python tools/oracle_curve.py [--src SRC] [--degrees 6 8 ... 32] [--repeat 5]
 
 ``--src`` names the ``src/`` tree to import ``opoly`` from (default: this
-checkout's), so two trees can be compared with the same configs.  Stdlib
-only (opoly itself needs numpy).
+checkout's), so two trees can be compared with the same configs.
 """
 
 from __future__ import annotations
@@ -57,8 +61,10 @@ def load_at_horizon(load_config, name: str, horizon: int):
 
 
 def curve(src: str, degrees: list[int], repeat: int) -> list[tuple[str, int, float, float, float]]:
-    """``(config, degree, completion_ms, exact_gram_ms, ratio_loop_ms)`` rows."""
-    sys.path.insert(0, src)
+    """``(config, degree, completion_ms, exact_gram_ms, ratio_loop_ms)`` rows
+    at reference speed."""
+    sys.path[:0] = [src, os.path.join(ROOT, "bench")]
+    import calibrate
     from opoly import _exact, lincomb
     from opoly.cli import load_config
 
@@ -72,6 +78,7 @@ def curve(src: str, degrees: list[int], repeat: int) -> list[tuple[str, int, flo
         cfg = load_at_horizon(load_config, name, 2 * max(degrees) - 1)
         rec, comb = cfg.rec, cfg.comb
         for degree in degrees:
+            before = calibrate.sample()
             completion_ms = best_ms(lambda: completion(rec, comb), repeat)
             lincomb.check_conditions(rec, comb, rec.horizon)
             gram = exact_gram(rec.beta, rec.gamma, comb.a, degree)
@@ -82,7 +89,8 @@ def curve(src: str, degrees: list[int], repeat: int) -> list[tuple[str, int, flo
                     lambda: lincomb.oracle_gram_check(rec, comb, degree=degree, tol=1e-9), repeat)
             finally:
                 lincomb.exact_gram = exact_gram
-            rows.append((name, degree, completion_ms, gram_ms, loop_ms))
+            scale = calibrate.scales([before, calibrate.sample()], [0])[0]
+            rows.append((name, degree, *(t * scale for t in (completion_ms, gram_ms, loop_ms))))
     return rows
 
 

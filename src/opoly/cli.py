@@ -2,15 +2,15 @@
 
 Usage:
 
-    opoly check|tilde|zeros|hk|quad|gen --config job.json [--out path]
-          [--n N] [--tol-conditions X] [--tol-zeros X] [--tol-hk X] [--tol-quad X]
+    opoly check|tilde|zeros|hk|quad|gen --config job.json [--out path] [--n N]
 
 Every command takes the same options.  A config names exactly one family
 (``chebyshev``, ``explicit``, ``k2`` or ``k1``), a combination ``a_1..a_k``,
 a horizon, and optional tolerances or a node count ``n``.  Numbers may be
 given as decimal strings to avoid double-rounding in published configs.
-``--n`` overrides the config's ``n`` as ``--tol-*`` override its tolerances,
-and each command then reads only the resolved :class:`JobConfig`.
+Tolerances are set only in the config, which the report echoes as ``config``.
+``--n`` overrides the config's ``n`` (``zeros`` and ``quad`` report it as
+``result.n``), and each command then reads only the resolved :class:`JobConfig`.
 Reports are deterministic JSON (``schema: 1``).  ``gen`` on a ``k2`` family
 with ``a1 != 0`` also reports ``difference_equation_max_residual``, the larger
 :func:`~opoly.recurrence.k2_difference_residual` of ``beta`` and ``gamma``.
@@ -500,8 +500,6 @@ _PARSER.add_argument("command", choices=tuple(_COMMANDS))
 _PARSER.add_argument("--config", required=True, help="path to a JSON job config")
 _PARSER.add_argument("--out", default=None, help="write the report here instead of stdout")
 _PARSER.add_argument("--n", type=int, default=None, help="polynomial index for zeros/quad")
-for _tol in DEFAULT_TOLERANCES:
-    _PARSER.add_argument(f"--tol-{_tol}", type=float, default=None, dest=f"tol_{_tol}")
 
 
 def main(argv=None) -> int:
@@ -510,10 +508,6 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.n is not None:
             cfg.n = args.n
-        for tol in DEFAULT_TOLERANCES:
-            override = getattr(args, f"tol_{tol}")
-            if override is not None:
-                cfg.tolerances[tol] = _tolerance(override, f"--tol-{tol}")
         code, result = _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"opoly: config error: {exc}", file=sys.stderr)

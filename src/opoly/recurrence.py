@@ -295,9 +295,9 @@ def k2_family(
 
     The case tag must match the discriminant ``a1^2 - 4 a2`` (values within
     1e-12 of zero count as the equal-root boundary, and ``A1_ZERO`` requires
-    ``a1 == 0`` exactly).  Case constraints are validated to 1e-12; any
-    ``gamma_n``, the seed ``gamma_1`` included, within 1e-12 of zero raises
-    :class:`~opoly.errors.DegeneracyError`.
+    ``a1 == 0`` exactly).  Case constraints are validated to 1e-12; building
+    the :class:`RecurrencePair` raises :class:`~opoly.errors.DegeneracyError`
+    on any ``|gamma_n| <= GAMMA_FLOOR``, the seed ``gamma_1`` included.
     """
     if a2 == 0.0:
         raise ValueError("a2 must be nonzero")
@@ -366,11 +366,6 @@ def k2_family(
 
     beta = np.concatenate(([params.beta0, params.beta1], beta_tail))
     gamma = np.concatenate(([params.gamma1], gamma_tail))
-    if np.any(np.abs(gamma) <= 1e-12):
-        n_bad = int(np.argmax(np.abs(gamma) <= 1e-12)) + 1
-        raise DegeneracyError(
-            f"generated gamma_{n_bad} is numerically zero at horizon {horizon}"
-        )
     return RecurrencePair(beta, gamma)
 
 

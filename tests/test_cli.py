@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import opoly as op
-from opoly import cli
+from opoly import cli, jacobi, lincomb, quadrature
 from opoly.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -33,6 +34,21 @@ BASE = {
     "horizon": 20,
     "n": 6,
 }
+# Chebyshev T with gamma_10 raised by 1e-8, at loosened tolerances; the golden
+# grid of tools/golden.py runs the same config as edge/loose_tolerances.json
+LOOSE = dict(
+    BASE,
+    family={"type": "explicit", "beta": ["0"] * 25,
+            "gamma": ["0.5"] + ["0.25"] * 8 + [repr(0.25 + 1e-8)] + ["0.25"] * 14},
+    horizon=24,
+    tolerances={"conditions": 1e-5, "hk": 1e-5},
+)
+
+
+def with_tolerances(tmp_path, name, **tolerances):
+    """The bundled config ``name`` with ``tolerances`` set, written to ``tmp_path``."""
+    config = json.loads((CONFIG_DIR / name).read_text())
+    return write_config(tmp_path, dict(config, tolerances=tolerances), name)
 
 
 def test_check_passing_config(tmp_path, capsys):
@@ -175,40 +191,15 @@ def test_inconsistent_configs_exit_two(tmp_path, capsys, payload, message):
     assert err == f"opoly: config error: {message}\n"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["tilde", "--tol-conditions=nan"],
-        ["tilde", "--tol-conditions=-1e-10"],
-        ["zeros", "--n", "10", "--tol-zeros=nan"],
-        ["hk", "--tol-hk=inf"],
-        ["quad", "--n", "6", "--tol-quad=-inf"],
-    ],
-    ids=["conditions-nan", "conditions-negative", "zeros-nan", "hk-inf", "quad-minus-inf"],
-)
-def test_invalid_tolerance_flags_exit_two(capsys, argv):
-    # a NaN, infinite or negative tolerance would flip or disable the test it feeds
-    flag = argv[-1].split("=")[0]
-    code, out, err = run(capsys, *argv, "--config", str(CONFIG_DIR / "cheb1_k2.json"))
-    assert (code, out) == (2, "")
-    assert err.startswith(f"opoly: config error: field '{flag}' must be ")
-
-
-def test_zero_tolerance_flag_is_accepted(capsys):
-    config = str(CONFIG_DIR / "cheb1_k2.json")
-    assert run(capsys, "tilde", "--config", config, "--tol-conditions=0")[0] == 0
+def test_zero_tolerance_flag_is_accepted(tmp_path, capsys):
+    config = with_tolerances(tmp_path, "cheb1_k2.json", conditions=0)
+    assert run(capsys, "tilde", "--config", config)[0] == 0
 
 
 def test_hk_honours_hk_tolerance_in_orthonormal_check(tmp_path, capsys):
     # gamma_10 bumped by 1e-8: the h_k fit residual (~1.4e-7) passes
-    # --tol-hk 1e-5, and the orthonormal check must fit h_k at that same tolerance
-    gamma = ["0.5"] + ["0.25"] * 23
-    gamma[9] = repr(0.25 + 1e-8)
-    payload = dict(BASE, family={"type": "explicit", "beta": ["0"] * 25, "gamma": gamma},
-                   horizon=24)
-    cfg = write_config(tmp_path, payload)
-    code, out, err = run(capsys, "hk", "--config", cfg, "--tol-conditions", "1e-5",
-                         "--tol-hk", "1e-5")
+    # tolerances.hk = 1e-5, and the orthonormal check must fit h_k at that same tolerance
+    code, out, err = run(capsys, "hk", "--config", write_config(tmp_path, LOOSE))
     assert code != 3, err
     result = json.loads(out)["result"]
     assert 1e-8 < result["residual"] <= 1e-5
@@ -216,15 +207,9 @@ def test_hk_honours_hk_tolerance_in_orthonormal_check(tmp_path, capsys):
 
 
 def test_hk_fails_when_orthonormal_identity_fails(tmp_path, capsys):
-    # Chebyshev T with gamma_10 bumped by 1e-8: the relation passes at --tol-hk 1e-5,
-    # but the orthonormal identity misses its own fixed tolerance
-    rec = op.chebyshev_family(1, 24)
-    gamma = [float(g) for g in rec.gamma[1:]]
-    gamma[9] = 0.25 + 1e-8
-    payload = dict(BASE, family={"type": "explicit", "beta": [float(b) for b in rec.beta],
-                                 "gamma": gamma}, horizon=24)
-    code, out, err = run(capsys, "hk", "--config", write_config(tmp_path, payload),
-                         "--tol-conditions", "1e-5", "--tol-hk", "1e-5")
+    # Chebyshev T with gamma_10 bumped by 1e-8: the relation passes at
+    # tolerances.hk = 1e-5, but the orthonormal identity misses its own fixed tolerance
+    code, out, err = run(capsys, "hk", "--config", write_config(tmp_path, LOOSE))
     report = json.loads(out)
     assert report["result"]["relation"]["ok"] is True
     assert report["result"]["orthonormal_identity"]["ok"] is False
@@ -250,8 +235,14 @@ def test_integral_chebyshev_kind_is_accepted(tmp_path, capsys, kind):
         # reports are JSON only, and there is no format flag to choose it
         ["check", "--config", str(CONFIG_DIR / "cheb1_k2.json"), "--format", "json"],
         ["tilde", "--config", str(CONFIG_DIR / "cheb1_k2.json"), "--format", "csv"],
+        # tolerances are set in the config only, which the report echoes
+        ["tilde", "--config", str(CONFIG_DIR / "cheb1_k2.json"), "--tol-conditions", "0"],
+        ["zeros", "--config", str(CONFIG_DIR / "cheb1_k2.json"), "--tol-zeros=1e-6"],
+        ["hk", "--config", str(CONFIG_DIR / "cheb1_k2.json"), "--tol-hk", "1e-5"],
+        ["quad", "--config", str(CONFIG_DIR / "cheb1_k2.json"), "--tol-quad=1e-3"],
     ],
-    ids=["unknown-command", "missing-config", "bad-format", "format-json", "format-csv"],
+    ids=["unknown-command", "missing-config", "bad-format", "format-json", "format-csv",
+         "tol-conditions", "tol-zeros", "tol-hk", "tol-quad"],
 )
 def test_usage_errors_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -555,10 +546,10 @@ def test_reports_read_the_library_artifacts(tmp_path, capsys):
     "name,n",
     [("gen_k2_a1_zero.json", 28), ("gen_k2_real_roots.json", 30), ("gen_k2_equal_roots.json", 34)],
 )
-def test_quad_honours_zeros_tolerance(capsys, name, n):
+def test_quad_honours_zeros_tolerance(tmp_path, capsys, name, n):
     # quad takes its nodes from the zeros_q run that zeros reports, under the
-    # same --tol-zeros
-    argv = ("--config", str(CONFIG_DIR / name), "--n", str(n), "--tol-zeros", "1e-6")
+    # same tolerances.zeros
+    argv = ("--config", with_tolerances(tmp_path, name, zeros=1e-6), "--n", str(n))
     code, out, err = run(capsys, "zeros", *argv)
     assert code == 0, err
     zeros = json.loads(out)["result"]["zeros"]
@@ -568,8 +559,8 @@ def test_quad_honours_zeros_tolerance(capsys, name, n):
     assert nodes == sorted(z["re"] for z in zeros)
 
 
-def test_quad_reaches_both_laws_at_n28_on_a1_zero(capsys):
-    argv = ("--config", str(CONFIG_DIR / "gen_k2_a1_zero.json"), "--n", "28", "--tol-zeros", "1e-6")
+def test_quad_reaches_both_laws_at_n28_on_a1_zero(tmp_path, capsys):
+    argv = ("--config", with_tolerances(tmp_path, "gen_k2_a1_zero.json", zeros=1e-6), "--n", "28")
     code, out, err = run(capsys, "quad", *argv)
     assert code == 0, err
     result = json.loads(out)["result"]
@@ -577,11 +568,11 @@ def test_quad_reaches_both_laws_at_n28_on_a1_zero(capsys):
     assert result["combination"]["degree_of_precision"] == 53
 
 
-def test_tol_quad_reaches_the_gauss_rule(capsys):
+def test_tol_quad_reaches_the_gauss_rule(tmp_path, capsys):
     # at the default 1e-9 the Gauss rule of this config measures degree 38;
-    # --tol-quad sets the exactness tolerance of both rules
-    argv = ("--config", str(CONFIG_DIR / "gen_k2_equal_roots.json"), "--n", "34",
-            "--tol-quad", "1e-3")
+    # tolerances.quad sets the exactness tolerance of both rules
+    argv = ("--config", with_tolerances(tmp_path, "gen_k2_equal_roots.json", quad=1e-3),
+            "--n", "34")
     code, out, err = run(capsys, "quad", *argv)
     assert code == 0, err
     result = json.loads(out)["result"]
@@ -764,6 +755,39 @@ def test_bundled_configs(path, capsys):
     expected = 1 if path.name.startswith("broken") else 0
     assert code == expected, err
     assert json.loads(out)["schema"] == 1
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [(command, "gen_k2_real_roots.json") for command in cli._COMMANDS]
+    + [(command, "loose") for command in cli._COMMANDS if command != "gen"],
+)
+def test_report_reproduces_itself(tmp_path, capsys, command, config):
+    # rerunning on the config a report echoes, with its result.n where the
+    # command reads n, gives the same exit code and the same bytes
+    path = write_config(tmp_path, LOOSE) if config == "loose" else str(CONFIG_DIR / config)
+    n_argv = ["--n", "10"] if command in ("zeros", "quad") else []
+    code, out, err = run(capsys, command, "--config", path, *n_argv)
+    report = json.loads(out)
+    echo = write_config(tmp_path, report["config"], "echo.json")
+    rerun_n = ["--n", str(report["result"]["n"])] if n_argv else []
+    assert run(capsys, command, "--config", echo, *rerun_n) == (code, out, err)
+
+
+def test_cli_tolerances_are_the_library_defaults():
+    def default(func, name="tol"):
+        return inspect.signature(func).parameters[name].default
+
+    tolerances = cli.DEFAULT_TOLERANCES
+    assert tolerances["conditions"] == default(lincomb.check_conditions)
+    assert tolerances["zeros"] == default(jacobi.zeros_q, "cross_tol")
+    assert tolerances["zeros"] == default(quadrature.shohat_check, "cross_tol")
+    assert tolerances["hk"] == default(jacobi.solve_hk)
+    assert tolerances["hk"] == default(jacobi.verify_functional_relation)
+    assert tolerances["hk"] == default(jacobi.orthonormal_identity_check, "hk_tol")
+    assert tolerances["quad"] == default(quadrature.gauss_rule)
+    assert tolerances["quad"] == default(quadrature.shohat_check)
+    assert tolerances["quad"] == default(quadrature.degree_of_precision)
 
 
 def test_import_does_not_load_numpy_polynomial():

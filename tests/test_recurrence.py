@@ -235,7 +235,17 @@ def test_k2_degenerate_gamma_detected():
         op.k2_family(2.0, 1.0, params, 10)
     # the same check covers the seed gamma_1
     params = K2Params(K2Case.EQUAL_ROOTS, beta0=0.0, beta1=0.0, gamma1=0.0, D=0.25)
-    with pytest.raises(op.DegeneracyError, match="gamma_1 is numerically zero"):
+    with pytest.raises(op.DegeneracyError, match="gamma_1 = 0.0 is numerically zero"):
+        op.k2_family(2.0, 1.0, params, 10)
+
+
+def test_k2_gamma_floor_is_the_recurrence_pair_floor():
+    # k2_family leaves the zero-gamma floor to RecurrencePair, as explicit
+    # and k1 families do: 1e-13 passes, GAMMA_FLOOR itself does not
+    params = K2Params(K2Case.EQUAL_ROOTS, beta0=0.0, beta1=0.0, gamma1=1e-13, D=0.25)
+    assert op.k2_family(2.0, 1.0, params, 10).gamma[1] == 1e-13
+    params = K2Params(K2Case.EQUAL_ROOTS, beta0=0.0, beta1=0.0, gamma1=op.GAMMA_FLOOR, D=0.25)
+    with pytest.raises(op.DegeneracyError, match="gamma_1 = 1e-14 is numerically zero"):
         op.k2_family(2.0, 1.0, params, 10)
 
 

@@ -87,6 +87,16 @@ def edge_configs() -> dict:
         },
         # the verdict passes, but h_k's norm products and the Newton steps overflow
         "k2_overflow": _with_family("gen_k2_real_roots.json", {"D": "1e200"}),
+        # Chebyshev T with gamma_10 raised by 1e-8: tilde passes only at the
+        # loosened tolerances, and the config is the one place that sets them
+        "loose_tolerances": {
+            "family": {"type": "explicit", "beta": ["0"] * 25,
+                       "gamma": ["0.5"] + ["0.25"] * 8 + [repr(0.25 + 1e-8)] + ["0.25"] * 14},
+            "combination": {"k": 2, "a": ["0", "-0.125"]},
+            "horizon": 24,
+            "n": 6,
+            "tolerances": {"conditions": 1e-5, "hk": 1e-5},
+        },
     }
 
 

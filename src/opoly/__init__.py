@@ -18,7 +18,6 @@ from .errors import (
 )
 from .jacobi import (
     HkSolution,
-    IntertwiningReport,
     OrthonormalReport,
     RelationReport,
     ZerosReport,
@@ -30,7 +29,6 @@ from .jacobi import (
     perturbation_L,
     solve_hk,
     verify_functional_relation,
-    verify_intertwining,
     zeros_q,
 )
 from .lincomb import (
@@ -59,7 +57,6 @@ from .recurrence import (
     Poly,
     RecurrencePair,
     chebyshev_family,
-    eval_p,
     k1_family,
     k2_difference_residual,
     k2_family,
@@ -79,7 +76,6 @@ __all__ = [
     "HkSolution",
     "HorizonError",
     "InapplicableError",
-    "IntertwiningReport",
     "K2Case",
     "K2Params",
     "NumericError",
@@ -97,7 +93,6 @@ __all__ = [
     "check_conditions",
     "christoffel_numbers",
     "degree_of_precision",
-    "eval_p",
     "gauss_rule",
     "jacobi_truncation",
     "k1_family",
@@ -115,6 +110,5 @@ __all__ = [
     "solve_hk",
     "tilde_recurrence",
     "verify_functional_relation",
-    "verify_intertwining",
     "zeros_q",
 ]

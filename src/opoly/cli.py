@@ -16,7 +16,9 @@ with ``a1 != 0`` also reports ``difference_equation_max_residual``, the larger
 :func:`~opoly.recurrence.k2_difference_residual` of ``beta`` and ``gamma``.
 
 Exit codes: 0 pass, 1 checked-and-failed, 2 usage/config error,
-3 numeric/degeneracy error.
+3 numeric/degeneracy error.  A family that cannot be built (a generator
+parameter out of its domain, a zero gamma) is a config error; a family
+that builds is judged by :func:`~opoly.lincomb.check_conditions`.
 """
 
 from __future__ import annotations
@@ -133,10 +135,7 @@ def _build_family(fam: dict, horizon: int) -> tuple[RecurrencePair, tuple[float,
         raise ConfigError("family must be an object with a 'type' field")
     ftype = fam["type"]
     if ftype == "chebyshev":
-        kind = _int(fam.get("kind"), "family.kind")
-        if kind not in (1, 2, 3, 4):
-            raise ConfigError("chebyshev family needs 'kind' in {1,2,3,4}")
-        return chebyshev_family(kind, horizon), None
+        return chebyshev_family(_int(fam.get("kind"), "family.kind"), horizon), None
     if ftype == "explicit":
         beta = _num_list(fam.get("beta"), "family.beta")
         gamma = _num_list(fam.get("gamma"), "family.gamma")
@@ -163,20 +162,12 @@ def _build_family(fam: dict, horizon: int) -> tuple[RecurrencePair, tuple[float,
             gamma1=_num(fam.get("gamma1"), "family.gamma1"),
             **kwargs,
         )
-        try:
-            return k2_family(a1, a2, params, horizon), (a1, a2)
-        except ValueError as exc:  # a generator parameter out of its domain
-            raise ConfigError(f"k2 family: {exc}") from exc
+        return k2_family(a1, a2, params, horizon), (a1, a2)
     if ftype == "k1":
         gammas = _num_list(fam.get("gammas"), "family.gammas")
-        if len(gammas) < horizon:
-            raise ConfigError(f"k1 family needs {horizon} gammas, got {len(gammas)}")
         a1 = _num(fam.get("a1"), "family.a1")
         betas = [_num(fam.get(f"beta{i}", 0.0), f"family.beta{i}") for i in range(3)]
-        try:
-            return k1_family(gammas, *betas, a1, horizon), (a1,)
-        except ValueError as exc:  # a generator parameter out of its domain
-            raise ConfigError(f"k1 family: {exc}") from exc
+        return k1_family(gammas, *betas, a1, horizon), (a1,)
     raise ConfigError(f"unknown family type {ftype!r}")
 
 
@@ -188,6 +179,8 @@ def load_config(path: str) -> JobConfig:
         raise ConfigError(f"config not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
 
@@ -199,7 +192,12 @@ def load_config(path: str) -> JobConfig:
     if horizon < 4:
         raise ConfigError(f"horizon must be at least 4 (k + 3 with k >= 1), got {horizon}")
 
-    rec, generator_a = _build_family(raw.get("family"), horizon)
+    try:
+        rec, generator_a = _build_family(raw.get("family"), horizon)
+    except ConfigError:
+        raise
+    except (OpolyError, ValueError) as exc:  # a family that cannot be built
+        raise ConfigError(f"{raw['family']['type']} family: {exc}") from exc
 
     comb_cfg = _object(raw, "combination")
     if comb_cfg is not None:
@@ -294,8 +292,11 @@ def _json_text(value, indent: str) -> str:
 def _emit(report: dict, out: str | None) -> None:
     text = _json_text(report, "") + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -509,14 +510,13 @@ def main(argv=None) -> int:
         if args.n is not None:
             cfg.n = args.n
         code, result = _COMMANDS[args.command](cfg)
+        _emit(_report(args.command, cfg, code == 0, result), args.out)
     except ConfigError as exc:
         print(f"opoly: config error: {exc}", file=sys.stderr)
         return 2
     except (OpolyError, ValueError) as exc:
         print(f"opoly: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    report = _report(args.command, cfg, code == 0, result)
-    _emit(report, args.out)
     return code
 
 

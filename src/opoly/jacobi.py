@@ -211,32 +211,6 @@ def _identity_operands(
             norm_diagonal(rec, size), norm_diagonal(tilde, size))
 
 
-@dataclass(frozen=True)
-class IntertwiningReport:
-    ok: bool
-    residual: float
-
-
-def verify_intertwining(
-    rec: RecurrencePair,
-    comb: CombCoeffs,
-    report: ConditionReport,
-    m: int,
-    tol: float = 1e-12,
-) -> IntertwiningReport:
-    """Max-norm residual of ``M J_P - J_Q M`` over interior rows ``0..m-k-2``
-    (the trailing rows differ from the infinite operator by truncation)."""
-    k = comb.k
-    if m < k + 3:
-        raise ValueError(f"m must be at least k + 3 = {k + 3}")
-    tilde, M, _, _ = _identity_operands(rec, comb, report, m)
-    JP = jacobi_truncation(rec, m)
-    JQ = jacobi_truncation(tilde, m)
-    resid_rows = (M @ JP - JQ @ M)[: m - k - 1]
-    residual = float(np.max(np.abs(resid_rows)))
-    return IntertwiningReport(residual <= tol, residual)
-
-
 def solve_hk(
     rec: RecurrencePair,
     comb: CombCoeffs,

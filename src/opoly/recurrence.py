@@ -158,20 +158,6 @@ def _check_index(rec: RecurrencePair, n: int) -> None:
         )
 
 
-def eval_p(rec: RecurrencePair, n: int, x: float) -> float:
-    """Evaluate ``P_n(x)`` by the forward recurrence.
-
-    ``n`` may exceed the horizon by one step (this uses ``beta_N, gamma_N``).
-    """
-    _check_index(rec, n)
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, x - rec.beta[0]
-    for j in range(1, n):
-        prev, cur = cur, (x - rec.beta[j]) * cur - rec.gamma[j] * prev
-    return float(cur)
-
-
 def poly_p(rec: RecurrencePair, n: int) -> Poly:
     """Monomial coefficients of the monic ``P_n`` (leading coefficient 1)."""
     _check_index(rec, n)
@@ -395,9 +381,11 @@ def k1_family(
 ) -> RecurrencePair:
     """General ``k = 1`` solution family: ``beta_n = beta_2 + (gamma_n - gamma_2)/a1``.
 
-    ``gammas`` supplies ``gamma_1..gamma_horizon`` (extra entries ignored;
-    all must be nonzero).  The admissibility condition
-    ``gamma_2 + a1 (beta_1 - beta_2) != 0`` is enforced up front.
+    ``gammas`` supplies ``gamma_1..gamma_horizon`` (extra entries ignored).
+    Building the :class:`RecurrencePair` refuses a zero gamma.  The family
+    is built even when ``gamma_2 + a1 (beta_1 - beta_2)`` vanishes: that is
+    :func:`~opoly.lincomb.check_conditions`' determination denominator at
+    ``k = 1``, and the verdict decides it.
     """
     if a1 == 0.0:
         raise ValueError("a1 must be nonzero")
@@ -407,11 +395,6 @@ def k1_family(
     if g.size < horizon:
         raise HorizonError(f"need {horizon} gammas, got {g.size}")
     g = g[:horizon]
-    if np.any(np.abs(g) <= GAMMA_FLOOR):
-        raise ValueError("all gammas must be nonzero")
-    denom = g[1] + a1 * (beta1 - beta2)
-    if abs(denom) <= 1e-12 * max(1.0, abs(g[1])):
-        raise DegeneracyError("gamma_2 + a1*(beta_1 - beta_2) must be nonzero")
     beta = np.empty(horizon + 1)
     beta[0], beta[1], beta[2] = beta0, beta1, beta2
     beta[3:] = beta2 + (g[2:] - g[1]) / a1

@@ -28,6 +28,28 @@ def cheb_u():
     return op.chebyshev_family(2, 30)
 
 
+def eval_p(rec, n: int, x: float) -> float:
+    """``P_n(x)`` by the scalar forward recurrence, the reference that
+    :func:`opoly.poly_p`'s coefficient walk is compared against; ``n`` may
+    exceed the horizon by one step (this uses ``beta_N, gamma_N``)."""
+    if n == 0:
+        return 1.0
+    prev, cur = 1.0, x - rec.beta[0]
+    for j in range(1, n):
+        prev, cur = cur, (x - rec.beta[j]) * cur - rec.gamma[j] * prev
+    return float(cur)
+
+
+def intertwining_residual(rec, comb, report, m: int) -> float:
+    """Max-norm of ``M J_P - J_Q M`` over the interior rows ``0..m-k-2``, built
+    from the change of basis, both Jacobi truncations and the tilde recurrence
+    (the trailing rows differ from the infinite operator by truncation)."""
+    M = op.change_basis_matrix(comb, report, m)
+    JP = op.jacobi_truncation(rec, m)
+    JQ = op.jacobi_truncation(op.tilde_recurrence(rec, comb, m - 1, report=report), m)
+    return float(np.max(np.abs((M @ JP - JQ @ M)[: m - comb.k - 1])))
+
+
 def chebyshev_weight_moments(kind: int, count: int) -> list[Fraction]:
     """Closed-form moments of the four normalised Chebyshev weights.
 

@@ -15,6 +15,7 @@ from opoly.cli import main as cli_main
 from conftest import (
     broken_families,
     chebyshev_corpus,
+    intertwining_residual,
     k2_case_fixture,
     three_term_residual,
 )
@@ -94,8 +95,7 @@ def test_criterion_3_jacobi_identities():
     worst_zero_dist = 0.0
     for label, rec, comb in valid_corpus():
         report = op.check_conditions(rec, comb, 21, tol=1e-10)
-        res = op.verify_intertwining(rec, comb, report, 20, tol=1e-12)
-        worst_intertwine = max(worst_intertwine, res.residual)
+        worst_intertwine = max(worst_intertwine, intertwining_residual(rec, comb, report, 20))
         for m in (4, 8, 12):
             if m < comb.k + 1:
                 continue

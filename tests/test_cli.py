@@ -103,6 +103,29 @@ def test_malformed_configs_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("case,prefix", [
+    ("config-is-a-directory", "cannot read config: "),
+    ("config-not-utf8", "cannot read config: 'utf-8' codec can't decode byte 0xff"),
+    ("out-is-a-directory", "cannot write report: "),
+    ("out-in-missing-directory", "cannot write report: "),
+], ids=["config-is-a-directory", "config-not-utf8", "out-is-a-directory",
+        "out-in-missing-directory"])
+def test_io_errors_exit_two(tmp_path, capsys, case, prefix):
+    config, out = str(CONFIG_DIR / "cheb1_k2.json"), []
+    if case == "config-is-a-directory":
+        config = str(tmp_path)
+    elif case == "config-not-utf8":
+        (tmp_path / "job.json").write_bytes(b'{"horizon": "\xff"}')
+        config = str(tmp_path / "job.json")
+    elif case == "out-is-a-directory":
+        out = ["--out", str(tmp_path)]
+    else:
+        out = ["--out", str(tmp_path / "missing" / "report.json")]
+    code, stdout, err = run(capsys, "check", "--config", config, *out)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"opoly: config error: {prefix}") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "change",
     [
@@ -140,6 +163,9 @@ K1 = {"type": "k1", "a1": "0.5", "beta0": "0", "beta1": "0", "beta2": "0", "gamm
 # a_1 lam B = (1 + lam) E fails: E = 0.9 where the real-root case needs about 0.0553
 K2 = {"type": "k2", "case": "real_roots", "a1": "1", "a2": "0.2", "A": "0", "B": "0.2",
       "D": "0.25", "E": "0.9", "beta0": "0", "beta1": "0", "gamma1": "0.3"}
+# a valid a1 = 0 profile but for its zero seed gamma_1
+K2_A1_ZERO = {"type": "k2", "case": "a1_zero", "a1": "0", "a2": "-0.125", "A": "0", "B": "0",
+              "D": "0.25", "E": "0.25", "beta0": "0", "beta1": "0", "gamma1": "0"}
 
 
 @pytest.mark.parametrize(
@@ -149,7 +175,7 @@ K2 = {"type": "k2", "case": "real_roots", "a1": "1", "a2": "0.2", "A": "0", "B":
         ({key: v for key, v in BASE.items() if key != "horizon"}, "config needs a 'horizon' field"),
         (dict(BASE, family=["chebyshev"]), "family must be an object with a 'type' field"),
         (dict(BASE, family={"type": "chebyshev", "kind": 5}),
-         "chebyshev family needs 'kind' in {1,2,3,4}"),
+         "chebyshev family: kind must be 1, 2, 3 or 4; got 5"),
         (dict(BASE, family={"type": "explicit", "beta": ["0"] * 20, "gamma": ["0.25"] * 20}),
          "explicit family needs 21 betas and 20 gammas"),
         (dict(BASE, family={"type": "laguerre"}), "unknown family type 'laguerre'"),
@@ -166,10 +192,12 @@ K2 = {"type": "k2", "case": "real_roots", "a1": "1", "a2": "0.2", "A": "0", "B":
          "horizon must be at least 4 (k + 3 with k >= 1), got 0"),
         ({"family": K1, "horizon": 2}, "horizon must be at least 4 (k + 3 with k >= 1), got 2"),
         ({"family": dict(K1, gammas=["0.25"] * 2), "horizon": 12},
-         "k1 family needs 12 gammas, got 2"),
+         "k1 family: need 12 gammas, got 2"),
         ({"family": dict(K1, a1="0"), "horizon": 12}, "k1 family: a1 must be nonzero"),
         ({"family": dict(K1, gammas=["0"] * 20), "horizon": 12},
-         "k1 family: all gammas must be nonzero"),
+         "k1 family: gamma_1 = 0.0 is numerically zero; the family is not quasi-definite"),
+        ({"family": K2_A1_ZERO, "horizon": 20},
+         "k2 family: gamma_1 = 0.0 is numerically zero; the family is not quasi-definite"),
         ({"family": {"type": "k2", "case": "real_roots", "a1": "1", "a2": "0", "gamma1": "0.3"},
           "horizon": 20}, "k2 family: a2 must be nonzero"),
         ({"family": K2, "horizon": 20}, "k2 family: real-root case needs a1*lam*B = (1 + lam)*E"),
@@ -182,7 +210,7 @@ K2 = {"type": "k2", "case": "real_roots", "a1": "1", "a2": "0.2", "A": "0", "B":
     ids=["not-object", "no-horizon", "family-not-object", "kind-5", "explicit-length",
          "unknown-family", "k2-case-list", "k-mismatch", "no-combination", "unknown-tolerance",
          "chebyshev-horizon-1", "explicit-horizon-0", "k1-horizon-2", "k1-short-gammas",
-         "k1-a1-zero", "k1-gammas-zero", "k2-a2-zero", "k2-off-constraint", "k2-case-mismatch",
+         "k1-a1-zero", "k1-gammas-zero", "k2-gamma1-zero", "k2-a2-zero", "k2-off-constraint", "k2-case-mismatch",
          "k2-double-root"],
 )
 def test_inconsistent_configs_exit_two(tmp_path, capsys, payload, message):
@@ -352,9 +380,30 @@ def test_zero_gamma_is_named_as_a_plain_float(tmp_path, capsys):
     payload = dict(BASE, family={"type": "explicit", "beta": ["0"] * 21,
                                  "gamma": ["0"] + ["0.25"] * 19})
     code, out, err = run(capsys, "check", "--config", write_config(tmp_path, payload))
-    assert (code, out) == (3, "")
-    assert err == ("opoly: DegeneracyError: gamma_1 = 0.0 is numerically zero; "
+    assert (code, out) == (2, "")
+    assert err == ("opoly: config error: explicit family: gamma_1 = 0.0 is numerically zero; "
                    "the family is not quasi-definite\n")
+
+
+def test_k1_zero_denominator_is_judged_by_the_verdict(tmp_path, capsys):
+    # gamma_2 + a_1 (beta_1 - beta_2) = 1/4 + (0 - 1/4) = 0, spelled as a k1
+    # generator and as the explicit family it builds: both build, both fail
+    spellings = [
+        {"family": dict(K1, a1="1", beta2="0.25"), "horizon": 12},
+        {"family": {"type": "explicit", "beta": ["0", "0"] + ["0.25"] * 11,
+                    "gamma": ["0.25"] * 12},
+         "combination": {"a": ["1"]}, "horizon": 12},
+    ]
+    failures = []
+    for payload in spellings:
+        code, out, err = run(capsys, "check", "--config", write_config(tmp_path, payload))
+        assert (code, err) == (1, "")
+        failures.append(json.loads(out)["result"]["conditions"]["failures"])
+    assert failures[0] == failures[1]
+    assert failures[0][0] == "gamma_{k+1} + a_1*(beta_k - beta_{k+1}) is numerically zero"
+    code, out, err = run(capsys, "gen", "--config", write_config(tmp_path, spellings[0]))
+    assert (code, err) == (1, "")
+    assert json.loads(out)["result"]["validation"]["failures"] == failures[0]
 
 
 @pytest.mark.parametrize("command,message", [

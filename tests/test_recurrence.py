@@ -11,31 +11,17 @@ from opoly.cli import load_config
 
 from conftest import (
     chebyshev_weight_moments,
+    eval_p,
     k2_case_fixture,
     worst_gram_ratio,
 )
 
 
-def test_eval_p_degree_zero_is_one(cheb_u):
-    assert op.eval_p(cheb_u, 0, 3.7) == 1.0
-
-
-def test_eval_p_chebyshev_u_root(cheb_u):
-    # monic U_2 = x^2 - 1/4 has a root at 1/2
-    assert op.eval_p(cheb_u, 2, 0.5) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_eval_p_two_steps():
-    rec = op.RecurrencePair(np.zeros(6), np.full(5, 0.25))
-    # P_3 = x^3 - x/2
-    assert op.eval_p(rec, 3, 1.0) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_eval_p_range_errors(cheb_u):
+def test_poly_p_range_errors(cheb_u):
     with pytest.raises(op.HorizonError):
-        op.eval_p(cheb_u, cheb_u.horizon + 2, 0.0)
+        op.poly_p(cheb_u, cheb_u.horizon + 2)
     with pytest.raises(op.HorizonError):
-        op.eval_p(cheb_u, -1, 0.0)
+        op.poly_p(cheb_u, -1)
 
 
 def test_poly_p_base_cases():
@@ -55,7 +41,7 @@ def test_poly_p_matches_eval_p(kind, rng):
     for n in range(rec.horizon + 2):
         p = op.poly_p(rec, n)
         for x in xs:
-            direct = op.eval_p(rec, n, x)
+            direct = eval_p(rec, n, x)
             via_coeffs = p(x)
             assert via_coeffs == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
@@ -273,12 +259,15 @@ def test_k1_direct_formula():
 
 
 def test_k1_degeneracy_and_domain_errors():
-    with pytest.raises(op.DegeneracyError):
-        # gamma_2 + a1*(beta_1 - beta_2) = 1/4 + 1*(0 - 1/4) = 0
-        op.k1_family([0.25] * 12, 0.0, 0.0, 0.25, 1.0, 12)
+    # gamma_2 + a1*(beta_1 - beta_2) = 1/4 + 1*(0 - 1/4) = 0: the family is
+    # built, and check_conditions' determination denominator refuses it
+    rec = op.k1_family([0.25] * 12, 0.0, 0.0, 0.25, 1.0, 12)
+    assert rec.beta.tolist() == [0.0, 0.0] + [0.25] * 11
+    report = op.check_conditions(rec, op.CombCoeffs((1.0,)), 12)
+    assert not report.verdict and report.denom == 0.0
     with pytest.raises(ValueError):
         op.k1_family([0.25] * 12, 0.0, 0.0, 0.0, 0.0, 12)
-    with pytest.raises(ValueError):
+    with pytest.raises(op.DegeneracyError, match="gamma_2 = 0.0 is numerically zero"):
         op.k1_family([0.25, 0.0] + [0.25] * 10, 0.0, 0.0, 0.0, 0.5, 12)
     with pytest.raises(op.HorizonError):
         op.k1_family([0.25] * 5, 0.0, 0.0, 0.0, 0.5, 12)

@@ -79,6 +79,12 @@ def edge_configs() -> dict:
         "k2_a2_zero": _with_family("gen_k2_real_roots.json", {"a2": "0"}),
         "k2_case_mismatch": _with_family("gen_k2_real_roots.json", {"case": "equal_roots"}),
         "k2_off_constraint": _with_family("gen_k2_real_roots.json", {"B": "0.3"}),
+        # a family that cannot be built is a config error, whatever its type
+        "k2_gamma1_zero": _with_family("gen_k2_real_roots.json", {"gamma1": "0"}),
+        "chebyshev_kind_5": _with_family("cheb1_k2.json", {"kind": 5}),
+        # gamma_2 + a_1 (beta_1 - beta_2) = 1/4 + (0 - 1/2)/2 = 0: k1 builds the
+        # family, and check_conditions refuses it as it does zero_denominator
+        "k1_zero_denominator": _with_family("gen_k1.json", {"beta2": "0.5"}),
         # gamma_1 = 0: the family is not quasi-definite
         "explicit_gamma1_zero": {
             "family": {"type": "explicit", "beta": ["0"] * 13, "gamma": ["0"] + ["0.25"] * 11},

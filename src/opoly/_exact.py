@@ -121,7 +121,7 @@ def _scaled_data(beta_f, gamma_f, a_f, n):
     ``A`` the band ``(A_k, .., A_1, 1)``.
     """
     def dyadic(values):  # (p, q) with x = p / 2^q
-        return [(p, d.bit_length() - 1) for p, d in (float(v).as_integer_ratio() for v in values)]
+        return [(p, d.bit_length() - 1) for p, d in (v.as_integer_ratio() for v in values)]
 
     beta, gamma, a = dyadic(beta_f[:n]), dyadic(gamma_f[1:n]), dyadic(a_f)
     e = max([0] + [q for _, q in beta] + [-(-q // 2) for _, q in gamma]

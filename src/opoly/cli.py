@@ -30,8 +30,6 @@ import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
-import numpy as np
-
 from . import __version__
 from .errors import DegeneracyError, InapplicableError, OpolyError
 from .jacobi import (
@@ -360,9 +358,9 @@ def _cmd_tilde(cfg: JobConfig) -> tuple[int, dict]:
     if not rep.verdict:
         return 1, {"conditions": _condition_summary(rep)}
     tilde = tilde_recurrence(cfg.rec, cfg.comb, cfg.rec.horizon, report=rep)
-    table = [{"n": 0, "beta": float(tilde.beta[0]), "gamma": None}]
+    table = [{"n": 0, "beta": tilde.betas[0], "gamma": None}]
     table += [
-        {"n": n, "beta": float(tilde.beta[n]), "gamma": float(tilde.gamma[n])}
+        {"n": n, "beta": tilde.betas[n], "gamma": tilde.gammas[n]}
         for n in range(1, cfg.rec.horizon + 1)
     ]
     return 0, {"conditions": _condition_summary(rep), "tilde": table}
@@ -391,6 +389,7 @@ def _cmd_zeros(cfg: JobConfig) -> tuple[int, dict]:
 
 
 def _cmd_hk(cfg: JobConfig) -> tuple[int, dict]:
+    import numpy as np
     k = cfg.comb.k
     m = min(16, cfg.rec.horizon + 1 - k)
     if m < 3 * k + 3:  # solve_hk's smallest truncation
@@ -447,7 +446,7 @@ def _cmd_quad(cfg: JobConfig) -> tuple[int, dict]:
             "weights": rule.weights.tolist(),
             "degree_of_precision": rule.degree_of_precision,
             "expected": 2 * n - 1,
-            "weights_positive": bool(np.all(rule.weights > 0)),
+            "weights_positive": bool((rule.weights > 0).all()),
             "ok": gauss_ok,
         },
         "combination": {
@@ -470,12 +469,12 @@ def _cmd_gen(cfg: JobConfig) -> tuple[int, dict]:
     extras: dict = {}
     if len(a) == 2 and a[0] != 0.0:
         extras["difference_equation_max_residual"] = max(
-            k2_difference_residual(seq, *a) for seq in (cfg.rec.beta, cfg.rec.gamma)
+            k2_difference_residual(seq, *a) for seq in (cfg.rec.betas, cfg.rec.gammas)
         )
     result = {
         "family": {
-            "beta": cfg.rec.beta.tolist(),
-            "gamma": cfg.rec.gamma[1:].tolist(),
+            "beta": list(cfg.rec.betas),
+            "gamma": list(cfg.rec.gammas[1:]),
         },
         "validation": _condition_summary(rep),
         **extras,

@@ -27,13 +27,15 @@ entry is an exact entry of the corresponding infinite operator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DegeneracyError, HorizonError, InapplicableError, NumericError, StateError
 from .lincomb import CombCoeffs, ConditionReport, tilde_recurrence
 from .moments import moments_from_recurrence
 from .recurrence import Poly, RecurrencePair
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -54,20 +56,18 @@ def jacobi_truncation(rec: RecurrencePair, m: int) -> np.ndarray:
     """``m x m`` truncation of the multiplication operator in the P-basis
     (unit superdiagonal, betas on the diagonal, gammas below); its
     characteristic polynomial is ``P_m``."""
+    import numpy as np
     if m < 1:
         raise ValueError("m must be positive")
     if m > rec.horizon + 1:
         raise HorizonError(f"m = {m} exceeds horizon + 1 = {rec.horizon + 1}")
-    out = np.diag(rec.beta[:m])
-    if m > 1:
-        out += np.diag(np.ones(m - 1), 1)
-        out += np.diag(rec.gamma[1:m], -1)
-    return out
+    return np.diag(rec.beta[:m]) + np.diag(np.ones(m - 1), 1) + np.diag(rec.gamma[1:m], -1)
 
 
 def _symmetric_jacobi(rec: RecurrencePair, m: int) -> np.ndarray:
     """``m x m`` symmetric Jacobi truncation: betas on the diagonal,
     ``sqrt(gamma)`` on both off-diagonals (``gamma_1..gamma_{m-1} > 0``)."""
+    import numpy as np
     off = np.sqrt(rec.gamma[1:m])
     return np.diag(rec.beta[:m]) + np.diag(off, 1) + np.diag(off, -1)
 
@@ -78,6 +78,7 @@ def change_basis_matrix(comb: CombCoeffs, report: ConditionReport, m: int) -> np
     Rows above ``k`` carry the constant bands ``(a_k, ..., a_1, 1)``; rows
     ``0..k`` come from the report's completed polynomials.
     """
+    import numpy as np
     if not report.verdict:
         raise StateError("change of basis requires a passing condition report")
     if m < 1:
@@ -86,8 +87,7 @@ def change_basis_matrix(comb: CombCoeffs, report: ConditionReport, m: int) -> np
     M = np.eye(m)
     for n in range(m):
         if n <= k:
-            row = report.low_rows[n]
-            M[n, : n + 1] = row
+            M[n, : n + 1] = report.low_rows[n]
         else:
             for j, aj in enumerate(comb.a, start=1):
                 M[n, n - j] = aj
@@ -97,6 +97,7 @@ def change_basis_matrix(comb: CombCoeffs, report: ConditionReport, m: int) -> np
 def perturbation_L(comb: CombCoeffs, m: int) -> np.ndarray:
     """Single-row perturbation: last row holds ``a_k .. a_1`` ending in the last
     column, so that ``(J_P)_m - L_m`` has characteristic polynomial ``Q_m``."""
+    import numpy as np
     k = comb.k
     if m < k + 1:
         raise ValueError(f"m must be at least k + 1 = {k + 1}")
@@ -115,6 +116,7 @@ def multiset_distance(a, b) -> float:
     When every sorted ``a_i`` is strictly nearest to ``b_i`` (as for
     :func:`zeros_q`'s eigenvalues and their own refinements), the greedy
     matching is the identity and its distance is read off the diagonal."""
+    import numpy as np
     a = np.asarray(a, dtype=complex).ravel()
     b = np.asarray(b, dtype=complex).ravel()
     if a.size != b.size:
@@ -145,6 +147,7 @@ class ZerosReport:
 def _newton_step(rec: RecurrencePair, comb: CombCoeffs, z: np.ndarray) -> np.ndarray:
     """``z - Q_m(z) / Q_m'(z)``, ``m = z.size``, from one stacked recurrence
     whose rows carry ``P_j`` and ``P_j'`` at every ``z``."""
+    import numpy as np
     m, k, coef = z.size, comb.k, (1.0,) + comb.a  # coef[i] multiplies P_{m-i}
     shifted = z - rec.beta[:m, None]
     prev = np.array([np.ones_like(z), np.zeros_like(z)])
@@ -172,6 +175,7 @@ def zeros_q(
     ``cross_tol`` (infinite where ``Q_m'`` vanishes at a computed zero) raises
     :class:`~opoly.errors.NumericError`.
     """
+    import numpy as np
     A = jacobi_truncation(rec, m) - perturbation_L(comb, m)
     try:
         eigs = np.linalg.eigvals(A).astype(complex)
@@ -190,15 +194,12 @@ def zeros_q(
 def norm_diagonal(rec: RecurrencePair, m: int) -> np.ndarray:
     """``D[n] = gamma_1 ... gamma_n`` for ``n = 0..m-1`` (the squared norms
     ``<u, P_n^2>`` with ``u_0 = 1``)."""
+    import numpy as np
     if m < 1:
         raise ValueError("m must be positive")
     if m > rec.horizon + 1:
         raise HorizonError(f"m = {m} needs gamma up to {m - 1}, horizon {rec.horizon}")
-    out = np.empty(m)
-    out[0] = 1.0
-    if m > 1:
-        out[1:] = np.cumprod(rec.gamma[1:m])
-    return out
+    return np.cumprod((1.0,) + rec.gammas[1:m])
 
 
 def _identity_operands(
@@ -231,6 +232,7 @@ def solve_hk(
     ``u = scale * h_k v`` exact at degree zero under the ``u_0 = v_0 = 1``
     normalisation (equal to 1 when the normalised identity is consistent).
     """
+    import numpy as np
     k = comb.k
     if m < 3 * k + 3:
         raise ValueError(f"m must be at least 3k + 3 = {3 * k + 3}")
@@ -257,7 +259,7 @@ def solve_hk(
     if abs(coeffs[-1]) <= 1e-12 * max(1.0, float(np.max(np.abs(coeffs)))):
         raise DegeneracyError("leading coefficient of h_k is numerically zero")
     h = Poly(tuple(coeffs))
-    pairing = float(np.dot(h.as_array(), moments_from_recurrence(tilde, k)))
+    pairing = float(np.dot(h.coeffs, moments_from_recurrence(tilde, k)))
     if pairing == 0.0:
         raise DegeneracyError("<v, h_k> vanished; scale undefined")
     return HkSolution(h, residual, 1.0 / pairing)
@@ -278,6 +280,7 @@ def _h_pairings(beta, gamma, low, band, c):
     ``y^(i)_j = v(x^i P_j)`` follows from
     ``y^(i+1)_j = y^(i)_{j+1} + beta_j y^(i)_j + gamma_j y^(i)_{j-1}``.
     """
+    import numpy as np
     k = len(band)
     mu = np.empty(beta.size)
     mu[0] = 1.0
@@ -319,6 +322,7 @@ def verify_functional_relation(
     :class:`~opoly.errors.StateError`, a vanishing ``r_0``
     :class:`~opoly.errors.DegeneracyError`.
     """
+    import numpy as np
     if not report.verdict:
         raise StateError("functional relation requires a passing condition report")
     if h.degree >= rec.horizon:
@@ -359,6 +363,7 @@ def orthonormal_identity_check(
     :class:`~opoly.errors.InapplicableError` before ``h_k`` is fitted;
     :func:`solve_hk` fits ``h_k`` at ``hk_tol``.
     """
+    import numpy as np
     k = comb.k
     mm = m + k
     tilde, M, DP, DQ = _identity_operands(rec, comb, report, mm)

@@ -40,8 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._exact import exact_gram, low_completion
 from .errors import HorizonError, NumericError, StateError
 from .recurrence import Poly, RecurrencePair, poly_p
@@ -111,9 +109,9 @@ def _complete_low(rec: RecurrencePair, comb: CombCoeffs, tol: float) -> tuple[di
     largest rounded entry is the rounded largest exact one).
     """
     k = comb.k
-    e, (dp, dq), rows, tilde = low_completion(rec.beta, rec.gamma, comb.a)
+    e, (dp, dq), rows, tilde = low_completion(rec.betas, rec.gammas, comb.a)
     low = {"denom": dp / dq, "completion": (), "beta0_tilde": None, "low_rows": ()}
-    if abs(low["denom"]) <= tol * max(1.0, abs(rec.gamma[k + 1])):
+    if abs(low["denom"]) <= tol * max(1.0, abs(rec.gammas[k + 1])):
         return low, "gamma_{k+1} + a_1*(beta_k - beta_{k+1}) is numerically zero"
 
     def row(m):  # P_i's coefficient in Q_m is nums[i] / (d 2^((m-i) e))
@@ -167,10 +165,10 @@ def q_poly(
     return q
 
 
-def _tilde_gamma(rec: RecurrencePair, a1: float, lo: int, hi: int) -> np.ndarray:
+def _tilde_gamma(rec: RecurrencePair, a1: float, lo: int, hi: int) -> list[float]:
     """``tilde gamma_n = gamma_n + a_1 (beta_{n-1} - beta_n)`` for ``lo <= n <= hi``."""
-    beta, gamma = rec.beta, rec.gamma
-    return gamma[lo:hi + 1] + a1 * (beta[lo - 1:hi] - beta[lo:hi + 1])
+    beta, gamma = rec.betas, rec.gammas
+    return [gamma[n] + a1 * (beta[n - 1] - beta[n]) for n in range(lo, hi + 1)]
 
 
 def check_conditions(
@@ -188,33 +186,31 @@ def check_conditions(
     if n_max > rec.horizon:
         raise HorizonError(f"n_max = {n_max} exceeds horizon {rec.horizon}")
     a = (0.0,) + comb.a
-    beta, gamma = rec.beta, rec.gamma
+    beta, gamma = rec.betas, rec.gammas
     try:
         low, failure = _complete_low(rec, comb, tol)
     except OverflowError as exc:  # an exact completion value past the float range
         raise NumericError(f"low-degree completion: {exc}") from exc
     failures = [failure] if failure else []
 
-    tg = _tilde_gamma(rec, a[1], k + 1, n_max)
-    bound = tol * np.maximum(1.0, np.abs(gamma[k + 1:n_max + 1]))  # tg's n = k+1..n_max
-    ns = np.arange(k + 2, n_max + 1)
-    main = tg[1:] - gamma[ns - k]
-    extras = np.array([
-        a[j - 1] * (gamma[ns - k] - gamma[ns - j + 1]) - a[j] * (beta[ns - j] - beta[ns])
-        for j in range(2, k + 1)
-    ]).reshape(k - 1, ns.size)
-    ok = (np.abs(main) <= bound[1:]) & np.all(np.abs(extras) <= bound[1:], axis=0)
-    matching = tuple(zip(ns.tolist(), main.tolist(), map(tuple, extras.T.tolist()), ok.tolist()))
-    failures += [f"recurrence-matching condition fails at n = {n}" for n in ns[~ok]]
+    tg = _tilde_gamma(rec, a[1], k + 1, n_max)  # tilde gamma_{k+1..n_max}
+    bound = [tol * max(1.0, abs(g)) for g in gamma[k + 1:n_max + 1]]
+    ns = range(k + 2, n_max + 1)  # the matching block, one column per condition
+    main = [t - gamma[n - k] for n, t in zip(ns, tg[1:])]
+    extras = [[a[j - 1] * (gamma[n - k] - gamma[n - j + 1]) - a[j] * (beta[n - j] - beta[n])
+               for n in ns] for j in range(2, k + 1)]
+    ok = [abs(v) <= b for v, b in zip(main, bound[1:])]
+    for col in extras:
+        ok = [o and abs(v) <= b for o, v, b in zip(ok, col, bound[1:])]
+    matching = tuple(zip(ns, main, zip(*extras) if extras else [()] * len(main), ok))
+    failures += [f"recurrence-matching condition fails at n = {n}" for n, o in zip(ns, ok) if not o]
 
-    tail_zero = np.flatnonzero(np.abs(tg) <= bound) + k + 1
+    tail_zero = [n for n, t, b in zip(range(k + 1, n_max + 1), tg, bound) if abs(t) <= b]
     failures += [f"tilde gamma_{n} is numerically zero" for n in tail_zero]
 
     return ConditionReport(
-        n_max=n_max,
-        verdict=failure is None and tail_zero.size == 0 and bool(ok.all()),
-        matching=matching, tail_gamma_ok=tail_zero.size == 0, failures=tuple(failures),
-        **low,
+        n_max=n_max, verdict=not failures, matching=matching,
+        tail_gamma_ok=not tail_zero, failures=tuple(failures), **low,
     )
 
 
@@ -246,8 +242,8 @@ def tilde_recurrence(
     if n_max > report.n_max:
         raise StateError(f"n_max = {n_max} exceeds the report's checked n_max = {report.n_max}")
     _, beta_low, gamma_low, _ = zip(*report.completion)
-    beta_t = np.concatenate(([report.beta0_tilde], beta_low, rec.beta[k + 1:n_max + 1]))
-    gamma_t = np.concatenate((gamma_low, _tilde_gamma(rec, comb.a[0], k + 1, n_max)))
+    beta_t = [report.beta0_tilde, *beta_low, *rec.betas[k + 1:n_max + 1]]
+    gamma_t = [*gamma_low, *_tilde_gamma(rec, comb.a[0], k + 1, n_max)]
     return RecurrencePair(beta_t, gamma_t)
 
 
@@ -293,7 +289,7 @@ def oracle_gram_check(
         raise HorizonError(
             f"oracle at degree {degree} needs horizon >= {2 * degree - 1}"
         )
-    return _gram_report(*exact_gram(rec.beta, rec.gamma, comb.a, degree), tol)
+    return _gram_report(*exact_gram(rec.betas, rec.gammas, comb.a, degree), tol)
 
 
 # The log2 screen's margin: far above its 1.5e-11 rounding error at 20,000 bits

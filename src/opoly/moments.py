@@ -11,10 +11,13 @@ modified moments ``v(P_m)`` in the ``P``-basis.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import HorizonError
 from .recurrence import RecurrencePair
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def moments_from_recurrence(rec: RecurrencePair, count: int) -> np.ndarray:
@@ -25,6 +28,7 @@ def moments_from_recurrence(rec: RecurrencePair, count: int) -> np.ndarray:
     coefficients that escape past the horizon cannot flow back to ``P_0``
     within that many multiplications, so the truncation is lossless.
     """
+    import numpy as np
     if count < 0:
         raise ValueError("count must be nonnegative")
     if count > 2 * rec.horizon:

@@ -17,13 +17,15 @@ cost exactly ``k`` degrees, which :func:`shohat_check` verifies end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import HorizonError, InapplicableError, NumericError
 from .jacobi import _symmetric_jacobi, zeros_q
 from .lincomb import CombCoeffs
 from .recurrence import RecurrencePair
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -35,6 +37,7 @@ class QuadratureRule:
     degree_of_precision: int
 
     def __post_init__(self):
+        import numpy as np
         nodes = np.array(self.nodes, dtype=float)
         weights = np.array(self.weights, dtype=float)
         if nodes.ndim != 1 or nodes.shape != weights.shape:
@@ -55,12 +58,13 @@ def _require_positive(rec: RecurrencePair, top: int) -> None:
     """``gamma_1..gamma_top`` must exist and be positive."""
     if top > rec.horizon:
         raise HorizonError(f"need gamma up to {top}, horizon {rec.horizon}")
-    if np.any(rec.gamma[1 : top + 1] <= 0.0):
+    if any(g <= 0.0 for g in rec.gammas[1 : top + 1]):
         raise InapplicableError(f"orthonormal basis needs gamma_1..gamma_{top} > 0")
 
 
 def _orthonormal(rec: RecurrencePair, x: np.ndarray, size: int) -> np.ndarray:
     """``V[i, j] = p_i(x_j)`` for the orthonormal ``p_0..p_{size-1}``."""
+    import numpy as np
     _require_positive(rec, size - 1)
     root = np.sqrt(rec.gamma[1:size])
     shifted = (x - rec.beta[: size - 1, None]) / root[:, None]
@@ -79,6 +83,7 @@ def christoffel_numbers(rec: RecurrencePair, nodes) -> np.ndarray:
     ``rec`` (``u_0 = 1``): the solution of ``V w = e_0``, ``V[i, j] = p_i(x_j)``.
     Nodes must be pairwise distinct (:class:`ValueError`), and ``gamma_1..
     gamma_{n-1}`` positive (:class:`~opoly.errors.InapplicableError`)."""
+    import numpy as np
     nodes = np.asarray(nodes, dtype=float).ravel()
     n = nodes.size
     if n < 1:
@@ -99,6 +104,7 @@ def degree_of_precision(rec: RecurrencePair, rule: QuadratureRule, tol: float = 
     rule is observed, or ``2 N`` when the horizon ``N`` is ``n``.  It needs
     ``p_0..p_t``, ``t = max_degree / 2``: ``gamma_1..gamma_t > 0``.
     """
+    import numpy as np
     top = min(rule.n + 1, rec.horizon)
     max_degree = 2 * top
     V = _orthonormal(rec, rule.nodes, top + 1)
@@ -117,6 +123,7 @@ def gauss_rule(rec: RecurrencePair, n: int, tol: float = 1e-9) -> QuadratureRule
     """Gauss rule on the zeros of ``P_n`` by Golub-Welsch (one ``eigh`` of the
     symmetric Jacobi truncation), with its degree (``2n - 1``) measured at
     exactness tolerance ``tol``."""
+    import numpy as np
     if n < 1:
         raise ValueError("n must be positive")
     _require_positive(rec, n)
@@ -147,6 +154,7 @@ def shohat_check(
     coincident zeros and non-positive gammas raise
     :class:`~opoly.errors.InapplicableError`.
     """
+    import numpy as np
     zeros = zeros_q(rec, comb, n, cross_tol=cross_tol).zeros
     if float(np.max(np.abs(zeros.imag))) > 1e-9 * max(1.0, float(np.max(np.abs(zeros)))):
         raise InapplicableError("Q_n has complex zeros; quadrature undefined")

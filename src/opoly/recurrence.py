@@ -5,9 +5,11 @@ A family ``{P_n}`` is stored through its recurrence coefficients
     x P_n = P_{n+1} + beta_n P_n + gamma_n P_{n-1},   P_0 = 1,  P_1 = x - beta_0,
 
 with ``gamma_n != 0`` (quasi-definiteness).  Sequences are kept as finite
-arrays up to an explicit horizon ``N``; every operation that would need data
-past the horizon raises :class:`~opoly.errors.HorizonError` instead of
-guessing.
+float tuples up to an explicit horizon ``N``; every operation that would need
+data past the horizon raises :class:`~opoly.errors.HorizonError` instead of
+guessing.  The module imports numpy only where its bits are the published
+ones (the real- and complex-root ``k = 2`` generators) and for the array
+views of a :class:`RecurrencePair`, when first read.
 
 Besides the four monic Chebyshev families, the module generates the two
 parametric families whose length-``k`` constant-coefficient combinations stay
@@ -24,8 +26,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from functools import cached_property
+from itertools import zip_longest
 
 from .errors import ConstraintError, DegeneracyError, HorizonError, NumericError
 
@@ -37,11 +39,9 @@ DEFAULT_MAX_HORIZON = 64
 
 
 def _trimmed(values) -> tuple[float, ...]:
-    coeffs = [float(v) for v in values]
+    coeffs = [float(v) for v in values] or [0.0]
     while len(coeffs) > 1 and coeffs[-1] == 0.0:
         coeffs.pop()
-    if not coeffs:
-        coeffs = [0.0]
     return tuple(coeffs)
 
 
@@ -70,31 +70,17 @@ class Poly:
     def leading(self) -> float:
         return self.coeffs[-1]
 
-    def as_array(self, size: int | None = None) -> np.ndarray:
-        """Coefficients as a float array, zero-padded to ``size`` if given."""
-        arr = np.array(self.coeffs, dtype=float)
-        if size is None or size <= arr.size:
-            return arr
-        out = np.zeros(size)
-        out[: arr.size] = arr
-        return out
-
     def __call__(self, x):
-        # numpy.polynomial's Horner steps; np.polyval makes a complex scalar a
-        # 0-d array, whose products round unlike numpy's scalar arithmetic
-        c = np.array(self.coeffs)
-        if isinstance(x, (tuple, list)):
-            x = np.asarray(x)
-        y = c[-1] + x * 0
-        for coef in c[-2::-1]:
+        # numpy.polynomial's Horner steps; a numpy array ``x`` gives an array
+        y = self.coeffs[-1] + x * 0
+        for coef in self.coeffs[-2::-1]:
             y = coef + y * x
         return y
 
     def __add__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(tuple(self.as_array(n) + other.as_array(n)))
+        return Poly(tuple(a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0.0)))
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
@@ -107,48 +93,61 @@ class Poly:
 class RecurrencePair:
     """Finite-horizon recurrence coefficients ``beta_0..beta_N, gamma_1..gamma_N``.
 
-    ``beta[n]`` is ``beta_n`` for ``0 <= n <= N``.  ``gamma[n]`` is ``gamma_n``
-    for ``1 <= n <= N``; the unused slot ``gamma[0]`` holds NaN so that any
-    accidental use poisons results loudly.  All ``gamma_n`` must stay away
-    from zero (``|gamma_n| > GAMMA_FLOOR``) and every entry must be finite.
-    Instances are immutable (arrays are write-protected).
+    The float tuple ``betas[n]`` is ``beta_n`` for ``0 <= n <= N``, and
+    ``gammas[n]`` is ``gamma_n`` for ``1 <= n <= N``; the unused slot
+    ``gammas[0]`` holds NaN so that any accidental use poisons results loudly.
+    All ``gamma_n`` must stay away from zero (``|gamma_n| > GAMMA_FLOOR``)
+    and every entry must be finite.  Instances are immutable; ``beta`` and
+    ``gamma`` are the same data as read-only float64 arrays, built on first
+    access.
     """
 
-    __slots__ = ("beta", "gamma")
-
     def __init__(self, beta, gamma):
-        b = np.array(beta, dtype=float)
-        g_in = np.array(gamma, dtype=float)
-        if b.ndim != 1 or g_in.ndim != 1:
-            raise ValueError("beta and gamma must be one-dimensional sequences")
-        if b.size < 2 or g_in.size != b.size - 1:
+        try:
+            b, g_in = tuple(map(float, beta)), tuple(map(float, gamma))
+        except TypeError as exc:
+            raise ValueError("beta and gamma must be one-dimensional sequences") from exc
+        if len(b) < 2 or len(g_in) != len(b) - 1:
             raise ValueError(
                 "need beta_0..beta_N and gamma_1..gamma_N with N >= 1; got "
-                f"{b.size} betas and {g_in.size} gammas"
+                f"{len(b)} betas and {len(g_in)} gammas"
             )
-        if not np.all(np.isfinite(b)) or not np.all(np.isfinite(g_in)):
+        if not all(map(math.isfinite, b + g_in)):
             raise ValueError("recurrence coefficients must be finite")
-        if np.any(np.abs(g_in) <= GAMMA_FLOOR):
-            n_bad = int(np.argmax(np.abs(g_in) <= GAMMA_FLOOR)) + 1
-            raise DegeneracyError(
-                f"gamma_{n_bad} = {float(g_in[n_bad - 1])!r} is numerically zero; "
-                "the family is not quasi-definite"
-            )
-        g = np.concatenate(([np.nan], g_in))
-        b.setflags(write=False)
-        g.setflags(write=False)
-        object.__setattr__(self, "beta", b)
-        object.__setattr__(self, "gamma", g)
+        for n, g in enumerate(g_in, start=1):
+            if abs(g) <= GAMMA_FLOOR:
+                raise DegeneracyError(
+                    f"gamma_{n} = {g!r} is numerically zero; the family is not quasi-definite"
+                )
+        object.__setattr__(self, "betas", b)
+        object.__setattr__(self, "gammas", (math.nan,) + g_in)
 
     def __setattr__(self, name, value):
         raise AttributeError("RecurrencePair is immutable")
 
+    @cached_property
+    def beta(self):
+        """``betas`` as a read-only float64 array."""
+        return _read_only(self.betas)
+
+    @cached_property
+    def gamma(self):
+        """``gammas`` (NaN in slot 0) as a read-only float64 array."""
+        return _read_only(self.gammas)
+
     @property
     def horizon(self) -> int:
-        return self.beta.size - 1
+        return len(self.betas) - 1
 
     def __repr__(self):
         return f"RecurrencePair(horizon={self.horizon})"
+
+
+def _read_only(values: tuple[float, ...]):
+    import numpy as np
+    arr = np.array(values)
+    arr.flags.writeable = False
+    return arr
 
 
 def _check_index(rec: RecurrencePair, n: int) -> None:
@@ -163,7 +162,7 @@ def poly_p(rec: RecurrencePair, n: int) -> Poly:
     _check_index(rec, n)
     if n == 0:
         return Poly((1.0,))
-    beta, gamma = rec.beta.tolist(), rec.gamma.tolist()
+    beta, gamma = rec.betas, rec.gammas
     prev, cur = [1.0], [-beta[0], 1.0]
     for j in range(1, n):
         b, g = beta[j], gamma[j]
@@ -187,8 +186,8 @@ def chebyshev_family(kind: int, horizon: int) -> RecurrencePair:
         raise ValueError(f"kind must be 1, 2, 3 or 4; got {kind!r}")
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
-    beta = np.zeros(horizon + 1)
-    gamma = np.full(horizon, 0.25)
+    beta = [0.0] * (horizon + 1)
+    gamma = [0.25] * horizon
     if kind == 1:
         gamma[0] = 0.5
     elif kind == 3:
@@ -305,54 +304,52 @@ def k2_family(
         f"(expected {expected.value!r})",
     )
 
-    ns = np.arange(2, horizon + 1)
+    ns = range(2, horizon + 1)
     if params.case is K2Case.A1_ZERO:
-        A, B = float(np.real(params.A)), float(np.real(params.B))
-        D, E = float(np.real(params.D)), float(np.real(params.E))
-        beta_tail = np.where(ns % 2 == 0, A, B)
-        gamma_tail = np.where(ns % 2 == 0, D, E)
+        A, B, D, E = (float(v.real) for v in (params.A, params.B, params.D, params.E))
+        beta_tail = [B if n % 2 else A for n in ns]
+        gamma_tail = [E if n % 2 else D for n in ns]
     elif params.case is K2Case.EQUAL_ROOTS:
-        A, B, C = params.A, float(np.real(params.B)), float(np.real(params.C))
-        D, E, F = params.D, float(np.real(params.E)), float(np.real(params.F))
+        A, B, C = params.A, float(params.B.real), float(params.C.real)
+        D, E, F = params.D, float(params.E.real), float(params.F.real)
         _require(abs(a1 * C - 2.0 * F) <= _K2_TOL * max(1.0, abs(F)),
                  "equal-root case needs a1*C = 2F")
         _require(abs(a1 * B - 2.0 * E + 2.0 * F) <= _K2_TOL * max(1.0, abs(E), abs(F)),
                  "equal-root case needs a1*B = 2E - 2F")
-        beta_tail = A + B * ns + C * ns**2
-        gamma_tail = D + E * ns + F * ns**2
+        beta_tail = [A + B * n + C * (n * n) for n in ns]
+        gamma_tail = [D + E * n + F * (n * n) for n in ns]
     elif params.case is K2Case.REAL_ROOTS:
+        import numpy as np  # its array power rounds unlike Python's ``**``
         lam = _inner_real_root(a1, a2)
-        B, C = float(np.real(params.B)), float(np.real(params.C))
-        E, F = float(np.real(params.E)), float(np.real(params.F))
+        B, C = float(params.B.real), float(params.C.real)
+        E, F = float(params.E.real), float(params.F.real)
         _require(abs(a1 * C - (1.0 + lam) * F) <= _K2_TOL * max(1.0, abs(F)),
                  "real-root case needs a1*C = (1 + lam)*F")
         _require(abs(a1 * lam * B - (1.0 + lam) * E) <= _K2_TOL * max(1.0, abs(E)),
                  "real-root case needs a1*lam*B = (1 + lam)*E")
-        pow_pos = lam ** ns.astype(float)
-        pow_neg = lam ** (-ns.astype(float))
-        beta_tail = params.A + B * pow_pos + C * pow_neg
-        gamma_tail = params.D + E * pow_pos + F * pow_neg
+        exps = np.arange(2.0, horizon + 1)
+        powers = list(zip((lam ** exps).tolist(), (lam ** -exps).tolist()))
+        beta_tail = [params.A + B * p + C * q for p, q in powers]
+        gamma_tail = [params.D + E * p + F * q for p, q in powers]
     else:  # COMPLEX_ROOTS
+        import numpy as np  # its complex product may fuse multiply-adds, Python's does not
         ctheta = a1 * a1 / (2.0 * a2) - 1.0
         _require(-1.0 < ctheta < 1.0, "a1^2 < 4 a2 required for the unit-circle pair")
         lam = cmath.exp(1j * math.acos(ctheta))
-        B = complex(params.B)
-        E = complex(params.E)
+        B, E = complex(params.B), complex(params.E)
         resid = a1 * lam * B - (1.0 + lam) * E
         _require(abs(resid) <= _K2_TOL * max(1.0, abs(E), abs(B)),
                  "complex-root case needs a1*lam*B = (1 + lam)*E")
-        powers = lam ** ns.astype(float)
+        powers = lam ** np.arange(2.0, horizon + 1)
         beta_c = params.A + B * powers + np.conj(B * powers)
         gamma_c = params.D + E * powers + np.conj(E * powers)
         imag_resid = max(np.max(np.abs(beta_c.imag)), np.max(np.abs(gamma_c.imag)))
         if imag_resid >= 1e-12:
             raise NumericError(f"imaginary residue {imag_resid} in emitted coefficients")
-        beta_tail = beta_c.real
-        gamma_tail = gamma_c.real
+        beta_tail = beta_c.real.tolist()
+        gamma_tail = gamma_c.real.tolist()
 
-    beta = np.concatenate(([params.beta0, params.beta1], beta_tail))
-    gamma = np.concatenate(([params.gamma1], gamma_tail))
-    return RecurrencePair(beta, gamma)
+    return RecurrencePair([params.beta0, params.beta1, *beta_tail], [params.gamma1, *gamma_tail])
 
 
 def k2_difference_residual(seq, a1: float, a2: float) -> float:
@@ -361,7 +358,7 @@ def k2_difference_residual(seq, a1: float, a2: float) -> float:
     ``max(1, |y_n|, .., |y_{n-3}|)``.  The ``beta`` and ``gamma`` tails of a
     :func:`k2_family` solve it from index 2 on, so ``n = 5`` is the first
     index whose four terms all lie in the tail."""
-    seq = np.asarray(seq, dtype=float).tolist()
+    seq = [float(v) for v in seq]
     c = 1.0 - a1 * a1 / a2
     worst = 0.0
     for n in range(5, len(seq)):
@@ -391,11 +388,9 @@ def k1_family(
         raise ValueError("a1 must be nonzero")
     if horizon < 3:
         raise ValueError("horizon must be at least 3")
-    g = np.array([float(v) for v in gammas], dtype=float)
-    if g.size < horizon:
-        raise HorizonError(f"need {horizon} gammas, got {g.size}")
+    g = [float(v) for v in gammas]
+    if len(g) < horizon:
+        raise HorizonError(f"need {horizon} gammas, got {len(g)}")
     g = g[:horizon]
-    beta = np.empty(horizon + 1)
-    beta[0], beta[1], beta[2] = beta0, beta1, beta2
-    beta[3:] = beta2 + (g[2:] - g[1]) / a1
+    beta = [beta0, beta1, beta2] + [beta2 + (gn - g[1]) / a1 for gn in g[2:]]
     return RecurrencePair(beta, g)

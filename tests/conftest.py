@@ -170,7 +170,7 @@ CHEBYSHEV_COMBOS = {
 def inner(mu, p, q) -> float:
     """``<u, p q>`` from the monomial moments ``mu`` of ``u``: the product's
     monomial coefficients (``np.convolve``) paired with ``mu``."""
-    pq = np.convolve(p.as_array(), q.as_array())
+    pq = np.convolve(np.array(p.coeffs), np.array(q.coeffs))
     return float(np.dot(pq, mu[: pq.size]))
 
 
@@ -189,13 +189,12 @@ def worst_gram_ratio(mu, polys) -> float:
 def three_term_residual(qs, n, beta, gamma) -> float:
     """Largest monomial coefficient of ``x Q_n - Q_{n+1} - beta Q_n - gamma Q_{n-1}``."""
     size = n + 2
-    x_qn = np.concatenate(([0.0], qs[n].as_array(size - 1)))
-    resid = (
-        x_qn
-        - qs[n + 1].as_array(size)
-        - beta * qs[n].as_array(size)
-        - gamma * qs[n - 1].as_array(size)
-    )
+
+    def padded(p):  # monomial coefficients zero-padded to ``size``
+        return np.pad(np.array(p.coeffs), (0, size - len(p.coeffs)))
+
+    x_qn = np.concatenate(([0.0], np.array(qs[n].coeffs)))
+    resid = x_qn - padded(qs[n + 1]) - beta * padded(qs[n]) - gamma * padded(qs[n - 1])
     return float(np.max(np.abs(resid)))
 
 

@@ -101,7 +101,7 @@ def test_criterion_3_jacobi_identities():
                 continue
             A = op.jacobi_truncation(rec, m) - op.perturbation_L(comb, m)
             eigs = np.linalg.eigvals(A)
-            roots = np.roots(op.q_poly(rec, comb, m).as_array()[::-1])
+            roots = np.roots(np.array(op.q_poly(rec, comb, m).coeffs)[::-1])
             worst_zero_dist = max(worst_zero_dist, op.multiset_distance(eigs, roots))
     _criterion(
         3,
@@ -218,7 +218,7 @@ def test_criterion_7_k1_constant_characterization():
             q1 = op.q_poly(rec, comb, 1, report=report)
             expect = op.poly_p(rec, 1) + a1 * op.poly_p(rec, 0)
             worst_q1 = max(
-                worst_q1, float(np.max(np.abs(q1.as_array(2) - expect.as_array(2))))
+                worst_q1, float(np.max(np.abs(np.array(q1.coeffs) - np.array(expect.coeffs))))
             )
             tilde = op.tilde_recurrence(rec, comb, 20, report=report)
             ok = ok and bool(np.all(np.abs(tilde.beta[1:]) < 1e-12))

@@ -993,7 +993,7 @@ def test_k1_combination_determined_for_constant_recurrences():
             assert report.verdict
             q1 = op.q_poly(rec, comb, 1, report=report)
             expect = op.poly_p(rec, 1) + a1 * op.poly_p(rec, 0)
-            assert np.max(np.abs(q1.as_array(2) - expect.as_array(2))) < 1e-12
+            assert np.max(np.abs(np.array(q1.coeffs) - np.array(expect.coeffs))) < 1e-12
 
 
 def test_condition_residuals_translation_invariant(cheb_u):

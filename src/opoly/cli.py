@@ -392,12 +392,12 @@ def _cmd_hk(cfg: JobConfig) -> tuple[int, dict]:
     import numpy as np
     k = cfg.comb.k
     m = min(16, cfg.rec.horizon + 1 - k)
-    if m < 3 * k + 3:  # solve_hk's smallest truncation
-        raise ConfigError(f"hk needs horizon >= 4k + 2 = {4 * k + 2}, got {cfg.rec.horizon}")
+    if m < k + 2:  # the orthonormal identity compares rows 0..m-k-2
+        raise ConfigError(f"hk needs horizon >= 2k + 1 = {2 * k + 1}, got {cfg.rec.horizon}")
     rep = _conditions(cfg)
     if not rep.verdict:
         return 1, {"conditions": _condition_summary(rep)}
-    hk = solve_hk(cfg.rec, cfg.comb, rep, m, tol=cfg.tolerances["hk"])
+    hk = solve_hk(cfg.rec, cfg.comb, rep)
     rel = verify_functional_relation(cfg.rec, cfg.comb, rep, hk.poly, tol=cfg.tolerances["hk"])
     relation = {"ok": rel.ok, "scale": rel.scale, "max_residual": rel.max_residual}
     positivity = None
@@ -411,16 +411,13 @@ def _cmd_hk(cfg: JobConfig) -> tuple[int, dict]:
             "positive_on_grid": bool(np.all(values > 0.0)),
         }
     try:
-        rep_orth = orthonormal_identity_check(
-            cfg.rec, cfg.comb, rep, m, hk_tol=cfg.tolerances["hk"]
-        )
+        rep_orth = orthonormal_identity_check(cfg.rec, cfg.comb, rep, m, tol=cfg.tolerances["hk"])
         ortho = {"ok": rep_orth.ok, "residual": rep_orth.residual}
     except InapplicableError:  # not positive definite up to m + k
         ortho = None
     result = {
         "truncation": m,
         "coefficients": list(hk.coeffs),
-        "residual": hk.residual,
         "scale": hk.scale,
         "relation": relation,
         "positivity": positivity,

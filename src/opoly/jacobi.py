@@ -9,14 +9,15 @@ single-row perturbation ``L`` (last row carrying ``a_k .. a_1``, with ``a_1``
 in the last column) has characteristic polynomial ``Q_m`` -- so zeros of the
 combination polynomials are ordinary eigenvalues.
 
-On top of that sits the functional link ``u = h_k v``: with norm diagonals
-``D_P = diag <u, P_n^2>`` and ``D_Q = diag <v, Q_n^2>``, the degree-``k``
-polynomial ``h_k`` satisfies ``h_k(J_P) = D_P M^T D_Q^{-1} M``, which is a
-small overdetermined linear system for its ``k + 1`` coefficients.  In the
-orthonormal normalisation the same identity reads
-``h_k(J_sym) = Mt^T Mt`` with ``Mt = D_Q^{-1/2} M D_P^{1/2}``.  The link
-itself is checked apart from these matrices, on the modified moments
-``v(P_m)`` (:func:`verify_functional_relation`).
+On top of that sits the functional link ``u = h_k v``.  The ``Q_j`` are
+``v``-orthogonal and ``u(Q_m) = 0`` for ``m > k`` (such a ``Q_m`` has no
+``P_0`` term), so ``h_k`` is its own Fourier expansion
+``sum_{j<=k} u(Q_j) / v(Q_j^2) Q_j``: ``u(Q_j)`` is the ``P_0`` entry of the
+completion row of ``Q_j`` and ``v(Q_j^2) = tilde gamma_1 ... tilde gamma_j``.
+The link is checked on the modified moments ``v(P_m)``
+(:func:`verify_functional_relation`), and in the orthonormal normalisation
+as ``h_k(J_sym) = Mt^T Mt`` with ``Mt = D_Q^{-1/2} M D_P^{1/2}``, where
+``D_P = diag <u, P_n^2>`` and ``D_Q = diag <v, Q_n^2>``.
 
 Truncation convention: matrix identities are checked on interior rows
 ``0 .. m-k-2`` only, and any product or power that can leak across the
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DegeneracyError, HorizonError, InapplicableError, NumericError, StateError
-from .lincomb import CombCoeffs, ConditionReport, tilde_recurrence
+from .lincomb import CombCoeffs, ConditionReport, q_poly, tilde_recurrence
 from .moments import moments_from_recurrence
 from .recurrence import Poly, RecurrencePair
 
@@ -40,11 +41,10 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class HkSolution:
-    """The connecting polynomial ``h_k`` with its fit residual and the fitted
-    proportionality constant between the two normalised functionals."""
+    """The connecting polynomial ``h_k`` and the proportionality constant
+    ``1 / v(h_k)`` between the two normalised functionals."""
 
     poly: Poly
-    residual: float
     scale: float
 
     @property
@@ -202,67 +202,37 @@ def norm_diagonal(rec: RecurrencePair, m: int) -> np.ndarray:
     return np.cumprod((1.0,) + rec.gammas[1:m])
 
 
-def _identity_operands(
-    rec: RecurrencePair, comb: CombCoeffs, report: ConditionReport, size: int
-) -> tuple[RecurrencePair, np.ndarray, np.ndarray, np.ndarray]:
-    """``(tilde, M, D_P, D_Q)`` at truncation ``size``: the tilde recurrence up
-    to ``size - 1``, the change of basis and both norm diagonals."""
-    tilde = tilde_recurrence(rec, comb, size - 1, report=report)
-    return (tilde, change_basis_matrix(comb, report, size),
-            norm_diagonal(rec, size), norm_diagonal(tilde, size))
+def solve_hk(rec: RecurrencePair, comb: CombCoeffs, report: ConditionReport) -> HkSolution:
+    """``h_k = sum_{j<=k} u(Q_j) / v(Q_j^2) Q_j``, the expansion of ``h_k`` in
+    the ``v``-orthogonal ``Q_0..Q_k``.
 
+    ``u = h_k v`` gives ``v(h_k Q_j) = u(Q_j)``, which is ``report.low_rows[j][0]``
+    (``u(P_i) = 0`` for ``i >= 1``) and vanishes for ``j > k``;
+    ``v(Q_j^2) = tilde gamma_1 ... tilde gamma_j``.  A failed report raises
+    :class:`~opoly.errors.StateError` (from :func:`tilde_recurrence`), and a
+    non-finite coefficient or a zero ``c_k`` (a norm product past the float
+    range) :class:`~opoly.errors.NumericError`.
 
-def solve_hk(
-    rec: RecurrencePair,
-    comb: CombCoeffs,
-    report: ConditionReport,
-    m: int,
-    tol: float = 1e-8,
-) -> HkSolution:
-    """Coefficients of ``h_k`` from ``h_k(J_P) = D_P M^T D_Q^{-1} M``.
-
-    Both sides are assembled at truncation ``m + k`` and cut back to ``m`` so
-    the compared entries are exact operator entries; the ``k + 1`` coefficients
-    are then the least-squares solution of the interior-row system.  A fit
-    residual above ``tol * max(1, |rhs|)`` means the functional relation
-    ``u = h_k v`` cannot hold and raises :class:`~opoly.errors.NumericError`,
-    as does a system with non-finite entries.
-
-    The reported ``scale`` is the proportionality constant making
-    ``u = scale * h_k v`` exact at degree zero under the ``u_0 = v_0 = 1``
-    normalisation (equal to 1 when the normalised identity is consistent).
+    The reported ``scale`` is ``1 / v(h_k)`` from the moments of ``v``, which
+    makes ``u = scale * h_k v`` exact at degree zero under the ``u_0 = v_0 = 1``
+    normalisation (1 up to rounding).
     """
     import numpy as np
     k = comb.k
-    if m < 3 * k + 3:
-        raise ValueError(f"m must be at least 3k + 3 = {3 * k + 3}")
-    mm = m + k
-    with np.errstate(all="ignore"):  # overflow is refused below, without warnings
-        tilde, M, DP, DQ = _identity_operands(rec, comb, report, mm)
-        R = (DP[:, None] * M.T) @ (M / DQ[:, None])
-        JP = jacobi_truncation(rec, mm)
-        powers = [np.eye(mm)]
-        for _ in range(k):
-            powers.append(powers[-1] @ JP)
-    # interior rows 0..m-k-2 and the (2k+1)-band, row by row
-    r, c = np.nonzero(np.abs(np.subtract.outer(np.arange(m - k - 1), np.arange(m))) <= k)
-    A = np.stack([p[r, c] for p in powers], axis=1)
-    b = R[r, c]
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-        raise NumericError("h_k system has non-finite entries")
-    coeffs, *_ = np.linalg.lstsq(A, b, rcond=None)
-    residual = float(np.linalg.norm(A @ coeffs - b))
-    if residual > tol * max(1.0, float(np.linalg.norm(b))):
+    tilde = tilde_recurrence(rec, comb, k + 1, report=report)  # refuses a failed report
+    with np.errstate(all="ignore"):  # a norm product past the float range is refused below
+        c = np.array([row[0] for row in report.low_rows]) / norm_diagonal(tilde, k + 1)
+    if not np.all(np.isfinite(c)) or c[-1] == 0.0:
         raise NumericError(
-            f"functional relation inconsistent: h_k fit residual {residual:.3e}"
+            f"h_k is not a finite degree-{k} polynomial: u(Q_j) / v(Q_j^2) = {c.tolist()}"
         )
-    if abs(coeffs[-1]) <= 1e-12 * max(1.0, float(np.max(np.abs(coeffs)))):
-        raise DegeneracyError("leading coefficient of h_k is numerically zero")
-    h = Poly(tuple(coeffs))
+    h = Poly((0.0,))
+    for j, cj in enumerate(c.tolist()):
+        h = h + cj * q_poly(rec, comb, j, report)
     pairing = float(np.dot(h.coeffs, moments_from_recurrence(tilde, k)))
     if pairing == 0.0:
         raise DegeneracyError("<v, h_k> vanished; scale undefined")
-    return HkSolution(h, residual, 1.0 / pairing)
+    return HkSolution(h, 1.0 / pairing)
 
 
 @dataclass(frozen=True)
@@ -352,26 +322,31 @@ def orthonormal_identity_check(
     comb: CombCoeffs,
     report: ConditionReport,
     m: int,
-    hk_tol: float = 1e-8,
+    tol: float = 1e-8,
 ) -> OrthonormalReport:
-    """Check ``h_k(J_sym) = Mt^T Mt`` in the orthonormal normalisation, to 1e-9.
+    """Check ``h_k(J_sym) = Mt^T Mt`` in the orthonormal normalisation, to ``tol``.
 
     ``J_sym`` is the symmetric Jacobi matrix (off-diagonal ``sqrt(gamma)``)
-    and ``Mt = D_Q^{-1/2} M D_P^{1/2}``; the identity only makes sense in the
+    and ``Mt = D_Q^{-1/2} M D_P^{1/2}``.  Both sides are assembled at
+    truncation ``m + k`` and compared on rows and columns ``0..m-k-2``, so
+    ``m`` must be at least ``k + 2``.  The identity only makes sense in the
     positive-definite case, so a non-positive ``gamma_n`` or ``tilde gamma_n``
     with ``n < m + k`` (the ones it reads) raises
-    :class:`~opoly.errors.InapplicableError` before ``h_k`` is fitted;
-    :func:`solve_hk` fits ``h_k`` at ``hk_tol``.
+    :class:`~opoly.errors.InapplicableError` before ``h_k`` is built.
     """
     import numpy as np
     k = comb.k
+    if m < k + 2:
+        raise ValueError(f"m must be at least k + 2 = {k + 2}")
     mm = m + k
-    tilde, M, DP, DQ = _identity_operands(rec, comb, report, mm)
+    tilde = tilde_recurrence(rec, comb, mm - 1, report=report)
     if np.any(rec.gamma[1:mm] <= 0.0):
         raise InapplicableError("orthonormal identity needs all gamma_n > 0")
     if np.any(tilde.gamma[1:mm] <= 0.0):
         raise InapplicableError("orthonormal identity needs all tilde gamma_n > 0")
-    hk = solve_hk(rec, comb, report, m, tol=hk_tol)
+    hk = solve_hk(rec, comb, report)
+    M = change_basis_matrix(comb, report, mm)
+    DP, DQ = norm_diagonal(rec, mm), norm_diagonal(tilde, mm)
     Mt = (M / np.sqrt(DQ)[:, None]) * np.sqrt(DP)[None, :]
     Jsym = _symmetric_jacobi(rec, mm)
     lhs = np.zeros((mm, mm))
@@ -382,4 +357,4 @@ def orthonormal_identity_check(
     rhs = Mt.T @ Mt
     cut = m - k - 1
     residual = float(np.max(np.abs(lhs[:cut, :cut] - rhs[:cut, :cut])))
-    return OrthonormalReport(residual <= 1e-9, residual)
+    return OrthonormalReport(residual <= tol, residual)

@@ -341,13 +341,9 @@ def k2_family(
         _require(abs(resid) <= _K2_TOL * max(1.0, abs(E), abs(B)),
                  "complex-root case needs a1*lam*B = (1 + lam)*E")
         powers = lam ** np.arange(2.0, horizon + 1)
-        beta_c = params.A + B * powers + np.conj(B * powers)
-        gamma_c = params.D + E * powers + np.conj(E * powers)
-        imag_resid = max(np.max(np.abs(beta_c.imag)), np.max(np.abs(gamma_c.imag)))
-        if imag_resid >= 1e-12:
-            raise NumericError(f"imaginary residue {imag_resid} in emitted coefficients")
-        beta_tail = beta_c.real.tolist()
-        gamma_tail = gamma_c.real.tolist()
+        re_b, re_e = (B * powers).real, (E * powers).real  # 2 Re(B lam^n) = re_b + re_b
+        beta_tail = ((params.A + re_b) + re_b).tolist()
+        gamma_tail = ((params.D + re_e) + re_e).tolist()
 
     return RecurrencePair([params.beta0, params.beta1, *beta_tail], [params.gamma1, *gamma_tail])
 

@@ -112,20 +112,20 @@ def test_criterion_3_jacobi_identities():
 
 
 def test_criterion_4_hk_pipeline():
-    """h_k solve, functional relation, positivity, orthonormal identity."""
+    """h_k and its scale, functional relation, positivity, orthonormal identity."""
     cases = [
         (op.chebyshev_family(1, HORIZON), op.CombCoeffs((0.0, -0.125))),
         (op.chebyshev_family(2, HORIZON), op.CombCoeffs((0.5,))),
         (op.chebyshev_family(3, HORIZON), op.CombCoeffs((0.4,))),
         (op.chebyshev_family(4, HORIZON), op.CombCoeffs((0.4,))),
     ]
-    worst_solve = worst_relation = worst_orth = 0.0
+    worst_scale = worst_relation = worst_orth = 0.0
     grid = np.linspace(-0.99, 0.99, 100)
     all_positive = True
     for rec, comb in cases:
         report = op.check_conditions(rec, comb, 24, tol=1e-10)
-        hk = op.solve_hk(rec, comb, report, 16)
-        worst_solve = max(worst_solve, hk.residual)
+        hk = op.solve_hk(rec, comb, report)
+        worst_scale = max(worst_scale, abs(hk.scale - 1.0))
         rel = op.verify_functional_relation(rec, comb, report, hk.poly, tol=1e-8)
         worst_relation = max(worst_relation, rel.max_residual)
         all_positive = all_positive and bool(np.all(hk.poly(grid) > 0.0))
@@ -133,9 +133,9 @@ def test_criterion_4_hk_pipeline():
         worst_orth = max(worst_orth, orth.residual)
     _criterion(
         4,
-        worst_solve < 1e-9 and worst_relation < 1e-8 and all_positive
+        worst_scale < 1e-12 and worst_relation < 1e-8 and all_positive
         and worst_orth < 1e-9,
-        f"h_k residual {worst_solve:.2e} (tol 1e-9), relation on v(P_m) for "
+        f"|1/v(h_k) - 1| {worst_scale:.2e} (tol 1e-12), relation on v(P_m) for "
         f"1 <= m <= horizon - k {worst_relation:.2e} (tol 1e-8), "
         f"positive on grid: {all_positive}, orthonormal identity {worst_orth:.2e} (tol 1e-9)",
     )

@@ -225,19 +225,20 @@ def test_zero_tolerance_flag_is_accepted(tmp_path, capsys):
 
 
 def test_hk_honours_hk_tolerance_in_orthonormal_check(tmp_path, capsys):
-    # gamma_10 bumped by 1e-8: the h_k fit residual (~1.4e-7) passes
-    # tolerances.hk = 1e-5, and the orthonormal check must fit h_k at that same tolerance
+    # gamma_10 bumped by 1e-8: the orthonormal identity (~2.7e-8) passes
+    # tolerances.hk = 1e-5, which judges it as it judges the relation
     code, out, err = run(capsys, "hk", "--config", write_config(tmp_path, LOOSE))
-    assert code != 3, err
-    result = json.loads(out)["result"]
-    assert 1e-8 < result["residual"] <= 1e-5
-    assert result["orthonormal_identity"] is not None
+    assert (code, err) == (0, "")
+    ortho = json.loads(out)["result"]["orthonormal_identity"]
+    assert ortho["ok"] is True
+    assert 1e-8 < ortho["residual"] <= 1e-5
 
 
 def test_hk_fails_when_orthonormal_identity_fails(tmp_path, capsys):
-    # Chebyshev T with gamma_10 bumped by 1e-8: the relation passes at
-    # tolerances.hk = 1e-5, but the orthonormal identity misses its own fixed tolerance
-    code, out, err = run(capsys, "hk", "--config", write_config(tmp_path, LOOSE))
+    # Chebyshev T with gamma_10 bumped by 1e-8: at tolerances.hk = 1e-8 the
+    # relation (~3.5e-9) passes, but the orthonormal identity (~2.7e-8) does not
+    payload = dict(LOOSE, tolerances={"conditions": 1e-5, "hk": 1e-8})
+    code, out, err = run(capsys, "hk", "--config", write_config(tmp_path, payload))
     report = json.loads(out)
     assert report["result"]["relation"]["ok"] is True
     assert report["result"]["orthonormal_identity"]["ok"] is False
@@ -407,13 +408,14 @@ def test_k1_zero_denominator_is_judged_by_the_verdict(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command,message", [
-    ("hk", "h_k system has non-finite entries"),
+    pytest.param("hk", "h_k is not a finite degree-2 polynomial: "
+                 "u(Q_j) / v(Q_j^2) = [1.0, 1e-200, 0.0]", id="hk"),
     ("zeros", "eigenvalue/Newton cross-check mismatch: multiset distance inf"),
     ("quad", "eigenvalue/Newton cross-check mismatch: multiset distance inf"),
 ])
 def test_overflow_refusals_print_one_line(tmp_path, capsys, command, message):
-    # gen_k2_real_roots with D = 1e200 passes the verdict, but D_P, the powers
-    # of J_P and the Newton recurrence overflow: one refusal line, no warnings
+    # gen_k2_real_roots with D = 1e200 passes the verdict, but the norm product
+    # v(Q_2^2) and the Newton recurrence overflow: one refusal line, no warnings
     payload = json.loads((CONFIG_DIR / "gen_k2_real_roots.json").read_text())
     payload["family"]["D"] = "1e200"
     with warnings.catch_warnings():
@@ -497,24 +499,34 @@ def test_hk_command(tmp_path, capsys):
     code, out, _ = run(capsys, "hk", "--config", cfg)
     assert code == 0
     result = json.loads(out)["result"]
-    assert result["residual"] < 1e-9
     assert result["relation"]["ok"] is True
+    assert result["relation"]["max_residual"] < 1e-9
     assert result["positivity"]["positive_on_grid"] is True
     assert result["orthonormal_identity"]["ok"] is True
 
 
-@pytest.mark.parametrize("horizon,code", [(8, 2), (9, 2), (10, 0), (17, 0)])
-def test_hk_default_truncation_needs_horizon_4k_plus_2(tmp_path, capsys, horizon, code):
-    # k = 2: the truncation min(16, horizon + 1 - k) reaches solve_hk's lower
-    # end 3k + 3 = 9 at horizon 10, and 16 = horizon + 1 - k, its upper end, at 17
-    cfg = write_config(tmp_path, dict(BASE, horizon=horizon))
-    got, out, err = run(capsys, "hk", "--config", cfg)
+HK_FLOOR_A = {3: ["0.3", "0.2", "0.1"], 4: ["0.2", "0.1", "0.05", "0.02"]}
+
+
+@pytest.mark.parametrize("k,horizon,code", [
+    (3, 6, 2), (3, 7, 0), (3, 18, 0), (4, 8, 2), (4, 9, 0),
+])
+def test_hk_default_truncation_needs_horizon_2k_plus_1(tmp_path, capsys, k, horizon, code):
+    # the truncation m = min(16, horizon + 1 - k) reaches the orthonormal
+    # identity's least k + 2 (one compared row) at horizon 2k + 1, and 16 at
+    # horizon 15 + k; load_config's own floor k + 3 lies below 2k + 1 for k >= 3
+    payload = {"family": {"type": "chebyshev", "kind": 2},
+               "combination": {"a": HK_FLOOR_A[k]}, "horizon": horizon}
+    got, out, err = run(capsys, "hk", "--config", write_config(tmp_path, payload))
     assert got == code, err
     if code == 2:
         assert out == ""
-        assert f"hk needs horizon >= 4k + 2 = 10, got {horizon}" in err
+        assert err == (f"opoly: config error: hk needs horizon >= 2k + 1 = {2 * k + 1}, "
+                       f"got {horizon}\n")
     else:
-        assert json.loads(out)["result"]["truncation"] == min(16, horizon - 1)
+        result = json.loads(out)["result"]
+        assert result["truncation"] == min(16, horizon + 1 - k)
+        assert result["orthonormal_identity"]["ok"] is True
 
 
 def test_hk_ignores_truncation_field(tmp_path, capsys):
@@ -545,7 +557,7 @@ def scaled_payload(path, s):
     }
 
 
-@pytest.mark.parametrize("s", [2.0, -1.0, 0.125])
+@pytest.mark.parametrize("s", [2.0, -1.0, 0.125, 16.0, 1 / 1024])
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
 def test_hk_verdict_is_covariant_under_scaling(tmp_path, capsys, path, s):
     # powers of two keep every scaled coefficient exact, so the verdict and the
@@ -831,9 +843,8 @@ def test_cli_tolerances_are_the_library_defaults():
     assert tolerances["conditions"] == default(lincomb.check_conditions)
     assert tolerances["zeros"] == default(jacobi.zeros_q, "cross_tol")
     assert tolerances["zeros"] == default(quadrature.shohat_check, "cross_tol")
-    assert tolerances["hk"] == default(jacobi.solve_hk)
     assert tolerances["hk"] == default(jacobi.verify_functional_relation)
-    assert tolerances["hk"] == default(jacobi.orthonormal_identity_check, "hk_tol")
+    assert tolerances["hk"] == default(jacobi.orthonormal_identity_check)
     assert tolerances["quad"] == default(quadrature.gauss_rule)
     assert tolerances["quad"] == default(quadrature.shohat_check)
     assert tolerances["quad"] == default(quadrature.degree_of_precision)

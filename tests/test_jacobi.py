@@ -177,8 +177,8 @@ class TestHk:
     def test_second_kind_k1_proportional_to_one_plus_x(self, cheb_u):
         comb = op.CombCoeffs((0.5,))
         report = op.check_conditions(cheb_u, comb, 25)
-        hk = op.solve_hk(cheb_u, comb, report, 12)
-        assert hk.residual < 1e-9
+        hk = op.solve_hk(cheb_u, comb, report)
+        assert op.verify_functional_relation(cheb_u, comb, report, hk.poly).max_residual < 1e-9
         c0, c1 = hk.coeffs
         assert c1 / c0 == pytest.approx(1.0, rel=1e-9)
         assert hk.scale == pytest.approx(1.0, rel=1e-9)
@@ -186,10 +186,10 @@ class TestHk:
     def test_relation_and_positivity_first_kind_k2(self, cheb_t):
         comb = op.CombCoeffs((0.0, -0.125))
         report = op.check_conditions(cheb_t, comb, 25)
-        hk = op.solve_hk(cheb_t, comb, report, 16)
-        assert hk.residual < 1e-9
+        hk = op.solve_hk(cheb_t, comb, report)
         rel = op.verify_functional_relation(cheb_t, comb, report, hk.poly, tol=1e-8)
         assert rel.ok
+        assert rel.max_residual < 1e-9
         grid = np.linspace(-0.99, 0.99, 100)
         assert np.all(hk.poly(grid) > 0.0)
 
@@ -206,7 +206,7 @@ class TestHk:
     def test_relation_rejects_perturbed_h(self, cheb_u):
         comb = op.CombCoeffs((0.5,))
         report = op.check_conditions(cheb_u, comb, 25)
-        hk = op.solve_hk(cheb_u, comb, report, 12)
+        hk = op.solve_hk(cheb_u, comb, report)
         bad = hk.poly + op.Poly((1e-3,))
         rel = op.verify_functional_relation(cheb_u, comb, report, bad, tol=1e-8)
         assert not rel.ok
@@ -220,33 +220,42 @@ class TestHk:
         assert not failed.verdict
         with pytest.raises(op.StateError):
             op.verify_functional_relation(cheb_u, comb, failed, op.Poly((2.0, 2.0)))
+        with pytest.raises(op.StateError):
+            op.solve_hk(cheb_u, comb, failed)
         with pytest.raises(op.DegeneracyError):
             op.verify_functional_relation(cheb_u, comb, report, op.Poly((0.0,)))
         with pytest.raises(op.HorizonError):
             op.verify_functional_relation(cheb_u, comb, report, op.Poly((1.0,) * 31))
 
     def test_inconsistent_inputs_raise(self, cheb_u):
-        # a clean report paired with a different recurrence cannot satisfy
-        # the matrix identity, and the fit residual says so
+        # a clean report paired with a different recurrence gives an h_k that
+        # fails both the relation on the modified moments and the orthonormal identity
         comb = op.CombCoeffs((0.5,))
         report = op.check_conditions(cheb_u, comb, 25)
         beta = cheb_u.beta.copy()
         beta[3] += 0.05
         other = op.RecurrencePair(beta, cheb_u.gamma[1:].copy())
-        with pytest.raises(op.NumericError):
-            op.solve_hk(other, comb, report, 12)
+        hk = op.solve_hk(other, comb, report)
+        rel = op.verify_functional_relation(other, comb, report, hk.poly)
+        assert not rel.ok
+        assert rel.max_residual > 1e-2
+        orth = op.orthonormal_identity_check(other, comb, report, 12)
+        assert not orth.ok
+        assert orth.residual > 1e-1
 
     def test_non_finite_system_raises(self):
-        # gen_k2_real_roots with D = 1e200: the verdict passes, but D_P and
-        # the powers of J_P overflow, and LAPACK must not see the system
+        # gen_k2_real_roots with D = 1e200: the verdict passes, but the norm
+        # product v(Q_2^2) overflows to inf, which zeroes the leading coefficient
         params = op.K2Params(op.K2Case.REAL_ROOTS, beta0=0.0, beta1=0.05, gamma1=0.3,
                              A=0.0, B=0.2, D=1e200, E=0.055278640450004204)
         rec = op.k2_family(1.0, 0.2, params, 50)
         comb = op.CombCoeffs((1.0, 0.2))
         report = op.check_conditions(rec, comb, 50)
         assert report.verdict
-        with np.errstate(all="ignore"), pytest.raises(op.NumericError, match="non-finite"):
-            op.solve_hk(rec, comb, report, 16)
+        with np.errstate(all="raise"), pytest.raises(
+            op.NumericError, match="not a finite degree-2 polynomial"
+        ):
+            op.solve_hk(rec, comb, report)
 
     def test_equation_route_equivalence(self, cheb_t):
         # h(J_Q) agrees with M D_P M^T D_Q^{-1} and with M h(J_P) M^{-1}
@@ -254,7 +263,7 @@ class TestHk:
         k = comb.k
         report = op.check_conditions(cheb_t, comb, 28)
         m = 12
-        hk = op.solve_hk(cheb_t, comb, report, m)
+        hk = op.solve_hk(cheb_t, comb, report)
         mm = m + 3 * k
         tilde = op.tilde_recurrence(cheb_t, comb, mm - 1, report=report)
         M = op.change_basis_matrix(comb, report, mm)
@@ -282,13 +291,13 @@ class TestHk:
 @pytest.mark.parametrize("a", [(0.5,), (0.0, -0.125), (0.3, 0.2, 0.1)])
 def test_hk_matches_trig_square_closed_form(a):
     # for second-kind input the connecting polynomial has a classical closed
-    # form (a squared trigonometric modulus in x = cos theta); the matrix
-    # route must reproduce it up to scale, through k = 3
+    # form (a squared trigonometric modulus in x = cos theta); the expansion
+    # in the Q_j must reproduce it up to scale, through k = 3
     rec = op.chebyshev_family(2, 30)
     comb = op.CombCoeffs(a)
     report = op.check_conditions(rec, comb, 24)
     assert report.verdict
-    hk = op.solve_hk(rec, comb, report, 16)
+    hk = op.solve_hk(rec, comb, report)
     ref = trig_square_in_x(a)
     got = np.array(hk.coeffs)
     ratio = got[-1] / ref[-1]
@@ -310,14 +319,15 @@ def test_hk_pipeline_on_indefinite_family():
     assert report.verdict
     tilde = op.tilde_recurrence(rec, comb, 24, report=report)
     assert tilde.gamma[1] == pytest.approx(-0.75)
-    hk = op.solve_hk(rec, comb, report, 16)
-    assert hk.residual < 1e-9
+    hk = op.solve_hk(rec, comb, report)
     ref = trig_square_in_x(comb.a)  # (25, 40, 16) = (4x + 5)^2
     got = np.array(hk.coeffs)
     ratio = got[-1] / ref[-1]
     assert ratio < 0
     assert np.allclose(got, ref * ratio, atol=1e-9)
-    assert op.verify_functional_relation(rec, comb, report, hk.poly, tol=1e-8).ok
+    rel = op.verify_functional_relation(rec, comb, report, hk.poly, tol=1e-8)
+    assert rel.ok
+    assert rel.max_residual < 1e-9
 
 
 def test_hk_relation_on_generated_k1_family():
@@ -327,9 +337,10 @@ def test_hk_relation_on_generated_k1_family():
     comb = op.CombCoeffs((0.6,))
     report = op.check_conditions(rec, comb, 24)
     assert report.verdict
-    hk = op.solve_hk(rec, comb, report, 14)
-    assert hk.residual < 1e-9
-    assert op.verify_functional_relation(rec, comb, report, hk.poly, tol=1e-8).ok
+    hk = op.solve_hk(rec, comb, report)
+    rel = op.verify_functional_relation(rec, comb, report, hk.poly, tol=1e-8)
+    assert rel.ok
+    assert rel.max_residual < 1e-9
 
 
 @pytest.mark.parametrize(
@@ -340,7 +351,7 @@ def test_hk_relation_holds_across_corpus(label, rec, comb):
     # functional relation u = h_k v
     report = op.check_conditions(rec, comb, 24)
     assert report.verdict, label
-    hk = op.solve_hk(rec, comb, report, 16)
+    hk = op.solve_hk(rec, comb, report)
     rel = op.verify_functional_relation(rec, comb, report, hk.poly, tol=1e-8)
     assert rel.ok, label
 
@@ -353,14 +364,13 @@ ORTHOGONAL_CONFIGS = sorted(
 
 @pytest.mark.parametrize("path", ORTHOGONAL_CONFIGS, ids=lambda p: p.name)
 def test_relation_rejects_relative_change_of_c0(path):
-    # the fitted h_k passes and a 1e-6 relative change of c_0 fails, on the
-    # truncation and tolerances that `opoly hk` uses
+    # h_k passes and a 1e-6 relative change of c_0 fails, at the tolerances
+    # that `opoly hk` uses
     cfg = load_config(str(path))
-    k = cfg.comb.k
-    horizon = cfg.rec.horizon
-    report = op.check_conditions(cfg.rec, cfg.comb, horizon, tol=cfg.tolerances["conditions"])
+    report = op.check_conditions(cfg.rec, cfg.comb, cfg.rec.horizon,
+                                 tol=cfg.tolerances["conditions"])
     assert report.verdict
-    hk = op.solve_hk(cfg.rec, cfg.comb, report, min(16, horizon + 1 - k))
+    hk = op.solve_hk(cfg.rec, cfg.comb, report)
     assert op.verify_functional_relation(cfg.rec, cfg.comb, report, hk.poly).ok
     c = hk.coeffs
     bad = op.Poly((c[0] * (1 + 1e-6),) + c[1:])

@@ -93,6 +93,13 @@ def edge_configs() -> dict:
         },
         # the verdict passes, but h_k's norm products and the Newton steps overflow
         "k2_overflow": _with_family("gen_k2_real_roots.json", {"D": "1e200"}),
+        # k = 3 at horizon 2k + 1 = 7: the truncation m = 5 = k + 2 leaves the
+        # orthonormal identity one compared row, the least hk accepts
+        "hk_floor_k3": {
+            "family": {"type": "chebyshev", "kind": 2},
+            "combination": {"a": ["0.3", "0.2", "0.1"]},
+            "horizon": 7,
+        },
         # Chebyshev T with gamma_10 raised by 1e-8: tilde passes only at the
         # loosened tolerances, and the config is the one place that sets them
         "loose_tolerances": {

@@ -9,6 +9,8 @@ Every command takes the same options.  A config names exactly one family
 a horizon, and optional tolerances or a node count ``n``.  Numbers may be
 given as decimal strings to avoid double-rounding in published configs.
 Tolerances are set only in the config, which the report echoes as ``config``.
+``quad`` reads ``tolerances.zeros`` only for ``k >= 2``, where its nodes come
+from the ``zeros_q`` cross-check; its ``k = 1`` rule has no such check.
 ``--n`` overrides the config's ``n`` (``zeros`` and ``quad`` report it as
 ``result.n``), and each command then reads only the resolved :class:`JobConfig`.
 Reports are deterministic JSON (``schema: 1``).  ``gen`` on a ``k2`` family

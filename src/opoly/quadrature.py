@@ -2,16 +2,24 @@
 
 With ``u_0 = 1`` and ``gamma_n > 0`` the orthonormal polynomials obey
 ``sqrt(gamma_{i+1}) p_{i+1} = (x - beta_i) p_i - sqrt(gamma_i) p_{i-1}``,
-``p_0 = 1``; no moment is formed.  The Gauss rule on the zeros of ``P_n`` is
-one ``eigh`` of the symmetric Jacobi truncation: nodes are its eigenvalues,
-weights the squared first eigenvector components (Golub & Welsch 1969).
-Weights on arbitrary distinct nodes solve ``V w = e_0`` with
-``V[i, j] = p_i(x_j)``, ``i < n``.  A rule is exact through degree ``d`` iff
+``p_0 = 1``; no moment is formed.  A rule is exact through degree ``d`` iff
 ``sum_l w_l p_i(x_l) p_j(x_l) = delta_ij`` for all ``i + j <= d``, since those
 products span the polynomials of degree ``d`` (Gautschi, *Orthogonal
 Polynomials: Computation and Approximation*, 2004).  Gauss rules reach
 ``d = 2n - 1``; nodes at the zeros of the length-``k`` combination ``Q_n``
 cost exactly ``k`` degrees, which :func:`shohat_check` verifies end to end.
+
+The Gauss nodes are the eigenvalues of the symmetric Jacobi truncation
+``J_n``.  For ``k = 1`` the zeros of ``Q_n = P_n + a_1 P_{n-1}`` are those of
+``J_n`` with ``beta_{n-1} - a_1`` in its last diagonal entry.  Both rules are
+exact to degree ``2n - 2`` at least, so their weights are the Christoffel
+function ``w_l = 1 / sum_{i<n} p_i(x_l)^2`` (Gautschi 2004, §1.4), read off
+rows ``0..n-1`` of the same table ``p_i(x_l)`` that measures the degree.
+Unlike the squared first eigenvector components of Golub & Welsch (1969),
+they keep their relative accuracy at nodes far out on the spectrum, where
+the weights fall far below the rounding of the largest one.  For ``k >= 2``
+the nodes come from :func:`~opoly.jacobi.zeros_q` and the weights of the
+interpolatory rule solve ``V w = e_0`` with ``V[i, j] = p_i(x_j)``, ``i < n``.
 """
 
 from __future__ import annotations
@@ -96,6 +104,18 @@ def christoffel_numbers(rec: RecurrencePair, nodes) -> np.ndarray:
         raise NumericError(f"node matrix is singular: {exc}") from exc
 
 
+def _table_degree(V: np.ndarray, weights: np.ndarray, tol: float) -> int:
+    """Largest ``d <= 2 (t - 1)`` with ``|sum_l w_l V[i, l] V[j, l] - delta_ij|
+    <= tol`` for every ``i + j <= d`` over the ``t`` rows of ``V``, or -1 if
+    even ``d = 0`` fails."""
+    import numpy as np
+    size = V.shape[0]
+    err = np.abs((V * weights) @ V.T - np.eye(size))
+    deg = np.add.outer(np.arange(size), np.arange(size))
+    failed = deg[~(err <= tol)]
+    return int(failed.min()) - 1 if failed.size else 2 * (size - 1)
+
+
 def degree_of_precision(rec: RecurrencePair, rule: QuadratureRule, tol: float = 1e-9) -> int:
     """Largest ``d <= max_degree`` with ``|sum_l w_l p_i(x_l) p_j(x_l) - delta_ij|
     <= tol`` for every ``i + j <= d``, or -1 if even ``d = 0`` fails.
@@ -104,31 +124,40 @@ def degree_of_precision(rec: RecurrencePair, rule: QuadratureRule, tol: float = 
     rule is observed, or ``2 N`` when the horizon ``N`` is ``n``.  It needs
     ``p_0..p_t``, ``t = max_degree / 2``: ``gamma_1..gamma_t > 0``.
     """
-    import numpy as np
     top = min(rule.n + 1, rec.horizon)
-    max_degree = 2 * top
-    V = _orthonormal(rec, rule.nodes, top + 1)
-    err = np.abs((V * rule.weights) @ V.T - np.eye(top + 1))
-    deg = np.add.outer(np.arange(top + 1), np.arange(top + 1))
-    failed = deg[~(err <= tol)]
-    return int(failed.min()) - 1 if failed.size else max_degree
+    return _table_degree(_orthonormal(rec, rule.nodes, top + 1), rule.weights, tol)
 
 
-def _measured(rec: RecurrencePair, nodes, weights, tol: float) -> QuadratureRule:
-    rule = QuadratureRule(nodes, weights, -1)
-    return replace(rule, degree_of_precision=degree_of_precision(rec, rule, tol=tol))
+def _christoffel_rule(rec: RecurrencePair, nodes: np.ndarray, tol: float) -> QuadratureRule:
+    """The rule on ``n`` increasing nodes with weights ``1 / sum_{i<n} p_i(x_l)^2``,
+    and its degree measured on the same table ``p_0..p_t``, ``t = min(n + 1, N)``,
+    as :func:`degree_of_precision` measures it."""
+    import numpy as np
+    n = nodes.size
+    V = _orthonormal(rec, nodes, min(n + 1, rec.horizon) + 1)
+    weights = 1.0 / np.square(V[:n]).sum(axis=0)
+    return QuadratureRule(nodes, weights, _table_degree(V, weights, tol))
 
 
 def gauss_rule(rec: RecurrencePair, n: int, tol: float = 1e-9) -> QuadratureRule:
-    """Gauss rule on the zeros of ``P_n`` by Golub-Welsch (one ``eigh`` of the
-    symmetric Jacobi truncation), with its degree (``2n - 1``) measured at
-    exactness tolerance ``tol``."""
+    """Gauss rule on the zeros of ``P_n``: the eigenvalues of the symmetric
+    Jacobi truncation, weighted by the Christoffel function, with its degree
+    (``2n - 1``) measured at exactness tolerance ``tol``.  No ``cross_tol`` is
+    read: that tolerance applies only to :func:`shohat_check` for ``k >= 2``."""
     import numpy as np
     if n < 1:
         raise ValueError("n must be positive")
     _require_positive(rec, n)
-    nodes, vecs = np.linalg.eigh(_symmetric_jacobi(rec, n))
-    return _measured(rec, nodes, vecs[0] ** 2, tol)
+    return _christoffel_rule(rec, np.linalg.eigvalsh(_symmetric_jacobi(rec, n)), tol)
+
+
+def _distinct(nodes: np.ndarray) -> np.ndarray:
+    """Increasing ``nodes``, refused as coincident when two lie within
+    ``1e-10 * max(spread, 1)`` of each other."""
+    import numpy as np
+    if nodes.size > 1 and np.min(np.diff(nodes)) <= 1e-10 * max(float(np.ptp(nodes)), 1.0):
+        raise InapplicableError("Q_n has coincident zeros; quadrature undefined")
+    return nodes
 
 
 @dataclass(frozen=True)
@@ -150,16 +179,24 @@ def shohat_check(
     """Verify the k-degree loss law: nodes at the zeros of ``Q_n`` give a rule
     of degree of precision exactly ``2n - 1 - k``.
 
-    ``cross_tol`` is passed to :func:`~opoly.jacobi.zeros_q`.  Complex or
-    coincident zeros and non-positive gammas raise
-    :class:`~opoly.errors.InapplicableError`.
+    For ``k = 1`` the rule is built as :func:`gauss_rule` builds its own, on
+    the symmetric Jacobi truncation with ``beta_{n-1} - a_1`` in the last
+    diagonal entry.  For ``k >= 2`` the nodes come from
+    :func:`~opoly.jacobi.zeros_q`, which alone reads ``cross_tol``, and the
+    weights from :func:`christoffel_numbers`.  Complex or coincident zeros
+    and non-positive gammas raise :class:`~opoly.errors.InapplicableError`.
     """
     import numpy as np
-    zeros = zeros_q(rec, comb, n, cross_tol=cross_tol).zeros
-    if float(np.max(np.abs(zeros.imag))) > 1e-9 * max(1.0, float(np.max(np.abs(zeros)))):
-        raise InapplicableError("Q_n has complex zeros; quadrature undefined")
-    nodes = zeros.real  # zeros_q sorts by real part
-    if nodes.size > 1 and np.min(np.diff(nodes)) <= 1e-10 * max(float(np.ptp(nodes)), 1.0):
-        raise InapplicableError("Q_n has coincident zeros; quadrature undefined")
-    rule = _measured(rec, nodes, christoffel_numbers(rec, nodes), tol)
+    if comb.k == 1:
+        _require_positive(rec, n - 1)
+        J = _symmetric_jacobi(rec, n)
+        J[-1, -1] -= comb.a[0]
+        rule = _christoffel_rule(rec, _distinct(np.linalg.eigvalsh(J)), tol)
+    else:
+        zeros = zeros_q(rec, comb, n, cross_tol=cross_tol).zeros
+        if float(np.max(np.abs(zeros.imag))) > 1e-9 * max(1.0, float(np.max(np.abs(zeros)))):
+            raise InapplicableError("Q_n has complex zeros; quadrature undefined")
+        nodes = _distinct(zeros.real)  # zeros_q sorts by real part
+        rule = QuadratureRule(nodes, christoffel_numbers(rec, nodes), -1)
+        rule = replace(rule, degree_of_precision=degree_of_precision(rec, rule, tol=tol))
     return ShohatReport(rule.degree_of_precision == 2 * n - 1 - comb.k, rule)

@@ -99,7 +99,7 @@ class RecurrencePair:
     All ``gamma_n`` must stay away from zero (``|gamma_n| > GAMMA_FLOOR``)
     and every entry must be finite.  Instances are immutable; ``beta`` and
     ``gamma`` are the same data as read-only float64 arrays, built on first
-    access.
+    access, and :func:`poly_p` keeps the rows it has walked on the instance.
     """
 
     def __init__(self, beta, gamma):
@@ -121,6 +121,7 @@ class RecurrencePair:
                 )
         object.__setattr__(self, "betas", b)
         object.__setattr__(self, "gammas", (math.nan,) + g_in)
+        object.__setattr__(self, "_p_rows", [[1.0], [-b[0], 1.0]])
 
     def __setattr__(self, name, value):
         raise AttributeError("RecurrencePair is immutable")
@@ -158,19 +159,22 @@ def _check_index(rec: RecurrencePair, n: int) -> None:
 
 
 def poly_p(rec: RecurrencePair, n: int) -> Poly:
-    """Monomial coefficients of the monic ``P_n`` (leading coefficient 1)."""
+    """Monomial coefficients of the monic ``P_n`` (leading coefficient 1).
+
+    The coefficient rows of ``P_0, P_1, ...`` are kept on ``rec`` and extended
+    only past the highest one read so far, so each pair walks its recurrence
+    once however many ``P_n`` are asked for."""
     _check_index(rec, n)
-    if n == 0:
-        return Poly((1.0,))
+    rows = rec._p_rows
     beta, gamma = rec.betas, rec.gammas
-    prev, cur = [1.0], [-beta[0], 1.0]
-    for j in range(1, n):
+    for j in range(len(rows) - 1, n):
+        prev, cur = rows[j - 1], rows[j]
         b, g = beta[j], gamma[j]
         # x P_j - beta_j P_j - gamma_j P_{j-1}, coefficient i = (c[i-1] - b c[i]) - g p[i]
         nxt = [c1 - b * c0 - g * p for c1, c0, p in zip([0.0] + cur, cur, prev)]
         nxt += (cur[j - 1] - b * cur[j], cur[j])
-        prev, cur = cur, nxt
-    return Poly(tuple(cur))
+        rows.append(nxt)
+    return Poly(tuple(rows[n]))
 
 
 def chebyshev_family(kind: int, horizon: int) -> RecurrencePair:

@@ -40,6 +40,22 @@ def eval_p(rec, n: int, x: float) -> float:
     return float(cur)
 
 
+def poly_p_walk(rec, n: int) -> tuple[float, ...]:
+    """Monomial coefficients of ``P_n`` from a fresh walk with three numpy
+    operations per step: the bit-level reference for :func:`opoly.poly_p`,
+    which keeps its rows on the pair."""
+    if n == 0:
+        return (1.0,)
+    prev, cur = np.array([1.0]), np.array([-rec.beta[0], 1.0])
+    for j in range(1, n):
+        nxt = np.zeros(j + 2)
+        nxt[1:] = cur
+        nxt[: j + 1] -= rec.beta[j] * cur
+        nxt[:j] -= rec.gamma[j] * prev
+        prev, cur = cur, nxt
+    return tuple(cur.tolist())
+
+
 def intertwining_residual(rec, comb, report, m: int) -> float:
     """Max-norm of ``M J_P - J_Q M`` over the interior rows ``0..m-k-2``, built
     from the change of basis, both Jacobi truncations and the tilde recurrence

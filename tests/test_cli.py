@@ -630,8 +630,9 @@ def test_quad_reaches_both_laws_at_n28_on_a1_zero(tmp_path, capsys):
 
 
 def test_tol_quad_reaches_the_gauss_rule(tmp_path, capsys):
-    # at the default 1e-9 the Gauss rule of this config measures degree 38;
-    # tolerances.quad sets the exactness tolerance of both rules
+    # at the default 1e-9 the combination rule of this config measures degree
+    # 34 (the Gauss rule 67); tolerances.quad sets the exactness tolerance of
+    # both rules
     argv = ("--config", with_tolerances(tmp_path, "gen_k2_equal_roots.json", quad=1e-3),
             "--n", "34")
     code, out, err = run(capsys, "quad", *argv)
@@ -856,3 +857,53 @@ def test_import_does_not_load_numpy_polynomial():
     code = "import sys, opoly.cli; sys.exit('numpy.polynomial' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Replace ``module.name`` by a wrapper that records each call."""
+    calls, original = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+# The cross-checks of the README's route table, as (module, function, calls)
+# in each command: quad measures both rules and runs the Newton check only
+# where its nodes come from zeros_q (k >= 2).
+CROSS_CHECKS = [
+    ("quad", "cheb2_k1.json", [(quadrature, "_table_degree", 2), (jacobi, "_newton_step", 0)]),
+    ("quad", "cheb1_k2.json", [(quadrature, "_table_degree", 2), (jacobi, "_newton_step", 1)]),
+    ("zeros", "cheb2_k1.json", [(jacobi, "_newton_step", 1)]),
+    ("zeros", "cheb1_k2.json", [(jacobi, "_newton_step", 1)]),
+    ("check", "cheb1_k2.json", [(lincomb, "exact_gram", 1)]),
+    ("hk", "cheb1_k2.json", [(cli, "verify_functional_relation", 1),
+                             (cli, "orthonormal_identity_check", 1)]),
+    ("gen", "gen_k2_real_roots.json", [(cli, "k2_difference_residual", 2),
+                                       (cli, "check_conditions", 1)]),
+]
+
+
+@pytest.mark.parametrize("command,name,checks", CROSS_CHECKS,
+                         ids=[f"{c}-{n[:-5]}" for c, n, _ in CROSS_CHECKS])
+def test_each_cross_check_runs_in_its_command(monkeypatch, capsys, command, name, checks):
+    counts = [(_count_calls(monkeypatch, module, fn), want) for module, fn, want in checks]
+    n_argv = ["--n", "10"] if command in ("zeros", "quad") else []
+    code, _, err = run(capsys, command, "--config", str(CONFIG_DIR / name), *n_argv)
+    assert (code, err) == (0, "")
+    assert [len(calls) for calls, _ in counts] == [want for _, want in counts]
+
+
+def test_k1_quad_reads_no_zeros_tolerance(tmp_path, capsys):
+    # zeros refuses on its Newton check at this tolerance; the k = 1 quad rule
+    # comes from the symmetric Jacobi matrix and never runs that check
+    argv = ("--config", with_tolerances(tmp_path, "cheb2_k1.json", zeros=1e-17), "--n", "10")
+    code, out, err = run(capsys, "zeros", *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("opoly: NumericError: eigenvalue/Newton cross-check mismatch")
+    code, out, err = run(capsys, "quad", *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["combination"]["degree_of_precision"] == 2 * 10 - 2

@@ -1,11 +1,16 @@
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import opoly as op
+from opoly.cli import load_config
 
-from conftest import chebyshev_corpus
+from conftest import SEED, chebyshev_corpus
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestGaussRule:
@@ -140,8 +145,10 @@ def test_rule_validation():
 
 
 def test_christoffel_numbers_match_golub_welsch():
-    # on the Gauss nodes the V-solve weights must equal the squared first
-    # eigenvector components that gauss_rule takes from its eigensolve
+    # on the Gauss nodes the V-solve weights must equal the Christoffel-function
+    # weights 1 / sum_{i<n} p_i(x_l)^2 that gauss_rule reads off its degree
+    # table (which equal the squared first eigenvector components of
+    # Golub-Welsch in exact arithmetic)
     checked = 0
     for label, rec, comb in chebyshev_corpus():
         for n in (1, 2, 5, 9, 12, 20):
@@ -225,3 +232,57 @@ def test_horizon_sweep_to_the_cap():
                 if not ok:
                     defects.add((kind, a, n))
     assert defects <= KNOWN_QUAD_DEFECTS, sorted(defects - KNOWN_QUAD_DEFECTS)
+
+
+def _exact_christoffel(rec, x: float, n: int) -> float:
+    """``1 / sum_{i<n} P_i(x)^2 / (gamma_1 ... gamma_i)`` in exact rationals at
+    the float ``x``, rounded once: the Christoffel function with no rounding
+    in the recurrence."""
+    x = Fraction(x)
+    beta = [Fraction(b) for b in rec.betas]
+    gamma = [Fraction(0)] + [Fraction(g) for g in rec.gammas[1:]]
+    prev, cur, norm, total = Fraction(0), Fraction(1), Fraction(1), Fraction(1)
+    for i in range(n - 1):
+        prev, cur = cur, (x - beta[i]) * cur - gamma[i] * prev
+        norm *= gamma[i + 1]
+        total += cur * cur / norm
+    return float(1 / total)
+
+
+def test_gauss_weights_keep_their_relative_accuracy_far_out():
+    # one node far out on the spectrum: the smallest weight is 3.6e-32, far
+    # below the rounding of the largest
+    rec = load_config(str(CONFIG_DIR / "gen_k2_equal_roots.json")).rec
+    n = 34
+    rule = op.gauss_rule(rec, n)
+    assert rule.degree_of_precision == 2 * n - 1
+    exact = np.array([_exact_christoffel(rec, x, n) for x in rule.nodes.tolist()])
+    assert exact.min() < 1e-31
+    assert np.all(np.abs(rule.weights - exact) <= 1e-12 * exact)
+
+
+def _generated_k1(horizon: int = 64):
+    """A ``k1_family`` with gammas drawn from ``[0.2, 0.32]``, and its ``a_1``."""
+    rng = np.random.default_rng(SEED + 1)
+    a1 = float(rng.choice([-1, 1]) * rng.uniform(0.3, 0.7))
+    beta0, beta1, beta2 = rng.uniform(-0.1, 0.1, 3)
+    gammas = rng.uniform(0.2, 0.32, horizon)
+    return op.k1_family(gammas, beta0, beta1, beta2, a1, horizon), op.CombCoeffs((a1,))
+
+
+@pytest.mark.parametrize("case", ["cheb_u", "generated_k1"])
+def test_k1_rule_sits_on_the_zeros_of_q_and_meets_its_law(case):
+    # for k = 1 the nodes are the eigenvalues of the symmetric Jacobi matrix
+    # with beta_{n-1} - a_1 in its last diagonal entry, and no zeros_q run
+    if case == "cheb_u":
+        rec, comb, ns = op.chebyshev_family(2, 64), op.CombCoeffs((0.5,)), range(2, 64)
+    else:
+        (rec, comb), ns = _generated_k1(), range(38, 64)
+    for n in ns:
+        shohat = op.shohat_check(rec, comb, n)
+        zeros = op.zeros_q(rec, comb, n).zeros
+        assert np.all(zeros.imag == 0.0), n
+        gap = np.abs(shohat.rule.nodes - zeros.real)
+        assert np.all(gap <= 1e-12 * np.maximum(1.0, np.abs(zeros.real))), n
+        assert shohat.rule.degree_of_precision == 2 * n - 2, n
+        assert shohat.ok

@@ -1,6 +1,9 @@
+import gc
 import hashlib
+import json
 import math
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +17,11 @@ from conftest import (
     chebyshev_weight_moments,
     eval_p,
     k2_case_fixture,
+    poly_p_walk,
     worst_gram_ratio,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_poly_p_range_errors(cheb_u):
@@ -47,20 +53,6 @@ def test_poly_p_matches_eval_p(kind, rng):
             assert via_coeffs == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
 
-def _poly_p_numpy(rec, n):
-    """The three-numpy-ops-per-step walk, kept as the bit-level reference."""
-    if n == 0:
-        return (1.0,)
-    prev, cur = np.array([1.0]), np.array([-rec.beta[0], 1.0])
-    for j in range(1, n):
-        nxt = np.zeros(j + 2)
-        nxt[1:] = cur
-        nxt[: j + 1] -= rec.beta[j] * cur
-        nxt[:j] -= rec.gamma[j] * prev
-        prev, cur = cur, nxt
-    return tuple(cur.tolist())
-
-
 def test_poly_p_matches_numpy_walk_bit_for_bit(tmp_path):
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
     import golden
@@ -73,7 +65,7 @@ def test_poly_p_matches_numpy_walk_bit_for_bit(tmp_path):
             continue
         for n in range(rec.horizon + 2):
             with np.errstate(all="ignore"):
-                walk = _poly_p_numpy(rec, n)
+                walk = poly_p_walk(rec, n)
             if not all(map(math.isfinite, walk)):  # coefficients past the float range
                 with pytest.raises(ValueError, match="finite"):
                     op.poly_p(rec, n)
@@ -82,6 +74,58 @@ def test_poly_p_matches_numpy_walk_bit_for_bit(tmp_path):
             assert [c.hex() for c in got] == [c.hex() for c in op.Poly(walk).coeffs], (label, n)
             walked += 1
     assert walked > 500
+
+
+def _hex(poly):
+    return [c.hex() for c in poly.coeffs]
+
+
+def _real_roots_at_64(tmp_path):
+    """``configs/gen_k2_real_roots.json`` carried to horizon 64."""
+    config = json.loads((CONFIG_DIR / "gen_k2_real_roots.json").read_text())
+    path = tmp_path / "real_roots_64.json"
+    path.write_text(json.dumps(dict(config, horizon=64)))
+    return load_config(str(path))
+
+
+def test_poly_p_rows_are_kept_per_pair(tmp_path):
+    rec = _real_roots_at_64(tmp_path).rec
+    top = op.poly_p(rec, 63)
+    fresh = op.RecurrencePair(rec.betas, rec.gammas[1:])
+    # a lower read after a higher one is the fresh pair's own walk, bit for bit
+    assert _hex(op.poly_p(rec, 40)) == _hex(op.poly_p(fresh, 40))
+    assert _hex(op.poly_p(fresh, 63)) == _hex(top)
+    # pairs that differ in one beta agree below that row and walk apart above it
+    betas = list(rec.betas)
+    betas[20] += 1e-3
+    other = op.RecurrencePair(betas, rec.gammas[1:])
+    assert _hex(op.poly_p(other, 20)) == _hex(op.poly_p(rec, 20))
+    assert _hex(op.poly_p(other, 40)) != _hex(op.poly_p(rec, 40))
+    assert _hex(op.poly_p(other, 40)) == _hex(op.Poly(poly_p_walk(other, 40)))
+    assert rec._p_rows is not other._p_rows
+
+
+def test_poly_p_rows_die_with_their_pair():
+    rec = op.chebyshev_family(2, 30)
+    op.poly_p(rec, 31)
+    rows = rec._p_rows
+    # no module-level cache: only the pair holds its rows, and they go with it
+    assert [r for r in gc.get_referrers(rows) if r is not rec and r is not rec.__dict__] == []
+    assert not hasattr(op.poly_p, "cache_info")
+    ref = weakref.ref(rec)
+    del rec, rows
+    gc.collect()
+    assert ref() is None
+
+
+def test_q_poly_is_the_reference_walk_sum_at_k2(tmp_path):
+    cfg = _real_roots_at_64(tmp_path)
+    rec, comb = cfg.rec, cfg.comb
+    assert comb.k == 2
+    q = op.Poly(poly_p_walk(rec, 63))
+    for j, aj in enumerate(comb.a, start=1):
+        q = q + aj * op.Poly(poly_p_walk(rec, 63 - j))
+    assert _hex(op.q_poly(rec, comb, 63)) == _hex(q)
 
 
 # sha256 of ``beta.tobytes() + gamma.tobytes()``, first 16 hex digits, for

@@ -100,6 +100,15 @@ def edge_configs() -> dict:
             "combination": {"a": ["0.3", "0.2", "0.1"]},
             "horizon": 7,
         },
+        # the Newton cross-check of zeros refuses at this tolerance; the k = 1
+        # quad rule comes from the symmetric Jacobi matrix and never reads it
+        "k1_tight_zeros": {
+            "family": {"type": "chebyshev", "kind": 2},
+            "combination": {"a": ["0.5"]},
+            "horizon": 32,
+            "n": 6,
+            "tolerances": {"zeros": 1e-17},
+        },
         # Chebyshev T with gamma_10 raised by 1e-8: tilde passes only at the
         # loosened tolerances, and the config is the one place that sets them
         "loose_tolerances": {

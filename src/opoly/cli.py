@@ -11,6 +11,11 @@ given as decimal strings to avoid double-rounding in published configs.
 Tolerances are set only in the config, which the report echoes as ``config``.
 ``quad`` reads ``tolerances.zeros`` only for ``k >= 2``, where its nodes come
 from the ``zeros_q`` cross-check; its ``k = 1`` rule has no such check.
+``zeros`` and ``k >= 2`` ``quad`` also read ``tolerances.conditions``: where
+the verdict through index ``n - 1`` holds and the tilde gammas are positive,
+``zeros_q`` takes the eigenvalues of the symmetric tilde Jacobi matrix (kept
+when their Newton distance is at rounding level), and elsewhere those of
+``(J_P)_n - L_n``, so the verdict picks the route.
 ``--n`` overrides the config's ``n`` (``zeros`` and ``quad`` report it as
 ``result.n``), and each command then reads only the resolved :class:`JobConfig`.
 Reports are deterministic JSON (``schema: 1``).  ``gen`` on a ``k2`` family
@@ -305,6 +310,13 @@ def _conditions(cfg: JobConfig):
     return check_conditions(cfg.rec, cfg.comb, cfg.rec.horizon, tol=cfg.tolerances["conditions"])
 
 
+def _route_conditions(cfg: JobConfig, n: int):
+    """The verdict through index ``n - 1``, all that ``zeros_q`` reads to
+    pick its route for ``Q_n``."""
+    return check_conditions(cfg.rec, cfg.comb, max(n - 1, cfg.comb.k + 2),
+                            tol=cfg.tolerances["conditions"])
+
+
 def _condition_summary(rep) -> dict:
     worst_main = max((abs(r[1]) for r in rep.matching), default=0.0)
     worst_extra = max(
@@ -380,7 +392,8 @@ def _require_n(cfg: JobConfig, command: str, hi: int) -> int:
 
 def _cmd_zeros(cfg: JobConfig) -> tuple[int, dict]:
     n = _require_n(cfg, "zeros", cfg.rec.horizon + 1)
-    zq = zeros_q(cfg.rec, cfg.comb, n, cross_tol=cfg.tolerances["zeros"])
+    zq = zeros_q(cfg.rec, cfg.comb, n, cross_tol=cfg.tolerances["zeros"],
+                 report=_route_conditions(cfg, n))
     return 0, {
         "n": n,
         "zeros": [{"re": re, "im": im}
@@ -436,6 +449,7 @@ def _cmd_quad(cfg: JobConfig) -> tuple[int, dict]:
     shohat = shohat_check(
         cfg.rec, cfg.comb, n,
         tol=cfg.tolerances["quad"], cross_tol=cfg.tolerances["zeros"],
+        report=_route_conditions(cfg, n) if k >= 2 else None,  # the k = 1 rule never reads it
     )
     comb_rule = shohat.rule
     result = {

@@ -7,7 +7,14 @@ banded change of basis ``Q = M P`` intertwines the two operators
 (``M J_P = J_Q M``), and the ``m x m`` truncation of ``J_P`` minus the
 single-row perturbation ``L`` (last row carrying ``a_k .. a_1``, with ``a_1``
 in the last column) has characteristic polynomial ``Q_m`` -- so zeros of the
-combination polynomials are ordinary eigenvalues.
+combination polynomials are ordinary eigenvalues.  When the verdict holds,
+``Q`` obeys the tilde recurrence and ``Q_m`` is also the characteristic
+polynomial of the tilde truncation; with ``tilde gamma_1..tilde gamma_{m-1} > 0``
+a diagonal similarity makes that matrix symmetric (``sqrt(tilde gamma)`` off
+the diagonal), and ``eigvalsh`` finds its real eigenvalues with an error
+relative to the matrix's own norm (Golub & Welsch 1969).  :func:`zeros_q`
+keeps them when their Newton distance from the zeros of ``Q_m`` is at
+rounding level, and otherwise takes the eigenvalues of ``(J_P)_m - L_m``.
 
 On top of that sits the functional link ``u = h_k v``.  The ``Q_j`` are
 ``v``-orthogonal and ``u(Q_m) = 0`` for ``m > k`` (such a ``Q_m`` has no
@@ -164,31 +171,71 @@ def _newton_step(rec: RecurrencePair, comb: CombCoeffs, z: np.ndarray) -> np.nda
         return z - q[0] / q[1]
 
 
-def zeros_q(
-    rec: RecurrencePair, comb: CombCoeffs, m: int, cross_tol: float = 1e-8
-) -> ZerosReport:
-    """Zeros of ``Q_m`` as the eigenvalues of ``(J_P)_m - L_m``.
+def _tilde_jacobi(rec, comb, m, report) -> np.ndarray | None:
+    """The symmetric tilde truncation ``J~_m``, whose characteristic polynomial
+    is ``Q_m``, when ``report``'s verdict holds through index ``m - 1`` and
+    ``tilde gamma_1..tilde gamma_{m-1} > 0``; otherwise None."""
+    k = comb.k
+    if report is None or not report.verdict or not k < m <= report.n_max + 1:
+        return None
+    tilde = tilde_recurrence(rec, comb, max(m - 1, k + 1), report=report)
+    if not all(g > 0.0 for g in tilde.gammas[1:m]):
+        return None
+    return _symmetric_jacobi(tilde, m)
 
-    The eigenvalues are cross-checked against their Newton refinements
-    ``z - Q_m(z) / Q_m'(z)``, evaluated by the recurrence of ``P``; each step
-    is the first-order forward error of its ``z``.  A multiset distance above
-    ``cross_tol`` (infinite where ``Q_m'`` vanishes at a computed zero) raises
-    :class:`~opoly.errors.NumericError`.
+
+def _newton_distance(rec: RecurrencePair, comb: CombCoeffs, z: np.ndarray) -> float:
+    """Multiset distance of ``z`` from its Newton refinements, infinite where
+    a refinement is not finite."""
+    import numpy as np
+    refined = _newton_step(rec, comb, z)
+    return float(multiset_distance(z, refined)) if np.all(np.isfinite(refined)) else np.inf
+
+
+def zeros_q(
+    rec: RecurrencePair,
+    comb: CombCoeffs,
+    m: int,
+    cross_tol: float = 1e-8,
+    report: ConditionReport | None = None,
+) -> ZerosReport:
+    """Zeros of ``Q_m``, in ascending order as a complex array.
+
+    With a passing ``report`` that checked index ``m - 1`` and
+    ``tilde gamma_1..tilde gamma_{m-1} > 0``, they are the eigenvalues of the
+    symmetric tilde truncation ``J~_m`` (``eigvalsh``, real), kept when their
+    Newton distance is at most ``min(cross_tol, 64 eps max(1, max|z|))``.  A
+    verdict passed at a loose tolerance can leave ``J~_m`` slightly off
+    ``Q_m``; then, and on every other call, they are the eigenvalues of
+    ``(J_P)_m - L_m`` (``eigvals``), sorted by real part, then imaginary part.
+    The route needs a verdict at the caller's tolerance, so without a
+    ``report`` it is the ``eigvals`` one.
+
+    The Newton refinements ``z - Q_m(z) / Q_m'(z)`` are evaluated by the
+    recurrence of ``P``, so the check never reads the tilde data; each step is
+    the first-order forward error of its ``z``.  On the ``eigvals`` route a
+    multiset distance above ``cross_tol`` (infinite where ``Q_m'`` vanishes at
+    a computed zero) raises :class:`~opoly.errors.NumericError`.
     """
     import numpy as np
-    A = jacobi_truncation(rec, m) - perturbation_L(comb, m)
+    J = _tilde_jacobi(rec, comb, m, report)
     try:
+        if J is not None:
+            w = np.linalg.eigvalsh(J)  # ascending
+            dist = _newton_distance(rec, comb, w)
+            if dist <= min(cross_tol, 64 * np.finfo(float).eps * max(1.0, -w[0], w[-1])):
+                return ZerosReport(w.astype(complex), dist)
+        A = jacobi_truncation(rec, m) - perturbation_L(comb, m)
         eigs = np.linalg.eigvals(A).astype(complex)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericError(f"eigenvalue iteration failed: {exc}") from exc
     eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
-    refined = _newton_step(rec, comb, eigs)
-    dist = multiset_distance(eigs, refined) if np.all(np.isfinite(refined)) else np.inf
+    dist = _newton_distance(rec, comb, eigs)
     if dist > cross_tol:
         raise NumericError(
             f"eigenvalue/Newton cross-check mismatch: multiset distance {dist:.3e}"
         )
-    return ZerosReport(eigs, float(dist))
+    return ZerosReport(eigs, dist)
 
 
 def norm_diagonal(rec: RecurrencePair, m: int) -> np.ndarray:

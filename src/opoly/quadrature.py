@@ -18,7 +18,8 @@ rows ``0..n-1`` of the same table ``p_i(x_l)`` that measures the degree.
 Unlike the squared first eigenvector components of Golub & Welsch (1969),
 they keep their relative accuracy at nodes far out on the spectrum, where
 the weights fall far below the rounding of the largest one.  For ``k >= 2``
-the nodes come from :func:`~opoly.jacobi.zeros_q` and the weights of the
+the nodes come from :func:`~opoly.jacobi.zeros_q` (the symmetric tilde
+Jacobi truncation when a passing report is given) and the weights of the
 interpolatory rule solve ``V w = e_0`` with ``V[i, j] = p_i(x_j)``, ``i < n``.
 """
 
@@ -29,7 +30,7 @@ from typing import TYPE_CHECKING
 
 from .errors import HorizonError, InapplicableError, NumericError
 from .jacobi import _symmetric_jacobi, zeros_q
-from .lincomb import CombCoeffs
+from .lincomb import CombCoeffs, ConditionReport
 from .recurrence import RecurrencePair
 
 if TYPE_CHECKING:
@@ -175,6 +176,7 @@ def shohat_check(
     n: int,
     tol: float = 1e-9,
     cross_tol: float = 1e-8,
+    report: ConditionReport | None = None,
 ) -> ShohatReport:
     """Verify the k-degree loss law: nodes at the zeros of ``Q_n`` give a rule
     of degree of precision exactly ``2n - 1 - k``.
@@ -182,8 +184,9 @@ def shohat_check(
     For ``k = 1`` the rule is built as :func:`gauss_rule` builds its own, on
     the symmetric Jacobi truncation with ``beta_{n-1} - a_1`` in the last
     diagonal entry.  For ``k >= 2`` the nodes come from
-    :func:`~opoly.jacobi.zeros_q`, which alone reads ``cross_tol``, and the
-    weights from :func:`christoffel_numbers`.  Complex or coincident zeros
+    :func:`~opoly.jacobi.zeros_q`, which alone reads ``cross_tol`` and
+    ``report`` (a passing one puts them on its symmetric tilde route), and
+    the weights from :func:`christoffel_numbers`.  Complex or coincident zeros
     and non-positive gammas raise :class:`~opoly.errors.InapplicableError`.
     """
     import numpy as np
@@ -193,7 +196,7 @@ def shohat_check(
         J[-1, -1] -= comb.a[0]
         rule = _christoffel_rule(rec, _distinct(np.linalg.eigvalsh(J)), tol)
     else:
-        zeros = zeros_q(rec, comb, n, cross_tol=cross_tol).zeros
+        zeros = zeros_q(rec, comb, n, cross_tol=cross_tol, report=report).zeros
         if float(np.max(np.abs(zeros.imag))) > 1e-9 * max(1.0, float(np.max(np.abs(zeros)))):
             raise InapplicableError("Q_n has complex zeros; quadrature undefined")
         nodes = _distinct(zeros.real)  # zeros_q sorts by real part

@@ -128,6 +128,22 @@ def trig_square_in_x(a) -> np.ndarray:
     return out
 
 
+# Bundled configs whose verdict holds and whose tilde gammas are positive
+# through their horizon: zeros_q takes their symmetric tilde route at every n
+TILDE_ROUTE_CONFIGS = frozenset({
+    "cheb1_k2.json", "cheb2_k1.json", "cheb2_k2_case_ii.json", "cheb3_k1.json",
+    "gen_k1.json", "gen_k2_a1_zero.json", "gen_k2_real_roots.json"})
+
+
+def generated_k1(horizon: int = 64):
+    """A ``k1_family`` with gammas drawn from ``[0.2, 0.32]``, and its ``a_1``."""
+    rng = np.random.default_rng(SEED + 1)
+    a1 = float(rng.choice([-1, 1]) * rng.uniform(0.3, 0.7))
+    beta0, beta1, beta2 = rng.uniform(-0.1, 0.1, 3)
+    gammas = rng.uniform(0.2, 0.32, horizon)
+    return op.k1_family(gammas, beta0, beta1, beta2, a1, horizon), op.CombCoeffs((a1,))
+
+
 def k2_case_fixture(case: str, horizon: int = 50):
     """Reference parameter sets used across tests, one per classification case.
 

@@ -13,6 +13,8 @@ import opoly as op
 from opoly import cli, jacobi, lincomb, quadrature
 from opoly.cli import main
 
+from conftest import TILDE_ROUTE_CONFIGS
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -571,6 +573,48 @@ def test_hk_verdict_is_covariant_under_scaling(tmp_path, capsys, path, s):
         assert relation["max_residual"] <= 1e-13
 
 
+SCALES = [2.0, -1.0, 0.125, 16.0, 1 / 1024]
+BUNDLED = sorted(CONFIG_DIR.glob("*.json"))
+# Known defects of the eigvals route on the unbalanced (J_P)_n - L_n: the
+# configs whose exit code at --n 20 changes under x -> s x (each to exit 3,
+# the Newton cross-check's refusal)
+SCALE_MISMATCHES = {
+    ("zeros", 16.0): {p.name for p in BUNDLED} - TILDE_ROUTE_CONFIGS,
+    ("quad", 16.0): {"broken_gamma_perturbed.json", "cheb1_k2_case_iii.json",
+                     "gen_k2_equal_roots.json"},
+}
+
+
+@pytest.mark.parametrize("s", SCALES)
+@pytest.mark.parametrize("command", ["zeros", "quad"])
+def test_zeros_and_quad_exit_codes_under_scaling(tmp_path, capsys, command, s):
+    mismatched = set()
+    for path in BUNDLED:
+        code, _, _ = run(capsys, command, "--config", str(path), "--n", "20")
+        cfg = write_config(tmp_path, scaled_payload(path, s))
+        if run(capsys, command, "--config", cfg, "--n", "20")[0] != code:
+            mismatched.add(path.name)
+    assert mismatched == SCALE_MISMATCHES.get((command, s), set())
+
+
+def _zeros(capsys, cfg, n):
+    code, out, err = run(capsys, "zeros", "--config", cfg, "--n", str(n))
+    assert code == 0, err
+    zeros = json.loads(out)["result"]["zeros"]
+    assert all(z["im"] == 0.0 for z in zeros)
+    return np.array([z["re"] for z in zeros])
+
+
+@pytest.mark.parametrize("s", SCALES)
+@pytest.mark.parametrize("name", sorted(TILDE_ROUTE_CONFIGS))
+def test_tilde_route_zeros_are_covariant_under_scaling(tmp_path, capsys, name, s):
+    scaled = write_config(tmp_path, scaled_payload(CONFIG_DIR / name, s))
+    for n in (3, 10, 20):
+        z = _zeros(capsys, str(CONFIG_DIR / name), n)
+        back = np.sort(_zeros(capsys, scaled, n) / s)
+        assert np.all(np.abs(back - z) <= 1e-14 * np.maximum(1.0, np.abs(z))), n
+
+
 def test_quad_command(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(BASE, horizon=24))
     code, out, _ = run(capsys, "quad", "--config", cfg, "--n", "6")
@@ -589,7 +633,8 @@ def test_reports_read_the_library_artifacts(tmp_path, capsys):
     code, out, _ = run(capsys, "quad", "--config", cfg, "--n", str(n))
     assert code == 0
     block = json.loads(out)["result"]["combination"]
-    shohat = op.shohat_check(rec, comb, n, tol=1e-9, cross_tol=1e-8)
+    report = op.check_conditions(rec, comb, max(n - 1, comb.k + 2))  # as the CLI picks the route
+    shohat = op.shohat_check(rec, comb, n, tol=1e-9, cross_tol=1e-8, report=report)
     assert block["nodes"] == list(shohat.rule.nodes)
     assert block["weights"] == list(shohat.rule.weights)
     assert block["degree_of_precision"] == shohat.rule.degree_of_precision
@@ -597,7 +642,7 @@ def test_reports_read_the_library_artifacts(tmp_path, capsys):
     code, out, _ = run(capsys, "zeros", "--config", cfg, "--n", str(n))
     assert code == 0
     result = json.loads(out)["result"]
-    zq = op.zeros_q(rec, comb, n, cross_tol=1e-8)
+    zq = op.zeros_q(rec, comb, n, cross_tol=1e-8, report=report)
     assert result["zeros"] == [{"re": z.real, "im": z.imag} for z in zq.zeros]
     assert result["cross_check_distance"] == zq.cross_check_distance
     assert result["coefficients"] == list(op.q_poly(rec, comb, n).coeffs)

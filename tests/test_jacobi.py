@@ -1,4 +1,6 @@
+import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +9,19 @@ import pytest
 import opoly as op
 from opoly.cli import load_config
 
-from conftest import chebyshev_corpus, inner, intertwining_residual, trig_square_in_x
+from conftest import (
+    TILDE_ROUTE_CONFIGS,
+    chebyshev_corpus,
+    generated_k1,
+    inner,
+    intertwining_residual,
+    k2_case_fixture,
+    trig_square_in_x,
+)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+import golden  # noqa: E402
 
 
 def char_poly_low_to_high(A: np.ndarray) -> np.ndarray:
@@ -117,6 +131,7 @@ class TestZeros:
         assert op.zeros_q(cheb_t, comb, 20).cross_check_distance < 1e-13
         eigvals = np.linalg.eigvals
 
+
         def moved(A):
             out = eigvals(A).astype(complex)
             out[3] += 1e-6
@@ -134,6 +149,145 @@ class TestZeros:
         M = op.change_basis_matrix(comb, report, m)
         similar = M @ A @ np.linalg.inv(M)
         assert np.trace(A) == pytest.approx(np.trace(similar), abs=1e-10)
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+EPS = np.finfo(float).eps
+
+
+def _bundled(name):
+    cfg = load_config(str(CONFIG_DIR / name))
+    return cfg.rec, cfg.comb
+
+
+def _negative_tail():
+    """``tools/golden.py``'s ``negative_tail``: a ``k1`` family whose tilde
+    gammas turn negative at index 23."""
+    family = golden.edge_configs()["negative_tail"]["family"]
+    a1 = float(family["a1"])
+    betas = (float(family[f"beta{i}"]) for i in range(3))
+    rec = op.k1_family([float(g) for g in family["gammas"]], *betas, a1, 24)
+    return rec, op.CombCoeffs((a1,))
+
+
+def _route_report(rec, comb, m):
+    """The verdict through index ``m - 1``, as the CLI checks it for ``Q_m``."""
+    return op.check_conditions(rec, comb, max(m - 1, comb.k + 2))
+
+
+def _eigvals_route(rec, comb, m):
+    """Eigenvalues of ``(J_P)_m - L_m``, sorted by real part, then imaginary part."""
+    z = np.linalg.eigvals(op.jacobi_truncation(rec, m) - op.perturbation_L(comb, m)).astype(complex)
+    return z[np.lexsort((z.imag, z.real))]
+
+
+def _assert_eigvals_route(rec, comb, report, m):
+    """``zeros_q`` returns the ``eigvals`` route's zeros, bit for bit, with
+    ``report`` as without one."""
+    got, want = op.zeros_q(rec, comb, m, report=report), op.zeros_q(rec, comb, m)
+    assert want.zeros.tobytes() == _eigvals_route(rec, comb, m).tobytes()
+    assert got.zeros.tobytes() == want.zeros.tobytes()
+    assert got.cross_check_distance == want.cross_check_distance
+
+
+def _tilde_eigenvalues(rec, comb, report, m):
+    """Eigenvalues of the symmetric tilde truncation, built here from the tilde
+    recurrence, or None where the verdict fails or a tilde gamma below ``m``
+    is not positive."""
+    if not report.verdict:
+        return None
+    tilde = op.tilde_recurrence(rec, comb, max(m - 1, comb.k + 1), report=report)
+    if min(tilde.gamma[1:m]) <= 0.0:
+        return None
+    off = np.sqrt(tilde.gamma[1:m])
+    return np.linalg.eigvalsh(np.diag(tilde.beta[:m]) + np.diag(off, 1) + np.diag(off, -1))
+
+
+def _route_cases():
+    """Every bundled config at every ``m``, then a generated ``k1`` and
+    ``k2_real_roots`` family at horizon 64, ``m = 3..63``."""
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        rec, comb = _bundled(path.name)
+        yield path.name, rec, comb, range(comb.k + 1, rec.horizon + 2)
+    yield "generated_k1", *generated_k1(64), range(3, 64)
+    yield ("generated_k2_real_roots", k2_case_fixture("real_roots", 64)[3],
+           op.CombCoeffs((1.0, 0.2)), range(3, 64))
+
+
+class TestTildeRoute:
+    """With a report whose verdict through ``m - 1`` holds and positive tilde
+    gammas, ``zeros_q`` takes the eigenvalues of the symmetric tilde
+    truncation; every other call runs the ``eigvals`` route unchanged."""
+
+    def test_route_agrees_with_eigvals(self):
+        on_route = set()
+        for label, rec, comb, ms in _route_cases():
+            for m in ms:
+                report = _route_report(rec, comb, m)
+                expect = _tilde_eigenvalues(rec, comb, report, m)
+                if expect is None:
+                    continue
+                on_route.add(label)
+                zq = op.zeros_q(rec, comb, m, report=report)
+                assert np.array_equal(zq.zeros, expect.astype(complex)), (label, m)
+                z = op.zeros_q(rec, comb, m).zeros
+                assert np.all(np.abs(zq.zeros - z) <= 1e-12 * np.maximum(1.0, np.abs(z)))
+                scale = max(1.0, float(np.max(np.abs(expect))))
+                assert zq.cross_check_distance <= 64 * EPS * scale, (label, m)
+        # broken_beta_perturbed is on the route for m <= 5, below its first
+        # failing condition at n = 5
+        assert on_route == TILDE_ROUTE_CONFIGS | {
+            "broken_beta_perturbed.json", "generated_k1", "generated_k2_real_roots"}
+
+    @pytest.mark.parametrize("name", [
+        "broken_beta_perturbed.json", "broken_gamma_perturbed.json",
+        "broken_varying_gamma.json", "cheb1_k2_case_iii.json", "cheb4_k2_case_iv.json",
+        "gen_k2_complex_roots.json", "gen_k2_equal_roots.json"])
+    def test_off_route_is_the_eigvals_route(self, name):
+        # a failed verdict, or a tilde gamma <= 0 below m = 20 (indefinite v)
+        rec, comb = _bundled(name)
+        report = _route_report(rec, comb, 20)
+        assert _tilde_eigenvalues(rec, comb, report, 20) is None
+        _assert_eigvals_route(rec, comb, report, 20)
+
+    def test_negative_tail_leaves_the_route_at_its_first_negative_tilde_gamma(self):
+        rec, comb = _negative_tail()
+        report = op.check_conditions(rec, comb, 24)
+        assert report.verdict
+        on = op.zeros_q(rec, comb, 22, report=report)
+        assert np.array_equal(on.zeros, _tilde_eigenvalues(rec, comb, report, 22))
+        assert _tilde_eigenvalues(rec, comb, report, 24) is None
+        _assert_eigvals_route(rec, comb, report, 24)
+
+    def test_loose_verdict_falls_back_to_eigvals(self, tmp_path):
+        # gamma_10 raised by 1e-8 passes the verdict at tolerance 1e-5, but
+        # the tilde eigenvalues then sit far from the zeros of Q_20
+        path = tmp_path / "loose.json"
+        path.write_text(json.dumps(golden.edge_configs()["loose_tolerances"]))
+        cfg = load_config(str(path))
+        rec, comb, m = cfg.rec, cfg.comb, 20
+        report = op.check_conditions(rec, comb, m - 1, tol=cfg.tolerances["conditions"])
+        tilde = _tilde_eigenvalues(rec, comb, report, m)
+        assert tilde is not None
+        assert np.max(np.abs(tilde - _eigvals_route(rec, comb, m).real)) > 1e-10
+        zq = op.zeros_q(rec, comb, m, report=report)
+        assert zq.zeros.tobytes() == _eigvals_route(rec, comb, m).tobytes()
+        assert zq.cross_check_distance <= 64 * EPS
+
+    def test_a_moved_tilde_eigenvalue_falls_back_to_eigvals(self, cheb_t, monkeypatch):
+        comb = op.CombCoeffs((0.0, -0.125))
+        report = _route_report(cheb_t, comb, 20)
+        assert op.zeros_q(cheb_t, comb, 20, report=report).cross_check_distance < 1e-13
+        eigvalsh = np.linalg.eigvalsh
+
+        def moved(A):
+            out = eigvalsh(A)
+            out[3] += 1e-6
+            return out
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", moved)
+        got = op.zeros_q(cheb_t, comb, 20, report=report)
+        assert got.zeros.tobytes() == _eigvals_route(cheb_t, comb, 20).tobytes()
 
 
 def test_norm_diagonal(cheb_t):
@@ -357,8 +511,7 @@ def test_hk_relation_holds_across_corpus(label, rec, comb):
 
 
 ORTHOGONAL_CONFIGS = sorted(
-    p for p in (Path(__file__).resolve().parent.parent / "configs").glob("*.json")
-    if not p.name.startswith("broken")
+    p for p in CONFIG_DIR.glob("*.json") if not p.name.startswith("broken")
 )
 
 

@@ -8,7 +8,7 @@ import pytest
 import opoly as op
 from opoly.cli import load_config
 
-from conftest import SEED, chebyshev_corpus
+from conftest import chebyshev_corpus, generated_k1
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -261,15 +261,6 @@ def test_gauss_weights_keep_their_relative_accuracy_far_out():
     assert np.all(np.abs(rule.weights - exact) <= 1e-12 * exact)
 
 
-def _generated_k1(horizon: int = 64):
-    """A ``k1_family`` with gammas drawn from ``[0.2, 0.32]``, and its ``a_1``."""
-    rng = np.random.default_rng(SEED + 1)
-    a1 = float(rng.choice([-1, 1]) * rng.uniform(0.3, 0.7))
-    beta0, beta1, beta2 = rng.uniform(-0.1, 0.1, 3)
-    gammas = rng.uniform(0.2, 0.32, horizon)
-    return op.k1_family(gammas, beta0, beta1, beta2, a1, horizon), op.CombCoeffs((a1,))
-
-
 @pytest.mark.parametrize("case", ["cheb_u", "generated_k1"])
 def test_k1_rule_sits_on_the_zeros_of_q_and_meets_its_law(case):
     # for k = 1 the nodes are the eigenvalues of the symmetric Jacobi matrix
@@ -277,7 +268,7 @@ def test_k1_rule_sits_on_the_zeros_of_q_and_meets_its_law(case):
     if case == "cheb_u":
         rec, comb, ns = op.chebyshev_family(2, 64), op.CombCoeffs((0.5,)), range(2, 64)
     else:
-        (rec, comb), ns = _generated_k1(), range(38, 64)
+        (rec, comb), ns = generated_k1(), range(38, 64)
     for n in ns:
         shohat = op.shohat_check(rec, comb, n)
         zeros = op.zeros_q(rec, comb, n).zeros

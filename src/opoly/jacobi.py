@@ -63,12 +63,11 @@ def jacobi_truncation(rec: RecurrencePair, m: int) -> np.ndarray:
     """``m x m`` truncation of the multiplication operator in the P-basis
     (unit superdiagonal, betas on the diagonal, gammas below); its
     characteristic polynomial is ``P_m``."""
-    import numpy as np
     if m < 1:
         raise ValueError("m must be positive")
     if m > rec.horizon + 1:
         raise HorizonError(f"m = {m} exceeds horizon + 1 = {rec.horizon + 1}")
-    return np.diag(rec.beta[:m]) + np.diag(np.ones(m - 1), 1) + np.diag(rec.gamma[1:m], -1)
+    return _tridiagonal(rec.beta[:m], 1.0, rec.gamma[1:m])
 
 
 def _symmetric_jacobi(rec: RecurrencePair, m: int) -> np.ndarray:
@@ -76,7 +75,22 @@ def _symmetric_jacobi(rec: RecurrencePair, m: int) -> np.ndarray:
     ``sqrt(gamma)`` on both off-diagonals (``gamma_1..gamma_{m-1} > 0``)."""
     import numpy as np
     off = np.sqrt(rec.gamma[1:m])
-    return np.diag(rec.beta[:m]) + np.diag(off, 1) + np.diag(off, -1)
+    return _tridiagonal(rec.beta[:m], off, off)
+
+
+def _tridiagonal(diag: np.ndarray, upper, lower) -> np.ndarray:
+    """The square matrix with ``diag``, ``upper`` and ``lower`` on its three
+    bands, written into one zeroed matrix through flat strides.  Its bits are
+    those of the sum of the three ``np.diag`` matrices: that sum turns a
+    ``-0.0`` on the diagonal into ``0.0``, and so does ``+ 0.0`` here."""
+    import numpy as np
+    m = diag.size
+    J = np.zeros((m, m))
+    flat = J.reshape(-1)
+    np.add(diag, 0.0, out=flat[:: m + 1])
+    flat[1 :: m + 1] = upper
+    flat[m :: m + 1] = lower
+    return J
 
 
 def change_basis_matrix(comb: CombCoeffs, report: ConditionReport, m: int) -> np.ndarray:

@@ -20,7 +20,12 @@ they keep their relative accuracy at nodes far out on the spectrum, where
 the weights fall far below the rounding of the largest one.  For ``k >= 2``
 the nodes come from :func:`~opoly.jacobi.zeros_q` (the symmetric tilde
 Jacobi truncation when a passing report is given) and the weights of the
-interpolatory rule solve ``V w = e_0`` with ``V[i, j] = p_i(x_j)``, ``i < n``.
+interpolatory rule solve ``V w = e_0`` with ``V[i, j] = p_i(x_j)``, ``i < n``:
+the first ``n`` rows of the table that then measures the degree.  Each
+:class:`~opoly.recurrence.RecurrencePair` keeps the last table walked on it,
+keyed by the nodes' bytes, so :func:`christoffel_numbers` and
+:func:`degree_of_precision` walk those nodes once between them; the table
+dies with its pair, and no module-level cache holds one.
 """
 
 from __future__ import annotations
@@ -72,18 +77,35 @@ def _require_positive(rec: RecurrencePair, top: int) -> None:
 
 
 def _orthonormal(rec: RecurrencePair, x: np.ndarray, size: int) -> np.ndarray:
-    """``V[i, j] = p_i(x_j)`` for the orthonormal ``p_0..p_{size-1}``."""
+    """``V[i, j] = p_i(x_j)`` for the orthonormal ``p_0..p_{size-1}``, read-only.
+
+    ``rec`` keeps the last table walked, keyed by the bytes of ``x``: a
+    shorter one is its prefix, a longer one continues from its last two rows.
+    Each row takes the same elementwise steps either way, so it has the same
+    bits as a fresh walk."""
     import numpy as np
     _require_positive(rec, size - 1)
-    root = np.sqrt(rec.gamma[1:size])
-    shifted = (x - rec.beta[: size - 1, None]) / root[:, None]
-    ratio = root[:-1] / root[1:]
+    key = x.tobytes()
+    kept = rec._p_table.get(key)
+    if kept is not None and kept.shape[0] >= size:
+        return kept[:size]
     V = np.empty((size, x.size))
-    V[0] = 1.0
-    V[1:2] = shifted[:1]
-    for i in range(1, size - 1):
-        np.multiply(shifted[i], V[i], out=V[i + 1])
-        V[i + 1] -= ratio[i - 1] * V[i - 1]
+    if kept is None:
+        V[0] = 1.0
+        lo = 0
+    else:
+        lo = kept.shape[0] - 1
+        V[: lo + 1] = kept
+    root = np.sqrt(rec.gamma[lo:size])  # gamma_0 is NaN, and row 1 never reads it
+    shifted = (x - rec.beta[lo : size - 1, None]) / root[1:, None]
+    ratio = root[:-1] / root[1:]
+    for i in range(lo, size - 1):
+        np.multiply(shifted[i - lo], V[i], out=V[i + 1])
+        if i:
+            V[i + 1] -= ratio[i - lo] * V[i - 1]
+    V.setflags(write=False)
+    rec._p_table.clear()
+    rec._p_table[key] = V
     return V
 
 
@@ -111,10 +133,13 @@ def _table_degree(V: np.ndarray, weights: np.ndarray, tol: float) -> int:
     even ``d = 0`` fails."""
     import numpy as np
     size = V.shape[0]
-    err = np.abs((V * weights) @ V.T - np.eye(size))
-    deg = np.add.outer(np.arange(size), np.arange(size))
-    failed = deg[~(err <= tol)]
-    return int(failed.min()) - 1 if failed.size else 2 * (size - 1)
+    err = (V * weights) @ V.T
+    err.reshape(-1)[:: size + 1] -= 1.0  # minus the identity: x - 0.0 keeps x's bits
+    failed = np.flatnonzero(~(np.abs(err) <= tol))
+    if not failed.size:
+        return 2 * (size - 1)
+    row, col = np.divmod(failed, size)
+    return int((row + col).min()) - 1
 
 
 def degree_of_precision(rec: RecurrencePair, rule: QuadratureRule, tol: float = 1e-9) -> int:

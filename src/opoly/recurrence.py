@@ -99,7 +99,9 @@ class RecurrencePair:
     All ``gamma_n`` must stay away from zero (``|gamma_n| > GAMMA_FLOOR``)
     and every entry must be finite.  Instances are immutable; ``beta`` and
     ``gamma`` are the same data as read-only float64 arrays, built on first
-    access, and :func:`poly_p` keeps the rows it has walked on the instance.
+    access.  :func:`poly_p` keeps the rows it has walked on the instance, and
+    :mod:`~opoly.quadrature` keeps there the last orthonormal table
+    ``p_i(x_l)`` it walked, keyed by the nodes' bytes; both die with the pair.
     """
 
     def __init__(self, beta, gamma):
@@ -122,6 +124,7 @@ class RecurrencePair:
         object.__setattr__(self, "betas", b)
         object.__setattr__(self, "gammas", (math.nan,) + g_in)
         object.__setattr__(self, "_p_rows", [[1.0], [-b[0], 1.0]])
+        object.__setattr__(self, "_p_table", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("RecurrencePair is immutable")

@@ -56,6 +56,19 @@ def poly_p_walk(rec, n: int) -> tuple[float, ...]:
     return tuple(cur.tolist())
 
 
+def jacobi_truncation_diag_sums(rec, m: int) -> np.ndarray:
+    """The ``m x m`` P-basis Jacobi truncation as a sum of three ``np.diag``
+    matrices: the bit-level reference for :func:`opoly.jacobi_truncation`."""
+    return np.diag(rec.beta[:m]) + np.diag(np.ones(m - 1), 1) + np.diag(rec.gamma[1:m], -1)
+
+
+def symmetric_jacobi_diag_sums(rec, m: int) -> np.ndarray:
+    """The ``m x m`` symmetric Jacobi truncation as a sum of three ``np.diag``
+    matrices: the bit-level reference for ``opoly.jacobi._symmetric_jacobi``."""
+    off = np.sqrt(rec.gamma[1:m])
+    return np.diag(rec.beta[:m]) + np.diag(off, 1) + np.diag(off, -1)
+
+
 def intertwining_residual(rec, comb, report, m: int) -> float:
     """Max-norm of ``M J_P - J_Q M`` over the interior rows ``0..m-k-2``, built
     from the change of basis, both Jacobi truncations and the tilde recurrence

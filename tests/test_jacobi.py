@@ -15,7 +15,9 @@ from conftest import (
     generated_k1,
     inner,
     intertwining_residual,
+    jacobi_truncation_diag_sums,
     k2_case_fixture,
+    symmetric_jacobi_diag_sums,
     trig_square_in_x,
 )
 
@@ -54,6 +56,22 @@ class TestJacobiTruncation:
     def test_horizon_guard(self, cheb_u):
         with pytest.raises(op.HorizonError):
             op.jacobi_truncation(cheb_u, cheb_u.horizon + 2)
+
+    @pytest.mark.parametrize("family", ["chebyshev", "k2", "signed_zero_betas"])
+    def test_builders_equal_diag_sums_bit_for_bit(self, family):
+        if family == "chebyshev":
+            rec = op.chebyshev_family(1, 64)
+        elif family == "k2":
+            rec = k2_case_fixture("real_roots", 64)[3]
+        else:  # a diagonal sum turns -0.0 into 0.0, and so must the builders
+            rec = op.RecurrencePair([-0.0, 0.1] * 32 + [-0.0], [0.25] * 64)
+        for m in range(1, 66):
+            for got, ref in ((op.jacobi_truncation(rec, m), jacobi_truncation_diag_sums(rec, m)),
+                             (op.jacobi._symmetric_jacobi(rec, m),
+                              symmetric_jacobi_diag_sums(rec, m))):
+                assert got.dtype == np.float64 and got.shape == (m, m), m
+                assert got.flags.c_contiguous and got.flags.writeable, m
+                assert got.tobytes() == ref.tobytes(), m
 
 
 class TestChangeBasis:

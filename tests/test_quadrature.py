@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,9 +8,10 @@ import numpy as np
 import pytest
 
 import opoly as op
+from opoly import quadrature
 from opoly.cli import load_config
 
-from conftest import chebyshev_corpus, generated_k1
+from conftest import chebyshev_corpus, generated_k1, k2_case_fixture
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -195,6 +198,110 @@ def test_non_positive_gamma_is_inapplicable():
         op.shohat_check(rec, comb, n)
 
 
+def _table_degree_reference(V, weights, tol: float) -> int:
+    """The degree read off the table by the full ``np.eye`` residual and the
+    ``np.add.outer`` degree grid: the reference for ``_table_degree``."""
+    size = V.shape[0]
+    err = np.abs((V * weights) @ V.T - np.eye(size))
+    deg = np.add.outer(np.arange(size), np.arange(size))
+    failed = deg[~(err <= tol)]
+    return int(failed.min()) - 1 if failed.size else 2 * (size - 1)
+
+
+def _reference_degree(rec, rule, tol: float = 1e-9) -> int:
+    """:func:`_table_degree_reference` on the table ``degree_of_precision`` reads."""
+    V = quadrature._orthonormal(rec, rule.nodes, min(rule.n + 1, rec.horizon) + 1)
+    return _table_degree_reference(V, rule.weights, tol)
+
+
+def test_table_degree_matches_the_reference_at_its_ends():
+    rec = op.chebyshev_family(2, 30)
+    rule = op.gauss_rule(rec, 8)
+    V = quadrature._orthonormal(rec, rule.nodes, 10)
+    for table, weights in ((V, rule.weights), (V[:8], rule.weights),
+                           (V, np.full(8, np.nan)), (V, rule.weights + 1e-3)):
+        expected = _table_degree_reference(table, weights, 1e-9)
+        assert quadrature._table_degree(table, weights, 1e-9) == expected
+    assert quadrature._table_degree(V[:8], rule.weights, 1e-9) == 14  # nothing fails
+    assert quadrature._table_degree(V, np.full(8, np.nan), 1e-9) == -1
+
+
+def _hex(values):
+    return [v.hex() for v in np.ravel(values).tolist()]
+
+
+def _k2_pair():
+    a1, a2, _, rec = k2_case_fixture("real_roots", 64)
+    return rec, op.CombCoeffs((a1, a2))
+
+
+def _fresh(rec):
+    return op.RecurrencePair(rec.betas, rec.gammas[1:])
+
+
+@pytest.mark.parametrize("n", [5, 40, 63])
+def test_k2_rule_walks_its_nodes_once(n):
+    rec, comb = _k2_pair()
+    nodes = np.sort(op.zeros_q(rec, comb, n).zeros.real)
+    weights = op.christoffel_numbers(rec, nodes)
+    rule = op.QuadratureRule(nodes, weights, -1)
+    degree = op.degree_of_precision(rec, rule)
+    # V w = e_0 read rows 0..n-1 of the table the degree then extended
+    [(key, table)] = rec._p_table.items()
+    rows = min(n + 1, rec.horizon) + 1
+    assert key == rule.nodes.tobytes()
+    assert table.shape == (rows, n) and not table.flags.writeable
+    assert _hex(weights) == _hex(op.christoffel_numbers(_fresh(rec), nodes))
+    assert degree == op.degree_of_precision(_fresh(rec), rule)
+    assert degree == _reference_degree(rec, rule)
+    assert _hex(table) == _hex(quadrature._orthonormal(_fresh(rec), nodes, rows))
+    # shohat_check on a new pair keeps the same one table
+    other = _fresh(rec)
+    shohat = op.shohat_check(other, comb, n)
+    assert _hex(shohat.rule.weights) == _hex(weights)
+    assert shohat.rule.degree_of_precision == degree
+    [(key, kept)] = other._p_table.items()
+    assert key == nodes.tobytes() and _hex(kept) == _hex(table)
+
+
+@pytest.mark.parametrize("sizes", [(42, 10, 30, 65, 1), (1, 2, 7, 41, 42, 65)],
+                         ids=["shorter_after_longer", "longer_after_shorter"])
+def test_kept_table_reads_equal_fresh_walks(sizes):
+    rec, comb = _k2_pair()
+    nodes = np.sort(op.zeros_q(rec, comb, 40).zeros.real)
+    for size in sizes:
+        got = quadrature._orthonormal(rec, nodes, size)
+        assert _hex(got) == _hex(quadrature._orthonormal(_fresh(rec), nodes, size)), size
+        assert len(rec._p_table) == 1
+        assert next(iter(rec._p_table.values())).shape[0] >= size
+
+
+def test_nodes_one_bit_apart_miss_the_kept_table():
+    rec, comb = _k2_pair()
+    nodes = np.sort(op.zeros_q(rec, comb, 20).zeros.real)
+    kept = quadrature._orthonormal(rec, nodes, 22)
+    moved = nodes.copy()
+    moved[7] = np.nextafter(moved[7], np.inf)
+    got = quadrature._orthonormal(rec, moved, 10)
+    assert list(rec._p_table) == [moved.tobytes()]
+    assert not np.shares_memory(got, kept)
+    assert _hex(got) == _hex(quadrature._orthonormal(_fresh(rec), moved, 10))
+    assert _hex(got[:, 7]) != _hex(kept[:10, 7])
+
+
+def test_kept_table_dies_with_its_pair():
+    rec = op.chebyshev_family(2, 30)
+    op.gauss_rule(rec, 12)
+    [table] = rec._p_table.values()
+    # no module-level cache: only the pair holds its table, and it goes with it
+    assert [r for r in gc.get_referrers(rec._p_table) if r is not rec.__dict__] == []
+    assert [r for r in gc.get_referrers(table) if r is not rec._p_table] == []
+    refs = weakref.ref(rec), weakref.ref(table)
+    del rec, table
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
 # The Chebyshev combination shapes of the bundled configs.
 SWEEP_SHAPES = ((0.0, -0.125), (1.0, 0.2), (0.5,), (0.5, 0.0625), (0.4,), (1.0, 1.0))
 # Known defects of the combination rule at horizon 64, as (kind, a, n): for
@@ -220,16 +327,19 @@ def test_horizon_sweep_to_the_cap():
     for kind in (1, 2, 3, 4):
         rec = op.chebyshev_family(kind, 64)
         for n in range(2, 64):
-            assert op.gauss_rule(rec, n).degree_of_precision == 2 * n - 1, (kind, n)
+            rule = op.gauss_rule(rec, n)
+            assert rule.degree_of_precision == 2 * n - 1, (kind, n)
+            assert _reference_degree(rec, rule) == 2 * n - 1, (kind, n)
         for a in SWEEP_SHAPES:
             comb = op.CombCoeffs(a)
             for n in range(comb.k + 1, 64):
                 try:
-                    ok = op.shohat_check(rec, comb, n).ok  # runs zeros_q first
+                    shohat = op.shohat_check(rec, comb, n)  # runs zeros_q first
                 except op.InapplicableError:
                     op.zeros_q(rec, comb, n)
                     continue
-                if not ok:
+                assert _reference_degree(rec, shohat.rule) == shohat.rule.degree_of_precision
+                if not shohat.ok:
                     defects.add((kind, a, n))
     assert defects <= KNOWN_QUAD_DEFECTS, sorted(defects - KNOWN_QUAD_DEFECTS)
 

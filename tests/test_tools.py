@@ -6,6 +6,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 import golden  # noqa: E402
+import layer_curve  # noqa: E402
 import oracle_curve  # noqa: E402
 import outcomes  # noqa: E402
 import report_diff  # noqa: E402
@@ -94,6 +95,16 @@ def test_oracle_curve_smoke(capsys):
     assert [(name, int(d)) for name, d, *_ in rows] == [
         (name, d) for name in oracle_curve.CONFIGS for d in (2, 3, 4)]
     assert all(float(v) >= 0.0 for row in rows for v in row[2:])
+
+
+def test_layer_curve_smoke(capsys):
+    assert layer_curve.main(["--horizons", "8", "12", "--repeat", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["config", "horizon", "n", *(f"{s}_ms" for s in layer_curve.STAGES)]
+    rows = [line.split() for line in lines[1:]]
+    assert [(name, int(h), int(n)) for name, h, n, *_ in rows] == [
+        (name, h, h - 1) for name in layer_curve.CONFIGS for h in (8, 12)]
+    assert all(float(v) >= 0.0 for row in rows for v in row[3:])
 
 
 # Every bench job that is not ``ok`` on seed 1: (workload, command, outcome)

@@ -22,11 +22,9 @@ from .jacobi import (
     RelationReport,
     ZerosReport,
     change_basis_matrix,
-    jacobi_truncation,
     multiset_distance,
     norm_diagonal,
     orthonormal_identity_check,
-    perturbation_L,
     solve_hk,
     verify_functional_relation,
     zeros_q,
@@ -94,7 +92,6 @@ __all__ = [
     "christoffel_numbers",
     "degree_of_precision",
     "gauss_rule",
-    "jacobi_truncation",
     "k1_family",
     "k2_difference_residual",
     "k2_family",
@@ -103,7 +100,6 @@ __all__ = [
     "norm_diagonal",
     "oracle_gram_check",
     "orthonormal_identity_check",
-    "perturbation_L",
     "poly_p",
     "q_poly",
     "shohat_check",

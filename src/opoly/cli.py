@@ -432,7 +432,7 @@ def _cmd_hk(cfg: JobConfig) -> tuple[int, dict]:
         ortho = None
     result = {
         "truncation": m,
-        "coefficients": list(hk.coeffs),
+        "coefficients": list(hk.poly.coeffs),
         "scale": hk.scale,
         "relation": relation,
         "positivity": positivity,

@@ -54,21 +54,6 @@ class HkSolution:
     poly: Poly
     scale: float
 
-    @property
-    def coeffs(self) -> tuple[float, ...]:
-        return self.poly.coeffs
-
-
-def jacobi_truncation(rec: RecurrencePair, m: int) -> np.ndarray:
-    """``m x m`` truncation of the multiplication operator in the P-basis
-    (unit superdiagonal, betas on the diagonal, gammas below); its
-    characteristic polynomial is ``P_m``."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    if m > rec.horizon + 1:
-        raise HorizonError(f"m = {m} exceeds horizon + 1 = {rec.horizon + 1}")
-    return _tridiagonal(rec.beta[:m], 1.0, rec.gamma[1:m])
-
 
 def _symmetric_jacobi(rec: RecurrencePair, m: int) -> np.ndarray:
     """``m x m`` symmetric Jacobi truncation: betas on the diagonal,
@@ -113,19 +98,6 @@ def change_basis_matrix(comb: CombCoeffs, report: ConditionReport, m: int) -> np
             for j, aj in enumerate(comb.a, start=1):
                 M[n, n - j] = aj
     return M
-
-
-def perturbation_L(comb: CombCoeffs, m: int) -> np.ndarray:
-    """Single-row perturbation: last row holds ``a_k .. a_1`` ending in the last
-    column, so that ``(J_P)_m - L_m`` has characteristic polynomial ``Q_m``."""
-    import numpy as np
-    k = comb.k
-    if m < k + 1:
-        raise ValueError(f"m must be at least k + 1 = {k + 1}")
-    L = np.zeros((m, m))
-    for j, aj in enumerate(comb.a, start=1):
-        L[m - 1, m - j] = aj
-    return L
 
 
 def multiset_distance(a, b) -> float:
@@ -190,7 +162,7 @@ def _tilde_jacobi(rec, comb, m, report) -> np.ndarray | None:
     is ``Q_m``, when ``report``'s verdict holds through index ``m - 1`` and
     ``tilde gamma_1..tilde gamma_{m-1} > 0``; otherwise None."""
     k = comb.k
-    if report is None or not report.verdict or not k < m <= report.n_max + 1:
+    if report is None or not report.verdict or m > report.n_max + 1:
         return None
     tilde = tilde_recurrence(rec, comb, max(m - 1, k + 1), report=report)
     if not all(g > 0.0 for g in tilde.gammas[1:m]):
@@ -229,9 +201,15 @@ def zeros_q(
     recurrence of ``P``, so the check never reads the tilde data; each step is
     the first-order forward error of its ``z``.  On the ``eigvals`` route a
     multiset distance above ``cross_tol`` (infinite where ``Q_m'`` vanishes at
-    a computed zero) raises :class:`~opoly.errors.NumericError`.
+    a computed zero) raises :class:`~opoly.errors.NumericError`; an ``m`` off
+    ``[k + 1, horizon + 1]`` :class:`ValueError` or :class:`~opoly.errors.HorizonError`.
     """
     import numpy as np
+    k = comb.k
+    if m > rec.horizon + 1:
+        raise HorizonError(f"m = {m} exceeds horizon + 1 = {rec.horizon + 1}")
+    if m < k + 1:
+        raise ValueError(f"m must be at least k + 1 = {k + 1}")
     J = _tilde_jacobi(rec, comb, m, report)
     try:
         if J is not None:
@@ -239,7 +217,9 @@ def zeros_q(
             dist = _newton_distance(rec, comb, w)
             if dist <= min(cross_tol, 64 * np.finfo(float).eps * max(1.0, -w[0], w[-1])):
                 return ZerosReport(w.astype(complex), dist)
-        A = jacobi_truncation(rec, m) - perturbation_L(comb, m)
+        # (J_P)_m minus L_m, whose only row (the last) holds a_k .. a_1
+        A = _tridiagonal(rec.beta[:m], 1.0, rec.gamma[1:m])
+        A[-1, m - k :] -= comb.a[::-1]
         eigs = np.linalg.eigvals(A).astype(complex)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericError(f"eigenvalue iteration failed: {exc}") from exc

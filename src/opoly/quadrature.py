@@ -112,14 +112,14 @@ def _orthonormal(rec: RecurrencePair, x: np.ndarray, size: int) -> np.ndarray:
 def christoffel_numbers(rec: RecurrencePair, nodes) -> np.ndarray:
     """Weights of the interpolatory rule on ``nodes`` for the functional behind
     ``rec`` (``u_0 = 1``): the solution of ``V w = e_0``, ``V[i, j] = p_i(x_j)``.
-    Nodes must be pairwise distinct (:class:`ValueError`), and ``gamma_1..
-    gamma_{n-1}`` positive (:class:`~opoly.errors.InapplicableError`)."""
+    :func:`_coincident` nodes raise :class:`ValueError`, and ``gamma_1..
+    gamma_{n-1}`` not all positive :class:`~opoly.errors.InapplicableError`."""
     import numpy as np
     nodes = np.asarray(nodes, dtype=float).ravel()
     n = nodes.size
     if n < 1:
         raise ValueError("need at least one node")
-    if n > 1 and np.min(np.diff(np.sort(nodes))) <= 1e-12 * max(float(np.ptp(nodes)), 1.0):
+    if _coincident(np.sort(nodes)):
         raise ValueError("nodes must be pairwise distinct")
     try:
         return np.linalg.solve(_orthonormal(rec, nodes, n), np.eye(1, n)[0])
@@ -177,11 +177,15 @@ def gauss_rule(rec: RecurrencePair, n: int, tol: float = 1e-9) -> QuadratureRule
     return _christoffel_rule(rec, np.linalg.eigvalsh(_symmetric_jacobi(rec, n)), tol)
 
 
-def _distinct(nodes: np.ndarray) -> np.ndarray:
-    """Increasing ``nodes``, refused as coincident when two lie within
-    ``1e-10 * max(spread, 1)`` of each other."""
+def _coincident(nodes: np.ndarray) -> bool:
+    """Whether two of the increasing ``nodes`` lie within ``1e-10 * max(spread, 1)``."""
     import numpy as np
-    if nodes.size > 1 and np.min(np.diff(nodes)) <= 1e-10 * max(float(np.ptp(nodes)), 1.0):
+    return nodes.size > 1 and np.min(np.diff(nodes)) <= 1e-10 * max(float(np.ptp(nodes)), 1.0)
+
+
+def _distinct(nodes: np.ndarray) -> np.ndarray:
+    """Increasing ``nodes``, refused as coincident by :func:`_coincident`."""
+    if _coincident(nodes):
         raise InapplicableError("Q_n has coincident zeros; quadrature undefined")
     return nodes
 

@@ -58,8 +58,18 @@ def poly_p_walk(rec, n: int) -> tuple[float, ...]:
 
 def jacobi_truncation_diag_sums(rec, m: int) -> np.ndarray:
     """The ``m x m`` P-basis Jacobi truncation as a sum of three ``np.diag``
-    matrices: the bit-level reference for :func:`opoly.jacobi_truncation`."""
+    matrices; its characteristic polynomial is ``P_m``."""
     return np.diag(rec.beta[:m]) + np.diag(np.ones(m - 1), 1) + np.diag(rec.gamma[1:m], -1)
+
+
+def perturbation_L_dense(comb, m: int) -> np.ndarray:
+    """The ``m x m`` single-row perturbation ``L_m``: its last row holds
+    ``a_k .. a_1`` ending in the last column, so that ``(J_P)_m - L_m`` has
+    characteristic polynomial ``Q_m``.  With :func:`jacobi_truncation_diag_sums`
+    it is the bit-level reference for ``opoly.zeros_q``'s ``eigvals`` matrix."""
+    L = np.zeros((m, m))
+    L[-1, m - comb.k :] = comb.a[::-1]
+    return L
 
 
 def symmetric_jacobi_diag_sums(rec, m: int) -> np.ndarray:
@@ -74,8 +84,8 @@ def intertwining_residual(rec, comb, report, m: int) -> float:
     from the change of basis, both Jacobi truncations and the tilde recurrence
     (the trailing rows differ from the infinite operator by truncation)."""
     M = op.change_basis_matrix(comb, report, m)
-    JP = op.jacobi_truncation(rec, m)
-    JQ = op.jacobi_truncation(op.tilde_recurrence(rec, comb, m - 1, report=report), m)
+    JP = jacobi_truncation_diag_sums(rec, m)
+    JQ = jacobi_truncation_diag_sums(op.tilde_recurrence(rec, comb, m - 1, report=report), m)
     return float(np.max(np.abs((M @ JP - JQ @ M)[: m - comb.k - 1])))
 
 

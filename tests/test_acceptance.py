@@ -16,7 +16,9 @@ from conftest import (
     broken_families,
     chebyshev_corpus,
     intertwining_residual,
+    jacobi_truncation_diag_sums,
     k2_case_fixture,
+    perturbation_L_dense,
     three_term_residual,
 )
 
@@ -99,7 +101,7 @@ def test_criterion_3_jacobi_identities():
         for m in (4, 8, 12):
             if m < comb.k + 1:
                 continue
-            A = op.jacobi_truncation(rec, m) - op.perturbation_L(comb, m)
+            A = jacobi_truncation_diag_sums(rec, m) - perturbation_L_dense(comb, m)
             eigs = np.linalg.eigvals(A)
             roots = np.roots(np.array(op.q_poly(rec, comb, m).coeffs)[::-1])
             worst_zero_dist = max(worst_zero_dist, op.multiset_distance(eigs, roots))

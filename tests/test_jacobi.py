@@ -17,6 +17,7 @@ from conftest import (
     intertwining_residual,
     jacobi_truncation_diag_sums,
     k2_case_fixture,
+    perturbation_L_dense,
     symmetric_jacobi_diag_sums,
     trig_square_in_x,
 )
@@ -31,14 +32,38 @@ def char_poly_low_to_high(A: np.ndarray) -> np.ndarray:
     return np.poly(A)[::-1]
 
 
+def reference_matrix(rec, comb, m):
+    """``(J_P)_m - L_m`` from the ``np.diag`` reference builders."""
+    return jacobi_truncation_diag_sums(rec, m) - perturbation_L_dense(comb, m)
+
+
+def eigvals_matrix(monkeypatch, rec, comb, m):
+    """The matrix that the report-free ``zeros_q`` hands to ``np.linalg.eigvals``."""
+    seen = []
+    eigvals = np.linalg.eigvals
+
+    def recording(A):
+        seen.append(A.copy())
+        return eigvals(A)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvals", recording)
+        try:
+            op.zeros_q(rec, comb, m)
+        except op.NumericError:  # the matrix was built and seen all the same
+            pass
+    (A,) = seen
+    return A
+
+
 class TestJacobiTruncation:
     def test_one_by_one(self):
         rec = op.RecurrencePair([0.3, 0.0, 0.0], [0.25, 0.25])
-        J = op.jacobi_truncation(rec, 1)
+        J = jacobi_truncation_diag_sums(rec, 1)
         assert J == pytest.approx(np.array([[0.3]]))
 
     def test_second_kind_two_by_two(self, cheb_u):
-        J = op.jacobi_truncation(cheb_u, 2)
+        J = jacobi_truncation_diag_sums(cheb_u, 2)
         assert J == pytest.approx(np.array([[0.0, 1.0], [0.25, 0.0]]))
         assert char_poly_low_to_high(J) == pytest.approx(
             np.array(op.poly_p(cheb_u, 2).coeffs)
@@ -48,17 +73,23 @@ class TestJacobiTruncation:
     @pytest.mark.parametrize("m", [3, 6, 10])
     def test_char_poly_is_p_m(self, kind, m):
         rec = op.chebyshev_family(kind, 12)
-        J = op.jacobi_truncation(rec, m)
+        J = jacobi_truncation_diag_sums(rec, m)
         assert np.allclose(
             char_poly_low_to_high(J), np.array(op.poly_p(rec, m).coeffs), atol=1e-9
         )
 
     def test_horizon_guard(self, cheb_u):
+        # zeros_q reads the truncation up to m = horizon + 1 and refuses past it
+        comb = op.CombCoeffs((0.5,))
+        assert op.zeros_q(cheb_u, comb, cheb_u.horizon + 1).zeros.size == cheb_u.horizon + 1
         with pytest.raises(op.HorizonError):
-            op.jacobi_truncation(cheb_u, cheb_u.horizon + 2)
+            op.zeros_q(cheb_u, comb, cheb_u.horizon + 2)
+        report = op.check_conditions(cheb_u, comb, 10)
+        with pytest.raises(op.HorizonError):
+            op.zeros_q(cheb_u, comb, cheb_u.horizon + 2, report=report)
 
     @pytest.mark.parametrize("family", ["chebyshev", "k2", "signed_zero_betas"])
-    def test_builders_equal_diag_sums_bit_for_bit(self, family):
+    def test_builders_equal_diag_sums_bit_for_bit(self, family, monkeypatch):
         if family == "chebyshev":
             rec = op.chebyshev_family(1, 64)
         elif family == "k2":
@@ -66,12 +97,25 @@ class TestJacobiTruncation:
         else:  # a diagonal sum turns -0.0 into 0.0, and so must the builders
             rec = op.RecurrencePair([-0.0, 0.1] * 32 + [-0.0], [0.25] * 64)
         for m in range(1, 66):
-            for got, ref in ((op.jacobi_truncation(rec, m), jacobi_truncation_diag_sums(rec, m)),
-                             (op.jacobi._symmetric_jacobi(rec, m),
-                              symmetric_jacobi_diag_sums(rec, m))):
-                assert got.dtype == np.float64 and got.shape == (m, m), m
-                assert got.flags.c_contiguous and got.flags.writeable, m
-                assert got.tobytes() == ref.tobytes(), m
+            got, ref = op.jacobi._symmetric_jacobi(rec, m), symmetric_jacobi_diag_sums(rec, m)
+            assert got.dtype == np.float64 and got.shape == (m, m), m
+            assert got.flags.c_contiguous and got.flags.writeable, m
+            assert got.tobytes() == ref.tobytes(), m
+        # zeros_q's eigvals matrix, built in place, is the reference J - L
+        # bit for bit, and so are its sorted zeros or its refusal
+        for comb in (op.CombCoeffs((0.5,)), op.CombCoeffs((0.0, -0.125))):
+            for m in range(comb.k + 1, rec.horizon + 2):
+                ref = reference_matrix(rec, comb, m)
+                got = eigvals_matrix(monkeypatch, rec, comb, m)
+                assert got.dtype == np.float64 and got.shape == (m, m), (comb, m)
+                assert got.tobytes() == ref.tobytes(), (comb, m)
+                try:
+                    want = _reference_zeros(rec, comb, m)
+                except op.OpolyError as exc:
+                    with pytest.raises(type(exc)):
+                        op.zeros_q(rec, comb, m)
+                    continue
+                assert op.zeros_q(rec, comb, m).zeros.tobytes() == want.tobytes(), (comb, m)
 
 
 class TestChangeBasis:
@@ -96,28 +140,32 @@ class TestChangeBasis:
 
 
 class TestPerturbation:
-    def test_canonical_two_by_two(self, cheb_u):
+    def test_canonical_two_by_two(self, cheb_u, monkeypatch):
         # spec'd by behaviour: (J_P)_2 - L_2 must be [[0, 1], [1/4, -1/2]]
-        comb = op.CombCoeffs((0.5,))
-        A = op.jacobi_truncation(cheb_u, 2) - op.perturbation_L(comb, 2)
+        A = eigvals_matrix(monkeypatch, cheb_u, op.CombCoeffs((0.5,)), 2)
         assert A == pytest.approx(np.array([[0.0, 1.0], [0.25, -0.5]]))
 
-    def test_only_last_row(self):
+    def test_only_last_row(self, cheb_u, monkeypatch):
         comb = op.CombCoeffs((0.3, -0.2))
-        L = op.perturbation_L(comb, 5)
+        L = jacobi_truncation_diag_sums(cheb_u, 5) - eigvals_matrix(monkeypatch, cheb_u, comb, 5)
         assert np.all(L[:4] == 0.0)
         assert L[4] == pytest.approx(np.array([0.0, 0.0, 0.0, -0.2, 0.3]))
 
     def test_char_poly_of_perturbed_truncation_is_q(self, cheb_t):
         comb = op.CombCoeffs((0.0, -0.125))
         for m in (3, 5, 7):
-            A = op.jacobi_truncation(cheb_t, m) - op.perturbation_L(comb, m)
+            A = reference_matrix(cheb_t, comb, m)
             q = op.q_poly(cheb_t, comb, m)
             assert np.allclose(char_poly_low_to_high(A), np.array(q.coeffs), atol=1e-9)
 
-    def test_size_guard(self):
+    def test_size_guard(self, cheb_u):
+        # Q_m needs m >= k + 1, with a report or without one
+        comb = op.CombCoeffs((0.1, 0.2))
+        assert op.zeros_q(cheb_u, comb, 3).zeros.size == 3
+        with pytest.raises(ValueError, match="at least k \\+ 1 = 3"):
+            op.zeros_q(cheb_u, comb, 2)
         with pytest.raises(ValueError):
-            op.perturbation_L(op.CombCoeffs((0.1, 0.2)), 2)
+            op.zeros_q(cheb_u, comb, 2, report=op.check_conditions(cheb_u, comb, 10))
 
 
 class TestZeros:
@@ -137,9 +185,7 @@ class TestZeros:
     @pytest.mark.parametrize("m", [4, 8, 12])
     def test_eigenvalues_match_companion_roots(self, cheb_t, m):
         comb = op.CombCoeffs((0.0, -0.125))
-        eigs = np.linalg.eigvals(
-            op.jacobi_truncation(cheb_t, m) - op.perturbation_L(comb, m)
-        )
+        eigs = np.linalg.eigvals(reference_matrix(cheb_t, comb, m))
         q = op.q_poly(cheb_t, comb, m)
         roots = np.roots(np.array(q.coeffs)[::-1])
         assert op.multiset_distance(eigs, roots) < 1e-8
@@ -163,7 +209,7 @@ class TestZeros:
         comb = op.CombCoeffs((0.5,))
         report = op.check_conditions(cheb_u, comb, 12)
         m = 8
-        A = op.jacobi_truncation(cheb_u, m) - op.perturbation_L(comb, m)
+        A = reference_matrix(cheb_u, comb, m)
         M = op.change_basis_matrix(comb, report, m)
         similar = M @ A @ np.linalg.inv(M)
         assert np.trace(A) == pytest.approx(np.trace(similar), abs=1e-10)
@@ -194,9 +240,19 @@ def _route_report(rec, comb, m):
 
 
 def _eigvals_route(rec, comb, m):
-    """Eigenvalues of ``(J_P)_m - L_m``, sorted by real part, then imaginary part."""
-    z = np.linalg.eigvals(op.jacobi_truncation(rec, m) - op.perturbation_L(comb, m)).astype(complex)
+    """Eigenvalues of the reference ``(J_P)_m - L_m``, sorted by real part,
+    then imaginary part."""
+    z = np.linalg.eigvals(reference_matrix(rec, comb, m)).astype(complex)
     return z[np.lexsort((z.imag, z.real))]
+
+
+def _reference_zeros(rec, comb, m, cross_tol=1e-8):
+    """:func:`_eigvals_route`, refused as ``zeros_q`` refuses it: a Newton
+    distance above ``cross_tol`` raises :class:`~opoly.errors.NumericError`."""
+    z = _eigvals_route(rec, comb, m)
+    if op.jacobi._newton_distance(rec, comb, z) > cross_tol:
+        raise op.NumericError("eigenvalue/Newton cross-check mismatch")
+    return z
 
 
 def _assert_eigvals_route(rec, comb, report, m):
@@ -338,9 +394,9 @@ class TestIntertwining:
         beta[5] += eps
         perturbed = op.RecurrencePair(beta, cheb_u.gamma[1:].copy())
         M = op.change_basis_matrix(comb, report, m)
-        JP = op.jacobi_truncation(perturbed, m)
+        JP = jacobi_truncation_diag_sums(perturbed, m)
         tilde = op.tilde_recurrence(cheb_u, comb, m - 1, report=report)
-        JQ = op.jacobi_truncation(tilde, m)
+        JQ = jacobi_truncation_diag_sums(tilde, m)
         resid = np.max(np.abs((M @ JP - JQ @ M)[: m - comb.k - 1]))
         assert resid == pytest.approx(eps, rel=1e-6)
 
@@ -351,7 +407,7 @@ class TestHk:
         report = op.check_conditions(cheb_u, comb, 25)
         hk = op.solve_hk(cheb_u, comb, report)
         assert op.verify_functional_relation(cheb_u, comb, report, hk.poly).max_residual < 1e-9
-        c0, c1 = hk.coeffs
+        c0, c1 = hk.poly.coeffs
         assert c1 / c0 == pytest.approx(1.0, rel=1e-9)
         assert hk.scale == pytest.approx(1.0, rel=1e-9)
 
@@ -439,15 +495,15 @@ class TestHk:
         mm = m + 3 * k
         tilde = op.tilde_recurrence(cheb_t, comb, mm - 1, report=report)
         M = op.change_basis_matrix(comb, report, mm)
-        JP = op.jacobi_truncation(cheb_t, mm)
-        JQ = op.jacobi_truncation(tilde, mm)
+        JP = jacobi_truncation_diag_sums(cheb_t, mm)
+        JQ = jacobi_truncation_diag_sums(tilde, mm)
         DP = op.norm_diagonal(cheb_t, mm)
         DQ = op.norm_diagonal(tilde, mm)
 
         def poly_of(mat):
             out = np.zeros_like(mat)
             power = np.eye(mat.shape[0])
-            for c in hk.coeffs:
+            for c in hk.poly.coeffs:
                 out += c * power
                 power = power @ mat
             return out
@@ -471,7 +527,7 @@ def test_hk_matches_trig_square_closed_form(a):
     assert report.verdict
     hk = op.solve_hk(rec, comb, report)
     ref = trig_square_in_x(a)
-    got = np.array(hk.coeffs)
+    got = np.array(hk.poly.coeffs)
     ratio = got[-1] / ref[-1]
     assert np.allclose(got, ref * ratio, atol=1e-9)
 
@@ -493,7 +549,7 @@ def test_hk_pipeline_on_indefinite_family():
     assert tilde.gamma[1] == pytest.approx(-0.75)
     hk = op.solve_hk(rec, comb, report)
     ref = trig_square_in_x(comb.a)  # (25, 40, 16) = (4x + 5)^2
-    got = np.array(hk.coeffs)
+    got = np.array(hk.poly.coeffs)
     ratio = got[-1] / ref[-1]
     assert ratio < 0
     assert np.allclose(got, ref * ratio, atol=1e-9)
@@ -543,7 +599,7 @@ def test_relation_rejects_relative_change_of_c0(path):
     assert report.verdict
     hk = op.solve_hk(cfg.rec, cfg.comb, report)
     assert op.verify_functional_relation(cfg.rec, cfg.comb, report, hk.poly).ok
-    c = hk.coeffs
+    c = hk.poly.coeffs
     bad = op.Poly((c[0] * (1 + 1e-6),) + c[1:])
     rel = op.verify_functional_relation(cfg.rec, cfg.comb, report, bad, tol=1e-8)
     assert rel.ok is False

@@ -171,7 +171,9 @@ def test_christoffel_numbers_chebyshev_t_equal_weights(n):
 
 
 @pytest.mark.parametrize(
-    "nodes", [[0.1, -0.3, 0.1], [100.0, 101.0, 100.0, 99.0], [1.0, 0.0, 1.0 + 1e-13]]
+    "nodes",
+    [[0.1, -0.3, 0.1], [100.0, 101.0, 100.0, 99.0], [1.0, 0.0, 1.0 + 1e-13],
+     [0.0, 1e-11, 1.0]],  # within 1e-10 of the spread, as _distinct refuses
 )
 def test_christoffel_numbers_non_distinct_nodes_raise(nodes):
     with pytest.raises(ValueError):

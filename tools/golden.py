@@ -41,10 +41,15 @@ def capture(main, argv: list[str]) -> list:
     return [code, out.getvalue(), err.getvalue()]
 
 
+def _bundled(name: str) -> dict:
+    """The bundled config ``name``."""
+    with open(os.path.join(ROOT, "configs", name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def _with_family(name: str, fields: dict) -> dict:
     """The bundled config ``name`` with ``family`` fields set to ``fields``."""
-    with open(os.path.join(ROOT, "configs", name), encoding="utf-8") as fh:
-        config = json.load(fh)
+    config = _bundled(name)
     config["family"].update(fields)
     return config
 
@@ -121,6 +126,11 @@ def edge_configs() -> dict:
             "n": 6,
             "tolerances": {"conditions": 1e-5, "hk": 1e-5},
         },
+        # zeros_q's eigvals route (failed verdicts) at both ends of its size
+        # range, which the grid's --n values never reach: m = k + 1 at k = 1,
+        # and m = horizon + 1 at k = 2
+        "zeros_m_k_plus_1": {**_bundled("broken_varying_gamma.json"), "n": 2},
+        "zeros_m_horizon_plus_1": {**_bundled("broken_gamma_perturbed.json"), "n": 25},
     }
 
 

@@ -6,16 +6,11 @@ Usage:
 
 Every command takes the same options.  A config names exactly one family
 (``chebyshev``, ``explicit``, ``k2`` or ``k1``), a combination ``a_1..a_k``,
-a horizon, and optional tolerances or a node count ``n``.  Numbers may be
-given as decimal strings to avoid double-rounding in published configs.
-Tolerances are set only in the config, which the report echoes as ``config``.
-``quad`` reads ``tolerances.zeros`` only for ``k >= 2``, where its nodes come
-from the ``zeros_q`` cross-check; its ``k = 1`` rule has no such check.
-``zeros`` and ``k >= 2`` ``quad`` also read ``tolerances.conditions``: where
-the verdict through index ``n - 1`` holds and the tilde gammas are positive,
-``zeros_q`` takes the eigenvalues of the symmetric tilde Jacobi matrix (kept
-when their Newton distance is at rounding level), and elsewhere those of
-``(J_P)_n - L_n``, so the verdict picks the route.
+a horizon, and optionally a node count ``n``.  Numbers may be given as
+decimal strings to avoid double-rounding in published configs.  Every check
+runs at its library default tolerance, and a config that sets ``tolerances``
+is refused as a config error.  ``zeros`` and ``k >= 2`` ``quad`` pass
+``zeros_q`` the verdict through index ``n - 1``, which picks its route.
 ``--n`` overrides the config's ``n`` (``zeros`` and ``quad`` report it as
 ``result.n``), and each command then reads only the resolved :class:`JobConfig`.
 Reports are deterministic JSON (``schema: 1``).  ``gen`` on a ``k2`` family
@@ -65,14 +60,6 @@ from .recurrence import (
     k2_family,
 )
 
-DEFAULT_TOLERANCES = {
-    "conditions": 1e-10,
-    "zeros": 1e-8,
-    "hk": 1e-8,
-    "quad": 1e-9,
-}
-
-
 class ConfigError(ValueError):
     """Malformed or inconsistent job configuration."""
 
@@ -88,13 +75,6 @@ def _num(value, field: str) -> float:
         raise ConfigError(f"field {field!r}: cannot parse {value!r}") from exc
     if not math.isfinite(out):
         raise ConfigError(f"field {field!r} must be finite, got {value!r}")
-    return out
-
-
-def _tolerance(value, field: str) -> float:
-    out = _num(value, field)
-    if out < 0:
-        raise ConfigError(f"field {field!r} must be nonnegative, got {value!r}")
     return out
 
 
@@ -123,7 +103,6 @@ class JobConfig:
     rec: RecurrencePair
     comb: CombCoeffs
     n: int | None
-    tolerances: dict
     generator_a: tuple[float, ...] | None  # the combination a k1/k2 family was built for
 
 
@@ -188,6 +167,8 @@ def load_config(path: str) -> JobConfig:
         raise ConfigError(f"cannot read config: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    if "tolerances" in raw:  # a report must not echo a value its verdict never read
+        raise ConfigError("field 'tolerances' is not accepted: every check runs at its default")
 
     if "horizon" not in raw:
         raise ConfigError("config needs a 'horizon' field")
@@ -221,17 +202,9 @@ def load_config(path: str) -> JobConfig:
     if horizon < comb.k + 3:
         raise ConfigError(f"horizon must be at least k + 3 = {comb.k + 3}")
 
-    tolerances = dict(DEFAULT_TOLERANCES)
-    for key, val in (_object(raw, "tolerances") or {}).items():
-        if key not in tolerances:
-            raise ConfigError(f"unknown tolerance {key!r}")
-        tolerances[key] = _tolerance(val, f"tolerances.{key}")
-
     n = raw.get("n")
     n = _int(n, "n") if n is not None else None
-    return JobConfig(
-        raw=raw, rec=rec, comb=comb, n=n, tolerances=tolerances, generator_a=generator_a,
-    )
+    return JobConfig(raw=raw, rec=rec, comb=comb, n=n, generator_a=generator_a)
 
 
 def _report(command: str, cfg: JobConfig, passed: bool, result: dict) -> dict:
@@ -307,14 +280,13 @@ def _emit(report: dict, out: str | None) -> None:
 
 
 def _conditions(cfg: JobConfig):
-    return check_conditions(cfg.rec, cfg.comb, cfg.rec.horizon, tol=cfg.tolerances["conditions"])
+    return check_conditions(cfg.rec, cfg.comb, cfg.rec.horizon)
 
 
 def _route_conditions(cfg: JobConfig, n: int):
     """The verdict through index ``n - 1``, all that ``zeros_q`` reads to
     pick its route for ``Q_n``."""
-    return check_conditions(cfg.rec, cfg.comb, max(n - 1, cfg.comb.k + 2),
-                            tol=cfg.tolerances["conditions"])
+    return check_conditions(cfg.rec, cfg.comb, max(n - 1, cfg.comb.k + 2))
 
 
 def _condition_summary(rep) -> dict:
@@ -346,7 +318,7 @@ def _cmd_check(cfg: JobConfig) -> tuple[int, dict]:
     rep = _conditions(cfg)
     degree = min(12, (cfg.rec.horizon + 1) // 2)
     try:
-        gram = oracle_gram_check(cfg.rec, cfg.comb, degree=degree, tol=1e-9)
+        gram = oracle_gram_check(cfg.rec, cfg.comb, degree=degree)
         gram_info = {
             "ok": gram.ok,
             "worst_ratio": gram.worst_ratio,
@@ -392,8 +364,7 @@ def _require_n(cfg: JobConfig, command: str, hi: int) -> int:
 
 def _cmd_zeros(cfg: JobConfig) -> tuple[int, dict]:
     n = _require_n(cfg, "zeros", cfg.rec.horizon + 1)
-    zq = zeros_q(cfg.rec, cfg.comb, n, cross_tol=cfg.tolerances["zeros"],
-                 report=_route_conditions(cfg, n))
+    zq = zeros_q(cfg.rec, cfg.comb, n, report=_route_conditions(cfg, n))
     return 0, {
         "n": n,
         "zeros": [{"re": re, "im": im}
@@ -413,7 +384,7 @@ def _cmd_hk(cfg: JobConfig) -> tuple[int, dict]:
     if not rep.verdict:
         return 1, {"conditions": _condition_summary(rep)}
     hk = solve_hk(cfg.rec, cfg.comb, rep)
-    rel = verify_functional_relation(cfg.rec, cfg.comb, rep, hk.poly, tol=cfg.tolerances["hk"])
+    rel = verify_functional_relation(cfg.rec, cfg.comb, rep, hk.poly)
     relation = {"ok": rel.ok, "scale": rel.scale, "max_residual": rel.max_residual}
     positivity = None
     if np.all(cfg.rec.gamma[1:] > 0):  # h_k > 0 means something only for a positive-definite u
@@ -426,7 +397,7 @@ def _cmd_hk(cfg: JobConfig) -> tuple[int, dict]:
             "positive_on_grid": bool(np.all(values > 0.0)),
         }
     try:
-        rep_orth = orthonormal_identity_check(cfg.rec, cfg.comb, rep, m, tol=cfg.tolerances["hk"])
+        rep_orth = orthonormal_identity_check(cfg.rec, cfg.comb, rep, m)
         ortho = {"ok": rep_orth.ok, "residual": rep_orth.residual}
     except InapplicableError:  # not positive definite up to m + k
         ortho = None
@@ -444,13 +415,11 @@ def _cmd_hk(cfg: JobConfig) -> tuple[int, dict]:
 def _cmd_quad(cfg: JobConfig) -> tuple[int, dict]:
     n = _require_n(cfg, "quad", cfg.rec.horizon - 1)
     k = cfg.comb.k
-    rule = gauss_rule(cfg.rec, n, tol=cfg.tolerances["quad"])
+    rule = gauss_rule(cfg.rec, n)
     gauss_ok = rule.degree_of_precision == 2 * n - 1
-    shohat = shohat_check(
-        cfg.rec, cfg.comb, n,
-        tol=cfg.tolerances["quad"], cross_tol=cfg.tolerances["zeros"],
-        report=_route_conditions(cfg, n) if k >= 2 else None,  # the k = 1 rule never reads it
-    )
+    # the k = 1 rule never reads the verdict
+    shohat = shohat_check(cfg.rec, cfg.comb, n,
+                          report=_route_conditions(cfg, n) if k >= 2 else None)
     comb_rule = shohat.rule
     result = {
         "n": n,

@@ -191,11 +191,11 @@ def zeros_q(
     ``tilde gamma_1..tilde gamma_{m-1} > 0``, they are the eigenvalues of the
     symmetric tilde truncation ``J~_m`` (``eigvalsh``, real), kept when their
     Newton distance is at most ``min(cross_tol, 64 eps max(1, max|z|))``.  A
-    verdict passed at a loose tolerance can leave ``J~_m`` slightly off
-    ``Q_m``; then, and on every other call, they are the eigenvalues of
-    ``(J_P)_m - L_m`` (``eigvals``), sorted by real part, then imaginary part.
-    The route needs a verdict at the caller's tolerance, so without a
-    ``report`` it is the ``eigvals`` one.
+    verdict passed at a tolerance looser than ``check_conditions``' default
+    (the CLI's) can leave ``J~_m`` slightly off ``Q_m``; then, and on every
+    other call, they are the eigenvalues of ``(J_P)_m - L_m`` (``eigvals``),
+    sorted by real part, then imaginary part.  The route needs a verdict, so
+    without a ``report`` it is the ``eigvals`` one.
 
     The Newton refinements ``z - Q_m(z) / Q_m'(z)`` are evaluated by the
     recurrence of ``P``, so the check never reads the tilde data; each step is

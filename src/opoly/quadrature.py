@@ -168,8 +168,10 @@ def _christoffel_rule(rec: RecurrencePair, nodes: np.ndarray, tol: float) -> Qua
 def gauss_rule(rec: RecurrencePair, n: int, tol: float = 1e-9) -> QuadratureRule:
     """Gauss rule on the zeros of ``P_n``: the eigenvalues of the symmetric
     Jacobi truncation, weighted by the Christoffel function, with its degree
-    (``2n - 1``) measured at exactness tolerance ``tol``.  No ``cross_tol`` is
-    read: that tolerance applies only to :func:`shohat_check` for ``k >= 2``."""
+    (``2n - 1``) measured at exactness tolerance ``tol``, the only tolerance
+    it reads.  The CLI measures at the default; where a far-out node's weight
+    falls below the rounding of the table, the default can miss the law and a
+    looser ``tol`` meet it (README, Known defects)."""
     import numpy as np
     if n < 1:
         raise ValueError("n must be positive")

@@ -1,4 +1,3 @@
-import inspect
 import json
 import os
 import subprocess
@@ -36,21 +35,16 @@ BASE = {
     "horizon": 20,
     "n": 6,
 }
-# Chebyshev T with gamma_10 raised by 1e-8, at loosened tolerances; the golden
-# grid of tools/golden.py runs the same config as edge/loose_tolerances.json
+# Chebyshev T with gamma_10 raised by 1e-8: its verdict fails at the default
+# tolerance, where tilde and hk stop and check's oracle agrees
 LOOSE = dict(
     BASE,
     family={"type": "explicit", "beta": ["0"] * 25,
             "gamma": ["0.5"] + ["0.25"] * 8 + [repr(0.25 + 1e-8)] + ["0.25"] * 14},
     horizon=24,
-    tolerances={"conditions": 1e-5, "hk": 1e-5},
 )
-
-
-def with_tolerances(tmp_path, name, **tolerances):
-    """The bundled config ``name`` with ``tolerances`` set, written to ``tmp_path``."""
-    config = json.loads((CONFIG_DIR / name).read_text())
-    return write_config(tmp_path, dict(config, tolerances=tolerances), name)
+# every check runs at its library default, so any 'tolerances' field is refused
+TOLERANCES_REFUSED = "field 'tolerances' is not accepted: every check runs at its default"
 
 
 def test_check_passing_config(tmp_path, capsys):
@@ -159,6 +153,8 @@ def test_non_finite_or_non_integral_numbers_exit_two(tmp_path, capsys, change):
     code, _, err = run(capsys, "check", "--config", write_config(tmp_path, dict(BASE, **change)))
     assert code == 2
     assert err.startswith("opoly: config error: field ")
+    if "tolerances" in change:  # refused whatever its value
+        assert err == f"opoly: config error: {TOLERANCES_REFUSED}\n"
 
 
 K1 = {"type": "k1", "a1": "0.5", "beta0": "0", "beta1": "0", "beta2": "0", "gammas": ["0.25"] * 20}
@@ -188,7 +184,7 @@ K2_A1_ZERO = {"type": "k2", "case": "a1_zero", "a1": "0", "a2": "-0.125", "A": "
          "combination.k disagrees with len(combination.a)"),
         ({key: v for key, v in BASE.items() if key != "combination"},
          "config needs a 'combination' (or a generator family)"),
-        (dict(BASE, tolerances={"gram": 1e-9}), "unknown tolerance 'gram'"),
+        (dict(BASE, tolerances={"gram": 1e-9}), TOLERANCES_REFUSED),
         (dict(BASE, horizon=1), "horizon must be at least 4 (k + 3 with k >= 1), got 1"),
         (dict(BASE, horizon=0, family={"type": "explicit", "beta": ["0"], "gamma": []}),
          "horizon must be at least 4 (k + 3 with k >= 1), got 0"),
@@ -221,30 +217,16 @@ def test_inconsistent_configs_exit_two(tmp_path, capsys, payload, message):
     assert err == f"opoly: config error: {message}\n"
 
 
-def test_zero_tolerance_flag_is_accepted(tmp_path, capsys):
-    config = with_tolerances(tmp_path, "cheb1_k2.json", conditions=0)
-    assert run(capsys, "tilde", "--config", config)[0] == 0
-
-
-def test_hk_honours_hk_tolerance_in_orthonormal_check(tmp_path, capsys):
-    # gamma_10 bumped by 1e-8: the orthonormal identity (~2.7e-8) passes
-    # tolerances.hk = 1e-5, which judges it as it judges the relation
-    code, out, err = run(capsys, "hk", "--config", write_config(tmp_path, LOOSE))
-    assert (code, err) == (0, "")
-    ortho = json.loads(out)["result"]["orthonormal_identity"]
-    assert ortho["ok"] is True
-    assert 1e-8 < ortho["residual"] <= 1e-5
-
-
-def test_hk_fails_when_orthonormal_identity_fails(tmp_path, capsys):
-    # Chebyshev T with gamma_10 bumped by 1e-8: at tolerances.hk = 1e-8 the
-    # relation (~3.5e-9) passes, but the orthonormal identity (~2.7e-8) does not
-    payload = dict(LOOSE, tolerances={"conditions": 1e-5, "hk": 1e-8})
-    code, out, err = run(capsys, "hk", "--config", write_config(tmp_path, payload))
+def test_hk_fails_when_orthonormal_identity_fails(monkeypatch, capsys):
+    # the relation passes, so the failed identity alone sets the exit code
+    # (tests/test_jacobi.py has a family on which the identity really fails)
+    monkeypatch.setattr(cli, "orthonormal_identity_check",
+                        lambda *args: op.OrthonormalReport(False, 1.0))
+    code, out, err = run(capsys, "hk", "--config", str(CONFIG_DIR / "cheb1_k2.json"))
     report = json.loads(out)
     assert report["result"]["relation"]["ok"] is True
-    assert report["result"]["orthonormal_identity"]["ok"] is False
-    assert code == 1
+    assert report["result"]["orthonormal_identity"] == {"ok": False, "residual": 1.0}
+    assert (code, err) == (1, "")
     assert report["pass"] is False
 
 
@@ -652,10 +634,10 @@ def test_reports_read_the_library_artifacts(tmp_path, capsys):
     "name,n",
     [("gen_k2_a1_zero.json", 28), ("gen_k2_real_roots.json", 30), ("gen_k2_equal_roots.json", 34)],
 )
-def test_quad_honours_zeros_tolerance(tmp_path, capsys, name, n):
+def test_quad_honours_zeros_tolerance(capsys, name, n):
     # quad takes its nodes from the zeros_q run that zeros reports, under the
-    # same tolerances.zeros
-    argv = ("--config", with_tolerances(tmp_path, name, zeros=1e-6), "--n", str(n))
+    # same default cross-check tolerance
+    argv = ("--config", str(CONFIG_DIR / name), "--n", str(n))
     code, out, err = run(capsys, "zeros", *argv)
     assert code == 0, err
     zeros = json.loads(out)["result"]["zeros"]
@@ -665,26 +647,13 @@ def test_quad_honours_zeros_tolerance(tmp_path, capsys, name, n):
     assert nodes == sorted(z["re"] for z in zeros)
 
 
-def test_quad_reaches_both_laws_at_n28_on_a1_zero(tmp_path, capsys):
-    argv = ("--config", with_tolerances(tmp_path, "gen_k2_a1_zero.json", zeros=1e-6), "--n", "28")
+def test_quad_reaches_both_laws_at_n28_on_a1_zero(capsys):
+    argv = ("--config", str(CONFIG_DIR / "gen_k2_a1_zero.json"), "--n", "28")
     code, out, err = run(capsys, "quad", *argv)
     assert code == 0, err
     result = json.loads(out)["result"]
     assert result["gauss"]["degree_of_precision"] == 55
     assert result["combination"]["degree_of_precision"] == 53
-
-
-def test_tol_quad_reaches_the_gauss_rule(tmp_path, capsys):
-    # at the default 1e-9 the combination rule of this config measures degree
-    # 34 (the Gauss rule 67); tolerances.quad sets the exactness tolerance of
-    # both rules
-    argv = ("--config", with_tolerances(tmp_path, "gen_k2_equal_roots.json", quad=1e-3),
-            "--n", "34")
-    code, out, err = run(capsys, "quad", *argv)
-    assert code == 0, err
-    result = json.loads(out)["result"]
-    assert result["gauss"]["degree_of_precision"] == 67
-    assert result["combination"]["degree_of_precision"] == 65
 
 
 @pytest.mark.parametrize("name", ["gen_k2_real_roots.json", "gen_k2_a1_zero.json"])
@@ -881,21 +850,6 @@ def test_report_reproduces_itself(tmp_path, capsys, command, config):
     assert run(capsys, command, "--config", echo, *rerun_n) == (code, out, err)
 
 
-def test_cli_tolerances_are_the_library_defaults():
-    def default(func, name="tol"):
-        return inspect.signature(func).parameters[name].default
-
-    tolerances = cli.DEFAULT_TOLERANCES
-    assert tolerances["conditions"] == default(lincomb.check_conditions)
-    assert tolerances["zeros"] == default(jacobi.zeros_q, "cross_tol")
-    assert tolerances["zeros"] == default(quadrature.shohat_check, "cross_tol")
-    assert tolerances["hk"] == default(jacobi.verify_functional_relation)
-    assert tolerances["hk"] == default(jacobi.orthonormal_identity_check)
-    assert tolerances["quad"] == default(quadrature.gauss_rule)
-    assert tolerances["quad"] == default(quadrature.shohat_check)
-    assert tolerances["quad"] == default(quadrature.degree_of_precision)
-
-
 def test_import_does_not_load_numpy_polynomial():
     # each bench process keeps whatever `import opoly.cli` loads resident
     src = str(Path(op.__file__).resolve().parent.parent)
@@ -940,15 +894,3 @@ def test_each_cross_check_runs_in_its_command(monkeypatch, capsys, command, name
     code, _, err = run(capsys, command, "--config", str(CONFIG_DIR / name), *n_argv)
     assert (code, err) == (0, "")
     assert [len(calls) for calls, _ in counts] == [want for _, want in counts]
-
-
-def test_k1_quad_reads_no_zeros_tolerance(tmp_path, capsys):
-    # zeros refuses on its Newton check at this tolerance; the k = 1 quad rule
-    # comes from the symmetric Jacobi matrix and never runs that check
-    argv = ("--config", with_tolerances(tmp_path, "cheb2_k1.json", zeros=1e-17), "--n", "10")
-    code, out, err = run(capsys, "zeros", *argv)
-    assert (code, out) == (3, "")
-    assert err.startswith("opoly: NumericError: eigenvalue/Newton cross-check mismatch")
-    code, out, err = run(capsys, "quad", *argv)
-    assert (code, err) == (0, "")
-    assert json.loads(out)["result"]["combination"]["degree_of_precision"] == 2 * 10 - 2

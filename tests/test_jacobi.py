@@ -1,4 +1,3 @@
-import json
 import math
 import sys
 from pathlib import Path
@@ -234,6 +233,14 @@ def _negative_tail():
     return rec, op.CombCoeffs((a1,))
 
 
+def _loose():
+    """Chebyshev T with ``gamma_10`` raised by ``1e-8`` and ``a = (0, -1/8)``,
+    a family whose verdict passes at tolerance ``1e-5`` and fails at the
+    default."""
+    gamma = [0.5] + [0.25] * 8 + [0.25 + 1e-8] + [0.25] * 14
+    return op.RecurrencePair([0.0] * 25, gamma), op.CombCoeffs((0.0, -0.125))
+
+
 def _route_report(rec, comb, m):
     """The verdict through index ``m - 1``, as the CLI checks it for ``Q_m``."""
     return op.check_conditions(rec, comb, max(m - 1, comb.k + 2))
@@ -333,14 +340,11 @@ class TestTildeRoute:
         assert _tilde_eigenvalues(rec, comb, report, 24) is None
         _assert_eigvals_route(rec, comb, report, 24)
 
-    def test_loose_verdict_falls_back_to_eigvals(self, tmp_path):
+    def test_loose_verdict_falls_back_to_eigvals(self):
         # gamma_10 raised by 1e-8 passes the verdict at tolerance 1e-5, but
         # the tilde eigenvalues then sit far from the zeros of Q_20
-        path = tmp_path / "loose.json"
-        path.write_text(json.dumps(golden.edge_configs()["loose_tolerances"]))
-        cfg = load_config(str(path))
-        rec, comb, m = cfg.rec, cfg.comb, 20
-        report = op.check_conditions(rec, comb, m - 1, tol=cfg.tolerances["conditions"])
+        (rec, comb), m = _loose(), 20
+        report = op.check_conditions(rec, comb, m - 1, tol=1e-5)
         tilde = _tilde_eigenvalues(rec, comb, report, m)
         assert tilde is not None
         assert np.max(np.abs(tilde - _eigvals_route(rec, comb, m).real)) > 1e-10
@@ -591,11 +595,10 @@ ORTHOGONAL_CONFIGS = sorted(
 
 @pytest.mark.parametrize("path", ORTHOGONAL_CONFIGS, ids=lambda p: p.name)
 def test_relation_rejects_relative_change_of_c0(path):
-    # h_k passes and a 1e-6 relative change of c_0 fails, at the tolerances
-    # that `opoly hk` uses
+    # h_k passes and a 1e-6 relative change of c_0 fails, at the library
+    # defaults that `opoly hk` uses
     cfg = load_config(str(path))
-    report = op.check_conditions(cfg.rec, cfg.comb, cfg.rec.horizon,
-                                 tol=cfg.tolerances["conditions"])
+    report = op.check_conditions(cfg.rec, cfg.comb, cfg.rec.horizon)
     assert report.verdict
     hk = op.solve_hk(cfg.rec, cfg.comb, report)
     assert op.verify_functional_relation(cfg.rec, cfg.comb, report, hk.poly).ok
@@ -627,6 +630,19 @@ class TestOrthonormalIdentity:
         assert report.verdict
         with pytest.raises(op.InapplicableError, match="tilde gamma_n > 0"):
             op.orthonormal_identity_check(rec, comb, report, 12)
+
+    def test_fails_where_the_relation_passes(self):
+        # on the loose family the relation (~3.5e-9) passes at 1e-8, but the
+        # identity at `opoly hk`'s truncation 16 (~2.7e-8) passes only at 1e-5
+        rec, comb = _loose()
+        assert not op.check_conditions(rec, comb, 24).verdict
+        report = op.check_conditions(rec, comb, 24, tol=1e-5)
+        hk = op.solve_hk(rec, comb, report)
+        assert op.verify_functional_relation(rec, comb, report, hk.poly, tol=1e-8).ok
+        result = op.orthonormal_identity_check(rec, comb, report, 16, tol=1e-8)
+        assert result.ok is False
+        assert 1e-8 < result.residual <= 1e-5
+        assert op.orthonormal_identity_check(rec, comb, report, 16, tol=1e-5).ok
 
 
 def test_multiset_distance():

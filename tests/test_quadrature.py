@@ -389,3 +389,29 @@ def test_k1_rule_sits_on_the_zeros_of_q_and_meets_its_law(case):
         assert np.all(gap <= 1e-12 * np.maximum(1.0, np.abs(zeros.real))), n
         assert shohat.rule.degree_of_precision == 2 * n - 2, n
         assert shohat.ok
+
+
+def test_k1_quad_reads_no_zeros_tolerance():
+    # zeros_q refuses on its Newton check at this tolerance; the k = 1 rule
+    # comes from the symmetric Jacobi matrix and never runs that check
+    cfg = load_config(str(CONFIG_DIR / "cheb2_k1.json"))
+    rec, comb, n = cfg.rec, cfg.comb, 10
+    report = op.check_conditions(rec, comb, n - 1)
+    with pytest.raises(op.NumericError, match="eigenvalue/Newton cross-check mismatch"):
+        op.zeros_q(rec, comb, n, cross_tol=1e-17, report=report)
+    shohat = op.shohat_check(rec, comb, n, cross_tol=1e-17)
+    assert shohat.ok
+    assert shohat.rule.degree_of_precision == 2 * n - 2
+
+
+def test_tol_quad_reaches_the_gauss_rule():
+    # at the default 1e-9 the combination rule measures degree 34 here (the
+    # Gauss rule 67); a looser exactness tolerance reaches both laws
+    cfg = load_config(str(CONFIG_DIR / "gen_k2_equal_roots.json"))
+    rec, comb, n = cfg.rec, cfg.comb, 34
+    report = op.check_conditions(rec, comb, n - 1)
+    assert op.shohat_check(rec, comb, n, report=report).rule.degree_of_precision == 34
+    assert op.gauss_rule(rec, n, tol=1e-3).degree_of_precision == 67
+    shohat = op.shohat_check(rec, comb, n, tol=1e-3, report=report)
+    assert shohat.rule.degree_of_precision == 65
+    assert shohat.ok

@@ -105,27 +105,9 @@ def edge_configs() -> dict:
             "combination": {"a": ["0.3", "0.2", "0.1"]},
             "horizon": 7,
         },
-        # the Newton cross-check of zeros refuses at this tolerance; the k = 1
-        # quad rule comes from the symmetric Jacobi matrix and never reads it
-        "k1_tight_zeros": {
-            "family": {"type": "chebyshev", "kind": 2},
-            "combination": {"a": ["0.5"]},
-            "horizon": 32,
-            "n": 6,
-            "tolerances": {"zeros": 1e-17},
-        },
-        # Chebyshev T with gamma_10 raised by 1e-8: tilde passes only at the
-        # loosened tolerances, and the config is the one place that sets them.
-        # At n = 20 that verdict leaves the tilde Jacobi matrix's eigenvalues
-        # 8.7e-10 from the zeros of Q_20, so zeros and quad keep the eigvals ones
-        "loose_tolerances": {
-            "family": {"type": "explicit", "beta": ["0"] * 25,
-                       "gamma": ["0.5"] + ["0.25"] * 8 + [repr(0.25 + 1e-8)] + ["0.25"] * 14},
-            "combination": {"k": 2, "a": ["0", "-0.125"]},
-            "horizon": 24,
-            "n": 6,
-            "tolerances": {"conditions": 1e-5, "hk": 1e-5},
-        },
+        # every check runs at its library default, so a config that sets
+        # tolerances is refused as a config error
+        "tolerances_refused": {**_bundled("cheb1_k2.json"), "tolerances": {"conditions": 1e-5}},
         # zeros_q's eigvals route (failed verdicts) at both ends of its size
         # range, which the grid's --n values never reach: m = k + 1 at k = 1,
         # and m = horizon + 1 at k = 2

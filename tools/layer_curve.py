@@ -73,8 +73,7 @@ def curve(src: str, horizons: list[int], repeat: int) -> list[tuple]:
         for horizon in horizons:
             cfg = load_at_horizon(load_config, name, horizon)
             rec, comb, n = cfg.rec, cfg.comb, horizon - 1
-            report = op.check_conditions(rec, comb, max(n - 1, comb.k + 2),
-                                         tol=cfg.tolerances["conditions"])
+            report = op.check_conditions(rec, comb, max(n - 1, comb.k + 2))
             before = calibrate.sample()
             rounds = [_round(op, rec, comb, n, report) for _ in range(repeat)]
             scale = calibrate.scales([before, calibrate.sample()], [0])[0]

@@ -7,12 +7,13 @@ Usage:
 Every command takes the same options.  A config names exactly one family
 (``chebyshev``, ``explicit``, ``k2`` or ``k1``), a combination ``a_1..a_k``,
 a horizon, and optionally a node count ``n``.  Numbers may be given as
-decimal strings to avoid double-rounding in published configs.  Every check
-runs at its library default tolerance, and a config that sets ``tolerances``
-is refused as a config error.  ``zeros`` and ``k >= 2`` ``quad`` pass
-``zeros_q`` the verdict through index ``n - 1``, which picks its route.
-``--n`` overrides the config's ``n`` (``zeros`` and ``quad`` report it as
-``result.n``), and each command then reads only the resolved :class:`JobConfig`.
+decimal strings to avoid double-rounding in published configs.  Each check
+reads one fixed threshold where it is made, and a config with any other
+top-level field, ``tolerances`` included, is refused as a config error.
+``zeros`` and ``k >= 2`` ``quad`` pass ``zeros_q`` the verdict through index
+``n - 1``, which picks its route.  ``--n`` overrides the config's ``n``
+(``zeros`` and ``quad`` report it as ``result.n``), and each command then
+reads only the resolved :class:`JobConfig`.
 Reports are deterministic JSON (``schema: 1``).  ``gen`` on a ``k2`` family
 with ``a1 != 0`` also reports ``difference_equation_max_residual``, the larger
 :func:`~opoly.recurrence.k2_difference_residual` of ``beta`` and ``gamma``.
@@ -204,6 +205,10 @@ def load_config(path: str) -> JobConfig:
 
     n = raw.get("n")
     n = _int(n, "n") if n is not None else None
+    unknown = sorted(raw.keys() - {"family", "combination", "horizon", "n"})
+    if unknown:  # nor echo a misspelt field as if it applied
+        raise ConfigError(f"unknown fields {unknown}: a config holds only "
+                          "'family', 'combination', 'horizon' and 'n'")
     return JobConfig(raw=raw, rec=rec, comb=comb, n=n, generator_a=generator_a)
 
 

@@ -178,29 +178,29 @@ def _newton_distance(rec: RecurrencePair, comb: CombCoeffs, z: np.ndarray) -> fl
     return float(multiset_distance(z, refined)) if np.all(np.isfinite(refined)) else np.inf
 
 
+#: Largest Newton distance :func:`zeros_q` accepts, on either route.
+_NEWTON_TOL = 1e-8
+
+
 def zeros_q(
-    rec: RecurrencePair,
-    comb: CombCoeffs,
-    m: int,
-    cross_tol: float = 1e-8,
-    report: ConditionReport | None = None,
+    rec: RecurrencePair, comb: CombCoeffs, m: int, report: ConditionReport | None = None
 ) -> ZerosReport:
     """Zeros of ``Q_m``, in ascending order as a complex array.
 
     With a passing ``report`` that checked index ``m - 1`` and
     ``tilde gamma_1..tilde gamma_{m-1} > 0``, they are the eigenvalues of the
     symmetric tilde truncation ``J~_m`` (``eigvalsh``, real), kept when their
-    Newton distance is at most ``min(cross_tol, 64 eps max(1, max|z|))``.  A
-    verdict passed at a tolerance looser than ``check_conditions``' default
-    (the CLI's) can leave ``J~_m`` slightly off ``Q_m``; then, and on every
-    other call, they are the eigenvalues of ``(J_P)_m - L_m`` (``eigvals``),
-    sorted by real part, then imaginary part.  The route needs a verdict, so
-    without a ``report`` it is the ``eigvals`` one.
+    Newton distance is at most ``min(_NEWTON_TOL, 64 eps max(1, max|z|))``.
+    A verdict passes residuals up to ``1e-10``, so ``J~_m`` can miss that bound
+    (Chebyshev T, ``a = (0, -1/8)``, ``gamma_10`` raised by ``1e-11``,
+    ``m = 20``); then, and on every other call, they are the eigenvalues of
+    ``(J_P)_m - L_m`` (``eigvals``), sorted by real part, then imaginary part.
+    The route needs a verdict, so without a ``report`` it is the ``eigvals`` one.
 
     The Newton refinements ``z - Q_m(z) / Q_m'(z)`` are evaluated by the
     recurrence of ``P``, so the check never reads the tilde data; each step is
     the first-order forward error of its ``z``.  On the ``eigvals`` route a
-    multiset distance above ``cross_tol`` (infinite where ``Q_m'`` vanishes at
+    multiset distance above ``_NEWTON_TOL`` (infinite where ``Q_m'`` vanishes at
     a computed zero) raises :class:`~opoly.errors.NumericError`; an ``m`` off
     ``[k + 1, horizon + 1]`` :class:`ValueError` or :class:`~opoly.errors.HorizonError`.
     """
@@ -215,7 +215,7 @@ def zeros_q(
         if J is not None:
             w = np.linalg.eigvalsh(J)  # ascending
             dist = _newton_distance(rec, comb, w)
-            if dist <= min(cross_tol, 64 * np.finfo(float).eps * max(1.0, -w[0], w[-1])):
+            if dist <= min(_NEWTON_TOL, 64 * np.finfo(float).eps * max(1.0, -w[0], w[-1])):
                 return ZerosReport(w.astype(complex), dist)
         # (J_P)_m minus L_m, whose only row (the last) holds a_k .. a_1
         A = _tridiagonal(rec.beta[:m], 1.0, rec.gamma[1:m])
@@ -225,7 +225,7 @@ def zeros_q(
         raise NumericError(f"eigenvalue iteration failed: {exc}") from exc
     eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
     dist = _newton_distance(rec, comb, eigs)
-    if dist > cross_tol:
+    if dist > _NEWTON_TOL:
         raise NumericError(
             f"eigenvalue/Newton cross-check mismatch: multiset distance {dist:.3e}"
         )
@@ -309,11 +309,7 @@ def _h_pairings(beta, gamma, low, band, c):
 
 
 def verify_functional_relation(
-    rec: RecurrencePair,
-    comb: CombCoeffs,
-    report: ConditionReport,
-    h: Poly,
-    tol: float = 1e-8,
+    rec: RecurrencePair, comb: CombCoeffs, report: ConditionReport, h: Poly
 ) -> RelationReport:
     """Check ``u = s * h v`` on the modified moments ``mu_m = v(P_m)``.
 
@@ -329,7 +325,8 @@ def verify_functional_relation(
     where ``b`` is the same computation on absolute values (it bounds the
     rounding error of ``r_m``) and the second term is ``|r_0|`` times the
     norm of ``P_m``.  Both scale like ``r_m`` under ``x -> s x``, so the
-    residual does not depend on the unit of ``x``.  A failed report raises
+    residual does not depend on the unit of ``x``; the relation holds when the
+    largest is at most ``1e-8``.  A failed report raises
     :class:`~opoly.errors.StateError`, a vanishing ``r_0``
     :class:`~opoly.errors.DegeneracyError`.
     """
@@ -349,7 +346,7 @@ def verify_functional_relation(
     norms = np.sqrt(np.cumprod(np.abs(rec.gamma[1 : r.size])))
     resid = np.abs(r[1:]) / np.maximum(b[1:], abs(r[0]) * norms)
     worst = float(np.max(resid))
-    return RelationReport(worst <= tol, float(1.0 / r[0]), worst)
+    return RelationReport(worst <= 1e-8, float(1.0 / r[0]), worst)
 
 
 @dataclass(frozen=True)
@@ -359,13 +356,9 @@ class OrthonormalReport:
 
 
 def orthonormal_identity_check(
-    rec: RecurrencePair,
-    comb: CombCoeffs,
-    report: ConditionReport,
-    m: int,
-    tol: float = 1e-8,
+    rec: RecurrencePair, comb: CombCoeffs, report: ConditionReport, m: int
 ) -> OrthonormalReport:
-    """Check ``h_k(J_sym) = Mt^T Mt`` in the orthonormal normalisation, to ``tol``.
+    """Check ``h_k(J_sym) = Mt^T Mt`` in the orthonormal normalisation, to ``1e-8``.
 
     ``J_sym`` is the symmetric Jacobi matrix (off-diagonal ``sqrt(gamma)``)
     and ``Mt = D_Q^{-1/2} M D_P^{1/2}``.  Both sides are assembled at
@@ -398,4 +391,4 @@ def orthonormal_identity_check(
     rhs = Mt.T @ Mt
     cut = m - k - 1
     residual = float(np.max(np.abs(lhs[:cut, :cut] - rhs[:cut, :cut])))
-    return OrthonormalReport(residual <= tol, residual)
+    return OrthonormalReport(residual <= 1e-8, residual)

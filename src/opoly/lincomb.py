@@ -97,21 +97,25 @@ class ConditionReport:
     failures: tuple[str, ...]
 
 
-def _complete_low(rec: RecurrencePair, comb: CombCoeffs, tol: float) -> tuple[dict, str | None]:
+#: Relative tolerance of every test :func:`check_conditions` makes.
+_CONDITIONS_TOL = 1e-10
+
+
+def _complete_low(rec: RecurrencePair, comb: CombCoeffs) -> tuple[dict, str | None]:
     """The exact completion rounded to floats and held to the tolerance tests.
 
     Each value is one correctly rounded integer division over a positive
     denominator, so zeros keep the sign the exact value gives them.  Returns
     the report fields and the failure text, if any.  Only ``denom`` is
     filled when the denominator is numerically zero or a step has
-    ``|tilde gamma_m| <= tol * max(1, max|row_{m+1}|, max|row_m|)`` over the
-    ``P``-basis rows of ``Q_{m+1}`` and ``Q_m`` (rounding is monotone, so the
-    largest rounded entry is the rounded largest exact one).
+    ``|tilde gamma_m| <= _CONDITIONS_TOL * max(1, max|row_{m+1}|, max|row_m|)``
+    over the ``P``-basis rows of ``Q_{m+1}`` and ``Q_m`` (rounding is monotone,
+    so the largest rounded entry is the rounded largest exact one).
     """
     k = comb.k
     e, (dp, dq), rows, tilde = low_completion(rec.betas, rec.gammas, comb.a)
     low = {"denom": dp / dq, "completion": (), "beta0_tilde": None, "low_rows": ()}
-    if abs(low["denom"]) <= tol * max(1.0, abs(rec.gammas[k + 1])):
+    if abs(low["denom"]) <= _CONDITIONS_TOL * max(1.0, abs(rec.gammas[k + 1])):
         return low, "gamma_{k+1} + a_1*(beta_k - beta_{k+1}) is numerically zero"
 
     def row(m):  # P_i's coefficient in Q_m is nums[i] / (d 2^((m-i) e))
@@ -124,7 +128,7 @@ def _complete_low(rec: RecurrencePair, comb: CombCoeffs, tol: float) -> tuple[di
         (bp, bq), (gp, gq) = tilde[m]
         tb, tg = bp / bq, gp / gq
         low_rows.append(row(m))
-        if abs(tg) <= tol * max(1.0, *map(abs, low_rows[-2] + low_rows[-1])):
+        if abs(tg) <= _CONDITIONS_TOL * max(1.0, *map(abs, low_rows[-2] + low_rows[-1])):
             return low, f"tilde gamma at degree {m} is numerically zero ({tg!r})"
         completion.append((m, tb, tg, True))
     p, q = tilde[0][0]
@@ -171,14 +175,13 @@ def _tilde_gamma(rec: RecurrencePair, a1: float, lo: int, hi: int) -> list[float
     return [gamma[n] + a1 * (beta[n - 1] - beta[n]) for n in range(lo, hi + 1)]
 
 
-def check_conditions(
-    rec: RecurrencePair, comb: CombCoeffs, n_max: int, tol: float = 1e-10
-) -> ConditionReport:
+def check_conditions(rec: RecurrencePair, comb: CombCoeffs, n_max: int) -> ConditionReport:
     """Decide orthogonality of the combination family up to index ``n_max``.
 
-    Residuals are accepted when below ``tol * max(1, |gamma_n|)``.  Failures
-    never raise; they are encoded in the returned report.  A completion value
-    past the float range raises :class:`~opoly.errors.NumericError`.
+    Residuals are accepted when at most ``_CONDITIONS_TOL * max(1, |gamma_n|)``,
+    a fixed ``1e-10`` that only absorbs rounding.  Failures never raise; they
+    are encoded in the returned report.  A completion value past the float
+    range raises :class:`~opoly.errors.NumericError`.
     """
     k = comb.k
     if n_max < k + 2:
@@ -188,13 +191,13 @@ def check_conditions(
     a = (0.0,) + comb.a
     beta, gamma = rec.betas, rec.gammas
     try:
-        low, failure = _complete_low(rec, comb, tol)
+        low, failure = _complete_low(rec, comb)
     except OverflowError as exc:  # an exact completion value past the float range
         raise NumericError(f"low-degree completion: {exc}") from exc
     failures = [failure] if failure else []
 
     tg = _tilde_gamma(rec, a[1], k + 1, n_max)  # tilde gamma_{k+1..n_max}
-    bound = [tol * max(1.0, abs(g)) for g in gamma[k + 1:n_max + 1]]
+    bound = [_CONDITIONS_TOL * max(1.0, abs(g)) for g in gamma[k + 1:n_max + 1]]
     ns = range(k + 2, n_max + 1)  # the matching block, one column per condition
     main = [t - gamma[n - k] for n, t in zip(ns, tg[1:])]
     extras = [[a[j - 1] * (gamma[n - k] - gamma[n - j + 1]) - a[j] * (beta[n - j] - beta[n])

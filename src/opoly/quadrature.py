@@ -127,34 +127,34 @@ def christoffel_numbers(rec: RecurrencePair, nodes) -> np.ndarray:
         raise NumericError(f"node matrix is singular: {exc}") from exc
 
 
-def _table_degree(V: np.ndarray, weights: np.ndarray, tol: float) -> int:
+def _table_degree(V: np.ndarray, weights: np.ndarray) -> int:
     """Largest ``d <= 2 (t - 1)`` with ``|sum_l w_l V[i, l] V[j, l] - delta_ij|
-    <= tol`` for every ``i + j <= d`` over the ``t`` rows of ``V``, or -1 if
+    <= 1e-9`` for every ``i + j <= d`` over the ``t`` rows of ``V``, or -1 if
     even ``d = 0`` fails."""
     import numpy as np
     size = V.shape[0]
     err = (V * weights) @ V.T
     err.reshape(-1)[:: size + 1] -= 1.0  # minus the identity: x - 0.0 keeps x's bits
-    failed = np.flatnonzero(~(np.abs(err) <= tol))
+    failed = np.flatnonzero(~(np.abs(err) <= 1e-9))
     if not failed.size:
         return 2 * (size - 1)
     row, col = np.divmod(failed, size)
     return int((row + col).min()) - 1
 
 
-def degree_of_precision(rec: RecurrencePair, rule: QuadratureRule, tol: float = 1e-9) -> int:
+def degree_of_precision(rec: RecurrencePair, rule: QuadratureRule) -> int:
     """Largest ``d <= max_degree`` with ``|sum_l w_l p_i(x_l) p_j(x_l) - delta_ij|
-    <= tol`` for every ``i + j <= d``, or -1 if even ``d = 0`` fails.
+    <= 1e-9`` for every ``i + j <= d``, or -1 if even ``d = 0`` fails.
 
     ``max_degree`` is ``2 n + 2``, so that the first failing degree of a Gauss
     rule is observed, or ``2 N`` when the horizon ``N`` is ``n``.  It needs
     ``p_0..p_t``, ``t = max_degree / 2``: ``gamma_1..gamma_t > 0``.
     """
     top = min(rule.n + 1, rec.horizon)
-    return _table_degree(_orthonormal(rec, rule.nodes, top + 1), rule.weights, tol)
+    return _table_degree(_orthonormal(rec, rule.nodes, top + 1), rule.weights)
 
 
-def _christoffel_rule(rec: RecurrencePair, nodes: np.ndarray, tol: float) -> QuadratureRule:
+def _christoffel_rule(rec: RecurrencePair, nodes: np.ndarray) -> QuadratureRule:
     """The rule on ``n`` increasing nodes with weights ``1 / sum_{i<n} p_i(x_l)^2``,
     and its degree measured on the same table ``p_0..p_t``, ``t = min(n + 1, N)``,
     as :func:`degree_of_precision` measures it."""
@@ -162,21 +162,21 @@ def _christoffel_rule(rec: RecurrencePair, nodes: np.ndarray, tol: float) -> Qua
     n = nodes.size
     V = _orthonormal(rec, nodes, min(n + 1, rec.horizon) + 1)
     weights = 1.0 / np.square(V[:n]).sum(axis=0)
-    return QuadratureRule(nodes, weights, _table_degree(V, weights, tol))
+    return QuadratureRule(nodes, weights, _table_degree(V, weights))
 
 
-def gauss_rule(rec: RecurrencePair, n: int, tol: float = 1e-9) -> QuadratureRule:
+def gauss_rule(rec: RecurrencePair, n: int) -> QuadratureRule:
     """Gauss rule on the zeros of ``P_n``: the eigenvalues of the symmetric
     Jacobi truncation, weighted by the Christoffel function, with its degree
-    (``2n - 1``) measured at exactness tolerance ``tol``, the only tolerance
-    it reads.  The CLI measures at the default; where a far-out node's weight
-    falls below the rounding of the table, the default can miss the law and a
-    looser ``tol`` meet it (README, Known defects)."""
+    (``2n - 1``) measured at the fixed exactness tolerance ``1e-9`` of
+    :func:`degree_of_precision`.  Where a far-out node's weight falls below
+    the rounding of the table, that absolute test can miss the law on a rule
+    that is right (README, Known defects)."""
     import numpy as np
     if n < 1:
         raise ValueError("n must be positive")
     _require_positive(rec, n)
-    return _christoffel_rule(rec, np.linalg.eigvalsh(_symmetric_jacobi(rec, n)), tol)
+    return _christoffel_rule(rec, np.linalg.eigvalsh(_symmetric_jacobi(rec, n)))
 
 
 def _coincident(nodes: np.ndarray) -> bool:
@@ -202,12 +202,7 @@ class ShohatReport:
 
 
 def shohat_check(
-    rec: RecurrencePair,
-    comb: CombCoeffs,
-    n: int,
-    tol: float = 1e-9,
-    cross_tol: float = 1e-8,
-    report: ConditionReport | None = None,
+    rec: RecurrencePair, comb: CombCoeffs, n: int, report: ConditionReport | None = None
 ) -> ShohatReport:
     """Verify the k-degree loss law: nodes at the zeros of ``Q_n`` give a rule
     of degree of precision exactly ``2n - 1 - k``.
@@ -215,22 +210,22 @@ def shohat_check(
     For ``k = 1`` the rule is built as :func:`gauss_rule` builds its own, on
     the symmetric Jacobi truncation with ``beta_{n-1} - a_1`` in the last
     diagonal entry.  For ``k >= 2`` the nodes come from
-    :func:`~opoly.jacobi.zeros_q`, which alone reads ``cross_tol`` and
-    ``report`` (a passing one puts them on its symmetric tilde route), and
-    the weights from :func:`christoffel_numbers`.  Complex or coincident zeros
-    and non-positive gammas raise :class:`~opoly.errors.InapplicableError`.
+    :func:`~opoly.jacobi.zeros_q`, which alone reads ``report`` (a passing one
+    puts them on its symmetric tilde route), and the weights from
+    :func:`christoffel_numbers`.  Complex or coincident zeros and
+    non-positive gammas raise :class:`~opoly.errors.InapplicableError`.
     """
     import numpy as np
     if comb.k == 1:
         _require_positive(rec, n - 1)
         J = _symmetric_jacobi(rec, n)
         J[-1, -1] -= comb.a[0]
-        rule = _christoffel_rule(rec, _distinct(np.linalg.eigvalsh(J)), tol)
+        rule = _christoffel_rule(rec, _distinct(np.linalg.eigvalsh(J)))
     else:
-        zeros = zeros_q(rec, comb, n, cross_tol=cross_tol, report=report).zeros
+        zeros = zeros_q(rec, comb, n, report=report).zeros
         if float(np.max(np.abs(zeros.imag))) > 1e-9 * max(1.0, float(np.max(np.abs(zeros)))):
             raise InapplicableError("Q_n has complex zeros; quadrature undefined")
         nodes = _distinct(zeros.real)  # zeros_q sorts by real part
         rule = QuadratureRule(nodes, christoffel_numbers(rec, nodes), -1)
-        rule = replace(rule, degree_of_precision=degree_of_precision(rec, rule, tol=tol))
+        rule = replace(rule, degree_of_precision=degree_of_precision(rec, rule))
     return ShohatReport(rule.degree_of_precision == 2 * n - 1 - comb.k, rule)

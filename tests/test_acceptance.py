@@ -41,14 +41,14 @@ def test_criterion_1_condition_oracle_equivalence():
     assert len(corpus) >= 12
     mismatches = []
     for label, rec, comb in corpus:
-        verdict = op.check_conditions(rec, comb, 20, tol=1e-10).verdict
+        verdict = op.check_conditions(rec, comb, 20).verdict
         oracle = op.oracle_gram_check(rec, comb, degree=12, tol=1e-9).ok
         if not (verdict and oracle):
             mismatches.append((label, verdict, oracle))
     broken = broken_families()
     assert len(broken) >= 3
     for label, rec, comb in broken:
-        verdict = op.check_conditions(rec, comb, 20, tol=1e-10).verdict
+        verdict = op.check_conditions(rec, comb, 20).verdict
         try:
             oracle = op.oracle_gram_check(rec, comb, degree=12, tol=1e-9).ok
         except op.DegeneracyError:
@@ -70,7 +70,7 @@ def test_criterion_2_tilde_formulas():
     worst_three_term = 0.0
     for label, rec, comb in valid_corpus():
         k = comb.k
-        report = op.check_conditions(rec, comb, 21, tol=1e-10)
+        report = op.check_conditions(rec, comb, 21)
         assert report.verdict, label
         tilde = op.tilde_recurrence(rec, comb, 20, report=report)
         a1 = comb.a[0]
@@ -96,7 +96,7 @@ def test_criterion_3_jacobi_identities():
     worst_intertwine = 0.0
     worst_zero_dist = 0.0
     for label, rec, comb in valid_corpus():
-        report = op.check_conditions(rec, comb, 21, tol=1e-10)
+        report = op.check_conditions(rec, comb, 21)
         worst_intertwine = max(worst_intertwine, intertwining_residual(rec, comb, report, 20))
         for m in (4, 8, 12):
             if m < comb.k + 1:
@@ -125,10 +125,10 @@ def test_criterion_4_hk_pipeline():
     grid = np.linspace(-0.99, 0.99, 100)
     all_positive = True
     for rec, comb in cases:
-        report = op.check_conditions(rec, comb, 24, tol=1e-10)
+        report = op.check_conditions(rec, comb, 24)
         hk = op.solve_hk(rec, comb, report)
         worst_scale = max(worst_scale, abs(hk.scale - 1.0))
-        rel = op.verify_functional_relation(rec, comb, report, hk.poly, tol=1e-8)
+        rel = op.verify_functional_relation(rec, comb, report, hk.poly)
         worst_relation = max(worst_relation, rel.max_residual)
         all_positive = all_positive and bool(np.all(hk.poly(grid) > 0.0))
         orth = op.orthonormal_identity_check(rec, comb, report, 16)
@@ -152,7 +152,7 @@ def test_criterion_5_degree_loss_law():
         (op.chebyshev_family(1, HORIZON), op.CombCoeffs((0.0, -0.125))),
     ):
         for n in (5, 6, 8):
-            got = op.shohat_check(rec, comb, n, tol=1e-9).ok
+            got = op.shohat_check(rec, comb, n).ok
             ok = ok and got
             details.append(f"k={comb.k},n={n}:{'ok' if got else 'FAIL'}")
     gauss_ok = True
@@ -176,7 +176,7 @@ def test_criterion_6_k2_generator_round_trip():
     details = []
     for case in ("a1_zero", "equal_roots", "real_roots", "complex_roots"):
         a1, a2, params, rec = k2_case_fixture(case, horizon=50)
-        report = op.check_conditions(rec, op.CombCoeffs((a1, a2)), 50, tol=1e-10)
+        report = op.check_conditions(rec, op.CombCoeffs((a1, a2)), 50)
         case_ok = report.verdict
         if a1 != 0.0:
             resid_b = op.k2_difference_residual(rec.beta, a1, a2)
@@ -215,7 +215,7 @@ def test_criterion_7_k1_constant_characterization():
         for a1 in (0.5, -0.4, 0.2):
             rec = op.RecurrencePair(np.zeros(21), np.full(20, gamma))
             comb = op.CombCoeffs((a1,))
-            report = op.check_conditions(rec, comb, 20, tol=1e-10)
+            report = op.check_conditions(rec, comb, 20)
             ok = ok and report.verdict
             q1 = op.q_poly(rec, comb, 1, report=report)
             expect = op.poly_p(rec, 1) + a1 * op.poly_p(rec, 0)

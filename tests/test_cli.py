@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -35,7 +36,7 @@ BASE = {
     "horizon": 20,
     "n": 6,
 }
-# Chebyshev T with gamma_10 raised by 1e-8: its verdict fails at the default
+# Chebyshev T with gamma_10 raised by 1e-8: its verdict fails at the fixed
 # tolerance, where tilde and hk stop and check's oracle agrees
 LOOSE = dict(
     BASE,
@@ -43,8 +44,9 @@ LOOSE = dict(
             "gamma": ["0.5"] + ["0.25"] * 8 + [repr(0.25 + 1e-8)] + ["0.25"] * 14},
     horizon=24,
 )
-# every check runs at its library default, so any 'tolerances' field is refused
+# every check reads a fixed threshold, so any 'tolerances' field is refused
 TOLERANCES_REFUSED = "field 'tolerances' is not accepted: every check runs at its default"
+FIELDS = "a config holds only 'family', 'combination', 'horizon' and 'n'"
 
 
 def test_check_passing_config(tmp_path, capsys):
@@ -157,6 +159,19 @@ def test_non_finite_or_non_integral_numbers_exit_two(tmp_path, capsys, change):
         assert err == f"opoly: config error: {TOLERANCES_REFUSED}\n"
 
 
+def test_only_the_oracle_takes_a_tolerance():
+    # each check reads one fixed threshold where it is made; only the exact
+    # oracle still takes its ratio threshold as an argument
+    takes = set()
+    for name in op.__all__:
+        obj = getattr(op, name)
+        if not callable(obj) or (isinstance(obj, type) and issubclass(obj, Exception)):
+            continue
+        if {"tol", "cross_tol"} & set(inspect.signature(obj).parameters):
+            takes.add(name)
+    assert takes == {"oracle_gram_check"}
+
+
 K1 = {"type": "k1", "a1": "0.5", "beta0": "0", "beta1": "0", "beta2": "0", "gammas": ["0.25"] * 20}
 # a_1 lam B = (1 + lam) E fails: E = 0.9 where the real-root case needs about 0.0553
 K2 = {"type": "k2", "case": "real_roots", "a1": "1", "a2": "0.2", "A": "0", "B": "0.2",
@@ -185,6 +200,10 @@ K2_A1_ZERO = {"type": "k2", "case": "a1_zero", "a1": "0", "a2": "-0.125", "A": "
         ({key: v for key, v in BASE.items() if key != "combination"},
          "config needs a 'combination' (or a generator family)"),
         (dict(BASE, tolerances={"gram": 1e-9}), TOLERANCES_REFUSED),
+        (dict(BASE, tolerances={"gram": 1e-9}, N=20), TOLERANCES_REFUSED),
+        (dict(BASE, tolerance={"conditions": 1e-5}, N=20),
+         f"unknown fields ['N', 'tolerance']: {FIELDS}"),
+        (dict(BASE, lambda_=0.5), f"unknown fields ['lambda_']: {FIELDS}"),
         (dict(BASE, horizon=1), "horizon must be at least 4 (k + 3 with k >= 1), got 1"),
         (dict(BASE, horizon=0, family={"type": "explicit", "beta": ["0"], "gamma": []}),
          "horizon must be at least 4 (k + 3 with k >= 1), got 0"),
@@ -207,6 +226,7 @@ K2_A1_ZERO = {"type": "k2", "case": "a1_zero", "a1": "0", "a2": "-0.125", "A": "
     ],
     ids=["not-object", "no-horizon", "family-not-object", "kind-5", "explicit-length",
          "unknown-family", "k2-case-list", "k-mismatch", "no-combination", "unknown-tolerance",
+         "tolerances-before-unknown", "misspelt-fields", "unknown-field",
          "chebyshev-horizon-1", "explicit-horizon-0", "k1-horizon-2", "k1-short-gammas",
          "k1-a1-zero", "k1-gammas-zero", "k2-gamma1-zero", "k2-a2-zero", "k2-off-constraint", "k2-case-mismatch",
          "k2-double-root"],
@@ -513,17 +533,16 @@ def test_hk_default_truncation_needs_horizon_2k_plus_1(tmp_path, capsys, k, hori
         assert result["orthonormal_identity"]["ok"] is True
 
 
-def test_hk_ignores_truncation_field(tmp_path, capsys):
+def test_hk_refuses_truncation_field(tmp_path, capsys):
     # the truncation is always min(16, horizon + 1 - k); a config's
-    # hk_truncation is an ignored field
+    # hk_truncation is an unknown field, refused like any other
     payload = json.loads((CONFIG_DIR / "cheb1_k2.json").read_text())
     code, out, err = run(capsys, "hk", "--config", write_config(tmp_path, payload))
     assert code == 0, err
-    pinned = json.loads(out)["result"]
     payload["hk_truncation"] = 9
     code, out, err = run(capsys, "hk", "--config", write_config(tmp_path, payload))
-    assert code == 0, err
-    assert json.loads(out)["result"] == pinned
+    assert (code, out) == (2, "")
+    assert err == f"opoly: config error: unknown fields ['hk_truncation']: {FIELDS}\n"
 
 
 def scaled_payload(path, s):
@@ -607,6 +626,20 @@ def test_quad_command(tmp_path, capsys):
     assert result["combination"]["ok"] is True
 
 
+def test_zeros_falls_back_to_eigvals_on_a_passing_verdict(tmp_path, capsys):
+    # gamma_10 raised by 1e-11 passes the verdict at its fixed 1e-10, but the
+    # tilde eigenvalues then miss the keep bound 64 eps, so zeros reports the
+    # eigvals route's zeros
+    gamma = ["0.5"] + ["0.25"] * 8 + ["0.25000000001"] + ["0.25"] * 14
+    cfg = write_config(tmp_path, dict(LOOSE, family=dict(LOOSE["family"], gamma=gamma)))
+    code, out, err = run(capsys, "zeros", "--config", cfg, "--n", "20")
+    assert (code, err) == (0, "")
+    job = cli.load_config(cfg)
+    assert op.check_conditions(job.rec, job.comb, 19).verdict
+    eigvals = op.zeros_q(job.rec, job.comb, 20).zeros  # no report: the eigvals route
+    assert json.loads(out)["result"]["zeros"] == [{"re": z.real, "im": z.imag} for z in eigvals]
+
+
 def test_reports_read_the_library_artifacts(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(BASE, horizon=24))
     rec = op.chebyshev_family(1, 24)
@@ -616,7 +649,7 @@ def test_reports_read_the_library_artifacts(tmp_path, capsys):
     assert code == 0
     block = json.loads(out)["result"]["combination"]
     report = op.check_conditions(rec, comb, max(n - 1, comb.k + 2))  # as the CLI picks the route
-    shohat = op.shohat_check(rec, comb, n, tol=1e-9, cross_tol=1e-8, report=report)
+    shohat = op.shohat_check(rec, comb, n, report=report)
     assert block["nodes"] == list(shohat.rule.nodes)
     assert block["weights"] == list(shohat.rule.weights)
     assert block["degree_of_precision"] == shohat.rule.degree_of_precision
@@ -624,7 +657,7 @@ def test_reports_read_the_library_artifacts(tmp_path, capsys):
     code, out, _ = run(capsys, "zeros", "--config", cfg, "--n", str(n))
     assert code == 0
     result = json.loads(out)["result"]
-    zq = op.zeros_q(rec, comb, n, cross_tol=1e-8, report=report)
+    zq = op.zeros_q(rec, comb, n, report=report)
     assert result["zeros"] == [{"re": z.real, "im": z.imag} for z in zq.zeros]
     assert result["cross_check_distance"] == zq.cross_check_distance
     assert result["coefficients"] == list(op.q_poly(rec, comb, n).coeffs)
@@ -636,7 +669,7 @@ def test_reports_read_the_library_artifacts(tmp_path, capsys):
 )
 def test_quad_honours_zeros_tolerance(capsys, name, n):
     # quad takes its nodes from the zeros_q run that zeros reports, under the
-    # same default cross-check tolerance
+    # same fixed cross-check tolerance
     argv = ("--config", str(CONFIG_DIR / name), "--n", str(n))
     code, out, err = run(capsys, "zeros", *argv)
     assert code == 0, err

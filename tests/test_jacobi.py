@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import opoly as op
+from opoly import lincomb
 from opoly.cli import load_config
 
 from conftest import (
@@ -233,11 +234,11 @@ def _negative_tail():
     return rec, op.CombCoeffs((a1,))
 
 
-def _loose():
-    """Chebyshev T with ``gamma_10`` raised by ``1e-8`` and ``a = (0, -1/8)``,
-    a family whose verdict passes at tolerance ``1e-5`` and fails at the
-    default."""
-    gamma = [0.5] + [0.25] * 8 + [0.25 + 1e-8] + [0.25] * 14
+def _loose(raise_by=1e-8):
+    """Chebyshev T with ``gamma_10`` raised by ``raise_by`` and ``a = (0, -1/8)``.
+    At ``1e-8`` its verdict passes at tolerance ``1e-5`` and fails at the
+    fixed ``1e-10``; at ``1e-11`` it passes at ``1e-10`` too."""
+    gamma = [0.5] + [0.25] * 8 + [0.25 + raise_by] + [0.25] * 14
     return op.RecurrencePair([0.0] * 25, gamma), op.CombCoeffs((0.0, -0.125))
 
 
@@ -341,16 +342,20 @@ class TestTildeRoute:
         _assert_eigvals_route(rec, comb, report, 24)
 
     def test_loose_verdict_falls_back_to_eigvals(self):
-        # gamma_10 raised by 1e-8 passes the verdict at tolerance 1e-5, but
-        # the tilde eigenvalues then sit far from the zeros of Q_20
-        (rec, comb), m = _loose(), 20
-        report = op.check_conditions(rec, comb, m - 1, tol=1e-5)
-        tilde = _tilde_eigenvalues(rec, comb, report, m)
-        assert tilde is not None
-        assert np.max(np.abs(tilde - _eigvals_route(rec, comb, m).real)) > 1e-10
-        zq = op.zeros_q(rec, comb, m, report=report)
-        assert zq.zeros.tobytes() == _eigvals_route(rec, comb, m).tobytes()
-        assert zq.cross_check_distance <= 64 * EPS
+        # gamma_10 raised by 1e-12 to 9e-11 passes the verdict at its fixed
+        # 1e-10, but the tilde eigenvalues then sit off the zeros of Q_20 by
+        # more than the keep bound 64 eps
+        m = 20
+        for raise_by in (1e-12, 1e-11, 9e-11):
+            rec, comb = _loose(raise_by)
+            report = op.check_conditions(rec, comb, m - 1)
+            assert report.verdict
+            tilde = _tilde_eigenvalues(rec, comb, report, m)
+            assert tilde is not None
+            assert op.jacobi._newton_distance(rec, comb, tilde) > 64 * EPS
+            zq = op.zeros_q(rec, comb, m, report=report)
+            assert zq.zeros.tobytes() == _eigvals_route(rec, comb, m).tobytes()
+            assert zq.cross_check_distance <= 64 * EPS
 
     def test_a_moved_tilde_eigenvalue_falls_back_to_eigvals(self, cheb_t, monkeypatch):
         comb = op.CombCoeffs((0.0, -0.125))
@@ -419,7 +424,7 @@ class TestHk:
         comb = op.CombCoeffs((0.0, -0.125))
         report = op.check_conditions(cheb_t, comb, 25)
         hk = op.solve_hk(cheb_t, comb, report)
-        rel = op.verify_functional_relation(cheb_t, comb, report, hk.poly, tol=1e-8)
+        rel = op.verify_functional_relation(cheb_t, comb, report, hk.poly)
         assert rel.ok
         assert rel.max_residual < 1e-9
         grid = np.linspace(-0.99, 0.99, 100)
@@ -440,7 +445,7 @@ class TestHk:
         report = op.check_conditions(cheb_u, comb, 25)
         hk = op.solve_hk(cheb_u, comb, report)
         bad = hk.poly + op.Poly((1e-3,))
-        rel = op.verify_functional_relation(cheb_u, comb, report, bad, tol=1e-8)
+        rel = op.verify_functional_relation(cheb_u, comb, report, bad)
         assert not rel.ok
 
     def test_relation_refuses_bad_inputs(self, cheb_u):
@@ -557,7 +562,7 @@ def test_hk_pipeline_on_indefinite_family():
     ratio = got[-1] / ref[-1]
     assert ratio < 0
     assert np.allclose(got, ref * ratio, atol=1e-9)
-    rel = op.verify_functional_relation(rec, comb, report, hk.poly, tol=1e-8)
+    rel = op.verify_functional_relation(rec, comb, report, hk.poly)
     assert rel.ok
     assert rel.max_residual < 1e-9
 
@@ -570,7 +575,7 @@ def test_hk_relation_on_generated_k1_family():
     report = op.check_conditions(rec, comb, 24)
     assert report.verdict
     hk = op.solve_hk(rec, comb, report)
-    rel = op.verify_functional_relation(rec, comb, report, hk.poly, tol=1e-8)
+    rel = op.verify_functional_relation(rec, comb, report, hk.poly)
     assert rel.ok
     assert rel.max_residual < 1e-9
 
@@ -584,7 +589,7 @@ def test_hk_relation_holds_across_corpus(label, rec, comb):
     report = op.check_conditions(rec, comb, 24)
     assert report.verdict, label
     hk = op.solve_hk(rec, comb, report)
-    rel = op.verify_functional_relation(rec, comb, report, hk.poly, tol=1e-8)
+    rel = op.verify_functional_relation(rec, comb, report, hk.poly)
     assert rel.ok, label
 
 
@@ -604,7 +609,7 @@ def test_relation_rejects_relative_change_of_c0(path):
     assert op.verify_functional_relation(cfg.rec, cfg.comb, report, hk.poly).ok
     c = hk.poly.coeffs
     bad = op.Poly((c[0] * (1 + 1e-6),) + c[1:])
-    rel = op.verify_functional_relation(cfg.rec, cfg.comb, report, bad, tol=1e-8)
+    rel = op.verify_functional_relation(cfg.rec, cfg.comb, report, bad)
     assert rel.ok is False
     assert rel.max_residual > 1e-8
 
@@ -631,18 +636,19 @@ class TestOrthonormalIdentity:
         with pytest.raises(op.InapplicableError, match="tilde gamma_n > 0"):
             op.orthonormal_identity_check(rec, comb, report, 12)
 
-    def test_fails_where_the_relation_passes(self):
+    def test_fails_where_the_relation_passes(self, monkeypatch):
         # on the loose family the relation (~3.5e-9) passes at 1e-8, but the
         # identity at `opoly hk`'s truncation 16 (~2.7e-8) passes only at 1e-5
         rec, comb = _loose()
         assert not op.check_conditions(rec, comb, 24).verdict
-        report = op.check_conditions(rec, comb, 24, tol=1e-5)
+        with monkeypatch.context() as patch:  # the verdict alone at 1e-5
+            patch.setattr(lincomb, "_CONDITIONS_TOL", 1e-5)
+            report = op.check_conditions(rec, comb, 24)
         hk = op.solve_hk(rec, comb, report)
-        assert op.verify_functional_relation(rec, comb, report, hk.poly, tol=1e-8).ok
-        result = op.orthonormal_identity_check(rec, comb, report, 16, tol=1e-8)
+        assert op.verify_functional_relation(rec, comb, report, hk.poly).ok
+        result = op.orthonormal_identity_check(rec, comb, report, 16)
         assert result.ok is False
         assert 1e-8 < result.residual <= 1e-5
-        assert op.orthonormal_identity_check(rec, comb, report, 16, tol=1e-5).ok
 
 
 def test_multiset_distance():

@@ -279,10 +279,11 @@ def _random_families(count=120, seed=11):
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-3])
-def test_conditions_match_a_per_index_walk(tol):
+def test_conditions_match_a_per_index_walk(tol, monkeypatch):
+    monkeypatch.setattr(lincomb, "_CONDITIONS_TOL", tol)
     verdicts = set()
     for rec, comb in _random_families():
-        report = op.check_conditions(rec, comb, rec.horizon, tol=tol)
+        report = op.check_conditions(rec, comb, rec.horizon)
         matching, failures, tail_ok = _per_index_conditions(rec, comb, rec.horizon, tol)
         assert report.matching == matching
         assert all(type(row[3]) is bool for row in report.matching)
@@ -896,7 +897,9 @@ def _assert_completion_matches_fractions(rec, comb):
         assert none is None and q > 0
         assert Fraction(p, q) == Fraction(float(rec.beta[0])) - ref_rows[1][0]
     for tol in (1e-10, 1e-3):
-        report = op.check_conditions(rec, comb, k + 2, tol)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lincomb, "_CONDITIONS_TOL", tol)
+            report = op.check_conditions(rec, comb, k + 2)
         low, failure = _fraction_low_fields(rec, comb, tol)
         assert _low_bits(report.denom, report.completion, report.beta0_tilde,
                          report.low_rows) == _low_bits(**low)

@@ -223,9 +223,9 @@ def test_table_degree_matches_the_reference_at_its_ends():
     for table, weights in ((V, rule.weights), (V[:8], rule.weights),
                            (V, np.full(8, np.nan)), (V, rule.weights + 1e-3)):
         expected = _table_degree_reference(table, weights, 1e-9)
-        assert quadrature._table_degree(table, weights, 1e-9) == expected
-    assert quadrature._table_degree(V[:8], rule.weights, 1e-9) == 14  # nothing fails
-    assert quadrature._table_degree(V, np.full(8, np.nan), 1e-9) == -1
+        assert quadrature._table_degree(table, weights) == expected
+    assert quadrature._table_degree(V[:8], rule.weights) == 14  # nothing fails
+    assert quadrature._table_degree(V, np.full(8, np.nan)) == -1
 
 
 def _hex(values):
@@ -391,27 +391,31 @@ def test_k1_rule_sits_on_the_zeros_of_q_and_meets_its_law(case):
         assert shohat.ok
 
 
-def test_k1_quad_reads_no_zeros_tolerance():
-    # zeros_q refuses on its Newton check at this tolerance; the k = 1 rule
-    # comes from the symmetric Jacobi matrix and never runs that check
+def test_k1_quad_never_calls_zeros_q(monkeypatch):
+    # the k = 1 rule comes from the symmetric Jacobi matrix, with or without
+    # a report, and never runs zeros_q or its Newton check
     cfg = load_config(str(CONFIG_DIR / "cheb2_k1.json"))
     rec, comb, n = cfg.rec, cfg.comb, 10
     report = op.check_conditions(rec, comb, n - 1)
-    with pytest.raises(op.NumericError, match="eigenvalue/Newton cross-check mismatch"):
-        op.zeros_q(rec, comb, n, cross_tol=1e-17, report=report)
-    shohat = op.shohat_check(rec, comb, n, cross_tol=1e-17)
-    assert shohat.ok
-    assert shohat.rule.degree_of_precision == 2 * n - 2
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the k = 1 rule called zeros_q")
+
+    monkeypatch.setattr(quadrature, "zeros_q", refuse)
+    for rep in (None, report):
+        shohat = op.shohat_check(rec, comb, n, report=rep)
+        assert shohat.ok
+        assert shohat.rule.degree_of_precision == 2 * n - 2
 
 
 def test_tol_quad_reaches_the_gauss_rule():
-    # at the default 1e-9 the combination rule measures degree 34 here (the
-    # Gauss rule 67); a looser exactness tolerance reaches both laws
+    # at the fixed 1e-9 the combination rule measures degree 34 here (the
+    # Gauss rule 67); read on each rule's own table, a looser exactness
+    # tolerance reaches both laws
     cfg = load_config(str(CONFIG_DIR / "gen_k2_equal_roots.json"))
     rec, comb, n = cfg.rec, cfg.comb, 34
     report = op.check_conditions(rec, comb, n - 1)
-    assert op.shohat_check(rec, comb, n, report=report).rule.degree_of_precision == 34
-    assert op.gauss_rule(rec, n, tol=1e-3).degree_of_precision == 67
-    shohat = op.shohat_check(rec, comb, n, tol=1e-3, report=report)
-    assert shohat.rule.degree_of_precision == 65
-    assert shohat.ok
+    shohat = op.shohat_check(rec, comb, n, report=report)
+    assert shohat.rule.degree_of_precision == 34
+    assert _reference_degree(rec, op.gauss_rule(rec, n), 1e-3) == 67
+    assert _reference_degree(rec, shohat.rule, 1e-3) == 65 == 2 * n - 1 - comb.k

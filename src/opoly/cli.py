@@ -9,11 +9,12 @@ Every command takes the same options.  A config names exactly one family
 a horizon, and optionally a node count ``n``.  Numbers may be given as
 decimal strings to avoid double-rounding in published configs.  Each check
 reads one fixed threshold where it is made, and a config with any other
-top-level field, ``tolerances`` included, is refused as a config error.
-``zeros`` and ``k >= 2`` ``quad`` pass ``zeros_q`` the verdict through index
-``n - 1``, which picks its route.  ``--n`` overrides the config's ``n``
-(``zeros`` and ``quad`` report it as ``result.n``), and each command then
-reads only the resolved :class:`JobConfig`.
+top-level field, ``tolerances`` included, is refused as a config error, as
+is any family or ``combination`` key that no builder reads.
+``zeros`` and ``quad`` read no verdict: ``zeros_q`` picks its own route.
+``--n`` overrides the config's ``n`` (``zeros`` and ``quad`` report it as
+``result.n``), and each command then reads only the resolved
+:class:`JobConfig`.
 Reports are deterministic JSON (``schema: 1``).  ``gen`` on a ``k2`` family
 with ``a1 != 0`` also reports ``difference_equation_max_residual``, the larger
 :func:`~opoly.recurrence.k2_difference_residual` of ``beta`` and ``gamma``.
@@ -114,11 +115,32 @@ def _object(raw: dict, field: str) -> dict | None:
     return value
 
 
+def _only(obj: dict, fields: tuple[str, ...], holder: str) -> None:
+    """Refuse every key of ``obj`` outside ``fields``: a report must not echo
+    a misspelt field as if it applied, nor a generator read a default for it."""
+    unknown = sorted(obj.keys() - set(fields))
+    if unknown:
+        names = ", ".join(map(repr, fields[:-1])) + f" and {fields[-1]!r}"
+        raise ConfigError(f"unknown fields {unknown}: {holder} holds only {names}")
+
+
+# The fields each family type reads, the optional ones included
+_FAMILY_FIELDS = {
+    "chebyshev": ("type", "kind"),
+    "explicit": ("type", "beta", "gamma"),
+    "k1": ("type", "gammas", "beta0", "beta1", "beta2", "a1"),
+    "k2": ("type", "case", "a1", "a2", "beta0", "beta1", "gamma1", *"ABCDEF"),
+}
+
+
 def _build_family(fam: dict, horizon: int) -> tuple[RecurrencePair, tuple[float, ...] | None]:
     """Returns (pair, the generator's combination or None)."""
     if not isinstance(fam, dict) or "type" not in fam:
         raise ConfigError("family must be an object with a 'type' field")
     ftype = fam["type"]
+    if not isinstance(ftype, str) or ftype not in _FAMILY_FIELDS:
+        raise ConfigError(f"unknown family type {ftype!r}")
+    _only(fam, _FAMILY_FIELDS[ftype], f"the {ftype} family")
     if ftype == "chebyshev":
         return chebyshev_family(_int(fam.get("kind"), "family.kind"), horizon), None
     if ftype == "explicit":
@@ -148,12 +170,10 @@ def _build_family(fam: dict, horizon: int) -> tuple[RecurrencePair, tuple[float,
             **kwargs,
         )
         return k2_family(a1, a2, params, horizon), (a1, a2)
-    if ftype == "k1":
-        gammas = _num_list(fam.get("gammas"), "family.gammas")
-        a1 = _num(fam.get("a1"), "family.a1")
-        betas = [_num(fam.get(f"beta{i}", 0.0), f"family.beta{i}") for i in range(3)]
-        return k1_family(gammas, *betas, a1, horizon), (a1,)
-    raise ConfigError(f"unknown family type {ftype!r}")
+    gammas = _num_list(fam.get("gammas"), "family.gammas")  # k1
+    a1 = _num(fam.get("a1"), "family.a1")
+    betas = [_num(fam.get(f"beta{i}", 0.0), f"family.beta{i}") for i in range(3)]
+    return k1_family(gammas, *betas, a1, horizon), (a1,)
 
 
 def load_config(path: str) -> JobConfig:
@@ -188,6 +208,7 @@ def load_config(path: str) -> JobConfig:
 
     comb_cfg = _object(raw, "combination")
     if comb_cfg is not None:
+        _only(comb_cfg, ("k", "a"), "the combination")
         a = _num_list(comb_cfg.get("a"), "combination.a")
         if "k" in comb_cfg and _int(comb_cfg["k"], "combination.k") != len(a):
             raise ConfigError("combination.k disagrees with len(combination.a)")
@@ -205,10 +226,7 @@ def load_config(path: str) -> JobConfig:
 
     n = raw.get("n")
     n = _int(n, "n") if n is not None else None
-    unknown = sorted(raw.keys() - {"family", "combination", "horizon", "n"})
-    if unknown:  # nor echo a misspelt field as if it applied
-        raise ConfigError(f"unknown fields {unknown}: a config holds only "
-                          "'family', 'combination', 'horizon' and 'n'")
+    _only(raw, ("family", "combination", "horizon", "n"), "a config")
     return JobConfig(raw=raw, rec=rec, comb=comb, n=n, generator_a=generator_a)
 
 
@@ -288,12 +306,6 @@ def _conditions(cfg: JobConfig):
     return check_conditions(cfg.rec, cfg.comb, cfg.rec.horizon)
 
 
-def _route_conditions(cfg: JobConfig, n: int):
-    """The verdict through index ``n - 1``, all that ``zeros_q`` reads to
-    pick its route for ``Q_n``."""
-    return check_conditions(cfg.rec, cfg.comb, max(n - 1, cfg.comb.k + 2))
-
-
 def _condition_summary(rep) -> dict:
     worst_main = max((abs(r[1]) for r in rep.matching), default=0.0)
     worst_extra = max(
@@ -369,7 +381,7 @@ def _require_n(cfg: JobConfig, command: str, hi: int) -> int:
 
 def _cmd_zeros(cfg: JobConfig) -> tuple[int, dict]:
     n = _require_n(cfg, "zeros", cfg.rec.horizon + 1)
-    zq = zeros_q(cfg.rec, cfg.comb, n, report=_route_conditions(cfg, n))
+    zq = zeros_q(cfg.rec, cfg.comb, n)
     return 0, {
         "n": n,
         "zeros": [{"re": re, "im": im}
@@ -422,9 +434,7 @@ def _cmd_quad(cfg: JobConfig) -> tuple[int, dict]:
     k = cfg.comb.k
     rule = gauss_rule(cfg.rec, n)
     gauss_ok = rule.degree_of_precision == 2 * n - 1
-    # the k = 1 rule never reads the verdict
-    shohat = shohat_check(cfg.rec, cfg.comb, n,
-                          report=_route_conditions(cfg, n) if k >= 2 else None)
+    shohat = shohat_check(cfg.rec, cfg.comb, n)
     comb_rule = shohat.rule
     result = {
         "n": n,

@@ -7,12 +7,12 @@ banded change of basis ``Q = M P`` intertwines the two operators
 (``M J_P = J_Q M``), and the ``m x m`` truncation of ``J_P`` minus the
 single-row perturbation ``L`` (last row carrying ``a_k .. a_1``, with ``a_1``
 in the last column) has characteristic polynomial ``Q_m`` -- so zeros of the
-combination polynomials are ordinary eigenvalues.  When the verdict holds,
-``Q`` obeys the tilde recurrence and ``Q_m`` is also the characteristic
-polynomial of the tilde truncation; with ``tilde gamma_1..tilde gamma_{m-1} > 0``
-a diagonal similarity makes that matrix symmetric (``sqrt(tilde gamma)`` off
-the diagonal), and ``eigvalsh`` finds its real eigenvalues with an error
-relative to the matrix's own norm (Golub & Welsch 1969).  :func:`zeros_q`
+combination polynomials are ordinary eigenvalues.  Where the matching
+conditions hold, ``Q_m`` is also the characteristic polynomial of the tilde
+truncation; with ``tilde gamma_1..tilde gamma_{m-1} > 0`` a diagonal
+similarity makes it symmetric (``sqrt(tilde gamma)`` off the diagonal), and
+``eigvalsh`` finds its real eigenvalues with an error relative to its own
+norm (Golub & Welsch 1969).  :func:`zeros_q` builds it with no verdict and
 keeps them when their Newton distance from the zeros of ``Q_m`` is at
 rounding level, and otherwise takes the eigenvalues of ``(J_P)_m - L_m``.
 
@@ -38,7 +38,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DegeneracyError, HorizonError, InapplicableError, NumericError, StateError
-from .lincomb import CombCoeffs, ConditionReport, q_poly, tilde_recurrence
+from .lincomb import (CombCoeffs, ConditionReport, _complete_low, _tilde_pair, q_poly,
+                      tilde_recurrence)
 from .moments import moments_from_recurrence
 from .recurrence import Poly, RecurrencePair
 
@@ -142,11 +143,11 @@ def _newton_step(rec: RecurrencePair, comb: CombCoeffs, z: np.ndarray) -> np.nda
     whose rows carry ``P_j`` and ``P_j'`` at every ``z``."""
     import numpy as np
     m, k, coef = z.size, comb.k, (1.0,) + comb.a  # coef[i] multiplies P_{m-i}
-    shifted = z - rec.beta[:m, None]
-    prev = np.array([np.ones_like(z), np.zeros_like(z)])
-    cur = np.array([shifted[0], np.ones_like(z)])
-    q = coef[m - 1] * cur if m - 1 <= k else 0.0
     with np.errstate(all="ignore"):  # a non-finite step fails the cross-check
+        shifted = z - rec.beta[:m, None]
+        prev = np.array([np.ones_like(z), np.zeros_like(z)])
+        cur = np.array([shifted[0], np.ones_like(z)])
+        q = coef[m - 1] * cur if m - 1 <= k else 0.0
         for j in range(1, m):
             nxt = shifted[j] * cur
             nxt -= rec.gamma[j] * prev
@@ -157,17 +158,21 @@ def _newton_step(rec: RecurrencePair, comb: CombCoeffs, z: np.ndarray) -> np.nda
         return z - q[0] / q[1]
 
 
-def _tilde_jacobi(rec, comb, m, report) -> np.ndarray | None:
-    """The symmetric tilde truncation ``J~_m``, whose characteristic polynomial
-    is ``Q_m``, when ``report``'s verdict holds through index ``m - 1`` and
-    ``tilde gamma_1..tilde gamma_{m-1} > 0``; otherwise None."""
-    k = comb.k
-    if report is None or not report.verdict or m > report.n_max + 1:
+def _tilde_jacobi(rec, comb, m) -> np.ndarray | None:
+    """The symmetric tilde truncation ``J~_m`` when the completion the verdict
+    reads exists and ``tilde gamma_1..tilde gamma_{m-1}`` are positive and finite."""
+    import numpy as np
+    try:  # the completion reads gamma_{k+1}
+        low, failure = _complete_low(rec, comb) if rec.horizon > comb.k else ({}, "no gamma_{k+1}")
+    except OverflowError:  # an exact completion value past the float range
         return None
-    tilde = tilde_recurrence(rec, comb, max(m - 1, k + 1), report=report)
-    if not all(g > 0.0 for g in tilde.gammas[1:m]):
+    if failure:
         return None
-    return _symmetric_jacobi(tilde, m)
+    beta, gamma = _tilde_pair(rec, comb, m - 1, low["completion"], low["beta0_tilde"])
+    if not all(0.0 < g < np.inf for g in gamma):
+        return None
+    off = np.sqrt(gamma)
+    return _tridiagonal(np.array(beta), off, off)
 
 
 def _newton_distance(rec: RecurrencePair, comb: CombCoeffs, z: np.ndarray) -> float:
@@ -182,20 +187,17 @@ def _newton_distance(rec: RecurrencePair, comb: CombCoeffs, z: np.ndarray) -> fl
 _NEWTON_TOL = 1e-8
 
 
-def zeros_q(
-    rec: RecurrencePair, comb: CombCoeffs, m: int, report: ConditionReport | None = None
-) -> ZerosReport:
+def zeros_q(rec: RecurrencePair, comb: CombCoeffs, m: int) -> ZerosReport:
     """Zeros of ``Q_m``, in ascending order as a complex array.
 
-    With a passing ``report`` that checked index ``m - 1`` and
-    ``tilde gamma_1..tilde gamma_{m-1} > 0``, they are the eigenvalues of the
-    symmetric tilde truncation ``J~_m`` (``eigvalsh``, real), kept when their
-    Newton distance is at most ``min(_NEWTON_TOL, 64 eps max(1, max|z|))``.
-    A verdict passes residuals up to ``1e-10``, so ``J~_m`` can miss that bound
-    (Chebyshev T, ``a = (0, -1/8)``, ``gamma_10`` raised by ``1e-11``,
-    ``m = 20``); then, and on every other call, they are the eigenvalues of
-    ``(J_P)_m - L_m`` (``eigvals``), sorted by real part, then imaginary part.
-    The route needs a verdict, so without a ``report`` it is the ``eigvals`` one.
+    Where :func:`_tilde_jacobi` builds ``J~_m``, they are its eigenvalues
+    (``eigvalsh``, real), kept when their Newton distance is at most
+    ``min(_NEWTON_TOL, 64 eps max(1, max|z|))``.  That bound, not the verdict,
+    judges the matching conditions below ``m``, and it is the stricter test:
+    a verdict passes residuals up to ``1e-10`` (Chebyshev T, ``a = (0, -1/8)``,
+    ``gamma_10`` raised by ``1e-11``, ``m = 20`` misses the bound).  Then, and
+    on every other call, they are the eigenvalues of ``(J_P)_m - L_m``
+    (``eigvals``), sorted by real part, then imaginary part.
 
     The Newton refinements ``z - Q_m(z) / Q_m'(z)`` are evaluated by the
     recurrence of ``P``, so the check never reads the tilde data; each step is
@@ -210,7 +212,7 @@ def zeros_q(
         raise HorizonError(f"m = {m} exceeds horizon + 1 = {rec.horizon + 1}")
     if m < k + 1:
         raise ValueError(f"m must be at least k + 1 = {k + 1}")
-    J = _tilde_jacobi(rec, comb, m, report)
+    J = _tilde_jacobi(rec, comb, m)
     try:
         if J is not None:
             w = np.linalg.eigvalsh(J)  # ascending

@@ -18,10 +18,10 @@ rows ``0..n-1`` of the same table ``p_i(x_l)`` that measures the degree.
 Unlike the squared first eigenvector components of Golub & Welsch (1969),
 they keep their relative accuracy at nodes far out on the spectrum, where
 the weights fall far below the rounding of the largest one.  For ``k >= 2``
-the nodes come from :func:`~opoly.jacobi.zeros_q` (the symmetric tilde
-Jacobi truncation when a passing report is given) and the weights of the
-interpolatory rule solve ``V w = e_0`` with ``V[i, j] = p_i(x_j)``, ``i < n``:
-the first ``n`` rows of the table that then measures the degree.  Each
+the nodes come from :func:`~opoly.jacobi.zeros_q`, on the route it picks
+itself (no verdict is read), and the weights of the interpolatory rule
+solve ``V w = e_0`` with ``V[i, j] = p_i(x_j)``, ``i < n``: the first ``n``
+rows of the table that then measures the degree.  Each
 :class:`~opoly.recurrence.RecurrencePair` keeps the last table walked on it,
 keyed by the nodes' bytes, so :func:`christoffel_numbers` and
 :func:`degree_of_precision` walk those nodes once between them; the table
@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 
 from .errors import HorizonError, InapplicableError, NumericError
 from .jacobi import _symmetric_jacobi, zeros_q
-from .lincomb import CombCoeffs, ConditionReport
+from .lincomb import CombCoeffs
 from .recurrence import RecurrencePair
 
 if TYPE_CHECKING:
@@ -201,19 +201,17 @@ class ShohatReport:
     rule: QuadratureRule
 
 
-def shohat_check(
-    rec: RecurrencePair, comb: CombCoeffs, n: int, report: ConditionReport | None = None
-) -> ShohatReport:
+def shohat_check(rec: RecurrencePair, comb: CombCoeffs, n: int) -> ShohatReport:
     """Verify the k-degree loss law: nodes at the zeros of ``Q_n`` give a rule
     of degree of precision exactly ``2n - 1 - k``.
 
     For ``k = 1`` the rule is built as :func:`gauss_rule` builds its own, on
     the symmetric Jacobi truncation with ``beta_{n-1} - a_1`` in the last
     diagonal entry.  For ``k >= 2`` the nodes come from
-    :func:`~opoly.jacobi.zeros_q`, which alone reads ``report`` (a passing one
-    puts them on its symmetric tilde route), and the weights from
-    :func:`christoffel_numbers`.  Complex or coincident zeros and
-    non-positive gammas raise :class:`~opoly.errors.InapplicableError`.
+    :func:`~opoly.jacobi.zeros_q` and the weights from :func:`christoffel_numbers`.
+    The law holds whether or not ``{Q_n}`` is orthogonal (Shohat 1937), so no
+    verdict is read.  Complex or coincident zeros and non-positive gammas
+    raise :class:`~opoly.errors.InapplicableError`.
     """
     import numpy as np
     if comb.k == 1:
@@ -222,7 +220,7 @@ def shohat_check(
         J[-1, -1] -= comb.a[0]
         rule = _christoffel_rule(rec, _distinct(np.linalg.eigvalsh(J)))
     else:
-        zeros = zeros_q(rec, comb, n, report=report).zeros
+        zeros = zeros_q(rec, comb, n).zeros
         if float(np.max(np.abs(zeros.imag))) > 1e-9 * max(1.0, float(np.max(np.abs(zeros)))):
             raise InapplicableError("Q_n has complex zeros; quadrature undefined")
         nodes = _distinct(zeros.real)  # zeros_q sorts by real part

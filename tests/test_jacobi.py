@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +38,13 @@ def reference_matrix(rec, comb, m):
     return jacobi_truncation_diag_sums(rec, m) - perturbation_L_dense(comb, m)
 
 
+def off_tilde_route(monkeypatch):
+    """Make every ``zeros_q`` call take the ``eigvals`` route of ``(J_P)_m - L_m``."""
+    monkeypatch.setattr(op.jacobi, "_tilde_jacobi", lambda *args: None)
+
+
 def eigvals_matrix(monkeypatch, rec, comb, m):
-    """The matrix that the report-free ``zeros_q`` hands to ``np.linalg.eigvals``."""
+    """The matrix that ``zeros_q``'s ``eigvals`` route hands to ``np.linalg.eigvals``."""
     seen = []
     eigvals = np.linalg.eigvals
 
@@ -47,6 +53,7 @@ def eigvals_matrix(monkeypatch, rec, comb, m):
         return eigvals(A)
 
     with monkeypatch.context() as patch:
+        off_tilde_route(patch)
         patch.setattr(np.linalg, "eigvals", recording)
         try:
             op.zeros_q(rec, comb, m)
@@ -84,9 +91,6 @@ class TestJacobiTruncation:
         assert op.zeros_q(cheb_u, comb, cheb_u.horizon + 1).zeros.size == cheb_u.horizon + 1
         with pytest.raises(op.HorizonError):
             op.zeros_q(cheb_u, comb, cheb_u.horizon + 2)
-        report = op.check_conditions(cheb_u, comb, 10)
-        with pytest.raises(op.HorizonError):
-            op.zeros_q(cheb_u, comb, cheb_u.horizon + 2, report=report)
 
     @pytest.mark.parametrize("family", ["chebyshev", "k2", "signed_zero_betas"])
     def test_builders_equal_diag_sums_bit_for_bit(self, family, monkeypatch):
@@ -103,6 +107,7 @@ class TestJacobiTruncation:
             assert got.tobytes() == ref.tobytes(), m
         # zeros_q's eigvals matrix, built in place, is the reference J - L
         # bit for bit, and so are its sorted zeros or its refusal
+        off_tilde_route(monkeypatch)
         for comb in (op.CombCoeffs((0.5,)), op.CombCoeffs((0.0, -0.125))):
             for m in range(comb.k + 1, rec.horizon + 2):
                 ref = reference_matrix(rec, comb, m)
@@ -159,13 +164,33 @@ class TestPerturbation:
             assert np.allclose(char_poly_low_to_high(A), np.array(q.coeffs), atol=1e-9)
 
     def test_size_guard(self, cheb_u):
-        # Q_m needs m >= k + 1, with a report or without one
+        # Q_m needs m >= k + 1
         comb = op.CombCoeffs((0.1, 0.2))
         assert op.zeros_q(cheb_u, comb, 3).zeros.size == 3
         with pytest.raises(ValueError, match="at least k \\+ 1 = 3"):
             op.zeros_q(cheb_u, comb, 2)
-        with pytest.raises(ValueError):
-            op.zeros_q(cheb_u, comb, 2, report=op.check_conditions(cheb_u, comb, 10))
+
+    def test_horizon_k_has_no_completion(self):
+        # m = k + 1 = horizon + 1: no gamma_{k+1}, so no completion and no
+        # tilde route; the eigvals route still finds the zeros
+        rec, comb = op.RecurrencePair([0.0] * 3, [0.25] * 2), op.CombCoeffs((0.1, 0.2))
+        assert op.jacobi._tilde_jacobi(rec, comb, 3) is None
+        zq = op.zeros_q(rec, comb, 3)
+        assert zq.zeros.tobytes() == _eigvals_route(rec, comb, 3).tobytes()
+
+    def test_completion_past_the_float_range_leaves_the_tilde_route(self):
+        # the determination denominator gamma_2 + a_1 (beta_1 - beta_2) is 2e308
+        rec = op.RecurrencePair([0.0, 1e308, -1e308] + [0.0] * 5, [0.25] * 7)
+        comb = op.CombCoeffs((1.0,))
+        with pytest.raises(op.NumericError):
+            op.check_conditions(rec, comb, 7)
+        assert op.jacobi._tilde_jacobi(rec, comb, 4) is None
+        # the eigvals route's Newton steps overflow, which refuses the zeros
+        # without a numpy warning on stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(op.NumericError, match="multiset distance inf"):
+                op.zeros_q(rec, comb, 4)
 
 
 class TestZeros:
@@ -192,6 +217,7 @@ class TestZeros:
 
     def test_one_moved_eigenvalue_is_caught(self, cheb_t, monkeypatch):
         comb = op.CombCoeffs((0.0, -0.125))
+        off_tilde_route(monkeypatch)
         assert op.zeros_q(cheb_t, comb, 20).cross_check_distance < 1e-13
         eigvals = np.linalg.eigvals
 
@@ -243,7 +269,8 @@ def _loose(raise_by=1e-8):
 
 
 def _route_report(rec, comb, m):
-    """The verdict through index ``m - 1``, as the CLI checks it for ``Q_m``."""
+    """The verdict through index ``m - 1``: where it holds, the characteristic
+    polynomial of ``J~_m`` is ``Q_m``."""
     return op.check_conditions(rec, comb, max(m - 1, comb.k + 2))
 
 
@@ -263,10 +290,13 @@ def _reference_zeros(rec, comb, m, cross_tol=1e-8):
     return z
 
 
-def _assert_eigvals_route(rec, comb, report, m):
-    """``zeros_q`` returns the ``eigvals`` route's zeros, bit for bit, with
-    ``report`` as without one."""
-    got, want = op.zeros_q(rec, comb, m, report=report), op.zeros_q(rec, comb, m)
+def _assert_eigvals_route(monkeypatch, rec, comb, m):
+    """``zeros_q`` returns the ``eigvals`` route's zeros, bit for bit, as it
+    does with the tilde route switched off."""
+    got = op.zeros_q(rec, comb, m)
+    with monkeypatch.context() as patch:
+        off_tilde_route(patch)
+        want = op.zeros_q(rec, comb, m)
     assert want.zeros.tobytes() == _eigvals_route(rec, comb, m).tobytes()
     assert got.zeros.tobytes() == want.zeros.tobytes()
     assert got.cross_check_distance == want.cross_check_distance
@@ -297,9 +327,10 @@ def _route_cases():
 
 
 class TestTildeRoute:
-    """With a report whose verdict through ``m - 1`` holds and positive tilde
-    gammas, ``zeros_q`` takes the eigenvalues of the symmetric tilde
-    truncation; every other call runs the ``eigvals`` route unchanged."""
+    """Where the completion exists, the tilde gammas are positive and the
+    eigenvalues of the symmetric tilde truncation pass the Newton check at
+    ``64 eps``, ``zeros_q`` takes them; every other call runs the ``eigvals``
+    route unchanged.  No verdict is read."""
 
     def test_route_agrees_with_eigvals(self):
         on_route = set()
@@ -310,9 +341,9 @@ class TestTildeRoute:
                 if expect is None:
                     continue
                 on_route.add(label)
-                zq = op.zeros_q(rec, comb, m, report=report)
+                zq = op.zeros_q(rec, comb, m)
                 assert np.array_equal(zq.zeros, expect.astype(complex)), (label, m)
-                z = op.zeros_q(rec, comb, m).zeros
+                z = _eigvals_route(rec, comb, m)
                 assert np.all(np.abs(zq.zeros - z) <= 1e-12 * np.maximum(1.0, np.abs(z)))
                 scale = max(1.0, float(np.max(np.abs(expect))))
                 assert zq.cross_check_distance <= 64 * EPS * scale, (label, m)
@@ -325,21 +356,23 @@ class TestTildeRoute:
         "broken_beta_perturbed.json", "broken_gamma_perturbed.json",
         "broken_varying_gamma.json", "cheb1_k2_case_iii.json", "cheb4_k2_case_iv.json",
         "gen_k2_complex_roots.json", "gen_k2_equal_roots.json"])
-    def test_off_route_is_the_eigvals_route(self, name):
-        # a failed verdict, or a tilde gamma <= 0 below m = 20 (indefinite v)
+    def test_off_route_is_the_eigvals_route(self, name, monkeypatch):
+        # a failed verdict, whose J~_20 misses the Newton bound, or a tilde
+        # gamma <= 0 below m = 20 (indefinite v)
         rec, comb = _bundled(name)
         report = _route_report(rec, comb, 20)
         assert _tilde_eigenvalues(rec, comb, report, 20) is None
-        _assert_eigvals_route(rec, comb, report, 20)
+        _assert_eigvals_route(monkeypatch, rec, comb, 20)
 
-    def test_negative_tail_leaves_the_route_at_its_first_negative_tilde_gamma(self):
+    def test_negative_tail_leaves_the_route_at_its_first_negative_tilde_gamma(
+            self, monkeypatch):
         rec, comb = _negative_tail()
         report = op.check_conditions(rec, comb, 24)
         assert report.verdict
-        on = op.zeros_q(rec, comb, 22, report=report)
+        on = op.zeros_q(rec, comb, 22)
         assert np.array_equal(on.zeros, _tilde_eigenvalues(rec, comb, report, 22))
         assert _tilde_eigenvalues(rec, comb, report, 24) is None
-        _assert_eigvals_route(rec, comb, report, 24)
+        _assert_eigvals_route(monkeypatch, rec, comb, 24)
 
     def test_loose_verdict_falls_back_to_eigvals(self):
         # gamma_10 raised by 1e-12 to 9e-11 passes the verdict at its fixed
@@ -353,14 +386,13 @@ class TestTildeRoute:
             tilde = _tilde_eigenvalues(rec, comb, report, m)
             assert tilde is not None
             assert op.jacobi._newton_distance(rec, comb, tilde) > 64 * EPS
-            zq = op.zeros_q(rec, comb, m, report=report)
+            zq = op.zeros_q(rec, comb, m)
             assert zq.zeros.tobytes() == _eigvals_route(rec, comb, m).tobytes()
             assert zq.cross_check_distance <= 64 * EPS
 
     def test_a_moved_tilde_eigenvalue_falls_back_to_eigvals(self, cheb_t, monkeypatch):
         comb = op.CombCoeffs((0.0, -0.125))
-        report = _route_report(cheb_t, comb, 20)
-        assert op.zeros_q(cheb_t, comb, 20, report=report).cross_check_distance < 1e-13
+        assert op.zeros_q(cheb_t, comb, 20).cross_check_distance < 1e-13
         eigvalsh = np.linalg.eigvalsh
 
         def moved(A):
@@ -369,8 +401,30 @@ class TestTildeRoute:
             return out
 
         monkeypatch.setattr(np.linalg, "eigvalsh", moved)
-        got = op.zeros_q(cheb_t, comb, 20, report=report)
+        got = op.zeros_q(cheb_t, comb, 20)
         assert got.zeros.tobytes() == _eigvals_route(cheb_t, comb, 20).tobytes()
+
+    def test_failed_verdict_keeps_the_tilde_zeros_that_pass_newton(self):
+        # broken_beta_perturbed fails its conditions from n = 5 on, yet at
+        # m = 10 the eigenvalues of J~_10 pass the Newton check at 64 eps:
+        # the route reads the completion and the tilde gammas, never the verdict
+        rec, comb = _bundled("broken_beta_perturbed.json")
+        m, k, a1 = 10, comb.k, comb.a[0]
+        assert not _route_report(rec, comb, m).verdict
+        # the tilde recurrence below k + 3 from a verdict that holds there,
+        # the closed formulas above it
+        low = op.tilde_recurrence(rec, comb, k + 2, report=_route_report(rec, comb, k + 3))
+        beta = list(low.betas) + list(rec.betas[k + 3:m])
+        gamma = list(low.gammas[1:]) + [rec.gammas[n] + a1 * (rec.betas[n - 1] - rec.betas[n])
+                                        for n in range(k + 3, m)]
+        off = np.sqrt(gamma)
+        expect = np.linalg.eigvalsh(np.diag(beta) + np.diag(off, 1) + np.diag(off, -1))
+        zq = op.zeros_q(rec, comb, m)
+        assert zq.zeros.tobytes() == expect.astype(complex).tobytes()
+        assert np.all(zq.zeros.imag == 0.0)
+        scale = max(1.0, float(np.max(np.abs(expect))))
+        assert zq.cross_check_distance <= 64 * EPS * scale
+        assert zq.cross_check_distance == op.jacobi._newton_distance(rec, comb, expect)
 
 
 def test_norm_diagonal(cheb_t):

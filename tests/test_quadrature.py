@@ -308,14 +308,17 @@ def test_kept_table_dies_with_its_pair():
 SWEEP_SHAPES = ((0.0, -0.125), (1.0, 0.2), (0.5,), (0.5, 0.0625), (0.4,), (1.0, 1.0))
 # Known defects of the combination rule at horizon 64, as (kind, a, n): for
 # a = (1, 0.2) one zero of Q_n lies outside [-1, 1] and its weight falls below
-# the rounding of V, so the measured degree misses 2n - 1 - k.  This set may
-# shrink, never grow.
+# the rounding of V, so the measured degree misses 2n - 1 - k.  zeros_q picks
+# the route the CLI does: the symmetric tilde one for kinds 2 and 3, and the
+# eigvals one for kinds 1 and 4, whose tilde gamma_1 is negative.  Pinned by
+# equality: a case that leaves the set is a listed change, one that joins it
+# a regression.
 KNOWN_QUAD_DEFECTS = frozenset(
     (kind, (1.0, 0.2), n)
     for kind, ns in (
         (1, {31, *range(34, 64)}),
-        (2, set(range(34, 64)) - {41}),
-        (3, range(28, 64)),
+        (2, set(range(34, 64)) - {34, 35, 38, 40}),
+        (3, set(range(28, 64)) - {29, 31, 36}),
         (4, range(31, 64)),
     )
     for n in ns
@@ -343,7 +346,9 @@ def test_horizon_sweep_to_the_cap():
                 assert _reference_degree(rec, shohat.rule) == shohat.rule.degree_of_precision
                 if not shohat.ok:
                     defects.add((kind, a, n))
-    assert defects <= KNOWN_QUAD_DEFECTS, sorted(defects - KNOWN_QUAD_DEFECTS)
+    assert len(KNOWN_QUAD_DEFECTS) == 123
+    assert defects == KNOWN_QUAD_DEFECTS, (sorted(defects - KNOWN_QUAD_DEFECTS),
+                                           sorted(KNOWN_QUAD_DEFECTS - defects))
 
 
 def _exact_christoffel(rec, x: float, n: int) -> float:
@@ -392,20 +397,18 @@ def test_k1_rule_sits_on_the_zeros_of_q_and_meets_its_law(case):
 
 
 def test_k1_quad_never_calls_zeros_q(monkeypatch):
-    # the k = 1 rule comes from the symmetric Jacobi matrix, with or without
-    # a report, and never runs zeros_q or its Newton check
+    # the k = 1 rule comes from the symmetric Jacobi matrix, and never runs
+    # zeros_q or its Newton check
     cfg = load_config(str(CONFIG_DIR / "cheb2_k1.json"))
     rec, comb, n = cfg.rec, cfg.comb, 10
-    report = op.check_conditions(rec, comb, n - 1)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the k = 1 rule called zeros_q")
 
     monkeypatch.setattr(quadrature, "zeros_q", refuse)
-    for rep in (None, report):
-        shohat = op.shohat_check(rec, comb, n, report=rep)
-        assert shohat.ok
-        assert shohat.rule.degree_of_precision == 2 * n - 2
+    shohat = op.shohat_check(rec, comb, n)
+    assert shohat.ok
+    assert shohat.rule.degree_of_precision == 2 * n - 2
 
 
 def test_tol_quad_reaches_the_gauss_rule():
@@ -414,8 +417,7 @@ def test_tol_quad_reaches_the_gauss_rule():
     # tolerance reaches both laws
     cfg = load_config(str(CONFIG_DIR / "gen_k2_equal_roots.json"))
     rec, comb, n = cfg.rec, cfg.comb, 34
-    report = op.check_conditions(rec, comb, n - 1)
-    shohat = op.shohat_check(rec, comb, n, report=report)
+    shohat = op.shohat_check(rec, comb, n)
     assert shohat.rule.degree_of_precision == 34
     assert _reference_degree(rec, op.gauss_rule(rec, n), 1e-3) == 67
     assert _reference_degree(rec, shohat.rule, 1e-3) == 65 == 2 * n - 1 - comb.k

@@ -54,6 +54,13 @@ def _with_family(name: str, fields: dict) -> dict:
     return config
 
 
+def _renamed(name: str, old: str, new: str) -> dict:
+    """The bundled config ``name`` with family field ``old`` renamed ``new``."""
+    config = _bundled(name)
+    config["family"][new] = config["family"].pop(old)
+    return config
+
+
 def edge_configs() -> dict:
     """Configs that reach paths no bundled config does, by name."""
     return {
@@ -77,8 +84,11 @@ def edge_configs() -> dict:
             "combination": {"a": ["0.5"]},
             "horizon": 12,
         },
-        # a_1, a_2 fix the root: a lambda off it is an ignored field
+        # a_1, a_2 fix the root, so no generator reads a lambda: a config error
         "k2_lambda_off_root": _with_family("gen_k2_real_roots.json", {"lambda": 0.5}),
+        # a misspelt optional field would fall back to its default (beta_1 = 0):
+        # every family field no generator reads is a config error
+        "k2_renamed_key": _renamed("gen_k2_real_roots.json", "beta1", "beta_1"),
         # generator parameters out of their domain: config errors
         "k1_a1_zero": _with_family("gen_k1.json", {"a1": "0"}),
         "k2_a2_zero": _with_family("gen_k2_real_roots.json", {"a2": "0"}),
@@ -108,9 +118,10 @@ def edge_configs() -> dict:
         # every check runs at its library default, so a config that sets
         # tolerances is refused as a config error
         "tolerances_refused": {**_bundled("cheb1_k2.json"), "tolerances": {"conditions": 1e-5}},
-        # zeros_q's eigvals route (failed verdicts) at both ends of its size
-        # range, which the grid's --n values never reach: m = k + 1 at k = 1,
-        # and m = horizon + 1 at k = 2
+        # failed verdicts at both ends of zeros_q's size range, which the
+        # grid's --n values never reach: m = k + 1 at k = 1, where J~_2 passes
+        # the Newton check and zeros_q keeps it, and m = horizon + 1 at k = 2,
+        # where J~ misses it and zeros_q takes the eigvals route
         "zeros_m_k_plus_1": {**_bundled("broken_varying_gamma.json"), "n": 2},
         "zeros_m_horizon_plus_1": {**_bundled("broken_gamma_perturbed.json"), "n": 25},
     }

@@ -7,17 +7,19 @@ config, each rebuilt at horizons 8, 16, 24, 32, 48 and 64 with
 order:
 
 * ``gauss_rule`` -- the Gauss rule on the zeros of ``P_n`` with its degree;
-* ``zeros_q`` -- the zeros of ``Q_n``, given the verdict through ``n - 1``
-  as ``opoly zeros`` and ``opoly quad`` give it;
+* ``zeros_q`` -- the zeros of ``Q_n``, on the route it picks itself, as in
+  ``opoly zeros`` and ``opoly quad``;
 * ``christoffel_numbers`` -- the weights ``V w = e_0`` on those zeros;
 * ``degree_of_precision`` -- the degree of that rule.
 
 Each round runs on a fresh copy of the family, so nothing a pair keeps from
 an earlier round is reused, and the stages of one round see exactly what the
-stages before them left, as in one job.  Every figure is at reference host
-speed, as in ``bench/run.py``: the benchmark's kernel (``bench/calibrate.py``)
-is timed before and after each row, and the row's times are divided by the
-mean of the two samples and multiplied by the kernel's reference time.
+stages before them left, as in one job.  The exact low-degree completion
+that ``zeros_q`` reads is memoised by value, so only the first round pays
+for it.  Every figure is at reference host speed, as in ``bench/run.py``:
+the benchmark's kernel (``bench/calibrate.py``) is timed before and after
+each row, and the row's times are divided by the mean of the two samples
+and multiplied by the kernel's reference time.
 
 Usage::
 
@@ -42,19 +44,19 @@ CONFIGS = ("cheb1_k2.json", "gen_k2_real_roots.json")
 STAGES = ("gauss_rule", "zeros_q", "christoffel_numbers", "degree_of_precision")
 
 
-def _round(op, rec, comb, n: int, report) -> list[float]:
+def _round(op, rec, comb, n: int) -> list[float]:
     """Seconds of each stage in one run of the four, on a fresh copy of ``rec``."""
     rec = op.RecurrencePair(rec.betas, rec.gammas[1:])
     times = []
 
-    def timed(fn, *args, **kwargs):
+    def timed(fn, *args):
         start = time.perf_counter()
-        out = fn(*args, **kwargs)
+        out = fn(*args)
         times.append(time.perf_counter() - start)
         return out
 
     timed(op.gauss_rule, rec, n)
-    zeros = timed(op.zeros_q, rec, comb, n, report=report).zeros
+    zeros = timed(op.zeros_q, rec, comb, n).zeros
     nodes = zeros.real  # zeros_q sorts by real part
     weights = timed(op.christoffel_numbers, rec, nodes)
     timed(op.degree_of_precision, rec, op.QuadratureRule(nodes, weights, -1))
@@ -73,9 +75,8 @@ def curve(src: str, horizons: list[int], repeat: int) -> list[tuple]:
         for horizon in horizons:
             cfg = load_at_horizon(load_config, name, horizon)
             rec, comb, n = cfg.rec, cfg.comb, horizon - 1
-            report = op.check_conditions(rec, comb, max(n - 1, comb.k + 2))
             before = calibrate.sample()
-            rounds = [_round(op, rec, comb, n, report) for _ in range(repeat)]
+            rounds = [_round(op, rec, comb, n) for _ in range(repeat)]
             scale = calibrate.scales([before, calibrate.sample()], [0])[0]
             rows.append((name, horizon, n, *(1000.0 * statistics.median(stage) * scale
                                              for stage in zip(*rounds))))

@@ -31,7 +31,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
@@ -99,13 +98,13 @@ def _complex(value, field: str) -> complex:
     return complex(_num(value, field))
 
 
-@dataclass
 class JobConfig:
-    raw: dict
-    rec: RecurrencePair
-    comb: CombCoeffs
-    n: int | None
-    generator_a: tuple[float, ...] | None  # the combination a k1/k2 family was built for
+    """A loaded job; ``main`` sets ``n`` from ``--n`` when it is given."""
+
+    def __init__(self, raw: dict, rec: RecurrencePair, comb: CombCoeffs, n: int | None,
+                 generator_a: tuple[float, ...] | None):
+        self.raw, self.rec, self.comb, self.n = raw, rec, comb, n
+        self.generator_a = generator_a  # the combination a k1/k2 family was built for
 
 
 def _object(raw: dict, field: str) -> dict | None:

@@ -34,8 +34,7 @@ entry is an exact entry of the corresponding infinite operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DegeneracyError, HorizonError, InapplicableError, NumericError, StateError
 from .lincomb import (CombCoeffs, ConditionReport, _complete_low, _tilde_pair, q_poly,
@@ -47,8 +46,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class HkSolution:
+class HkSolution(NamedTuple):
     """The connecting polynomial ``h_k`` and the proportionality constant
     ``1 / v(h_k)`` between the two normalised functionals."""
 
@@ -129,8 +127,7 @@ def multiset_distance(a, b) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class ZerosReport:
+class ZerosReport(NamedTuple):
     """Zeros of ``Q_m`` (sorted by real part, then imaginary part) and their
     multiset distance from their own one-step Newton refinements."""
 
@@ -278,8 +275,7 @@ def solve_hk(rec: RecurrencePair, comb: CombCoeffs, report: ConditionReport) -> 
     return HkSolution(h, 1.0 / pairing)
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     ok: bool
     scale: float
     max_residual: float
@@ -351,8 +347,7 @@ def verify_functional_relation(
     return RelationReport(worst <= 1e-8, float(1.0 / r[0]), worst)
 
 
-@dataclass(frozen=True)
-class OrthonormalReport:
+class OrthonormalReport(NamedTuple):
     ok: bool
     residual: float
 

@@ -38,36 +38,34 @@ give exact zeros the sign an exact rational would.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._exact import exact_gram, low_completion
 from .errors import HorizonError, NumericError, StateError
 from .recurrence import Poly, RecurrencePair, poly_p
 
 
-@dataclass(frozen=True)
-class CombCoeffs:
+class CombCoeffs(NamedTuple("_CombCoeffs", [("a", tuple[float, ...])])):
     """The combination constants ``a_1..a_k`` with ``a_k != 0``."""
 
-    a: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        coeffs = tuple(float(v) for v in self.a)
+    def __new__(cls, a):
+        coeffs = tuple(float(v) for v in a)
         if len(coeffs) < 1:
             raise ValueError("need at least one coefficient")
         if not all(math.isfinite(v) for v in coeffs):
             raise ValueError("combination coefficients must be finite")
         if coeffs[-1] == 0.0:
             raise ValueError("a_k must be nonzero")
-        object.__setattr__(self, "a", coeffs)
+        return super().__new__(cls, coeffs)
 
     @property
     def k(self) -> int:
         return len(self.a)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Everything the orthogonality decision looked at.
 
     Fields:
@@ -256,8 +254,7 @@ def _tilde_pair(rec, comb, n_max, completion, beta0_tilde) -> tuple[list[float],
             [*gamma_low, *_tilde_gamma(rec, comb.a[0], k + 1, n_max)])
 
 
-@dataclass(frozen=True)
-class GramReport:
+class GramReport(NamedTuple):
     """Pairwise inner products of a candidate orthogonal basis.
 
     ``failures`` lists ``(i, j, value, bound)`` for every off-diagonal entry

@@ -30,8 +30,7 @@ dies with its pair, and no module-level cache holds one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import HorizonError, InapplicableError, NumericError
 from .jacobi import _symmetric_jacobi, zeros_q
@@ -42,26 +41,23 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes, weights, and the measured degree of precision."""
+class QuadratureRule(NamedTuple("_QuadratureRule", [
+        ("nodes", "np.ndarray"), ("weights", "np.ndarray"), ("degree_of_precision", int)])):
+    """Nodes, weights (read-only float64 copies), and the measured degree of precision."""
 
-    nodes: np.ndarray
-    weights: np.ndarray
-    degree_of_precision: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, nodes, weights, degree_of_precision):
         import numpy as np
-        nodes = np.array(self.nodes, dtype=float)
-        weights = np.array(self.weights, dtype=float)
+        nodes = np.array(nodes, dtype=float)
+        weights = np.array(weights, dtype=float)
         if nodes.ndim != 1 or nodes.shape != weights.shape:
             raise ValueError("nodes and weights must be matching 1-D arrays")
         if nodes.size > 1 and np.any(np.diff(nodes) <= 0.0):
             raise ValueError("nodes must be strictly increasing")
         nodes.setflags(write=False)
         weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+        return super().__new__(cls, nodes, weights, degree_of_precision)
 
     @property
     def n(self) -> int:
@@ -97,12 +93,13 @@ def _orthonormal(rec: RecurrencePair, x: np.ndarray, size: int) -> np.ndarray:
         lo = kept.shape[0] - 1
         V[: lo + 1] = kept
     root = np.sqrt(rec.gamma[lo:size])  # gamma_0 is NaN, and row 1 never reads it
-    shifted = (x - rec.beta[lo : size - 1, None]) / root[1:, None]
-    ratio = root[:-1] / root[1:]
-    for i in range(lo, size - 1):
-        np.multiply(shifted[i - lo], V[i], out=V[i + 1])
-        if i:
-            V[i + 1] -= ratio[i - lo] * V[i - 1]
+    with np.errstate(all="ignore"):  # a table past the float range is refused by its reader
+        shifted = (x - rec.beta[lo : size - 1, None]) / root[1:, None]
+        ratio = root[:-1] / root[1:]
+        for i in range(lo, size - 1):
+            np.multiply(shifted[i - lo], V[i], out=V[i + 1])
+            if i:
+                V[i + 1] -= ratio[i - lo] * V[i - 1]
     V.setflags(write=False)
     rec._p_table.clear()
     rec._p_table[key] = V
@@ -112,8 +109,9 @@ def _orthonormal(rec: RecurrencePair, x: np.ndarray, size: int) -> np.ndarray:
 def christoffel_numbers(rec: RecurrencePair, nodes) -> np.ndarray:
     """Weights of the interpolatory rule on ``nodes`` for the functional behind
     ``rec`` (``u_0 = 1``): the solution of ``V w = e_0``, ``V[i, j] = p_i(x_j)``.
-    :func:`_coincident` nodes raise :class:`ValueError`, and ``gamma_1..
-    gamma_{n-1}`` not all positive :class:`~opoly.errors.InapplicableError`."""
+    :func:`_coincident` nodes raise :class:`ValueError`, ``gamma_1..
+    gamma_{n-1}`` not all positive :class:`~opoly.errors.InapplicableError`,
+    and weights that are not finite :class:`~opoly.errors.NumericError`."""
     import numpy as np
     nodes = np.asarray(nodes, dtype=float).ravel()
     n = nodes.size
@@ -122,18 +120,29 @@ def christoffel_numbers(rec: RecurrencePair, nodes) -> np.ndarray:
     if _coincident(np.sort(nodes)):
         raise ValueError("nodes must be pairwise distinct")
     try:
-        return np.linalg.solve(_orthonormal(rec, nodes, n), np.eye(1, n)[0])
+        weights = np.linalg.solve(_orthonormal(rec, nodes, n), np.eye(1, n)[0])
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"node matrix is singular: {exc}") from exc
+    return _finite(nodes, weights)
+
+
+def _finite(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``weights``, refused with :class:`~opoly.errors.NumericError` unless
+    they and ``nodes`` are all finite."""
+    import numpy as np
+    if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
+        raise NumericError("quadrature nodes or weights are not finite")
+    return weights
 
 
 def _table_degree(V: np.ndarray, weights: np.ndarray) -> int:
     """Largest ``d <= 2 (t - 1)`` with ``|sum_l w_l V[i, l] V[j, l] - delta_ij|
     <= 1e-9`` for every ``i + j <= d`` over the ``t`` rows of ``V``, or -1 if
-    even ``d = 0`` fails."""
+    even ``d = 0`` fails; a non-finite sum fails its degree."""
     import numpy as np
     size = V.shape[0]
-    err = (V * weights) @ V.T
+    with np.errstate(all="ignore"):
+        err = (V * weights) @ V.T
     err.reshape(-1)[:: size + 1] -= 1.0  # minus the identity: x - 0.0 keeps x's bits
     failed = np.flatnonzero(~(np.abs(err) <= 1e-9))
     if not failed.size:
@@ -161,7 +170,7 @@ def _christoffel_rule(rec: RecurrencePair, nodes: np.ndarray) -> QuadratureRule:
     import numpy as np
     n = nodes.size
     V = _orthonormal(rec, nodes, min(n + 1, rec.horizon) + 1)
-    weights = 1.0 / np.square(V[:n]).sum(axis=0)
+    weights = _finite(nodes, 1.0 / np.square(V[:n]).sum(axis=0))
     return QuadratureRule(nodes, weights, _table_degree(V, weights))
 
 
@@ -171,7 +180,8 @@ def gauss_rule(rec: RecurrencePair, n: int) -> QuadratureRule:
     (``2n - 1``) measured at the fixed exactness tolerance ``1e-9`` of
     :func:`degree_of_precision`.  Where a far-out node's weight falls below
     the rounding of the table, that absolute test can miss the law on a rule
-    that is right (README, Known defects)."""
+    that is right (README, Known defects).  A table past the float range
+    leaves nodes or weights that are not finite: :class:`~opoly.errors.NumericError`."""
     import numpy as np
     if n < 1:
         raise ValueError("n must be positive")
@@ -192,8 +202,7 @@ def _distinct(nodes: np.ndarray) -> np.ndarray:
     return nodes
 
 
-@dataclass(frozen=True)
-class ShohatReport:
+class ShohatReport(NamedTuple):
     """Whether the degree-loss law held, and the rule on the zeros of ``Q_n``
     with its measured degree of precision."""
 
@@ -225,5 +234,5 @@ def shohat_check(rec: RecurrencePair, comb: CombCoeffs, n: int) -> ShohatReport:
             raise InapplicableError("Q_n has complex zeros; quadrature undefined")
         nodes = _distinct(zeros.real)  # zeros_q sorts by real part
         rule = QuadratureRule(nodes, christoffel_numbers(rec, nodes), -1)
-        rule = replace(rule, degree_of_precision=degree_of_precision(rec, rule))
+        rule = rule._replace(degree_of_precision=degree_of_precision(rec, rule))
     return ShohatReport(rule.degree_of_precision == 2 * n - 1 - comb.k, rule)

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import zip_longest
+from typing import NamedTuple
 
 from .errors import ConstraintError, DegeneracyError, HorizonError, NumericError
 
@@ -45,22 +45,22 @@ def _trimmed(values) -> tuple[float, ...]:
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(NamedTuple("_Poly", [("coeffs", tuple[float, ...])])):
     """Real polynomial in the monomial basis; ``coeffs[i]`` multiplies ``x**i``.
 
     Trailing exact zeros are trimmed on construction, so ``degree`` is the
     index of the last stored coefficient (the zero polynomial keeps a single
-    ``0.0`` entry).  Instances are immutable and support ``+``, ``*`` by a
-    scalar and evaluation via ``__call__``.
+    ``0.0`` entry).  Instances are immutable named tuples and support ``+``,
+    ``*`` by a scalar and evaluation via ``__call__``.
     """
 
-    coeffs: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trimmed(self.coeffs))
-        if not all(map(math.isfinite, self.coeffs)):
+    def __new__(cls, coeffs):
+        coeffs = _trimmed(coeffs)
+        if not all(map(math.isfinite, coeffs)):
             raise ValueError("polynomial coefficients must be finite")
+        return super().__new__(cls, coeffs)
 
     @property
     def degree(self) -> int:
@@ -214,8 +214,7 @@ class K2Case(Enum):
     COMPLEX_ROOTS = "complex_roots"
 
 
-@dataclass(frozen=True)
-class K2Params:
+class K2Params(NamedTuple):
     """Parameters for the k=2 classified family generator.
 
     For ``n >= 2`` the recurrence coefficients take the case-dependent shape

@@ -428,23 +428,53 @@ def test_k1_zero_denominator_is_judged_by_the_verdict(tmp_path, capsys):
     assert json.loads(out)["result"]["validation"]["failures"] == failures[0]
 
 
-@pytest.mark.parametrize("command,message", [
-    pytest.param("hk", "h_k is not a finite degree-2 polynomial: "
+# gen_k2_real_roots with D = 1e200 passes the verdict, but the norm product
+# v(Q_2^2) and the Newton recurrence overflow
+K2_OVERFLOW = json.loads((CONFIG_DIR / "gen_k2_real_roots.json").read_text())
+K2_OVERFLOW["family"]["D"] = "1e200"
+# beta_1 - beta_2 = 2e308: the orthonormal table p_i(x_l) of the Gauss rule
+# overflows, and two of its computed nodes coincide
+QUAD_OVERFLOW = {
+    "family": {"type": "explicit", "beta": ["0", "1e308", "-1e308"] + ["0"] * 5,
+               "gamma": ["0.25"] * 7},
+    "combination": {"a": ["1"]},
+    "horizon": 7,
+}
+NEWTON_INF = "eigenvalue/Newton cross-check mismatch: multiset distance inf"
+
+
+@pytest.mark.parametrize("payload,command,n,message", [
+    pytest.param(K2_OVERFLOW, "hk", "10", "h_k is not a finite degree-2 polynomial: "
                  "u(Q_j) / v(Q_j^2) = [1.0, 1e-200, 0.0]", id="hk"),
-    ("zeros", "eigenvalue/Newton cross-check mismatch: multiset distance inf"),
-    ("quad", "eigenvalue/Newton cross-check mismatch: multiset distance inf"),
+    pytest.param(K2_OVERFLOW, "zeros", "10", NEWTON_INF, id=f"zeros-{NEWTON_INF}"),
+    pytest.param(K2_OVERFLOW, "quad", "10", NEWTON_INF, id=f"quad-{NEWTON_INF}"),
+    pytest.param(QUAD_OVERFLOW, "quad", "4", "quadrature nodes or weights are not finite",
+                 id="quad_overflow"),
 ])
-def test_overflow_refusals_print_one_line(tmp_path, capsys, command, message):
-    # gen_k2_real_roots with D = 1e200 passes the verdict, but the norm product
-    # v(Q_2^2) and the Newton recurrence overflow: one refusal line, no warnings
-    payload = json.loads((CONFIG_DIR / "gen_k2_real_roots.json").read_text())
-    payload["family"]["D"] = "1e200"
+def test_overflow_refusals_print_one_line(tmp_path, capsys, payload, command, n, message):
+    # one refusal line, no warnings
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, command, "--config", write_config(tmp_path, payload),
-                             "--n", "10")
+                             "--n", n)
     assert (code, out) == (3, "")
     assert err == f"opoly: NumericError: {message}\n"
+
+
+def test_quad_degree_rows_past_the_float_range_warn_nothing(tmp_path, capsys):
+    # beta_5 = 1e308 reaches only the rows p_6 that measure the degree of the
+    # n = 5 rules: the weights are finite, and the rows that overflow fail the
+    # exactness test without an arithmetic warning
+    payload = dict(QUAD_OVERFLOW, combination={"a": ["0.5"]},
+                   family={"type": "explicit", "beta": ["0"] * 5 + ["1e308", "0", "0"],
+                           "gamma": ["0.25"] * 7})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "quad", "--config", write_config(tmp_path, payload),
+                             "--n", "5")
+    assert (code, err) == (1, "")
+    result = json.loads(out)["result"]
+    assert result["gauss"]["degree_of_precision"] < result["gauss"]["expected"]
 
 
 @pytest.mark.parametrize("beta,gamma", [

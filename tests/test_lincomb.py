@@ -1008,9 +1008,3 @@ def test_condition_residuals_translation_invariant(cheb_u):
     for (n1, main1, _, _), (n2, main2, _, _) in zip(base.matching, shifted.matching):
         assert n1 == n2
         assert main1 == pytest.approx(main2, abs=1e-12)
-
-
-def test_condition_report_is_immutable(cheb_t):
-    report = op.check_conditions(cheb_t, op.CombCoeffs((0.0, -0.125)), 20)
-    with pytest.raises(AttributeError):
-        report.verdict = False

@@ -1,4 +1,5 @@
-"""Which opoly paths load numpy, each run in a fresh interpreter.
+"""Which opoly paths load numpy, and what ``import opoly.cli`` loads, each
+run in a fresh interpreter.
 
 ``check``, ``tilde`` and ``gen`` do no linear algebra, so a process that
 runs only them never imports numpy.  The two ``k2`` generators whose bits
@@ -54,6 +55,14 @@ def test_check_tilde_and_gen_leave_numpy_unloaded():
     assert next((run[:2] for run in out["runs"] if run[3]), None) is None
     assert {code for *_, code, _ in out["runs"]} <= {0, 1, 2}
     assert out["zeros"] == [0, True]
+
+
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    # opoly's records are named tuples: dataclasses, and the inspect, ast, dis
+    # and tokenize it pulls in, cost more than opoly's own import
+    proc = _python("-c", "import sys, opoly.cli; "
+                   "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 @pytest.mark.parametrize("command", ["check", "gen"])

@@ -108,6 +108,15 @@ def edge_configs() -> dict:
         },
         # the verdict passes, but h_k's norm products and the Newton steps overflow
         "k2_overflow": _with_family("gen_k2_real_roots.json", {"D": "1e200"}),
+        # beta_1 - beta_2 = 2e308: quad's orthonormal table overflows, and the
+        # rule is refused with one line
+        "quad_overflow": {
+            "family": {"type": "explicit", "beta": ["0", "1e308", "-1e308"] + ["0"] * 5,
+                       "gamma": ["0.25"] * 7},
+            "combination": {"a": ["1"]},
+            "horizon": 7,
+            "n": 4,
+        },
         # k = 3 at horizon 2k + 1 = 7: the truncation m = 5 = k + 2 leaves the
         # orthonormal identity one compared row, the least hk accepts
         "hk_floor_k3": {

@@ -1,5 +1,6 @@
 """Cold-start split: the interpreter, numpy, ``import opoly.cli`` and one
-``opoly`` run per command on each bundled config, each in a fresh process.
+``opoly`` run per command on each bundled config, each in a fresh process,
+plus the import of ``opoly.cli`` alone, timed inside its process.
 
 Usage::
 
@@ -10,10 +11,12 @@ even under ``PYTHONDONTWRITEBYTECODE``, so no start pays for compiling
 opoly.  It then starts every case once per round under each tree, ``N``
 rounds (default 7), and prints per tree and case the median and quartiles
 of the wall milliseconds from start to exit, and the exit code of the
-``opoly`` runs.  ``zeros`` and ``quad`` take the config's ``n``, or
-``--n 8`` where it has none.  The last line of output is the tables as
-JSON.  ``--src`` names a ``src/`` tree to run, and may be repeated
-(default: this checkout's).  The trees take turns case by case, the first
+``opoly`` runs.  The case ``import opoly.cli in-process`` reports instead
+the ``time.perf_counter()`` milliseconds around the import, which leave out
+the interpreter's own start and spread far less than a whole process.
+``zeros`` and ``quad`` take the config's ``n``, or ``--n 8`` where it has
+none.  The last line of output is the tables as JSON.  ``--src`` names a
+``src/`` tree to run, and may be repeated (default: this checkout's).  The trees take turns case by case, the first
 one alternating from round to round, so a drift in host speed falls on
 all of them alike; the configs always come from this checkout's
 ``configs/``, so the trees are compared on the same runs.
@@ -32,6 +35,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG_DIR = os.path.join(ROOT, "configs")
 COMMANDS = ("check", "tilde", "zeros", "hk", "quad", "gen")
+IN_PROCESS = "import opoly.cli in-process"  # the case that prints its own milliseconds
 
 
 def cases() -> dict[str, list[str]]:
@@ -40,6 +44,8 @@ def cases() -> dict[str, list[str]]:
         "python -c pass": ["-c", "pass"],
         "import numpy": ["-c", "import numpy"],
         "import opoly.cli": ["-c", "import opoly.cli"],
+        IN_PROCESS: ["-c", "import time; t = time.perf_counter(); import opoly.cli; "
+                           "print(1000.0 * (time.perf_counter() - t))"],
     }
     for name in sorted(os.listdir(CONFIG_DIR)):
         path = os.path.join(CONFIG_DIR, name)
@@ -72,8 +78,10 @@ def main(argv=None) -> int:
                 start = time.perf_counter()
                 proc = subprocess.run([sys.executable, *case], cwd=ROOT,
                                       env=dict(os.environ, PYTHONPATH=src),
-                                      stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-                ms[src][name].append(1000.0 * (time.perf_counter() - start))
+                                      stdout=subprocess.PIPE if name == IN_PROCESS
+                                      else subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+                wall = 1000.0 * (time.perf_counter() - start)
+                ms[src][name].append(float(proc.stdout) if name == IN_PROCESS else wall)
                 codes[src, name] = proc.returncode
     rows: dict[str, dict] = {}
     for src in srcs:

@@ -7,14 +7,19 @@ banded change of basis ``Q = M P`` intertwines the two operators
 (``M J_P = J_Q M``), and the ``m x m`` truncation of ``J_P`` minus the
 single-row perturbation ``L`` (last row carrying ``a_k .. a_1``, with ``a_1``
 in the last column) has characteristic polynomial ``Q_m`` -- so zeros of the
-combination polynomials are ordinary eigenvalues.  Where the matching
-conditions hold, ``Q_m`` is also the characteristic polynomial of the tilde
-truncation; with ``tilde gamma_1..tilde gamma_{m-1} > 0`` a diagonal
-similarity makes it symmetric (``sqrt(tilde gamma)`` off the diagonal), and
-``eigvalsh`` finds its real eigenvalues with an error relative to its own
-norm (Golub & Welsch 1969).  :func:`zeros_q` builds it with no verdict and
-keeps them when their Newton distance from the zeros of ``Q_m`` is at
-rounding level, and otherwise takes the eigenvalues of ``(J_P)_m - L_m``.
+combination polynomials are ordinary eigenvalues.  For ``k <= 2`` the
+recurrence folds ``Q_m`` into ``(x - beta_{m-1} + a_1) P_{m-1} - (gamma_{m-1}
+- a_2) P_{m-2}``, the characteristic polynomial of ``J^_m``: ``J_m`` with
+``beta_{m-1} - a_1`` and ``gamma_{m-1} - a_2`` in its last row (Golub, "Some
+modified matrix eigenvalue problems", 1973; Gautschi 2004, §3.1.1).  With
+``gamma_1..gamma_{m-2} > 0`` and ``gamma_{m-1} > a_2`` a diagonal similarity
+makes it symmetric, and ``eigvalsh`` finds its real eigenvalues with an
+error relative to its own norm (Golub & Welsch 1969).  For ``k >= 3`` the
+symmetric matrix is the tilde truncation, whose characteristic polynomial is
+``Q_m`` where the matching conditions hold; :func:`zeros_q` builds it with no
+verdict and keeps its eigenvalues when their Newton distance from the zeros
+of ``Q_m`` is at rounding level.  Every other call takes the eigenvalues of
+``(J_P)_m - L_m``.
 
 On top of that sits the functional link ``u = h_k v``.  The ``Q_j`` are
 ``v``-orthogonal and ``u(Q_m) = 0`` for ``m > k`` (such a ``Q_m`` has no
@@ -137,22 +142,59 @@ class ZerosReport(NamedTuple):
 
 def _newton_step(rec: RecurrencePair, comb: CombCoeffs, z: np.ndarray) -> np.ndarray:
     """``z - Q_m(z) / Q_m'(z)``, ``m = z.size``, from one stacked recurrence
-    whose rows carry ``P_j`` and ``P_j'`` at every ``z``."""
+    whose rows carry ``P_j`` and ``P_j'`` at every ``z``.  Three preallocated
+    row pairs, each held with views of its two rows, take turns as
+    ``P_{j-1}``, ``P_j`` and ``P_{j+1}``; each step makes the elementwise
+    operations of a walk that allocates its rows, in the same order, so it
+    has the same bits."""
     import numpy as np
     m, k, coef = z.size, comb.k, (1.0,) + comb.a  # coef[i] multiplies P_{m-i}
     with np.errstate(all="ignore"):  # a non-finite step fails the cross-check
         shifted = z - rec.beta[:m, None]
-        prev = np.array([np.ones_like(z), np.zeros_like(z)])
-        cur = np.array([shifted[0], np.ones_like(z)])
-        q = coef[m - 1] * cur if m - 1 <= k else 0.0
-        for j in range(1, m):
-            nxt = shifted[j] * cur
-            nxt -= rec.gamma[j] * prev
-            nxt[1] += cur[0]
-            prev, cur = cur, nxt
+        rows = np.zeros((4, 2, m), dtype=shifted.dtype)
+        rows[0, 0] = 1.0
+        rows[1, 0], rows[1, 1] = shifted[0], 1.0
+        prev, cur, nxt = ((pair, pair[0], pair[1]) for pair in rows[:3])
+        scaled = rows[3]
+        q = coef[m - 1] * rows[1] if m - 1 <= k else 0.0
+        for j, (g, s) in enumerate(zip(rec.gamma[1:m].tolist(), shifted[1:]), start=1):
+            np.multiply(s, cur[0], out=nxt[0])
+            np.subtract(nxt[0], np.multiply(g, prev[0], out=scaled), out=nxt[0])
+            np.add(nxt[2], cur[1], out=nxt[2])  # P_{j+1}' gains P_j
+            prev, cur, nxt = cur, nxt, prev
             if m - 1 - j <= k:
-                q = q + coef[m - 1 - j] * cur
+                q = q + coef[m - 1 - j] * cur[0]
         return z - q[0] / q[1]
+
+
+def _hat_gamma(rec: RecurrencePair, comb: CombCoeffs, m: int) -> float | None:
+    """``gamma_{m-1} - a_2`` (``a_2 = 0`` for ``k = 1``), the last squared
+    off-diagonal of ``J^_m``, where ``J^_m`` is real symmetric: ``k <= 2``,
+    ``gamma_1..gamma_{m-2} > 0`` and ``0 < gamma_{m-1} - a_2 < inf``.
+    ``None`` elsewhere.  :func:`zeros_q` and
+    :func:`~opoly.quadrature.christoffel_numbers` both take their route from it."""
+    k = comb.k
+    if k > 2 or not all(g > 0.0 for g in rec.gammas[1 : m - 1]):
+        return None
+    last = rec.gammas[m - 1] - (comb.a[1] if k == 2 else 0.0)
+    return last if 0.0 < last < float("inf") else None
+
+
+def _hat_jacobi(rec: RecurrencePair, comb: CombCoeffs, m: int) -> np.ndarray | None:
+    """``J^_m``: the symmetric Jacobi truncation ``J_m`` with ``beta_{m-1} - a_1``
+    in its last diagonal entry and ``sqrt(gamma_{m-1} - a_2)`` in its last
+    off-diagonal, whose characteristic polynomial is ``Q_m``; ``None`` where
+    :func:`_hat_gamma` is."""
+    import numpy as np
+    last = _hat_gamma(rec, comb, m)
+    if last is None:
+        return None
+    diag = rec.beta[:m].copy()
+    diag[-1] -= comb.a[0]
+    off = rec.gamma[1:m].copy()
+    off[-1] = last
+    np.sqrt(off, out=off)
+    return _tridiagonal(diag, off, off)
 
 
 def _tilde_jacobi(rec, comb, m) -> np.ndarray | None:
@@ -180,28 +222,29 @@ def _newton_distance(rec: RecurrencePair, comb: CombCoeffs, z: np.ndarray) -> fl
     return float(multiset_distance(z, refined)) if np.all(np.isfinite(refined)) else np.inf
 
 
-#: Largest Newton distance :func:`zeros_q` accepts, on either route.
+#: Largest Newton distance :func:`zeros_q` accepts, on every route.
 _NEWTON_TOL = 1e-8
 
 
 def zeros_q(rec: RecurrencePair, comb: CombCoeffs, m: int) -> ZerosReport:
     """Zeros of ``Q_m``, in ascending order as a complex array.
 
-    Where :func:`_tilde_jacobi` builds ``J~_m``, they are its eigenvalues
-    (``eigvalsh``, real), kept when their Newton distance is at most
-    ``min(_NEWTON_TOL, 64 eps max(1, max|z|))``.  That bound, not the verdict,
-    judges the matching conditions below ``m``, and it is the stricter test:
-    a verdict passes residuals up to ``1e-10`` (Chebyshev T, ``a = (0, -1/8)``,
-    ``gamma_10`` raised by ``1e-11``, ``m = 20`` misses the bound).  Then, and
-    on every other call, they are the eigenvalues of ``(J_P)_m - L_m``
-    (``eigvals``), sorted by real part, then imaginary part.
+    For ``k <= 2``, where :func:`_hat_jacobi` builds ``J^_m``, they are its
+    eigenvalues (``eigvalsh``, real).  For ``k >= 3``, where
+    :func:`_tilde_jacobi` builds ``J~_m``, they are its eigenvalues, kept when
+    their Newton distance is at most ``min(_NEWTON_TOL, 64 eps max(1, max|z|))``.
+    That bound, not the verdict, judges the matching conditions below ``m``.
+    Then, and on every other call, they are the eigenvalues of
+    ``(J_P)_m - L_m`` (``eigvals``), sorted by real part, then imaginary part.
+    No call for ``k <= 2`` reads the exact completion or the tilde data.
 
     The Newton refinements ``z - Q_m(z) / Q_m'(z)`` are evaluated by the
-    recurrence of ``P``, so the check never reads the tilde data; each step is
-    the first-order forward error of its ``z``.  On the ``eigvals`` route a
-    multiset distance above ``_NEWTON_TOL`` (infinite where ``Q_m'`` vanishes at
-    a computed zero) raises :class:`~opoly.errors.NumericError`; an ``m`` off
-    ``[k + 1, horizon + 1]`` :class:`ValueError` or :class:`~opoly.errors.HorizonError`.
+    recurrence of ``P``, so the check shares no matrix with either route; each
+    step is the first-order forward error of its ``z``.  On the ``J^_m`` and
+    ``eigvals`` routes a multiset distance above ``_NEWTON_TOL`` (infinite where
+    ``Q_m'`` vanishes at a computed zero) raises
+    :class:`~opoly.errors.NumericError`; an ``m`` off ``[k + 1, horizon + 1]``
+    :class:`ValueError` or :class:`~opoly.errors.HorizonError`.
     """
     import numpy as np
     k = comb.k
@@ -209,13 +252,14 @@ def zeros_q(rec: RecurrencePair, comb: CombCoeffs, m: int) -> ZerosReport:
         raise HorizonError(f"m = {m} exceeds horizon + 1 = {rec.horizon + 1}")
     if m < k + 1:
         raise ValueError(f"m must be at least k + 1 = {k + 1}")
-    J = _tilde_jacobi(rec, comb, m)
+    J = _hat_jacobi(rec, comb, m) if k <= 2 else _tilde_jacobi(rec, comb, m)
     try:
         if J is not None:
             w = np.linalg.eigvalsh(J)  # ascending
             dist = _newton_distance(rec, comb, w)
-            if dist <= min(_NEWTON_TOL, 64 * np.finfo(float).eps * max(1.0, -w[0], w[-1])):
-                return ZerosReport(w.astype(complex), dist)
+            if k <= 2 or dist <= min(_NEWTON_TOL, 64 * np.finfo(float).eps
+                                     * max(1.0, -w[0], w[-1])):
+                return _newton_checked(w.astype(complex), dist)
         # (J_P)_m minus L_m, whose only row (the last) holds a_k .. a_1
         A = _tridiagonal(rec.beta[:m], 1.0, rec.gamma[1:m])
         A[-1, m - k :] -= comb.a[::-1]
@@ -223,12 +267,17 @@ def zeros_q(rec: RecurrencePair, comb: CombCoeffs, m: int) -> ZerosReport:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericError(f"eigenvalue iteration failed: {exc}") from exc
     eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
-    dist = _newton_distance(rec, comb, eigs)
+    return _newton_checked(eigs, _newton_distance(rec, comb, eigs))
+
+
+def _newton_checked(zeros: np.ndarray, dist: float) -> ZerosReport:
+    """The report, or :class:`~opoly.errors.NumericError` when the Newton
+    distance exceeds ``_NEWTON_TOL``."""
     if dist > _NEWTON_TOL:
         raise NumericError(
             f"eigenvalue/Newton cross-check mismatch: multiset distance {dist:.3e}"
         )
-    return ZerosReport(eigs, dist)
+    return ZerosReport(zeros, dist)
 
 
 def norm_diagonal(rec: RecurrencePair, m: int) -> np.ndarray:

@@ -10,20 +10,26 @@ Polynomials: Computation and Approximation*, 2004).  Gauss rules reach
 cost exactly ``k`` degrees, which :func:`shohat_check` verifies end to end.
 
 The Gauss nodes are the eigenvalues of the symmetric Jacobi truncation
-``J_n``.  For ``k = 1`` the zeros of ``Q_n = P_n + a_1 P_{n-1}`` are those of
-``J_n`` with ``beta_{n-1} - a_1`` in its last diagonal entry.  Both rules are
-exact to degree ``2n - 2`` at least, so their weights are the Christoffel
-function ``w_l = 1 / sum_{i<n} p_i(x_l)^2`` (Gautschi 2004, §1.4), read off
-rows ``0..n-1`` of the same table ``p_i(x_l)`` that measures the degree.
-Unlike the squared first eigenvector components of Golub & Welsch (1969),
-they keep their relative accuracy at nodes far out on the spectrum, where
-the weights fall far below the rounding of the largest one.  For ``k >= 2``
-the nodes come from :func:`~opoly.jacobi.zeros_q`, on the route it picks
-itself (no verdict is read), and the weights of the interpolatory rule
-solve ``V w = e_0`` with ``V[i, j] = p_i(x_j)``, ``i < n``: the first ``n``
-rows of the table that then measures the degree.  Each
-:class:`~opoly.recurrence.RecurrencePair` keeps the last table walked on it,
-keyed by the nodes' bytes, so :func:`christoffel_numbers` and
+``J_n``, and for ``k <= 2`` the zeros of ``Q_n`` are those of ``J^_n``
+(:func:`~opoly.jacobi._hat_jacobi`: ``beta_{n-1} - a_1`` and
+``sqrt(gamma_{n-1} - a_2)`` in its last row).  Where ``J^_n`` is real
+symmetric it is the Jacobi matrix of a functional ``u^`` with ``u``'s
+moments through degree ``2n - 3``, so ``u^``'s Gauss rule is the
+interpolatory rule for ``u`` on the zeros of ``Q_n`` (Golub, "Some modified
+matrix eigenvalue problems", *SIAM Rev.* 15, 1973; Gautschi 2004, §3.1.1).
+Both rules take Christoffel numbers
+``w_l = 1 / (sum_{i<n-1} p_i(x_l)^2 + p_{n-1}(x_l)^2 gamma_{n-1} / (gamma_{n-1} - a_2))``
+(``a = 0`` for Gauss; Gautschi 2004, §1.4), read off rows ``0..n-1`` of the
+same table ``p_i(x_l)`` that measures the degree.  Unlike the squared first
+eigenvector components of Golub & Welsch (1969), they keep their relative
+accuracy at nodes far out on the spectrum, where the weights fall far below
+the rounding of the largest one.  Every other rule on the zeros of ``Q_n``
+(``k >= 3``, or ``gamma_{n-1} <= a_2``) takes its nodes from
+:func:`~opoly.jacobi.zeros_q`, on the route it picks itself (no verdict is
+read), and its weights solve ``V w = e_0`` with ``V[i, j] = p_i(x_j)``,
+``i < n``: the first ``n`` rows of the table that then measures the degree.
+Each :class:`~opoly.recurrence.RecurrencePair` keeps the last table walked on
+it, keyed by the nodes' bytes, so :func:`christoffel_numbers` and
 :func:`degree_of_precision` walk those nodes once between them; the table
 dies with its pair, and no module-level cache holds one.
 """
@@ -33,7 +39,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import HorizonError, InapplicableError, NumericError
-from .jacobi import _symmetric_jacobi, zeros_q
+from .jacobi import _hat_gamma, _hat_jacobi, _symmetric_jacobi, zeros_q
 from .lincomb import CombCoeffs
 from .recurrence import RecurrencePair
 
@@ -106,12 +112,17 @@ def _orthonormal(rec: RecurrencePair, x: np.ndarray, size: int) -> np.ndarray:
     return V
 
 
-def christoffel_numbers(rec: RecurrencePair, nodes) -> np.ndarray:
+def christoffel_numbers(rec: RecurrencePair, nodes, comb: CombCoeffs | None = None) -> np.ndarray:
     """Weights of the interpolatory rule on ``nodes`` for the functional behind
-    ``rec`` (``u_0 = 1``): the solution of ``V w = e_0``, ``V[i, j] = p_i(x_j)``.
-    :func:`_coincident` nodes raise :class:`ValueError`, ``gamma_1..
-    gamma_{n-1}`` not all positive :class:`~opoly.errors.InapplicableError`,
-    and weights that are not finite :class:`~opoly.errors.NumericError`."""
+    ``rec`` (``u_0 = 1``).  Given the combination whose ``n`` zeros the nodes
+    are, and where :func:`~opoly.jacobi._hat_gamma` puts ``Q_n`` on the
+    ``J^_n`` route (``k <= 2``), they are ``u^``'s Christoffel numbers
+    ``1 / (sum_{i<n-1} p_i(x_l)^2 + p_{n-1}(x_l)^2 gamma_{n-1} / (gamma_{n-1} - a_2))``
+    from rows ``0..n-1`` of the table; otherwise they solve ``V w = e_0``,
+    ``V[i, j] = p_i(x_j)``.  :func:`_coincident` nodes raise
+    :class:`ValueError`, ``gamma_1..gamma_{n-1}`` not all positive
+    :class:`~opoly.errors.InapplicableError`, and weights that are not finite
+    :class:`~opoly.errors.NumericError`."""
     import numpy as np
     nodes = np.asarray(nodes, dtype=float).ravel()
     n = nodes.size
@@ -119,11 +130,25 @@ def christoffel_numbers(rec: RecurrencePair, nodes) -> np.ndarray:
         raise ValueError("need at least one node")
     if _coincident(np.sort(nodes)):
         raise ValueError("nodes must be pairwise distinct")
+    last = None if comb is None else _hat_gamma(rec, comb, n)
+    if last is not None:
+        ratio = rec.gammas[n - 1] / last
+        return _finite(nodes, _christoffel(_orthonormal(rec, nodes, n), ratio))
     try:
         weights = np.linalg.solve(_orthonormal(rec, nodes, n), np.eye(1, n)[0])
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"node matrix is singular: {exc}") from exc
     return _finite(nodes, weights)
+
+
+def _christoffel(V: np.ndarray, ratio: float = 1.0) -> np.ndarray:
+    """``1 / (sum_{i<n-1} V[i]^2 + ratio V[n-1]^2)`` over the ``n`` rows of
+    ``V``: the Christoffel numbers of the Jacobi matrix whose last squared
+    off-diagonal is ``gamma_{n-1} / ratio``."""
+    import numpy as np
+    sq = np.square(V)
+    sq[-1] *= ratio
+    return 1.0 / sq.sum(axis=0)
 
 
 def _finite(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -170,7 +195,7 @@ def _christoffel_rule(rec: RecurrencePair, nodes: np.ndarray) -> QuadratureRule:
     import numpy as np
     n = nodes.size
     V = _orthonormal(rec, nodes, min(n + 1, rec.horizon) + 1)
-    weights = _finite(nodes, 1.0 / np.square(V[:n]).sum(axis=0))
+    weights = _finite(nodes, _christoffel(V[:n]))
     return QuadratureRule(nodes, weights, _table_degree(V, weights))
 
 
@@ -214,25 +239,26 @@ def shohat_check(rec: RecurrencePair, comb: CombCoeffs, n: int) -> ShohatReport:
     """Verify the k-degree loss law: nodes at the zeros of ``Q_n`` give a rule
     of degree of precision exactly ``2n - 1 - k``.
 
-    For ``k = 1`` the rule is built as :func:`gauss_rule` builds its own, on
-    the symmetric Jacobi truncation with ``beta_{n-1} - a_1`` in the last
-    diagonal entry.  For ``k >= 2`` the nodes come from
-    :func:`~opoly.jacobi.zeros_q` and the weights from :func:`christoffel_numbers`.
-    The law holds whether or not ``{Q_n}`` is orthogonal (Shohat 1937), so no
-    verdict is read.  Complex or coincident zeros and non-positive gammas
-    raise :class:`~opoly.errors.InapplicableError`.
+    For ``k = 1`` the nodes are the eigenvalues of ``J^_n``
+    (:func:`~opoly.jacobi._hat_jacobi`) and the rule is built as
+    :func:`gauss_rule` builds its own: ``gamma_{n-1} / (gamma_{n-1} - a_2)`` is
+    1, so ``u^``'s Christoffel numbers are ``J^_n``'s Christoffel function.
+    For ``k >= 2`` the nodes come from :func:`~opoly.jacobi.zeros_q` (``J^_n``
+    for ``k = 2`` where it is real symmetric), the weights from
+    :func:`christoffel_numbers` given ``comb``, and the degree from
+    :func:`degree_of_precision`.  The law holds whether or not ``{Q_n}`` is
+    orthogonal (Shohat 1937), so no verdict is read.  Complex or coincident
+    zeros and non-positive gammas raise :class:`~opoly.errors.InapplicableError`.
     """
     import numpy as np
     if comb.k == 1:
         _require_positive(rec, n - 1)
-        J = _symmetric_jacobi(rec, n)
-        J[-1, -1] -= comb.a[0]
-        rule = _christoffel_rule(rec, _distinct(np.linalg.eigvalsh(J)))
+        rule = _christoffel_rule(rec, _distinct(np.linalg.eigvalsh(_hat_jacobi(rec, comb, n))))
     else:
         zeros = zeros_q(rec, comb, n).zeros
         if float(np.max(np.abs(zeros.imag))) > 1e-9 * max(1.0, float(np.max(np.abs(zeros)))):
             raise InapplicableError("Q_n has complex zeros; quadrature undefined")
         nodes = _distinct(zeros.real)  # zeros_q sorts by real part
-        rule = QuadratureRule(nodes, christoffel_numbers(rec, nodes), -1)
+        rule = QuadratureRule(nodes, christoffel_numbers(rec, nodes, comb), -1)
         rule = rule._replace(degree_of_precision=degree_of_precision(rec, rule))
     return ShohatReport(rule.degree_of_precision == 2 * n - 1 - comb.k, rule)

@@ -79,6 +79,24 @@ def symmetric_jacobi_diag_sums(rec, m: int) -> np.ndarray:
     return np.diag(rec.beta[:m]) + np.diag(off, 1) + np.diag(off, -1)
 
 
+def hat_jacobi_diag_sums(rec, comb, m: int):
+    """``J^_m`` as a sum of three ``np.diag`` matrices, or None where it is not
+    real symmetric: ``J_m`` with ``beta_{m-1} - a_1`` in its last diagonal entry
+    and ``sqrt(gamma_{m-1} - a_2)`` in its last off-diagonal (``a_2 = 0`` for
+    ``k = 1``), for ``k <= 2``, ``gamma_1..gamma_{m-2} > 0`` and
+    ``gamma_{m-1} > a_2``.  Its characteristic polynomial is ``Q_m``: the
+    bit-level reference for ``opoly.jacobi._hat_jacobi``."""
+    a = tuple(comb.a) + (0.0,)
+    gamma = rec.gamma[1:m].copy()
+    gamma[-1] -= a[1]
+    if comb.k > 2 or not (np.all(gamma > 0.0) and np.all(np.isfinite(gamma))):
+        return None
+    beta = rec.beta[:m].copy()
+    beta[-1] -= a[0]
+    off = np.sqrt(gamma)
+    return np.diag(beta) + np.diag(off, 1) + np.diag(off, -1)
+
+
 def intertwining_residual(rec, comb, report, m: int) -> float:
     """Max-norm of ``M J_P - J_Q M`` over the interior rows ``0..m-k-2``, built
     from the change of basis, both Jacobi truncations and the tilde recurrence
@@ -151,11 +169,15 @@ def trig_square_in_x(a) -> np.ndarray:
     return out
 
 
-# Bundled configs whose verdict holds and whose tilde gammas are positive
-# through their horizon: zeros_q takes their symmetric tilde route at every n
-TILDE_ROUTE_CONFIGS = frozenset({
-    "cheb1_k2.json", "cheb2_k1.json", "cheb2_k2_case_ii.json", "cheb3_k1.json",
-    "gen_k1.json", "gen_k2_a1_zero.json", "gen_k2_real_roots.json"})
+# Bundled configs with gamma_1..gamma_{n-2} > 0 and gamma_{n-1} > a_2 at every
+# n through their horizon: zeros_q takes their J^ route at every n.  The other
+# three have a_2 >= gamma_{n-1} at every n (cheb4_k2_case_iv,
+# gen_k2_complex_roots) or below n = 27 (gen_k2_equal_roots).
+HAT_ROUTE_CONFIGS = frozenset({
+    "broken_beta_perturbed.json", "broken_gamma_perturbed.json",
+    "broken_varying_gamma.json", "cheb1_k2.json", "cheb1_k2_case_iii.json",
+    "cheb2_k1.json", "cheb2_k2_case_ii.json", "cheb3_k1.json", "gen_k1.json",
+    "gen_k2_a1_zero.json", "gen_k2_real_roots.json"})
 
 
 def generated_k1(horizon: int = 64):

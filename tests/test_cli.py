@@ -13,7 +13,7 @@ import opoly as op
 from opoly import cli, jacobi, lincomb, quadrature
 from opoly.cli import main
 
-from conftest import TILDE_ROUTE_CONFIGS
+from conftest import HAT_ROUTE_CONFIGS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -625,11 +625,11 @@ SCALES = [2.0, -1.0, 0.125, 16.0, 1 / 1024]
 BUNDLED = sorted(CONFIG_DIR.glob("*.json"))
 # Known defects of the eigvals route on the unbalanced (J_P)_n - L_n: the
 # configs whose exit code at --n 20 changes under x -> s x (each to exit 3,
-# the Newton cross-check's refusal)
+# the Newton cross-check's refusal).  They are the configs off the J^ route
+# at n = 20, where a_2 >= gamma_19.
 SCALE_MISMATCHES = {
-    ("zeros", 16.0): {p.name for p in BUNDLED} - TILDE_ROUTE_CONFIGS,
-    ("quad", 16.0): {"broken_gamma_perturbed.json", "cheb1_k2_case_iii.json",
-                     "gen_k2_equal_roots.json"},
+    ("zeros", 16.0): {p.name for p in BUNDLED} - HAT_ROUTE_CONFIGS,
+    ("quad", 16.0): {"gen_k2_equal_roots.json"},
 }
 
 
@@ -654,8 +654,10 @@ def _zeros(capsys, cfg, n):
 
 
 @pytest.mark.parametrize("s", SCALES)
-@pytest.mark.parametrize("name", sorted(TILDE_ROUTE_CONFIGS))
+@pytest.mark.parametrize("name", sorted(HAT_ROUTE_CONFIGS))
 def test_tilde_route_zeros_are_covariant_under_scaling(tmp_path, capsys, name, s):
+    # zeros from a symmetric route: J^_n for these k <= 2 configs, which took
+    # the tilde route before J^ replaced it for k <= 2
     scaled = write_config(tmp_path, scaled_payload(CONFIG_DIR / name, s))
     for n in (3, 10, 20):
         z = _zeros(capsys, str(CONFIG_DIR / name), n)
@@ -674,15 +676,17 @@ def test_quad_command(tmp_path, capsys):
 
 
 def test_zeros_falls_back_to_eigvals_on_a_passing_verdict(tmp_path, capsys, monkeypatch):
-    # gamma_10 raised by 1e-11 passes the verdict at its fixed 1e-10, but the
-    # tilde eigenvalues then miss the keep bound 64 eps, so zeros reports the
-    # eigvals route's zeros
+    # for k = 3, gamma_10 raised by 1e-11 passes the verdict at its fixed
+    # 1e-10, but the tilde eigenvalues then miss the keep bound 64 eps, so
+    # zeros reports the eigvals route's zeros
     gamma = ["0.5"] + ["0.25"] * 8 + ["0.25000000001"] + ["0.25"] * 14
-    cfg = write_config(tmp_path, dict(LOOSE, family=dict(LOOSE["family"], gamma=gamma)))
+    cfg = write_config(tmp_path, dict(LOOSE, family=dict(LOOSE["family"], gamma=gamma),
+                                      combination={"a": ["0.3", "0.2", "0.1"]}))
     code, out, err = run(capsys, "zeros", "--config", cfg, "--n", "20")
     assert (code, err) == (0, "")
     job = cli.load_config(cfg)
     assert op.check_conditions(job.rec, job.comb, 19).verdict
+    assert jacobi._tilde_jacobi(job.rec, job.comb, 20) is not None
     monkeypatch.setattr(jacobi, "_tilde_jacobi", lambda *args: None)  # the eigvals route
     eigvals = op.zeros_q(job.rec, job.comb, 20).zeros
     assert json.loads(out)["result"]["zeros"] == [{"re": z.real, "im": z.imag} for z in eigvals]
@@ -727,17 +731,40 @@ def test_quad_honours_zeros_tolerance(capsys, name, n):
     assert nodes == sorted(z["re"] for z in zeros)
 
 
-def test_quad_misses_the_law_at_n41_on_chebyshev_u(tmp_path, capsys):
-    # a known defect of the combination rule (tests/test_quadrature.py's
-    # KNOWN_QUAD_DEFECTS): one zero of Q_41 lies outside [-1, 1], and its weight
-    # falls below the rounding of the table that measures the degree
+def test_quad_meets_the_law_at_n41_on_chebyshev_u(tmp_path, capsys):
+    # one zero of Q_41 lies outside [-1, 1], and its weight falls below the
+    # rounding of the table that measures the degree; the Christoffel numbers
+    # of J^_41 keep that weight's relative accuracy, where the V w = e_0 solve
+    # measured degree 72
     payload = {"family": {"type": "chebyshev", "kind": 2},
                "combination": {"a": ["1", "0.2"]}, "horizon": 64}
     code, out, err = run(capsys, "quad", "--config", write_config(tmp_path, payload),
                          "--n", "41")
-    assert (code, err) == (1, "")
+    assert (code, err) == (0, "")
     block = json.loads(out)["result"]["combination"]
-    assert (block["degree_of_precision"], block["expected"]) == (72, 79)
+    assert (block["degree_of_precision"], block["expected"]) == (79, 79)
+
+
+@pytest.mark.parametrize("edge", ["hat_just_inside", "hat_just_outside"])
+@pytest.mark.parametrize("command", ["zeros", "quad"])
+def test_zeros_and_quad_keep_the_failure_contract_at_the_hat_boundary(
+        tmp_path, capsys, command, edge):
+    # Chebyshev U with a_2 = 1/4 - 2^-40 (J^ route) and a_2 = 1/4 (eigvals
+    # route, where Q_n = x P_{n-1} has a double zero for even n): every n
+    # exits 0, 1 or 3, and a refusal is one typed line
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+    import golden
+
+    cfg = write_config(tmp_path, golden.edge_configs()[edge])
+    top = 24 if command == "zeros" else 22
+    codes = set()
+    for n in range(3, top + 2):
+        code, out, err = run(capsys, command, "--config", cfg, "--n", str(n))
+        assert code in (0, 1, 3), (n, err)
+        if code == 3:
+            assert err.startswith("opoly: NumericError: ") and err.count("\n") == 1, err
+        codes.add(code)
+    assert codes == ({0} if edge == "hat_just_inside" else {0, 3})
 
 
 @pytest.mark.parametrize("command", ["zeros", "quad"])

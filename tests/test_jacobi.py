@@ -11,9 +11,10 @@ from opoly import lincomb
 from opoly.cli import load_config
 
 from conftest import (
-    TILDE_ROUTE_CONFIGS,
+    HAT_ROUTE_CONFIGS,
     chebyshev_corpus,
     generated_k1,
+    hat_jacobi_diag_sums,
     inner,
     intertwining_residual,
     jacobi_truncation_diag_sums,
@@ -38,8 +39,10 @@ def reference_matrix(rec, comb, m):
     return jacobi_truncation_diag_sums(rec, m) - perturbation_L_dense(comb, m)
 
 
-def off_tilde_route(monkeypatch):
-    """Make every ``zeros_q`` call take the ``eigvals`` route of ``(J_P)_m - L_m``."""
+def off_symmetric_routes(monkeypatch):
+    """Make every ``zeros_q`` call take the ``eigvals`` route of ``(J_P)_m - L_m``:
+    no ``J^_m`` for ``k <= 2``, no ``J~_m`` for ``k >= 3``."""
+    monkeypatch.setattr(op.jacobi, "_hat_jacobi", lambda *args: None)
     monkeypatch.setattr(op.jacobi, "_tilde_jacobi", lambda *args: None)
 
 
@@ -53,7 +56,7 @@ def eigvals_matrix(monkeypatch, rec, comb, m):
         return eigvals(A)
 
     with monkeypatch.context() as patch:
-        off_tilde_route(patch)
+        off_symmetric_routes(patch)
         patch.setattr(np.linalg, "eigvals", recording)
         try:
             op.zeros_q(rec, comb, m)
@@ -105,9 +108,14 @@ class TestJacobiTruncation:
             assert got.dtype == np.float64 and got.shape == (m, m), m
             assert got.flags.c_contiguous and got.flags.writeable, m
             assert got.tobytes() == ref.tobytes(), m
+        # J^_m, built in place, is the reference J^_m bit for bit
+        for comb in (op.CombCoeffs((0.5,)), op.CombCoeffs((0.0, -0.125))):
+            for m in range(comb.k + 1, rec.horizon + 2):
+                ref = hat_jacobi_diag_sums(rec, comb, m)
+                assert op.jacobi._hat_jacobi(rec, comb, m).tobytes() == ref.tobytes(), (comb, m)
         # zeros_q's eigvals matrix, built in place, is the reference J - L
         # bit for bit, and so are its sorted zeros or its refusal
-        off_tilde_route(monkeypatch)
+        off_symmetric_routes(monkeypatch)
         for comb in (op.CombCoeffs((0.5,)), op.CombCoeffs((0.0, -0.125))):
             for m in range(comb.k + 1, rec.horizon + 2):
                 ref = reference_matrix(rec, comb, m)
@@ -172,25 +180,34 @@ class TestPerturbation:
 
     def test_horizon_k_has_no_completion(self):
         # m = k + 1 = horizon + 1: no gamma_{k+1}, so no completion and no
-        # tilde route; the eigvals route still finds the zeros
+        # tilde route for k = 3; the eigvals route still finds the zeros
+        rec, comb = op.RecurrencePair([0.0] * 4, [0.25] * 3), op.CombCoeffs((0.1, 0.2, 0.3))
+        assert op.jacobi._tilde_jacobi(rec, comb, 4) is None
+        assert op.jacobi._hat_jacobi(rec, comb, 4) is None
+        zq = op.zeros_q(rec, comb, 4)
+        assert zq.zeros.tobytes() == _eigvals_route(rec, comb, 4).tobytes()
+        # k = 2 at m = k + 1 = horizon + 1 takes J^_3, which needs no completion
         rec, comb = op.RecurrencePair([0.0] * 3, [0.25] * 2), op.CombCoeffs((0.1, 0.2))
         assert op.jacobi._tilde_jacobi(rec, comb, 3) is None
         zq = op.zeros_q(rec, comb, 3)
-        assert zq.zeros.tobytes() == _eigvals_route(rec, comb, 3).tobytes()
+        assert zq.zeros.tobytes() == _hat_eigenvalues(rec, comb, 3).astype(complex).tobytes()
 
     def test_completion_past_the_float_range_leaves_the_tilde_route(self):
-        # the determination denominator gamma_2 + a_1 (beta_1 - beta_2) is 2e308
-        rec = op.RecurrencePair([0.0, 1e308, -1e308] + [0.0] * 5, [0.25] * 7)
-        comb = op.CombCoeffs((1.0,))
+        # the k = 3 determination denominator gamma_4 + a_1 (beta_3 - beta_4) is 2e308
+        rec = op.RecurrencePair([0.0] * 3 + [1e308, -1e308] + [0.0] * 5, [0.25] * 9)
+        comb = op.CombCoeffs((1.0, 0.1, 0.1))
         with pytest.raises(op.NumericError):
-            op.check_conditions(rec, comb, 7)
-        assert op.jacobi._tilde_jacobi(rec, comb, 4) is None
+            op.check_conditions(rec, comb, 9)
+        assert op.jacobi._tilde_jacobi(rec, comb, 6) is None
         # the eigvals route's Newton steps overflow, which refuses the zeros
-        # without a numpy warning on stderr
+        # without a numpy warning on stderr; so do J^'s for k = 1 on the same data
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(op.NumericError, match="multiset distance inf"):
-                op.zeros_q(rec, comb, 4)
+                op.zeros_q(rec, comb, 6)
+            assert op.jacobi._hat_jacobi(rec, op.CombCoeffs((1.0,)), 6) is not None
+            with pytest.raises(op.NumericError, match="multiset distance inf"):
+                op.zeros_q(rec, op.CombCoeffs((1.0,)), 6)
 
 
 class TestZeros:
@@ -217,7 +234,7 @@ class TestZeros:
 
     def test_one_moved_eigenvalue_is_caught(self, cheb_t, monkeypatch):
         comb = op.CombCoeffs((0.0, -0.125))
-        off_tilde_route(monkeypatch)
+        off_symmetric_routes(monkeypatch)
         assert op.zeros_q(cheb_t, comb, 20).cross_check_distance < 1e-13
         eigvals = np.linalg.eigvals
 
@@ -268,6 +285,24 @@ def _loose(raise_by=1e-8):
     return op.RecurrencePair([0.0] * 25, gamma), op.CombCoeffs((0.0, -0.125))
 
 
+#: A ``k = 3`` combination whose verdict holds on all four Chebyshev kinds.
+K3 = op.CombCoeffs((0.3, 0.2, 0.1))
+
+
+def _loose_k3(raise_by):
+    """:func:`_loose`'s family with ``a = (0.3, 0.2, 0.1)``: from ``1e-12`` to
+    ``9e-11`` the verdict passes at its fixed ``1e-10``, but the eigenvalues of
+    ``J~_20`` sit off the zeros of ``Q_20`` by more than ``64 eps``."""
+    return _loose(raise_by)[0], K3
+
+
+def _negative_tail_k3():
+    """Chebyshev U with ``gamma_23 = gamma_24 = -1/4`` and ``a = (0.3, 0.2, 0.1)``:
+    the tilde gammas above ``k + 1`` equal the gammas, so the first negative
+    one is ``tilde gamma_23``."""
+    return op.RecurrencePair([0.0] * 25, [0.25] * 22 + [-0.25] * 2), K3
+
+
 def _route_report(rec, comb, m):
     """The verdict through index ``m - 1``: where it holds, the characteristic
     polynomial of ``J~_m`` is ``Q_m``."""
@@ -292,10 +327,10 @@ def _reference_zeros(rec, comb, m, cross_tol=1e-8):
 
 def _assert_eigvals_route(monkeypatch, rec, comb, m):
     """``zeros_q`` returns the ``eigvals`` route's zeros, bit for bit, as it
-    does with the tilde route switched off."""
+    does with both symmetric routes switched off."""
     got = op.zeros_q(rec, comb, m)
     with monkeypatch.context() as patch:
-        off_tilde_route(patch)
+        off_symmetric_routes(patch)
         want = op.zeros_q(rec, comb, m)
     assert want.zeros.tobytes() == _eigvals_route(rec, comb, m).tobytes()
     assert got.zeros.tobytes() == want.zeros.tobytes()
@@ -315,6 +350,12 @@ def _tilde_eigenvalues(rec, comb, report, m):
     return np.linalg.eigvalsh(np.diag(tilde.beta[:m]) + np.diag(off, 1) + np.diag(off, -1))
 
 
+def _hat_eigenvalues(rec, comb, m):
+    """Eigenvalues of the reference ``J^_m``, or None where it is not real symmetric."""
+    J = hat_jacobi_diag_sums(rec, comb, m)
+    return None if J is None else np.linalg.eigvalsh(J)
+
+
 def _route_cases():
     """Every bundled config at every ``m``, then a generated ``k1`` and
     ``k2_real_roots`` family at horizon 64, ``m = 3..63``."""
@@ -326,15 +367,30 @@ def _route_cases():
            op.CombCoeffs((1.0, 0.2)), range(3, 64))
 
 
+def _tilde_route_cases():
+    """The four Chebyshev kinds at horizon 30 with two ``k = 3`` combinations,
+    at every ``m``, then :func:`_negative_tail_k3`."""
+    for kind in (1, 2, 3, 4):
+        rec = op.chebyshev_family(kind, 30)
+        for a in (K3.a, (0.5, 0.1, 0.02)):
+            yield f"kind{kind}/{a}", rec, op.CombCoeffs(a), range(4, 32)
+    yield "negative_tail_k3", *_negative_tail_k3(), range(4, 26)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a k <= 2 call built the tilde route")
+
+
 class TestTildeRoute:
-    """Where the completion exists, the tilde gammas are positive and the
-    eigenvalues of the symmetric tilde truncation pass the Newton check at
-    ``64 eps``, ``zeros_q`` takes them; every other call runs the ``eigvals``
-    route unchanged.  No verdict is read."""
+    """For ``k >= 3``, where the completion exists, the tilde gammas are
+    positive and the eigenvalues of the symmetric tilde truncation pass the
+    Newton check at ``64 eps``, ``zeros_q`` takes them; every other ``k >= 3``
+    call runs the ``eigvals`` route unchanged.  No verdict is read, and no
+    ``k <= 2`` call builds ``J~`` (:class:`TestHatRoute`)."""
 
     def test_route_agrees_with_eigvals(self):
         on_route = set()
-        for label, rec, comb, ms in _route_cases():
+        for label, rec, comb, ms in _tilde_route_cases():
             for m in ms:
                 report = _route_report(rec, comb, m)
                 expect = _tilde_eigenvalues(rec, comb, report, m)
@@ -347,31 +403,26 @@ class TestTildeRoute:
                 assert np.all(np.abs(zq.zeros - z) <= 1e-12 * np.maximum(1.0, np.abs(z)))
                 scale = max(1.0, float(np.max(np.abs(expect))))
                 assert zq.cross_check_distance <= 64 * EPS * scale, (label, m)
-        # broken_beta_perturbed is on the route for m <= 5, below its first
-        # failing condition at n = 5
-        assert on_route == TILDE_ROUTE_CONFIGS | {
-            "broken_beta_perturbed.json", "generated_k1", "generated_k2_real_roots"}
+        assert on_route == {label for label, *_ in _tilde_route_cases()}
 
     @pytest.mark.parametrize("name", [
-        "broken_beta_perturbed.json", "broken_gamma_perturbed.json",
-        "broken_varying_gamma.json", "cheb1_k2_case_iii.json", "cheb4_k2_case_iv.json",
-        "gen_k2_complex_roots.json", "gen_k2_equal_roots.json"])
+        "cheb4_k2_case_iv.json", "gen_k2_complex_roots.json", "gen_k2_equal_roots.json"])
     def test_off_route_is_the_eigvals_route(self, name, monkeypatch):
-        # a failed verdict, whose J~_20 misses the Newton bound, or a tilde
-        # gamma <= 0 below m = 20 (indefinite v)
+        # a_2 >= gamma_19, so J^_20 is not real symmetric; a k = 2 call never
+        # builds J~_20 instead, and takes the eigvals route
         rec, comb = _bundled(name)
-        report = _route_report(rec, comb, 20)
-        assert _tilde_eigenvalues(rec, comb, report, 20) is None
+        assert _hat_eigenvalues(rec, comb, 20) is None
+        monkeypatch.setattr(op.jacobi, "_tilde_jacobi", _refuse)
         _assert_eigvals_route(monkeypatch, rec, comb, 20)
 
     def test_negative_tail_leaves_the_route_at_its_first_negative_tilde_gamma(
             self, monkeypatch):
-        rec, comb = _negative_tail()
-        report = op.check_conditions(rec, comb, 24)
+        rec, comb = _negative_tail_k3()
+        report = op.check_conditions(rec, comb, 22)
         assert report.verdict
         on = op.zeros_q(rec, comb, 22)
         assert np.array_equal(on.zeros, _tilde_eigenvalues(rec, comb, report, 22))
-        assert _tilde_eigenvalues(rec, comb, report, 24) is None
+        assert op.jacobi._tilde_jacobi(rec, comb, 24) is None  # reads tilde gamma_23 < 0
         _assert_eigvals_route(monkeypatch, rec, comb, 24)
 
     def test_loose_verdict_falls_back_to_eigvals(self):
@@ -380,7 +431,7 @@ class TestTildeRoute:
         # more than the keep bound 64 eps
         m = 20
         for raise_by in (1e-12, 1e-11, 9e-11):
-            rec, comb = _loose(raise_by)
+            rec, comb = _loose_k3(raise_by)
             report = op.check_conditions(rec, comb, m - 1)
             assert report.verdict
             tilde = _tilde_eigenvalues(rec, comb, report, m)
@@ -391,8 +442,7 @@ class TestTildeRoute:
             assert zq.cross_check_distance <= 64 * EPS
 
     def test_a_moved_tilde_eigenvalue_falls_back_to_eigvals(self, cheb_t, monkeypatch):
-        comb = op.CombCoeffs((0.0, -0.125))
-        assert op.zeros_q(cheb_t, comb, 20).cross_check_distance < 1e-13
+        assert op.zeros_q(cheb_t, K3, 20).cross_check_distance < 1e-13
         eigvalsh = np.linalg.eigvalsh
 
         def moved(A):
@@ -401,15 +451,17 @@ class TestTildeRoute:
             return out
 
         monkeypatch.setattr(np.linalg, "eigvalsh", moved)
-        got = op.zeros_q(cheb_t, comb, 20)
-        assert got.zeros.tobytes() == _eigvals_route(cheb_t, comb, 20).tobytes()
+        got = op.zeros_q(cheb_t, K3, 20)
+        assert got.zeros.tobytes() == _eigvals_route(cheb_t, K3, 20).tobytes()
 
     def test_failed_verdict_keeps_the_tilde_zeros_that_pass_newton(self):
-        # broken_beta_perturbed fails its conditions from n = 5 on, yet at
-        # m = 10 the eigenvalues of J~_10 pass the Newton check at 64 eps:
-        # the route reads the completion and the tilde gammas, never the verdict
-        rec, comb = _bundled("broken_beta_perturbed.json")
-        m, k, a1 = 10, comb.k, comb.a[0]
+        # Chebyshev U with gamma_10 raised by 1e-10 fails its conditions at
+        # n = 10, yet at m = 20 the eigenvalues of J~_20 pass the Newton check
+        # at 64 eps: the route reads the completion and the tilde gammas,
+        # never the verdict
+        gamma = [0.25] * 9 + [0.25 + 1e-10] + [0.25] * 20
+        rec, comb, m = op.RecurrencePair([0.0] * 31, gamma), K3, 20
+        k, a1 = comb.k, comb.a[0]
         assert not _route_report(rec, comb, m).verdict
         # the tilde recurrence below k + 3 from a verdict that holds there,
         # the closed formulas above it
@@ -425,6 +477,114 @@ class TestTildeRoute:
         scale = max(1.0, float(np.max(np.abs(expect))))
         assert zq.cross_check_distance <= 64 * EPS * scale
         assert zq.cross_check_distance == op.jacobi._newton_distance(rec, comb, expect)
+
+
+class TestHatRoute:
+    """For ``k <= 2``, where ``gamma_1..gamma_{m-2} > 0`` and
+    ``gamma_{m-1} > a_2``, ``zeros_q`` takes the eigenvalues of ``J^_m`` and
+    refuses them when their Newton distance exceeds ``_NEWTON_TOL``; every
+    other ``k <= 2`` call runs the ``eigvals`` route.  Neither reads the
+    verdict, the completion or the tilde data."""
+
+    def test_route_agrees_with_hat_eigenvalues(self, monkeypatch):
+        monkeypatch.setattr(op.jacobi, "_tilde_jacobi", _refuse)
+        on_route = set()
+        for label, rec, comb, ms in _route_cases():
+            for m in ms:
+                expect = _hat_eigenvalues(rec, comb, m)
+                if expect is None:
+                    try:
+                        want = _reference_zeros(rec, comb, m)
+                    except op.NumericError:
+                        with pytest.raises(op.NumericError):
+                            op.zeros_q(rec, comb, m)
+                        continue
+                    assert op.zeros_q(rec, comb, m).zeros.tobytes() == want.tobytes()
+                    continue
+                on_route.add(label)
+                zq = op.zeros_q(rec, comb, m)
+                assert zq.zeros.tobytes() == expect.astype(complex).tobytes(), (label, m)
+                z = _eigvals_route(rec, comb, m)
+                assert np.all(np.abs(zq.zeros - z) <= 1e-12 * np.maximum(1.0, np.abs(z)))
+                scale = max(1.0, float(np.max(np.abs(expect))))
+                assert zq.cross_check_distance <= 64 * EPS * scale, (label, m)
+        # gen_k2_equal_roots joins the route at m = 27, where gamma_26 passes a_2
+        assert on_route == HAT_ROUTE_CONFIGS | {
+            "gen_k2_equal_roots.json", "generated_k1", "generated_k2_real_roots"}
+
+    @pytest.mark.parametrize("kind,a", [(1, (0.0, -0.125)), (2, (0.5,)), (4, (1.0, 0.2))])
+    def test_characteristic_polynomial_is_q(self, kind, a):
+        rec, comb = op.chebyshev_family(kind, 12), op.CombCoeffs(a)
+        for m in (3, 6, 10):
+            got = char_poly_low_to_high(op.jacobi._hat_jacobi(rec, comb, m))
+            assert np.allclose(got, np.array(op.q_poly(rec, comb, m).coeffs), atol=1e-12)
+
+    def test_a_moved_hat_eigenvalue_is_refused(self, cheb_t, monkeypatch):
+        comb = op.CombCoeffs((0.0, -0.125))
+        assert op.zeros_q(cheb_t, comb, 20).cross_check_distance < 1e-13
+        eigvalsh = np.linalg.eigvalsh
+
+        def moved(A):
+            out = eigvalsh(A)
+            out[3] += 1e-6
+            return out
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", moved)
+        with pytest.raises(op.NumericError, match="cross-check mismatch"):
+            op.zeros_q(cheb_t, comb, 20)
+
+    def test_loose_family_keeps_the_hat_zeros(self, monkeypatch):
+        # J^_20 reads beta and gamma alone: a raised gamma_10 moves it, and its
+        # eigenvalues stay on the zeros of Q_20 at rounding level, whatever
+        # the verdict says
+        monkeypatch.setattr(op.jacobi, "_tilde_jacobi", _refuse)
+        for raise_by in (1e-12, 9e-11, 1e-8):
+            rec, comb = _loose(raise_by)
+            expect = _hat_eigenvalues(rec, comb, 20)
+            zq = op.zeros_q(rec, comb, 20)
+            assert zq.zeros.tobytes() == expect.astype(complex).tobytes()
+            assert zq.cross_check_distance <= 64 * EPS
+
+    def test_negative_tail_leaves_the_route_at_its_first_negative_gamma(self, monkeypatch):
+        rec, comb = _negative_tail()  # gamma_22..gamma_24 = -1/4
+        assert op.zeros_q(rec, comb, 22).zeros.tobytes() == (
+            _hat_eigenvalues(rec, comb, 22).astype(complex).tobytes())
+        for m in (23, 24):
+            assert op.jacobi._hat_jacobi(rec, comb, m) is None
+            _assert_eigvals_route(monkeypatch, rec, comb, m)
+
+
+def _newton_step_reference(rec, comb, z):
+    """``z - Q_m(z) / Q_m'(z)`` from a walk that allocates its rows at every
+    step: the bit-level reference for ``opoly.jacobi._newton_step``."""
+    m, k, coef = z.size, comb.k, (1.0,) + comb.a
+    with np.errstate(all="ignore"):
+        shifted = z - rec.beta[:m, None]
+        prev = np.array([np.ones_like(z), np.zeros_like(z)])
+        cur = np.array([shifted[0], np.ones_like(z)])
+        q = coef[m - 1] * cur if m - 1 <= k else 0.0
+        for j in range(1, m):
+            nxt = shifted[j] * cur
+            nxt -= rec.gamma[j] * prev
+            nxt[1] += cur[0]
+            prev, cur = cur, nxt
+            if m - 1 - j <= k:
+                q = q + coef[m - 1 - j] * cur
+        return z - q[0] / q[1]
+
+
+def test_newton_step_matches_the_allocating_walk():
+    # real zeros (the symmetric routes), complex ones (eigvals), and steps
+    # that overflow: the preallocated rows give the same bits
+    cases = [(label, rec, comb, m) for label, rec, comb, ms in _route_cases() for m in ms]
+    cases.append(("overflow", op.RecurrencePair([0.0, 1e308, -1e308] + [0.0] * 5, [0.25] * 7),
+                  op.CombCoeffs((1.0,)), 4))
+    for label, rec, comb, m in cases:
+        real = np.linalg.eigvalsh(op.jacobi._symmetric_jacobi(rec, m)) if np.all(
+            rec.gamma[1:m] > 0) else np.linspace(-1.0, 1.0, m)
+        for z in (real, _eigvals_route(rec, comb, m)):
+            got, want = op.jacobi._newton_step(rec, comb, z), _newton_step_reference(rec, comb, z)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (label, m)
 
 
 def test_norm_diagonal(cheb_t):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import opoly as op
-from opoly import quadrature
+from opoly import jacobi, quadrature
 from opoly.cli import load_config
 
 from conftest import chebyshev_corpus, generated_k1, k2_case_fixture
@@ -245,15 +245,15 @@ def _fresh(rec):
 def test_k2_rule_walks_its_nodes_once(n):
     rec, comb = _k2_pair()
     nodes = np.sort(op.zeros_q(rec, comb, n).zeros.real)
-    weights = op.christoffel_numbers(rec, nodes)
+    weights = op.christoffel_numbers(rec, nodes, comb)
     rule = op.QuadratureRule(nodes, weights, -1)
     degree = op.degree_of_precision(rec, rule)
-    # V w = e_0 read rows 0..n-1 of the table the degree then extended
+    # the weights read rows 0..n-1 of the table the degree then extended
     [(key, table)] = rec._p_table.items()
     rows = min(n + 1, rec.horizon) + 1
     assert key == rule.nodes.tobytes()
     assert table.shape == (rows, n) and not table.flags.writeable
-    assert _hex(weights) == _hex(op.christoffel_numbers(_fresh(rec), nodes))
+    assert _hex(weights) == _hex(op.christoffel_numbers(_fresh(rec), nodes, comb))
     assert degree == op.degree_of_precision(_fresh(rec), rule)
     assert degree == _reference_degree(rec, rule)
     assert _hex(table) == _hex(quadrature._orthonormal(_fresh(rec), nodes, rows))
@@ -306,23 +306,13 @@ def test_kept_table_dies_with_its_pair():
 
 # The Chebyshev combination shapes of the bundled configs.
 SWEEP_SHAPES = ((0.0, -0.125), (1.0, 0.2), (0.5,), (0.5, 0.0625), (0.4,), (1.0, 1.0))
-# Known defects of the combination rule at horizon 64, as (kind, a, n): for
-# a = (1, 0.2) one zero of Q_n lies outside [-1, 1] and its weight falls below
-# the rounding of V, so the measured degree misses 2n - 1 - k.  zeros_q picks
-# the route the CLI does: the symmetric tilde one for kinds 2 and 3, and the
-# eigvals one for kinds 1 and 4, whose tilde gamma_1 is negative.  Pinned by
-# equality: a case that leaves the set is a listed change, one that joins it
-# a regression.
-KNOWN_QUAD_DEFECTS = frozenset(
-    (kind, (1.0, 0.2), n)
-    for kind, ns in (
-        (1, {31, *range(34, 64)}),
-        (2, set(range(34, 64)) - {34, 35, 38, 40}),
-        (3, set(range(28, 64)) - {29, 31, 36}),
-        (4, range(31, 64)),
-    )
-    for n in ns
-)
+# Known defects of the combination rule at horizon 64, as (kind, a, n), on the
+# route the CLI takes.  Empty since the k <= 2 rule became J^'s Gauss rule with
+# its own Christoffel numbers: the 123 cases of a = (1, 0.2), where one zero
+# of Q_n lies outside [-1, 1] and the V w = e_0 solve lost that node's tiny
+# weight, all meet 2n - 1 - k.  Pinned by equality: a case that joins the set
+# is a regression.
+KNOWN_QUAD_DEFECTS = frozenset()
 
 
 def test_horizon_sweep_to_the_cap():
@@ -346,18 +336,21 @@ def test_horizon_sweep_to_the_cap():
                 assert _reference_degree(rec, shohat.rule) == shohat.rule.degree_of_precision
                 if not shohat.ok:
                     defects.add((kind, a, n))
-    assert len(KNOWN_QUAD_DEFECTS) == 123
+    assert len(KNOWN_QUAD_DEFECTS) == 0
     assert defects == KNOWN_QUAD_DEFECTS, (sorted(defects - KNOWN_QUAD_DEFECTS),
                                            sorted(KNOWN_QUAD_DEFECTS - defects))
 
 
-def _exact_christoffel(rec, x: float, n: int) -> float:
-    """``1 / sum_{i<n} P_i(x)^2 / (gamma_1 ... gamma_i)`` in exact rationals at
-    the float ``x``, rounded once: the Christoffel function with no rounding
-    in the recurrence."""
+def _exact_christoffel(rec, x: float, n: int, a2: float = 0.0) -> float:
+    """``1 / sum_{i<n} P_i(x)^2 / (gamma^_1 ... gamma^_i)`` in exact rationals at
+    the float ``x``, rounded once, where ``gamma^_i = gamma_i`` except
+    ``gamma^_{n-1} = gamma_{n-1} - a2``: the Christoffel function of ``J_n``
+    (``a2 = 0``), or of ``J^_n``, whose last row holds ``gamma_{n-1} - a_2``,
+    with no rounding in the recurrence."""
     x = Fraction(x)
     beta = [Fraction(b) for b in rec.betas]
     gamma = [Fraction(0)] + [Fraction(g) for g in rec.gammas[1:]]
+    gamma[n - 1] -= Fraction(a2)
     prev, cur, norm, total = Fraction(0), Fraction(1), Fraction(1), Fraction(1)
     for i in range(n - 1):
         prev, cur = cur, (x - beta[i]) * cur - gamma[i] * prev
@@ -412,12 +405,75 @@ def test_k1_quad_never_calls_zeros_q(monkeypatch):
 
 
 def test_tol_quad_reaches_the_gauss_rule():
-    # at the fixed 1e-9 the combination rule measures degree 34 here (the
-    # Gauss rule 67); read on each rule's own table, a looser exactness
-    # tolerance reaches both laws
+    # at the fixed 1e-9 the combination rule measures 2n - 3 = 65 here, as the
+    # Gauss rule measures 2n - 1 = 67: its weights, the Christoffel numbers of
+    # J^_34, keep the smallest one's relative accuracy, so the degree needs no
+    # looser exactness tolerance (the V w = e_0 weights measured 34)
     cfg = load_config(str(CONFIG_DIR / "gen_k2_equal_roots.json"))
     rec, comb, n = cfg.rec, cfg.comb, 34
     shohat = op.shohat_check(rec, comb, n)
-    assert shohat.rule.degree_of_precision == 34
-    assert _reference_degree(rec, op.gauss_rule(rec, n), 1e-3) == 67
-    assert _reference_degree(rec, shohat.rule, 1e-3) == 65 == 2 * n - 1 - comb.k
+    assert shohat.ok
+    assert shohat.rule.degree_of_precision == 65 == 2 * n - 1 - comb.k
+    assert _reference_degree(rec, shohat.rule) == 65
+    assert _reference_degree(rec, op.gauss_rule(rec, n)) == 67
+
+
+def test_combination_weights_keep_their_relative_accuracy_far_out():
+    # the k = 2 rule's smallest weight, at a zero of Q_34 far out on the
+    # spectrum, is 9.8e-31; every weight is within 1e-12 (relative) of J^'s
+    # Christoffel function in exact rationals at its node
+    cfg = load_config(str(CONFIG_DIR / "gen_k2_equal_roots.json"))
+    rec, comb, n = cfg.rec, cfg.comb, 34
+    rule = op.shohat_check(rec, comb, n).rule
+    exact = np.array([_exact_christoffel(rec, x, n, comb.a[1]) for x in rule.nodes.tolist()])
+    assert 9e-31 < exact.min() < 1e-30
+    assert np.all(np.abs(rule.weights - exact) <= 1e-12 * exact)
+
+
+def _k2_route_cases():
+    """Every bundled ``k <= 2`` config at every ``n`` on the ``J^`` route up to
+    the horizon, the largest ``n`` whose degree ``shohat_check`` can measure."""
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        cfg = load_config(str(path))
+        for n in range(cfg.comb.k + 1, cfg.rec.horizon + 1):
+            if jacobi._hat_gamma(cfg.rec, cfg.comb, n) is not None:
+                yield path.name, cfg.rec, cfg.comb, n
+
+
+def test_zeros_and_quad_share_one_set_of_nodes():
+    # zeros and quad report the same zeros of Q_n, bit for bit, wherever
+    # J^_n serves both: k = 1 builds J^_n without zeros_q, k = 2 through it
+    names = set()
+    for name, rec, comb, n in _k2_route_cases():
+        zeros = op.zeros_q(rec, comb, n).zeros
+        assert np.all(zeros.imag == 0.0), (name, n)
+        nodes = op.shohat_check(_fresh(rec), comb, n).rule.nodes
+        assert zeros.real.tobytes() == nodes.tobytes(), (name, n)
+        names.add(name)
+    assert len(names) == 12  # all but cheb4_k2_case_iv and gen_k2_complex_roots
+
+
+@pytest.mark.parametrize("name,n", [("cheb1_k2.json", 10), ("gen_k2_real_roots.json", 30),
+                                    ("cheb2_k1.json", 12), ("gen_k2_equal_roots.json", 30)])
+def test_combination_weights_are_the_hat_gauss_weights(name, n):
+    # on the J^ route the weights given the combination are J^_n's Gauss
+    # weights: they match Golub-Welsch's squared first eigenvector components
+    # and the V w = e_0 solve that christoffel_numbers runs without it
+    cfg = load_config(str(CONFIG_DIR / name))
+    rec, comb = cfg.rec, cfg.comb
+    nodes = op.zeros_q(rec, comb, n).zeros.real
+    weights = op.christoffel_numbers(rec, nodes, comb)
+    _, vectors = np.linalg.eigh(jacobi._hat_jacobi(rec, comb, n))
+    assert np.allclose(weights, np.square(vectors[0]), rtol=1e-10, atol=1e-14)
+    assert np.allclose(weights, op.christoffel_numbers(_fresh(rec), nodes), rtol=1e-8)
+
+
+def test_combination_weights_off_the_hat_route_solve_v_w_e0():
+    # k = 3, and k = 2 with a_2 >= gamma_{n-1}: given the combination or not,
+    # the weights are the V w = e_0 solve, bit for bit
+    rec = op.chebyshev_family(2, 30)
+    for comb, n in ((op.CombCoeffs((0.3, 0.2, 0.1)), 12), (op.CombCoeffs((0.5, 0.3)), 7)):
+        assert jacobi._hat_gamma(rec, comb, n) is None
+        nodes = op.shohat_check(rec, comb, n).rule.nodes
+        assert _hex(op.christoffel_numbers(rec, nodes, comb)) == _hex(
+            op.christoffel_numbers(_fresh(rec), nodes))

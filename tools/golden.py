@@ -128,11 +128,24 @@ def edge_configs() -> dict:
         # tolerances is refused as a config error
         "tolerances_refused": {**_bundled("cheb1_k2.json"), "tolerances": {"conditions": 1e-5}},
         # failed verdicts at both ends of zeros_q's size range, which the
-        # grid's --n values never reach: m = k + 1 at k = 1, where J~_2 passes
-        # the Newton check and zeros_q keeps it, and m = horizon + 1 at k = 2,
-        # where J~ misses it and zeros_q takes the eigvals route
+        # grid's --n values never reach: m = k + 1 at k = 1 and m = horizon + 1
+        # at k = 2, both on the J^ route, which reads no verdict
         "zeros_m_k_plus_1": {**_bundled("broken_varying_gamma.json"), "n": 2},
         "zeros_m_horizon_plus_1": {**_bundled("broken_gamma_perturbed.json"), "n": 25},
+        # Chebyshev U at both sides of the J^ route's condition gamma_{n-1} > a_2
+        # (gamma_n = 1/4): J^'s last off-diagonal is 2^-20 just inside, and just
+        # outside zeros_q takes the eigvals route, whose Q_n = x P_{n-1} has a
+        # double zero at 0 for even n
+        "hat_just_inside": {
+            "family": {"type": "chebyshev", "kind": 2},
+            "combination": {"a": ["0", repr(0.25 - 2.0**-40)]},
+            "horizon": 24,
+        },
+        "hat_just_outside": {
+            "family": {"type": "chebyshev", "kind": 2},
+            "combination": {"a": ["0", "0.25"]},
+            "horizon": 24,
+        },
     }
 
 

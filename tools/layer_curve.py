@@ -9,7 +9,8 @@ order:
 * ``gauss_rule`` -- the Gauss rule on the zeros of ``P_n`` with its degree;
 * ``zeros_q`` -- the zeros of ``Q_n``, on the route it picks itself, as in
   ``opoly zeros`` and ``opoly quad``;
-* ``christoffel_numbers`` -- the weights ``V w = e_0`` on those zeros;
+* ``christoffel_numbers`` -- the weights on those zeros, given the
+  combination as ``opoly quad`` gives it, so on the route ``quad`` takes;
 * ``degree_of_precision`` -- the degree of that rule.
 
 Each round runs on a fresh copy of the family, so nothing a pair keeps from
@@ -58,7 +59,7 @@ def _round(op, rec, comb, n: int) -> list[float]:
     timed(op.gauss_rule, rec, n)
     zeros = timed(op.zeros_q, rec, comb, n).zeros
     nodes = zeros.real  # zeros_q sorts by real part
-    weights = timed(op.christoffel_numbers, rec, nodes)
+    weights = timed(op.christoffel_numbers, rec, nodes, comb)
     timed(op.degree_of_precision, rec, op.QuadratureRule(nodes, weights, -1))
     return times
 

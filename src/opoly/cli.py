@@ -265,8 +265,11 @@ def _json_text(value, indent: str) -> str:
 
     With ``indent`` set, the stdlib runs its pure-Python encoder; this one
     keeps its leaf texts (``float.__repr__``, the C string escaper) and its
-    layout, and builds each container with one join.  Every dict key must
-    be a ``str``; the string escaper raises ``TypeError`` on any other.
+    layout, and builds each container with one join.  A ``list`` of exact
+    ``float``s with no ``nan`` or ``inf`` is the ``repr`` of the list, which
+    runs ``float.__repr__`` in C, with its ``", "`` turned into the layout's
+    line breaks.  Every dict key must be a ``str``; the string escaper raises
+    ``TypeError`` on any other.
     """
     leaf = _LEAVES.get(type(value))
     if leaf is not None:
@@ -281,6 +284,11 @@ def _json_text(value, indent: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
+        if type(value) is list and set(map(type, value)) == {float}:
+            text = repr(value)
+            if "n" not in text:  # no nan or inf, whose JSON texts differ
+                rows = text[1:-1].replace(", ", ",\n" + inner)
+                return "[\n" + inner + rows + "\n" + indent + "]"
         items = [_json_text(v, inner) for v in value]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
     for base in (str, int, float):

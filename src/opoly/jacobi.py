@@ -112,24 +112,39 @@ def multiset_distance(a, b) -> float:
 
     When every sorted ``a_i`` is strictly nearest to ``b_i`` (as for
     :func:`zeros_q`'s eigenvalues and their own refinements), the greedy
-    matching is the identity and its distance is read off the diagonal."""
+    matching is the identity and its distance is read off the diagonal.
+    For two real sets that takes ``O(m)`` work: each sorted ``a_i`` strictly
+    nearer to ``b_i`` than to ``b_{i-1}`` and ``b_{i+1}`` forces ``b`` to
+    increase (uncrossing two matched pairs never lengthens them), and then
+    no farther ``b_j`` is nearer; rounding keeps the order of differences,
+    and ``hypot(x, 0) = |x|`` keeps the bits."""
     import numpy as np
     a = np.asarray(a, dtype=complex).ravel()
     b = np.asarray(b, dtype=complex).ravel()
     if a.size != b.size:
         raise ValueError("multisets must have equal size")
+    if a.size and not (a.imag.any() or b.imag.any()):
+        x, y = np.sort(a.real), b.real
+        own = np.abs(x - y)
+        if np.all(own[1:] < np.abs(x[1:] - y[:-1])) and np.all(own[:-1] < np.abs(x[:-1] - y[1:])):
+            return _top(own)
     diff = a[np.lexsort((a.imag, a.real))][:, None] - b[None, :]
     dists = np.hypot(diff.real, diff.imag)
     own = dists.diagonal()
     if a.size and np.all(own < np.where(np.eye(a.size, dtype=bool), np.inf, dists).min(axis=1)):
-        top = own.max()
-        return top if top > 0.0 else 0.0  # as the loop's max(0.0, ...) on all-zero rows
+        return _top(own)
     worst = 0.0
     for row in dists:
         i = int(row.argmin())
         worst = max(worst, row[i])
         dists[:, i] = np.inf
     return worst
+
+
+def _top(own: np.ndarray) -> float:
+    """The greedy loop's ``max(0.0, ...)`` over the identity matching's distances."""
+    top = own.max()
+    return top if top > 0.0 else 0.0
 
 
 class ZerosReport(NamedTuple):
@@ -142,28 +157,25 @@ class ZerosReport(NamedTuple):
 
 def _newton_step(rec: RecurrencePair, comb: CombCoeffs, z: np.ndarray) -> np.ndarray:
     """``z - Q_m(z) / Q_m'(z)``, ``m = z.size``, from one stacked recurrence
-    whose rows carry ``P_j`` and ``P_j'`` at every ``z``.  Three preallocated
-    row pairs, each held with views of its two rows, take turns as
-    ``P_{j-1}``, ``P_j`` and ``P_{j+1}``; each step makes the elementwise
-    operations of a walk that allocates its rows, in the same order, so it
-    has the same bits."""
+    whose rows carry ``P_j`` and ``P_j'`` at every ``z``.  Each shifted row
+    ``z - beta_j`` is repeated once into a pair, so every step multiplies
+    arrays of one shape: numpy's broadcast of a row over a pair costs more
+    than the arithmetic at these sizes."""
     import numpy as np
     m, k, coef = z.size, comb.k, (1.0,) + comb.a  # coef[i] multiplies P_{m-i}
     with np.errstate(all="ignore"):  # a non-finite step fails the cross-check
-        shifted = z - rec.beta[:m, None]
-        rows = np.zeros((4, 2, m), dtype=shifted.dtype)
-        rows[0, 0] = 1.0
-        rows[1, 0], rows[1, 1] = shifted[0], 1.0
-        prev, cur, nxt = ((pair, pair[0], pair[1]) for pair in rows[:3])
-        scaled = rows[3]
-        q = coef[m - 1] * rows[1] if m - 1 <= k else 0.0
-        for j, (g, s) in enumerate(zip(rec.gamma[1:m].tolist(), shifted[1:]), start=1):
-            np.multiply(s, cur[0], out=nxt[0])
-            np.subtract(nxt[0], np.multiply(g, prev[0], out=scaled), out=nxt[0])
-            np.add(nxt[2], cur[1], out=nxt[2])  # P_{j+1}' gains P_j
-            prev, cur, nxt = cur, nxt, prev
+        pairs = np.repeat((z - rec.beta[:m, None])[:, None], 2, axis=1)
+        prev = np.array([np.ones_like(z), np.zeros_like(z)])
+        cur = pairs[0].copy()
+        cur[1] = 1.0
+        q = coef[m - 1] * cur if m - 1 <= k else 0.0
+        for j, g in enumerate(rec.gammas[1:m], start=1):
+            nxt = pairs[j] * cur
+            nxt -= g * prev
+            nxt[1] += cur[0]  # P_{j+1}' gains P_j
+            prev, cur = cur, nxt
             if m - 1 - j <= k:
-                q = q + coef[m - 1 - j] * cur[0]
+                q = q + coef[m - 1 - j] * cur
         return z - q[0] / q[1]
 
 

@@ -161,10 +161,14 @@ def q_poly(
         )
     else:
         c = report.low_rows[n][-2::-1]
-    q = poly_p(rec, n)
-    for j, cj in enumerate(c, start=1):
-        q = q + cj * poly_p(rec, n - j)
-    return q
+    q = list(poly_p(rec, n).coeffs)
+    for j, cj in enumerate(map(float, c), start=1):  # as Poly's q + cj * P_{n-j}, term by term
+        p = poly_p(rec, n - j).coeffs
+        if cj == 0.0:  # the product's trailing zeros trim off down to its constant
+            p = p[:1]
+        q[: len(p)] = [x + cj * y for x, y in zip(q, p)]
+        q[len(p) :] = [x + 0.0 for x in q[len(p) :]]  # the zero fill: -0.0 becomes 0.0
+    return Poly(q)
 
 
 def _tilde_gamma(rec: RecurrencePair, a1: float, lo: int, hi: int) -> list[float]:

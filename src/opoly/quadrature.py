@@ -84,7 +84,9 @@ def _orthonormal(rec: RecurrencePair, x: np.ndarray, size: int) -> np.ndarray:
     ``rec`` keeps the last table walked, keyed by the bytes of ``x``: a
     shorter one is its prefix, a longer one continues from its last two rows.
     Each row takes the same elementwise steps either way, so it has the same
-    bits as a fresh walk."""
+    bits as a fresh walk.  The steps iterate over the new rows, the shifted
+    nodes and the ratios as Python floats: indexing the table and reading a
+    numpy scalar at every step cost more than the step's arithmetic."""
     import numpy as np
     _require_positive(rec, size - 1)
     key = x.tobytes()
@@ -99,13 +101,14 @@ def _orthonormal(rec: RecurrencePair, x: np.ndarray, size: int) -> np.ndarray:
         lo = kept.shape[0] - 1
         V[: lo + 1] = kept
     root = np.sqrt(rec.gamma[lo:size])  # gamma_0 is NaN, and row 1 never reads it
+    prev, cur = (V[lo - 1] if lo else None), V[lo]
     with np.errstate(all="ignore"):  # a table past the float range is refused by its reader
         shifted = (x - rec.beta[lo : size - 1, None]) / root[1:, None]
-        ratio = root[:-1] / root[1:]
-        for i in range(lo, size - 1):
-            np.multiply(shifted[i - lo], V[i], out=V[i + 1])
-            if i:
-                V[i + 1] -= ratio[i - lo] * V[i - 1]
+        for nxt, s, r in zip(V[lo + 1 :], shifted, (root[:-1] / root[1:]).tolist()):
+            np.multiply(s, cur, out=nxt)
+            if prev is not None:
+                nxt -= r * prev
+            prev, cur = cur, nxt
     V.setflags(write=False)
     rec._p_table.clear()
     rec._p_table[key] = V

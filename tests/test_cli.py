@@ -312,6 +312,11 @@ class _Str(str):
     pass
 
 
+class _Float(float):
+    def __repr__(self):  # json writes float.__repr__, never a subclass's
+        return "1.5"
+
+
 @pytest.mark.parametrize("value", [
     float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1.7976931348623157e308,
     0.1, 2**70, -(2**70), 0, True, False, None, "", "plain", "caf\u00e9 \u2211 \U0001f600",
@@ -320,6 +325,12 @@ class _Str(str):
     _Str("sub"), {"\u00e9": 1, "b\n": [1, {"c": []}], "a": (2.5, {"z": None, "y": True})},
     {"deep": [[[{"x": [1.0, float("inf")]}]]], "empty": {"l": [], "d": {}}},
     {"b": 0, "a": 1, "\u00e9": 2, "\x01": 3, "": 4},
+    # float lists, one repr each, and the lists that keep the leaf path
+    [1e-05, 1e16, -0.0, 5e-324, 1.7976931348623157e308, 0.1], [2.5], [1.0, float("nan")],
+    [float("inf"), -2.0], [-1.0, float("-inf")], [0.5, np.float64(0.1)], [np.float64(1e-7)],
+    [1, 2.5], [2.5, True], [2.5, _Float(0.1)], (0.5, 1e-07, -2.0), (0.5,),
+    [[[0.1, -0.0, 2e-300]]],
+    {"x": [[1.5, 1e300], [float("nan")], []], "y": ([0.25],)},
 ], ids=repr)
 def test_json_text_matches_stdlib_indent(value):
     assert cli._json_text(value, "") == json.dumps(value, sort_keys=True, indent=2)

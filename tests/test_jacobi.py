@@ -929,6 +929,66 @@ def test_multiset_distance_aligned_and_shuffled(rng, m):
         assert got == want and type(got) is type(want)
 
 
+def _builds_the_matrix(monkeypatch, a, b) -> bool:
+    """Whether ``multiset_distance(a, b)`` takes the ``m x m`` path (the one
+    that calls ``np.hypot``), after checking it against the greedy reference
+    for equal value and type."""
+    calls, hypot = [], np.hypot
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "hypot", lambda *args: calls.append(args) or hypot(*args))
+        got = op.multiset_distance(a, b)
+    want = _greedy_distance_reference(a, b)
+    assert got == want and type(got) is type(want)
+    return bool(calls)
+
+
+@pytest.mark.parametrize("m", [2, 40, 63])
+def test_real_distance_reads_the_neighbours(monkeypatch, m):
+    # zeros_q's J^ route: sorted real eigenvalues against their Newton refinements
+    rec, comb = k2_case_fixture("real_roots", 64)[3], op.CombCoeffs((1.0, 0.2))
+    z = np.linalg.eigvalsh(hat_jacobi_diag_sums(rec, comb, m))
+    refined = op.jacobi._newton_step(rec, comb, z)
+    assert np.all(np.diff(refined) > 0.0) and not np.array_equal(z, refined)
+    assert not _builds_the_matrix(monkeypatch, z, refined)
+    assert not _builds_the_matrix(monkeypatch, z, z.copy())
+    assert not _builds_the_matrix(monkeypatch, z[::-1].copy(), refined)  # a is sorted first
+    # complex dtype with zero imaginary parts is real
+    assert not _builds_the_matrix(monkeypatch, z.astype(complex), refined - 0.0j)
+    # a refinement that crosses its neighbour: b is no longer increasing
+    crossed = refined.copy()
+    crossed[m // 2 - 1], crossed[m // 2] = refined[m // 2], refined[m // 2 - 1]
+    assert _builds_the_matrix(monkeypatch, z, crossed)
+    # complex input keeps the m x m path, on either side
+    assert _builds_the_matrix(monkeypatch, z + 1e-3j, refined)
+    assert _builds_the_matrix(monkeypatch, z, refined + np.eye(1, m)[0] * 1e-3j)
+
+
+@pytest.mark.parametrize("m", [2, 63])
+def test_real_distance_falls_back_off_the_identity(monkeypatch, m):
+    grid = 0.25 * np.arange(m)  # dyadic, so every distance below is exact
+    assert not _builds_the_matrix(monkeypatch, grid, grid + 0.0625)
+    # an exact tie: each a_{i+1} is as near to b_i as to b_{i+1}
+    assert _builds_the_matrix(monkeypatch, grid, grid + 0.125)
+    # a_i nearer to b_{i+1} than to b_i, with b still increasing
+    near_next = grid.copy()
+    near_next[m - 2] -= 0.1875
+    near_next[m - 1] -= 0.125
+    assert _builds_the_matrix(monkeypatch, grid, near_next)
+    # a_i nearer to b_{i-1} than to b_i
+    near_prev = grid.copy()
+    near_prev[0] += 0.125
+    near_prev[1] += 0.1875
+    assert _builds_the_matrix(monkeypatch, grid, near_prev)
+
+
+def test_real_distance_of_one_point(monkeypatch):
+    x = np.array([0.3])
+    for y in (x, np.nextafter(x, 1.0), np.array([-7.5]), np.array([-0.0])):
+        assert not _builds_the_matrix(monkeypatch, x, y)
+    assert not _builds_the_matrix(monkeypatch, np.array([0.0]), np.array([-0.0]))
+    assert _builds_the_matrix(monkeypatch, x, np.array([0.3 + 1e-9j]))
+
+
 def test_multiset_distance_of_empty_sets():
     got = op.multiset_distance(np.array([], dtype=complex), np.array([], dtype=complex))
     assert got == 0.0 and type(got) is float

@@ -341,6 +341,37 @@ def test_horizon_sweep_to_the_cap():
                                            sorted(KNOWN_QUAD_DEFECTS - defects))
 
 
+def _orthonormal_reference(rec, x, size):
+    """``p_0..p_{size-1}`` at ``x`` from a walk that allocates every row: the
+    bit-level reference for ``opoly.quadrature._orthonormal``."""
+    root = np.sqrt(rec.gamma[:size])
+    rows = [np.ones(x.size)]
+    for i in range(size - 1):
+        nxt = (x - rec.beta[i]) / root[i + 1] * rows[i]
+        if i:
+            nxt = nxt - root[i] / root[i + 1] * rows[i - 1]
+        rows.append(nxt)
+    return np.array(rows)
+
+
+def test_tables_equal_the_allocating_walk():
+    """The sweep's kinds and sizes: each Gauss rule's and each real combination
+    rule's table, fresh at its ``n`` rows and then extended to the degree's."""
+    for kind in (1, 2, 3, 4):
+        rec = op.chebyshev_family(kind, 64)
+        node_sets = [np.linalg.eigvalsh(jacobi._symmetric_jacobi(rec, n)) for n in range(1, 64)]
+        for a in SWEEP_SHAPES:
+            comb = op.CombCoeffs(a)
+            zeros = (op.zeros_q(rec, comb, n).zeros for n in range(comb.k + 1, 64))
+            node_sets += [z.real for z in zeros if not z.imag.any()]
+        for nodes in node_sets:
+            fresh, n = _fresh(rec), nodes.size
+            for size in (n, min(n + 1, rec.horizon) + 1):
+                want = _orthonormal_reference(rec, nodes, size)
+                got = quadrature._orthonormal(fresh, nodes, size)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (kind, n)
+
+
 def _exact_christoffel(rec, x: float, n: int, a2: float = 0.0) -> float:
     """``1 / sum_{i<n} P_i(x)^2 / (gamma^_1 ... gamma^_i)`` in exact rationals at
     the float ``x``, rounded once, where ``gamma^_i = gamma_i`` except

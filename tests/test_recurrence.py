@@ -128,6 +128,41 @@ def test_q_poly_is_the_reference_walk_sum_at_k2(tmp_path):
     assert _hex(op.q_poly(rec, comb, 63)) == _hex(q)
 
 
+def _q_poly_reference(rec, comb, n, report=None):
+    """``P_n + c_1 P_{n-1} + ... + c_k P_{n-k}`` in ``Poly`` arithmetic, one
+    ``Poly`` per product and per sum: the bit-level reference for
+    :func:`opoly.q_poly`."""
+    c = comb.a if n > comb.k else report.low_rows[n][-2::-1]
+    q = op.poly_p(rec, n)
+    for j, cj in enumerate(c, start=1):
+        q = q + cj * op.poly_p(rec, n - j)
+    return q
+
+
+def test_q_poly_matches_poly_arithmetic(tmp_path):
+    # Chebyshev T with a = (0, -1/8): each 0.0 * P_{n-1} trims to its constant
+    # term, and the sum's zero fill turns the -0.0 of P_n into 0.0
+    rec = op.chebyshev_family(1, 64)
+    assert _hex(0.0 * op.poly_p(rec, 5)) == [(0.0).hex()]
+    assert _hex(op.poly_p(rec, 6))[5] == (-0.0).hex()
+    assert _hex(op.q_poly(rec, op.CombCoeffs((0.0, -0.125)), 6))[5] == (0.0).hex()
+    cfg = _real_roots_at_64(tmp_path)
+    cases = [(cfg.rec, cfg.comb)] + [
+        (op.chebyshev_family(kind, 64), op.CombCoeffs(a)) for kind in (1, 2, 3, 4)
+        for a in ((0.0, -0.125), (1.0, 0.2), (0.5,), (0.5, 0.0625), (1.0, 1.0), (-0.0, 0.0625))]
+    low = 0
+    for rec, comb in cases:
+        for n in range(comb.k + 1, 64):
+            assert _hex(op.q_poly(rec, comb, n)) == _hex(_q_poly_reference(rec, comb, n)), n
+        report = op.check_conditions(rec, comb, 64)
+        if report.verdict:  # below k + 1 the rows come from the report
+            for n in range(comb.k + 1):
+                got = op.q_poly(rec, comb, n, report=report)
+                assert _hex(got) == _hex(_q_poly_reference(rec, comb, n, report)), n
+            low += 1
+    assert low
+
+
 # sha256 of ``beta.tobytes() + gamma.tobytes()``, first 16 hex digits, for
 # each bundled config: the bench tracer keys recomputation on these bytes,
 # so they must not depend on how the pair stores its data

@@ -3,12 +3,14 @@
 For one bundled Chebyshev ``k = 2`` config and one bundled generated ``k2``
 config, each rebuilt at horizons 8, 16, 24, 32, 48 and 64 with
 ``n = horizon - 1``, prints per horizon the median milliseconds over
-``repeat`` rounds of the four stages an ``opoly quad`` job runs, in its
-order:
+``repeat`` rounds of five stages: the four an ``opoly quad`` job runs, in
+its order, with the coefficients ``opoly zeros`` prints after its zeros:
 
 * ``gauss_rule`` -- the Gauss rule on the zeros of ``P_n`` with its degree;
 * ``zeros_q`` -- the zeros of ``Q_n``, on the route it picks itself, as in
   ``opoly zeros`` and ``opoly quad``;
+* ``q_poly`` -- the monomial coefficients of ``Q_n``, from the coefficient
+  rows of ``P_{n-k}..P_n`` that the fresh pair walks for it;
 * ``christoffel_numbers`` -- the weights on those zeros, given the
   combination as ``opoly quad`` gives it, so on the route ``quad`` takes;
 * ``degree_of_precision`` -- the degree of that rule.
@@ -42,11 +44,11 @@ from oracle_curve import load_at_horizon
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = ("cheb1_k2.json", "gen_k2_real_roots.json")
-STAGES = ("gauss_rule", "zeros_q", "christoffel_numbers", "degree_of_precision")
+STAGES = ("gauss_rule", "zeros_q", "q_poly", "christoffel_numbers", "degree_of_precision")
 
 
 def _round(op, rec, comb, n: int) -> list[float]:
-    """Seconds of each stage in one run of the four, on a fresh copy of ``rec``."""
+    """Seconds of each stage in one run of the five, on a fresh copy of ``rec``."""
     rec = op.RecurrencePair(rec.betas, rec.gammas[1:])
     times = []
 
@@ -58,6 +60,7 @@ def _round(op, rec, comb, n: int) -> list[float]:
 
     timed(op.gauss_rule, rec, n)
     zeros = timed(op.zeros_q, rec, comb, n).zeros
+    timed(op.q_poly, rec, comb, n)
     nodes = zeros.real  # zeros_q sorts by real part
     weights = timed(op.christoffel_numbers, rec, nodes, comb)
     timed(op.degree_of_precision, rec, op.QuadratureRule(nodes, weights, -1))

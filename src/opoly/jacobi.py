@@ -14,12 +14,15 @@ recurrence folds ``Q_m`` into ``(x - beta_{m-1} + a_1) P_{m-1} - (gamma_{m-1}
 modified matrix eigenvalue problems", 1973; Gautschi 2004, §3.1.1).  With
 ``gamma_1..gamma_{m-2} > 0`` and ``gamma_{m-1} > a_2`` a diagonal similarity
 makes it symmetric, and ``eigvalsh`` finds its real eigenvalues with an
-error relative to its own norm (Golub & Welsch 1969).  For ``k >= 3`` the
-symmetric matrix is the tilde truncation, whose characteristic polynomial is
-``Q_m`` where the matching conditions hold; :func:`zeros_q` builds it with no
-verdict and keeps its eigenvalues when their Newton distance from the zeros
-of ``Q_m`` is at rounding level.  Every other call takes the eigenvalues of
-``(J_P)_m - L_m``.
+error relative to its own norm (Golub & Welsch 1969).  Every other call
+takes the eigenvalues of ``(J_P)_m - L_m`` balanced by the diagonal
+similarity ``D = diag(sqrt|gamma_1 ... gamma_i|)`` (Parlett & Reinsch,
+*Numer. Math.* 13, 1969): ``sqrt|gamma_i|`` above the diagonal,
+``sign(gamma_i) sqrt|gamma_i|`` below it, and ``a_j`` in the last row divided
+by ``sqrt|gamma_{m-j+1} ... gamma_{m-1}|``.  Under ``x -> s x`` that matrix
+becomes ``s`` times its own similarity by a diagonal of signs, so its
+eigenvalues scale by ``s``; the unbalanced matrix keeps its unit
+superdiagonal and does not scale.
 
 On top of that sits the functional link ``u = h_k v``.  The ``Q_j`` are
 ``v``-orthogonal and ``u(Q_m) = 0`` for ``m > k`` (such a ``Q_m`` has no
@@ -42,8 +45,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DegeneracyError, HorizonError, InapplicableError, NumericError, StateError
-from .lincomb import (CombCoeffs, ConditionReport, _complete_low, _tilde_pair, q_poly,
-                      tilde_recurrence)
+from .lincomb import CombCoeffs, ConditionReport, q_poly, tilde_recurrence
 from .moments import moments_from_recurrence
 from .recurrence import Poly, RecurrencePair
 
@@ -209,23 +211,6 @@ def _hat_jacobi(rec: RecurrencePair, comb: CombCoeffs, m: int) -> np.ndarray | N
     return _tridiagonal(diag, off, off)
 
 
-def _tilde_jacobi(rec, comb, m) -> np.ndarray | None:
-    """The symmetric tilde truncation ``J~_m`` when the completion the verdict
-    reads exists and ``tilde gamma_1..tilde gamma_{m-1}`` are positive and finite."""
-    import numpy as np
-    try:  # the completion reads gamma_{k+1}
-        low, failure = _complete_low(rec, comb) if rec.horizon > comb.k else ({}, "no gamma_{k+1}")
-    except OverflowError:  # an exact completion value past the float range
-        return None
-    if failure:
-        return None
-    beta, gamma = _tilde_pair(rec, comb, m - 1, low["completion"], low["beta0_tilde"])
-    if not all(0.0 < g < np.inf for g in gamma):
-        return None
-    off = np.sqrt(gamma)
-    return _tridiagonal(np.array(beta), off, off)
-
-
 def _newton_distance(rec: RecurrencePair, comb: CombCoeffs, z: np.ndarray) -> float:
     """Multiset distance of ``z`` from its Newton refinements, infinite where
     a refinement is not finite."""
@@ -234,7 +219,7 @@ def _newton_distance(rec: RecurrencePair, comb: CombCoeffs, z: np.ndarray) -> fl
     return float(multiset_distance(z, refined)) if np.all(np.isfinite(refined)) else np.inf
 
 
-#: Largest Newton distance :func:`zeros_q` accepts, on every route.
+#: Largest Newton distance :func:`zeros_q` accepts, on both routes.
 _NEWTON_TOL = 1e-8
 
 
@@ -242,21 +227,19 @@ def zeros_q(rec: RecurrencePair, comb: CombCoeffs, m: int) -> ZerosReport:
     """Zeros of ``Q_m``, in ascending order as a complex array.
 
     For ``k <= 2``, where :func:`_hat_jacobi` builds ``J^_m``, they are its
-    eigenvalues (``eigvalsh``, real).  For ``k >= 3``, where
-    :func:`_tilde_jacobi` builds ``J~_m``, they are its eigenvalues, kept when
-    their Newton distance is at most ``min(_NEWTON_TOL, 64 eps max(1, max|z|))``.
-    That bound, not the verdict, judges the matching conditions below ``m``.
-    Then, and on every other call, they are the eigenvalues of
-    ``(J_P)_m - L_m`` (``eigvals``), sorted by real part, then imaginary part.
-    No call for ``k <= 2`` reads the exact completion or the tilde data.
+    eigenvalues (``eigvalsh``, real).  On every other call they are the
+    eigenvalues of the balanced ``D^-1 ((J_P)_m - L_m) D``,
+    ``D = diag(sqrt|gamma_1 ... gamma_i|)`` (``eigvals``), sorted by real
+    part, then imaginary part.  Neither route reads the verdict, the exact
+    completion or the tilde data.
 
     The Newton refinements ``z - Q_m(z) / Q_m'(z)`` are evaluated by the
     recurrence of ``P``, so the check shares no matrix with either route; each
-    step is the first-order forward error of its ``z``.  On the ``J^_m`` and
-    ``eigvals`` routes a multiset distance above ``_NEWTON_TOL`` (infinite where
-    ``Q_m'`` vanishes at a computed zero) raises
-    :class:`~opoly.errors.NumericError`; an ``m`` off ``[k + 1, horizon + 1]``
-    :class:`ValueError` or :class:`~opoly.errors.HorizonError`.
+    step is the first-order forward error of its ``z``.  A multiset distance
+    above ``_NEWTON_TOL`` (infinite where ``Q_m'`` vanishes at a computed
+    zero) raises :class:`~opoly.errors.NumericError`; an ``m`` off
+    ``[k + 1, horizon + 1]`` :class:`ValueError` or
+    :class:`~opoly.errors.HorizonError`.
     """
     import numpy as np
     k = comb.k
@@ -264,17 +247,18 @@ def zeros_q(rec: RecurrencePair, comb: CombCoeffs, m: int) -> ZerosReport:
         raise HorizonError(f"m = {m} exceeds horizon + 1 = {rec.horizon + 1}")
     if m < k + 1:
         raise ValueError(f"m must be at least k + 1 = {k + 1}")
-    J = _hat_jacobi(rec, comb, m) if k <= 2 else _tilde_jacobi(rec, comb, m)
+    J = _hat_jacobi(rec, comb, m)
     try:
         if J is not None:
             w = np.linalg.eigvalsh(J)  # ascending
-            dist = _newton_distance(rec, comb, w)
-            if k <= 2 or dist <= min(_NEWTON_TOL, 64 * np.finfo(float).eps
-                                     * max(1.0, -w[0], w[-1])):
-                return _newton_checked(w.astype(complex), dist)
-        # (J_P)_m minus L_m, whose only row (the last) holds a_k .. a_1
-        A = _tridiagonal(rec.beta[:m], 1.0, rec.gamma[1:m])
-        A[-1, m - k :] -= comb.a[::-1]
+            return _newton_checked(w.astype(complex), _newton_distance(rec, comb, w))
+        gamma = rec.gamma[1:m]
+        root = np.sqrt(np.abs(gamma))
+        A = _tridiagonal(rec.beta[:m], root, np.copysign(root, gamma))
+        row = np.array(comb.a)  # L_m's last row, a_1 in the last column
+        for i in range(1, k):  # a_j over sqrt|gamma_{m-1}|, ..., sqrt|gamma_{m-j+1}|
+            row[i:] /= root[m - 1 - i]
+        A[-1, m - k :] -= row[::-1]
         eigs = np.linalg.eigvals(A).astype(complex)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericError(f"eigenvalue iteration failed: {exc}") from exc

@@ -246,16 +246,9 @@ def tilde_recurrence(
         )
     if n_max > report.n_max:
         raise StateError(f"n_max = {n_max} exceeds the report's checked n_max = {report.n_max}")
-    return RecurrencePair(*_tilde_pair(rec, comb, n_max, report.completion, report.beta0_tilde))
-
-
-def _tilde_pair(rec, comb, n_max, completion, beta0_tilde) -> tuple[list[float], list[float]]:
-    """The tilde betas ``0..n_max`` and gammas ``1..n_max``: ``completion`` and
-    ``beta0_tilde`` below ``k + 1``, the closed formulas above; no matching is read."""
-    k = comb.k
-    _, beta_low, gamma_low, _ = zip(*completion)
-    return ([beta0_tilde, *beta_low, *rec.betas[k + 1:n_max + 1]],
-            [*gamma_low, *_tilde_gamma(rec, comb.a[0], k + 1, n_max)])
+    _, beta_low, gamma_low, _ = zip(*report.completion)
+    return RecurrencePair([report.beta0_tilde, *beta_low, *rec.betas[k + 1:n_max + 1]],
+                          [*gamma_low, *_tilde_gamma(rec, comb.a[0], k + 1, n_max)])
 
 
 class GramReport(NamedTuple):

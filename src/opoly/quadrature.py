@@ -24,10 +24,10 @@ same table ``p_i(x_l)`` that measures the degree.  Unlike the squared first
 eigenvector components of Golub & Welsch (1969), they keep their relative
 accuracy at nodes far out on the spectrum, where the weights fall far below
 the rounding of the largest one.  Every other rule on the zeros of ``Q_n``
-(``k >= 3``, or ``gamma_{n-1} <= a_2``) takes its nodes from
-:func:`~opoly.jacobi.zeros_q`, on the route it picks itself (no verdict is
-read), and its weights solve ``V w = e_0`` with ``V[i, j] = p_i(x_j)``,
-``i < n``: the first ``n`` rows of the table that then measures the degree.
+(``k >= 3``, or ``gamma_{n-1} <= a_2``) takes its nodes from the balanced
+``eigvals`` route of :func:`~opoly.jacobi.zeros_q` (no verdict is read), and
+its weights solve ``V w = e_0`` with ``V[i, j] = p_i(x_j)``, ``i < n``: the
+first ``n`` rows of the table that then measures the degree.
 Each :class:`~opoly.recurrence.RecurrencePair` keeps the last table walked on
 it, keyed by the nodes' bytes, so :func:`christoffel_numbers` and
 :func:`degree_of_precision` walk those nodes once between them; the table

@@ -65,11 +65,42 @@ def jacobi_truncation_diag_sums(rec, m: int) -> np.ndarray:
 def perturbation_L_dense(comb, m: int) -> np.ndarray:
     """The ``m x m`` single-row perturbation ``L_m``: its last row holds
     ``a_k .. a_1`` ending in the last column, so that ``(J_P)_m - L_m`` has
-    characteristic polynomial ``Q_m``.  With :func:`jacobi_truncation_diag_sums`
-    it is the bit-level reference for ``opoly.zeros_q``'s ``eigvals`` matrix."""
+    characteristic polynomial ``Q_m``."""
     L = np.zeros((m, m))
     L[-1, m - comb.k :] = comb.a[::-1]
     return L
+
+
+def balanced_matrix_diag_sums(rec, comb, m: int) -> np.ndarray:
+    """``D^-1 ((J_P)_m - L_m) D`` with ``D = diag(sqrt|gamma_1 ... gamma_i|)``,
+    as a sum of three ``np.diag`` matrices minus its last-row perturbation:
+    ``sqrt|gamma_i|`` above the diagonal, ``sign(gamma_i) sqrt|gamma_i|`` below,
+    and ``a_j`` divided by ``sqrt|gamma_{m-1}|``, then ``sqrt|gamma_{m-2}|``,
+    down to ``sqrt|gamma_{m-j+1}|``.  The bit-level reference for
+    ``opoly.zeros_q``'s ``eigvals`` matrix."""
+    gamma = rec.gamma[1:m]
+    root = np.sqrt(np.abs(gamma))
+    L = np.zeros((m, m))
+    for j, aj in enumerate(comb.a, start=1):
+        for r in root[m - j : m - 1][::-1]:
+            aj /= r
+        L[-1, m - j] = aj
+    return np.diag(rec.beta[:m]) + np.diag(root, 1) + np.diag(np.sign(gamma) * root, -1) - L
+
+
+def k3_matching_families(count: int = 40, horizon: int = 64):
+    """``count`` seeded ``k = 3`` families whose verdict holds: free
+    ``beta_0, beta_1, gamma_1`` over a constant tail (``beta_n = b`` and
+    ``gamma_n = g`` from ``n = 2``) with random ``a``.  For generic ``a`` these
+    are all the orthogonal ``k = 3`` combinations.  Their low tilde gammas
+    take either sign, so some zeros are complex."""
+    rng = np.random.default_rng(SEED + 3)
+    for _ in range(count):
+        b0, b1, b = rng.uniform(-0.5, 0.5, 3)
+        g1, g = rng.uniform(0.1, 0.5, 2)
+        a = rng.uniform(-0.5, 0.5, 3)
+        rec = op.RecurrencePair([b0, b1] + [b] * (horizon - 1), [g1] + [g] * (horizon - 1))
+        yield rec, op.CombCoeffs(a)
 
 
 def symmetric_jacobi_diag_sums(rec, m: int) -> np.ndarray:

@@ -13,7 +13,6 @@ import opoly as op
 from opoly import cli, jacobi, lincomb, quadrature
 from opoly.cli import main
 
-from conftest import HAT_ROUTE_CONFIGS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -634,14 +633,9 @@ def test_hk_verdict_is_covariant_under_scaling(tmp_path, capsys, path, s):
 
 SCALES = [2.0, -1.0, 0.125, 16.0, 1 / 1024]
 BUNDLED = sorted(CONFIG_DIR.glob("*.json"))
-# Known defects of the eigvals route on the unbalanced (J_P)_n - L_n: the
-# configs whose exit code at --n 20 changes under x -> s x (each to exit 3,
-# the Newton cross-check's refusal).  They are the configs off the J^ route
-# at n = 20, where a_2 >= gamma_19.
-SCALE_MISMATCHES = {
-    ("zeros", 16.0): {p.name for p in BUNDLED} - HAT_ROUTE_CONFIGS,
-    ("quad", 16.0): {"gen_k2_equal_roots.json"},
-}
+# The configs whose exit code at --n 20 changes under x -> s x, by command
+# and scale: none, on either zeros route.
+SCALE_MISMATCHES = {}
 
 
 @pytest.mark.parametrize("s", SCALES)
@@ -659,20 +653,19 @@ def test_zeros_and_quad_exit_codes_under_scaling(tmp_path, capsys, command, s):
 def _zeros(capsys, cfg, n):
     code, out, err = run(capsys, "zeros", "--config", cfg, "--n", str(n))
     assert code == 0, err
-    zeros = json.loads(out)["result"]["zeros"]
-    assert all(z["im"] == 0.0 for z in zeros)
-    return np.array([z["re"] for z in zeros])
+    return np.array([complex(z["re"], z["im"]) for z in json.loads(out)["result"]["zeros"]])
 
 
 @pytest.mark.parametrize("s", SCALES)
-@pytest.mark.parametrize("name", sorted(HAT_ROUTE_CONFIGS))
+@pytest.mark.parametrize("name", [p.name for p in BUNDLED])
 def test_tilde_route_zeros_are_covariant_under_scaling(tmp_path, capsys, name, s):
-    # zeros from a symmetric route: J^_n for these k <= 2 configs, which took
-    # the tilde route before J^ replaced it for k <= 2
+    # on both routes, J^_n and the balanced eigvals matrix, the zeros mapped
+    # back by s and sorted again, complex ones included, are the unscaled zeros
     scaled = write_config(tmp_path, scaled_payload(CONFIG_DIR / name, s))
     for n in (3, 10, 20):
         z = _zeros(capsys, str(CONFIG_DIR / name), n)
-        back = np.sort(_zeros(capsys, scaled, n) / s)
+        back = _zeros(capsys, scaled, n) / s
+        back = back[np.lexsort((back.imag, back.real))]
         assert np.all(np.abs(back - z) <= 1e-14 * np.maximum(1.0, np.abs(z))), n
 
 
@@ -684,23 +677,6 @@ def test_quad_command(tmp_path, capsys):
     assert result["gauss"]["degree_of_precision"] == 11
     assert result["combination"]["degree_of_precision"] == 9
     assert result["combination"]["ok"] is True
-
-
-def test_zeros_falls_back_to_eigvals_on_a_passing_verdict(tmp_path, capsys, monkeypatch):
-    # for k = 3, gamma_10 raised by 1e-11 passes the verdict at its fixed
-    # 1e-10, but the tilde eigenvalues then miss the keep bound 64 eps, so
-    # zeros reports the eigvals route's zeros
-    gamma = ["0.5"] + ["0.25"] * 8 + ["0.25000000001"] + ["0.25"] * 14
-    cfg = write_config(tmp_path, dict(LOOSE, family=dict(LOOSE["family"], gamma=gamma),
-                                      combination={"a": ["0.3", "0.2", "0.1"]}))
-    code, out, err = run(capsys, "zeros", "--config", cfg, "--n", "20")
-    assert (code, err) == (0, "")
-    job = cli.load_config(cfg)
-    assert op.check_conditions(job.rec, job.comb, 19).verdict
-    assert jacobi._tilde_jacobi(job.rec, job.comb, 20) is not None
-    monkeypatch.setattr(jacobi, "_tilde_jacobi", lambda *args: None)  # the eigvals route
-    eigvals = op.zeros_q(job.rec, job.comb, 20).zeros
-    assert json.loads(out)["result"]["zeros"] == [{"re": z.real, "im": z.imag} for z in eigvals]
 
 
 def test_reports_read_the_library_artifacts(tmp_path, capsys):

@@ -12,6 +12,7 @@ from opoly.cli import load_config
 
 from conftest import (
     HAT_ROUTE_CONFIGS,
+    balanced_matrix_diag_sums,
     chebyshev_corpus,
     generated_k1,
     hat_jacobi_diag_sums,
@@ -19,6 +20,7 @@ from conftest import (
     intertwining_residual,
     jacobi_truncation_diag_sums,
     k2_case_fixture,
+    k3_matching_families,
     perturbation_L_dense,
     symmetric_jacobi_diag_sums,
     trig_square_in_x,
@@ -39,15 +41,14 @@ def reference_matrix(rec, comb, m):
     return jacobi_truncation_diag_sums(rec, m) - perturbation_L_dense(comb, m)
 
 
-def off_symmetric_routes(monkeypatch):
-    """Make every ``zeros_q`` call take the ``eigvals`` route of ``(J_P)_m - L_m``:
-    no ``J^_m`` for ``k <= 2``, no ``J~_m`` for ``k >= 3``."""
+def off_hat_route(monkeypatch):
+    """Make every ``zeros_q`` call take the balanced ``eigvals`` route: no
+    ``J^_m`` for ``k <= 2``."""
     monkeypatch.setattr(op.jacobi, "_hat_jacobi", lambda *args: None)
-    monkeypatch.setattr(op.jacobi, "_tilde_jacobi", lambda *args: None)
 
 
 def eigvals_matrix(monkeypatch, rec, comb, m):
-    """The matrix that ``zeros_q``'s ``eigvals`` route hands to ``np.linalg.eigvals``."""
+    """The matrix that ``zeros_q``'s balanced route hands to ``np.linalg.eigvals``."""
     seen = []
     eigvals = np.linalg.eigvals
 
@@ -56,7 +57,7 @@ def eigvals_matrix(monkeypatch, rec, comb, m):
         return eigvals(A)
 
     with monkeypatch.context() as patch:
-        off_symmetric_routes(patch)
+        off_hat_route(patch)
         patch.setattr(np.linalg, "eigvals", recording)
         try:
             op.zeros_q(rec, comb, m)
@@ -113,12 +114,12 @@ class TestJacobiTruncation:
             for m in range(comb.k + 1, rec.horizon + 2):
                 ref = hat_jacobi_diag_sums(rec, comb, m)
                 assert op.jacobi._hat_jacobi(rec, comb, m).tobytes() == ref.tobytes(), (comb, m)
-        # zeros_q's eigvals matrix, built in place, is the reference J - L
+        # zeros_q's balanced eigvals matrix, built in place, is the reference
         # bit for bit, and so are its sorted zeros or its refusal
-        off_symmetric_routes(monkeypatch)
-        for comb in (op.CombCoeffs((0.5,)), op.CombCoeffs((0.0, -0.125))):
+        off_hat_route(monkeypatch)
+        for comb in (op.CombCoeffs((0.5,)), op.CombCoeffs((0.0, -0.125)), K3):
             for m in range(comb.k + 1, rec.horizon + 2):
-                ref = reference_matrix(rec, comb, m)
+                ref = balanced_matrix_diag_sums(rec, comb, m)
                 got = eigvals_matrix(monkeypatch, rec, comb, m)
                 assert got.dtype == np.float64 and got.shape == (m, m), (comb, m)
                 assert got.tobytes() == ref.tobytes(), (comb, m)
@@ -154,15 +155,19 @@ class TestChangeBasis:
 
 class TestPerturbation:
     def test_canonical_two_by_two(self, cheb_u, monkeypatch):
-        # spec'd by behaviour: (J_P)_2 - L_2 must be [[0, 1], [1/4, -1/2]]
+        # spec'd by behaviour: (J_P)_2 - L_2 = [[0, 1], [1/4, -1/2]], balanced
+        # by D = diag(1, 1/2)
         A = eigvals_matrix(monkeypatch, cheb_u, op.CombCoeffs((0.5,)), 2)
-        assert A == pytest.approx(np.array([[0.0, 1.0], [0.25, -0.5]]))
+        assert A == pytest.approx(np.array([[0.0, 0.5], [0.5, -0.5]]))
 
     def test_only_last_row(self, cheb_u, monkeypatch):
         comb = op.CombCoeffs((0.3, -0.2))
-        L = jacobi_truncation_diag_sums(cheb_u, 5) - eigvals_matrix(monkeypatch, cheb_u, comb, 5)
+        off = np.full(4, 0.5)  # sqrt(gamma_n) on both sides
+        J = np.diag(off, 1) + np.diag(off, -1)
+        L = J - eigvals_matrix(monkeypatch, cheb_u, comb, 5)
         assert np.all(L[:4] == 0.0)
-        assert L[4] == pytest.approx(np.array([0.0, 0.0, 0.0, -0.2, 0.3]))
+        # a_2 over sqrt(gamma_4)
+        assert L[4] == pytest.approx(np.array([0.0, 0.0, 0.0, -0.4, 0.3]))
 
     def test_char_poly_of_perturbed_truncation_is_q(self, cheb_t):
         comb = op.CombCoeffs((0.0, -0.125))
@@ -179,27 +184,25 @@ class TestPerturbation:
             op.zeros_q(cheb_u, comb, 2)
 
     def test_horizon_k_has_no_completion(self):
-        # m = k + 1 = horizon + 1: no gamma_{k+1}, so no completion and no
-        # tilde route for k = 3; the eigvals route still finds the zeros
+        # m = k + 1 = horizon + 1: no gamma_{k+1}, so no completion for k = 3;
+        # the balanced eigvals route reads none and finds the zeros
         rec, comb = op.RecurrencePair([0.0] * 4, [0.25] * 3), op.CombCoeffs((0.1, 0.2, 0.3))
-        assert op.jacobi._tilde_jacobi(rec, comb, 4) is None
         assert op.jacobi._hat_jacobi(rec, comb, 4) is None
         zq = op.zeros_q(rec, comb, 4)
         assert zq.zeros.tobytes() == _eigvals_route(rec, comb, 4).tobytes()
         # k = 2 at m = k + 1 = horizon + 1 takes J^_3, which needs no completion
         rec, comb = op.RecurrencePair([0.0] * 3, [0.25] * 2), op.CombCoeffs((0.1, 0.2))
-        assert op.jacobi._tilde_jacobi(rec, comb, 3) is None
         zq = op.zeros_q(rec, comb, 3)
         assert zq.zeros.tobytes() == _hat_eigenvalues(rec, comb, 3).astype(complex).tobytes()
 
-    def test_completion_past_the_float_range_leaves_the_tilde_route(self):
+    def test_completion_past_the_float_range_is_never_read(self, monkeypatch):
         # the k = 3 determination denominator gamma_4 + a_1 (beta_3 - beta_4) is 2e308
         rec = op.RecurrencePair([0.0] * 3 + [1e308, -1e308] + [0.0] * 5, [0.25] * 9)
         comb = op.CombCoeffs((1.0, 0.1, 0.1))
         with pytest.raises(op.NumericError):
             op.check_conditions(rec, comb, 9)
-        assert op.jacobi._tilde_jacobi(rec, comb, 6) is None
-        # the eigvals route's Newton steps overflow, which refuses the zeros
+        monkeypatch.setattr(lincomb, "_complete_low", _refuse)
+        # the balanced route's Newton steps overflow, which refuses the zeros
         # without a numpy warning on stderr; so do J^'s for k = 1 on the same data
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -233,20 +236,20 @@ class TestZeros:
         assert op.multiset_distance(eigs, roots) < 1e-8
 
     def test_one_moved_eigenvalue_is_caught(self, cheb_t, monkeypatch):
-        comb = op.CombCoeffs((0.0, -0.125))
-        off_symmetric_routes(monkeypatch)
-        assert op.zeros_q(cheb_t, comb, 20).cross_check_distance < 1e-13
+        off_hat_route(monkeypatch)
         eigvals = np.linalg.eigvals
-
 
         def moved(A):
             out = eigvals(A).astype(complex)
             out[3] += 1e-6
             return out
 
-        monkeypatch.setattr(np.linalg, "eigvals", moved)
-        with pytest.raises(op.NumericError):
-            op.zeros_q(cheb_t, comb, 20)
+        for comb in (op.CombCoeffs((0.0, -0.125)), K3):
+            assert op.zeros_q(cheb_t, comb, 20).cross_check_distance < 1e-13
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "eigvals", moved)
+                with pytest.raises(op.NumericError, match="cross-check mismatch"):
+                    op.zeros_q(cheb_t, comb, 20)
 
     def test_trace_similarity_invariance(self, cheb_u):
         comb = op.CombCoeffs((0.5,))
@@ -260,6 +263,8 @@ class TestZeros:
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 EPS = np.finfo(float).eps
+#: A ``k = 3`` combination whose verdict holds on all four Chebyshev kinds.
+K3 = op.CombCoeffs((0.3, 0.2, 0.1))
 
 
 def _bundled(name):
@@ -285,10 +290,6 @@ def _loose(raise_by=1e-8):
     return op.RecurrencePair([0.0] * 25, gamma), op.CombCoeffs((0.0, -0.125))
 
 
-#: A ``k = 3`` combination whose verdict holds on all four Chebyshev kinds.
-K3 = op.CombCoeffs((0.3, 0.2, 0.1))
-
-
 def _loose_k3(raise_by):
     """:func:`_loose`'s family with ``a = (0.3, 0.2, 0.1)``: from ``1e-12`` to
     ``9e-11`` the verdict passes at its fixed ``1e-10``, but the eigenvalues of
@@ -310,9 +311,9 @@ def _route_report(rec, comb, m):
 
 
 def _eigvals_route(rec, comb, m):
-    """Eigenvalues of the reference ``(J_P)_m - L_m``, sorted by real part,
-    then imaginary part."""
-    z = np.linalg.eigvals(reference_matrix(rec, comb, m)).astype(complex)
+    """Eigenvalues of the reference balanced ``D^-1 ((J_P)_m - L_m) D``, sorted
+    by real part, then imaginary part."""
+    z = np.linalg.eigvals(balanced_matrix_diag_sums(rec, comb, m)).astype(complex)
     return z[np.lexsort((z.imag, z.real))]
 
 
@@ -326,11 +327,11 @@ def _reference_zeros(rec, comb, m, cross_tol=1e-8):
 
 
 def _assert_eigvals_route(monkeypatch, rec, comb, m):
-    """``zeros_q`` returns the ``eigvals`` route's zeros, bit for bit, as it
-    does with both symmetric routes switched off."""
+    """``zeros_q`` returns the balanced ``eigvals`` route's zeros, bit for bit,
+    as it does with the ``J^`` route switched off."""
     got = op.zeros_q(rec, comb, m)
     with monkeypatch.context() as patch:
-        off_symmetric_routes(patch)
+        off_hat_route(patch)
         want = op.zeros_q(rec, comb, m)
     assert want.zeros.tobytes() == _eigvals_route(rec, comb, m).tobytes()
     assert got.zeros.tobytes() == want.zeros.tobytes()
@@ -378,87 +379,90 @@ def _tilde_route_cases():
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("a k <= 2 call built the tilde route")
+    raise AssertionError("zeros_q read the exact completion")
+
+
+def _zeros(rec, comb, m):
+    """``zeros_q`` with the exact completion refused: no route reads it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lincomb, "_complete_low", _refuse)
+        return op.zeros_q(rec, comb, m)
+
+
+def _assert_close(z, expect, label):
+    """``|z - expect| <= 1e-14 max(1, |expect|)`` elementwise."""
+    assert np.all(np.abs(z - expect) <= 1e-14 * np.maximum(1.0, np.abs(expect))), label
+
+
+def _assert_newton_bound(zq, label):
+    """The Newton distance is at most ``64 eps max(1, max|z|)``."""
+    scale = max(1.0, float(np.max(np.abs(zq.zeros))))
+    assert zq.cross_check_distance <= 64 * EPS * scale, label
 
 
 class TestTildeRoute:
-    """For ``k >= 3``, where the completion exists, the tilde gammas are
-    positive and the eigenvalues of the symmetric tilde truncation pass the
-    Newton check at ``64 eps``, ``zeros_q`` takes them; every other ``k >= 3``
-    call runs the ``eigvals`` route unchanged.  No verdict is read, and no
-    ``k <= 2`` call builds ``J~`` (:class:`TestHatRoute`)."""
+    """For ``k >= 3`` the zeros are the balanced ``eigvals`` route's.  Where the
+    verdict holds through ``m - 1`` and ``tilde gamma_1..tilde gamma_{m-1} > 0``
+    they agree with the eigenvalues of the symmetric tilde truncation, built
+    here from the tilde recurrence, to ``1e-14 max(1, |z|)``; on every call
+    their Newton distance is at most ``64 eps max(1, max|z|)``.  No call
+    reads the verdict or the exact completion."""
 
     def test_route_agrees_with_eigvals(self):
-        on_route = set()
+        on_reference = set()
         for label, rec, comb, ms in _tilde_route_cases():
             for m in ms:
-                report = _route_report(rec, comb, m)
-                expect = _tilde_eigenvalues(rec, comb, report, m)
-                if expect is None:
-                    continue
-                on_route.add(label)
-                zq = op.zeros_q(rec, comb, m)
-                assert np.array_equal(zq.zeros, expect.astype(complex)), (label, m)
-                z = _eigvals_route(rec, comb, m)
-                assert np.all(np.abs(zq.zeros - z) <= 1e-12 * np.maximum(1.0, np.abs(z)))
-                scale = max(1.0, float(np.max(np.abs(expect))))
-                assert zq.cross_check_distance <= 64 * EPS * scale, (label, m)
-        assert on_route == {label for label, *_ in _tilde_route_cases()}
+                zq = _zeros(rec, comb, m)
+                assert zq.zeros.tobytes() == _eigvals_route(rec, comb, m).tobytes(), (label, m)
+                _assert_newton_bound(zq, (label, m))
+                expect = _tilde_eigenvalues(rec, comb, _route_report(rec, comb, m), m)
+                if expect is not None:
+                    on_reference.add(label)
+                    _assert_close(zq.zeros, expect, (label, m))
+        assert on_reference == {label for label, *_ in _tilde_route_cases()}
 
     @pytest.mark.parametrize("name", [
         "cheb4_k2_case_iv.json", "gen_k2_complex_roots.json", "gen_k2_equal_roots.json"])
     def test_off_route_is_the_eigvals_route(self, name, monkeypatch):
-        # a_2 >= gamma_19, so J^_20 is not real symmetric; a k = 2 call never
-        # builds J~_20 instead, and takes the eigvals route
+        # a_2 >= gamma_19, so J^_20 is not real symmetric, and a k = 2 call
+        # takes the balanced eigvals route too
         rec, comb = _bundled(name)
         assert _hat_eigenvalues(rec, comb, 20) is None
-        monkeypatch.setattr(op.jacobi, "_tilde_jacobi", _refuse)
+        monkeypatch.setattr(lincomb, "_complete_low", _refuse)
         _assert_eigvals_route(monkeypatch, rec, comb, 20)
+        _assert_newton_bound(op.zeros_q(rec, comb, 20), name)
 
-    def test_negative_tail_leaves_the_route_at_its_first_negative_tilde_gamma(
-            self, monkeypatch):
+    def test_negative_tail_crosses_its_first_negative_tilde_gamma(self):
         rec, comb = _negative_tail_k3()
         report = op.check_conditions(rec, comb, 22)
         assert report.verdict
-        on = op.zeros_q(rec, comb, 22)
-        assert np.array_equal(on.zeros, _tilde_eigenvalues(rec, comb, report, 22))
-        assert op.jacobi._tilde_jacobi(rec, comb, 24) is None  # reads tilde gamma_23 < 0
-        _assert_eigvals_route(monkeypatch, rec, comb, 24)
+        _assert_close(_zeros(rec, comb, 22).zeros, _tilde_eigenvalues(rec, comb, report, 22), 22)
+        # m = 24 reads tilde gamma_23 < 0: no symmetric reference is left, and
+        # the balanced matrix carries the sign of gamma_23 below its diagonal
+        assert _tilde_eigenvalues(rec, comb, op.check_conditions(rec, comb, 23), 24) is None
+        zq = _zeros(rec, comb, 24)
+        assert zq.zeros.tobytes() == _eigvals_route(rec, comb, 24).tobytes()
+        _assert_newton_bound(zq, 24)
 
     def test_loose_verdict_falls_back_to_eigvals(self):
         # gamma_10 raised by 1e-12 to 9e-11 passes the verdict at its fixed
         # 1e-10, but the tilde eigenvalues then sit off the zeros of Q_20 by
-        # more than the keep bound 64 eps
+        # more than 64 eps; the balanced eigvals zeros do not
         m = 20
         for raise_by in (1e-12, 1e-11, 9e-11):
             rec, comb = _loose_k3(raise_by)
             report = op.check_conditions(rec, comb, m - 1)
             assert report.verdict
             tilde = _tilde_eigenvalues(rec, comb, report, m)
-            assert tilde is not None
             assert op.jacobi._newton_distance(rec, comb, tilde) > 64 * EPS
-            zq = op.zeros_q(rec, comb, m)
+            zq = _zeros(rec, comb, m)
             assert zq.zeros.tobytes() == _eigvals_route(rec, comb, m).tobytes()
             assert zq.cross_check_distance <= 64 * EPS
-
-    def test_a_moved_tilde_eigenvalue_falls_back_to_eigvals(self, cheb_t, monkeypatch):
-        assert op.zeros_q(cheb_t, K3, 20).cross_check_distance < 1e-13
-        eigvalsh = np.linalg.eigvalsh
-
-        def moved(A):
-            out = eigvalsh(A)
-            out[3] += 1e-6
-            return out
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", moved)
-        got = op.zeros_q(cheb_t, K3, 20)
-        assert got.zeros.tobytes() == _eigvals_route(cheb_t, K3, 20).tobytes()
 
     def test_failed_verdict_keeps_the_tilde_zeros_that_pass_newton(self):
         # Chebyshev U with gamma_10 raised by 1e-10 fails its conditions at
         # n = 10, yet at m = 20 the eigenvalues of J~_20 pass the Newton check
-        # at 64 eps: the route reads the completion and the tilde gammas,
-        # never the verdict
+        # at 64 eps, and the zeros, which read no verdict, agree with them
         gamma = [0.25] * 9 + [0.25 + 1e-10] + [0.25] * 20
         rec, comb, m = op.RecurrencePair([0.0] * 31, gamma), K3, 20
         k, a1 = comb.k, comb.a[0]
@@ -471,23 +475,66 @@ class TestTildeRoute:
                                         for n in range(k + 3, m)]
         off = np.sqrt(gamma)
         expect = np.linalg.eigvalsh(np.diag(beta) + np.diag(off, 1) + np.diag(off, -1))
-        zq = op.zeros_q(rec, comb, m)
-        assert zq.zeros.tobytes() == expect.astype(complex).tobytes()
+        assert op.jacobi._newton_distance(rec, comb, expect) <= 64 * EPS
+        zq = _zeros(rec, comb, m)
+        assert zq.zeros.tobytes() == _eigvals_route(rec, comb, m).tobytes()
         assert np.all(zq.zeros.imag == 0.0)
-        scale = max(1.0, float(np.max(np.abs(expect))))
-        assert zq.cross_check_distance <= 64 * EPS * scale
-        assert zq.cross_check_distance == op.jacobi._newton_distance(rec, comb, expect)
+        _assert_close(zq.zeros, expect, m)
+        _assert_newton_bound(zq, m)
+
+
+#: The sizes at which the ``k = 3`` matching families are checked.
+K3_SIZES = (5, 10, 20, 40, 63)
+
+
+def test_k3_matching_families_pass_newton():
+    # the verdict holds, every zeros_q call passes Newton at 64 eps, and where
+    # v is positive definite below m the zeros agree with J~_m's eigenvalues
+    on_reference = complex_cases = 0
+    for i, (rec, comb) in enumerate(k3_matching_families()):
+        report = op.check_conditions(rec, comb, rec.horizon)
+        assert report.verdict, (i, report.failures)
+        for m in K3_SIZES:
+            zq = _zeros(rec, comb, m)
+            _assert_newton_bound(zq, (i, m))
+            complex_cases += bool(zq.zeros.imag.any())
+            expect = _tilde_eigenvalues(rec, comb, report, m)
+            if expect is not None:
+                on_reference += 1
+                _assert_close(zq.zeros, expect, (i, m))
+    assert on_reference and complex_cases
+
+
+def _sorted(z):
+    """``z`` sorted by real part, then imaginary part, as ``zeros_q`` sorts."""
+    return z[np.lexsort((z.imag, z.real))]
+
+
+@pytest.mark.parametrize("s", [2.0, -1.0, 0.125, 16.0, 1 / 1024])
+def test_k3_zeros_are_covariant_under_scaling(s):
+    # x -> s x maps beta -> s beta, gamma -> s^2 gamma and a_j -> s^j a_j,
+    # and the zeros, complex ones included, to s z: on the Chebyshev cases of
+    # TestTildeRoute and on the matching families
+    cases = [(label, rec, comb, (5, 10, 20, ms[-1])) for label, rec, comb, ms in _tilde_route_cases()]
+    cases += [(i, rec, comb, K3_SIZES) for i, (rec, comb) in enumerate(k3_matching_families())]
+    for label, rec, comb, sizes in cases:
+        scaled = op.RecurrencePair(s * rec.beta, s * s * rec.gamma[1:])
+        scaled_comb = op.CombCoeffs([s**j * a for j, a in enumerate(comb.a, start=1)])
+        for m in sizes:
+            z = op.zeros_q(rec, comb, m).zeros
+            back = _sorted(op.zeros_q(scaled, scaled_comb, m).zeros / s)
+            _assert_close(back, z, (label, m))
 
 
 class TestHatRoute:
     """For ``k <= 2``, where ``gamma_1..gamma_{m-2} > 0`` and
     ``gamma_{m-1} > a_2``, ``zeros_q`` takes the eigenvalues of ``J^_m`` and
     refuses them when their Newton distance exceeds ``_NEWTON_TOL``; every
-    other ``k <= 2`` call runs the ``eigvals`` route.  Neither reads the
-    verdict, the completion or the tilde data."""
+    other ``k <= 2`` call runs the balanced ``eigvals`` route.  Neither reads
+    the verdict, the completion or the tilde data."""
 
     def test_route_agrees_with_hat_eigenvalues(self, monkeypatch):
-        monkeypatch.setattr(op.jacobi, "_tilde_jacobi", _refuse)
+        monkeypatch.setattr(lincomb, "_complete_low", _refuse)
         on_route = set()
         for label, rec, comb, ms in _route_cases():
             for m in ms:
@@ -537,7 +584,7 @@ class TestHatRoute:
         # J^_20 reads beta and gamma alone: a raised gamma_10 moves it, and its
         # eigenvalues stay on the zeros of Q_20 at rounding level, whatever
         # the verdict says
-        monkeypatch.setattr(op.jacobi, "_tilde_jacobi", _refuse)
+        monkeypatch.setattr(lincomb, "_complete_low", _refuse)
         for raise_by in (1e-12, 9e-11, 1e-8):
             rec, comb = _loose(raise_by)
             expect = _hat_eigenvalues(rec, comb, 20)

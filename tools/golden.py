@@ -146,6 +146,34 @@ def edge_configs() -> dict:
             "combination": {"a": ["0", "0.25"]},
             "horizon": 24,
         },
+        # k = 3 takes zeros_q's balanced eigvals route: on Chebyshev T, on a
+        # co-recursive Chebyshev U (beta_0 moved; the matching conditions
+        # still hold), and on Chebyshev U with gamma_23 = gamma_24 = -1/4,
+        # whose balanced matrix carries their sign below its diagonal
+        "k3_chebyshev": {
+            "family": {"type": "chebyshev", "kind": 1},
+            "combination": {"a": ["0.3", "0.2", "0.1"]},
+            "horizon": 30,
+        },
+        "k3_corecursive": {
+            "family": {"type": "explicit", "beta": ["0.3"] + ["0"] * 30, "gamma": ["0.25"] * 30},
+            "combination": {"a": ["0.3", "0.2", "0.1"]},
+            "horizon": 30,
+        },
+        "k3_negative_tail": {
+            "family": {"type": "explicit", "beta": ["0"] * 25,
+                       "gamma": ["0.25"] * 22 + ["-0.25"] * 2},
+            "combination": {"a": ["0.3", "0.2", "0.1"]},
+            "horizon": 24,
+        },
+        # cheb4_k2_case_iv under x -> 16 x (beta -> 16 beta, gamma -> 256 gamma,
+        # a_j -> 16^j a_j): a_2 >= gamma_{n-1}, so the balanced route, whose
+        # zeros scale with x
+        "cheb4_k2_case_iv_x16": {
+            "family": {"type": "explicit", "beta": ["-8"] + ["0"] * 24, "gamma": ["4"] * 24},
+            "combination": {"a": ["16", "256"]},
+            "horizon": 24,
+        },
     }
 
 

@@ -251,9 +251,12 @@ def shohat_check(rec: RecurrencePair, comb: CombCoeffs, n: int) -> ShohatReport:
     :func:`christoffel_numbers` given ``comb``, and the degree from
     :func:`degree_of_precision`.  The law holds whether or not ``{Q_n}`` is
     orthogonal (Shohat 1937), so no verdict is read.  Complex or coincident
-    zeros and non-positive gammas raise :class:`~opoly.errors.InapplicableError`.
+    zeros and non-positive gammas raise :class:`~opoly.errors.InapplicableError`,
+    an ``n`` below ``k + 1`` :class:`ValueError`.
     """
     import numpy as np
+    if n < comb.k + 1:
+        raise ValueError(f"n must be at least k + 1 = {comb.k + 1}")
     if comb.k == 1:
         _require_positive(rec, n - 1)
         rule = _christoffel_rule(rec, _distinct(np.linalg.eigvalsh(_hat_jacobi(rec, comb, n))))

@@ -7,9 +7,9 @@ A family ``{P_n}`` is stored through its recurrence coefficients
 with ``gamma_n != 0`` (quasi-definiteness).  Sequences are kept as finite
 float tuples up to an explicit horizon ``N``; every operation that would need
 data past the horizon raises :class:`~opoly.errors.HorizonError` instead of
-guessing.  The module imports numpy only where its bits are the published
-ones (the real- and complex-root ``k = 2`` generators) and for the array
-views of a :class:`RecurrencePair`, when first read.
+guessing.  Every generator computes in Python floats in a fixed order, so
+its bits are the same on every IEEE-754 host; the module imports numpy only
+for the array views of a :class:`RecurrencePair`, when first read.
 
 Besides the four monic Chebyshev families, the module generates the two
 parametric families whose length-``k`` constant-coefficient combinations stay
@@ -22,7 +22,6 @@ a constant-coefficient linear difference equation with characteristic roots
 
 from __future__ import annotations
 
-import cmath
 import math
 from enum import Enum
 from functools import cached_property
@@ -325,7 +324,6 @@ def k2_family(
         beta_tail = [A + B * n + C * (n * n) for n in ns]
         gamma_tail = [D + E * n + F * (n * n) for n in ns]
     elif params.case is K2Case.REAL_ROOTS:
-        import numpy as np  # its array power rounds unlike Python's ``**``
         lam = _inner_real_root(a1, a2)
         B, C = float(params.B.real), float(params.C.real)
         E, F = float(params.E.real), float(params.F.real)
@@ -333,23 +331,28 @@ def k2_family(
                  "real-root case needs a1*C = (1 + lam)*F")
         _require(abs(a1 * lam * B - (1.0 + lam) * E) <= _K2_TOL * max(1.0, abs(E)),
                  "real-root case needs a1*lam*B = (1 + lam)*E")
-        exps = np.arange(2.0, horizon + 1)
-        powers = list(zip((lam ** exps).tolist(), (lam ** -exps).tolist()))
-        beta_tail = [params.A + B * p + C * q for p, q in powers]
-        gamma_tail = [params.D + E * p + F * q for p, q in powers]
+        beta_tail, gamma_tail = [], []
+        p, q = lam, 1.0 / lam
+        for _ in ns:
+            p, q = p * lam, q / lam  # lam^n and lam^-n
+            beta_tail.append(params.A + B * p + C * q)
+            gamma_tail.append(params.D + E * p + F * q)
     else:  # COMPLEX_ROOTS
-        import numpy as np  # its complex product may fuse multiply-adds, Python's does not
-        ctheta = a1 * a1 / (2.0 * a2) - 1.0
-        _require(-1.0 < ctheta < 1.0, "a1^2 < 4 a2 required for the unit-circle pair")
-        lam = cmath.exp(1j * math.acos(ctheta))
+        c = a1 * a1 / (2.0 * a2) - 1.0
+        _require(-1.0 < c < 1.0, "a1^2 < 4 a2 required for the unit-circle pair")
+        s = math.sqrt(1.0 - c * c)
+        lam = complex(c, s)
         B, E = complex(params.B), complex(params.E)
         resid = a1 * lam * B - (1.0 + lam) * E
         _require(abs(resid) <= _K2_TOL * max(1.0, abs(E), abs(B)),
                  "complex-root case needs a1*lam*B = (1 + lam)*E")
-        powers = lam ** np.arange(2.0, horizon + 1)
-        re_b, re_e = (B * powers).real, (E * powers).real  # 2 Re(B lam^n) = re_b + re_b
-        beta_tail = ((params.A + re_b) + re_b).tolist()
-        gamma_tail = ((params.D + re_e) + re_e).tolist()
+        beta_tail, gamma_tail = [], []
+        xr, xi = c, s
+        for _ in ns:
+            xr, xi = xr * c - xi * s, xr * s + xi * c  # lam^n, rotated by (c, s)
+            re_b, re_e = B.real * xr - B.imag * xi, E.real * xr - E.imag * xi
+            beta_tail.append((params.A + re_b) + re_b)  # 2 Re(B lam^n) = re_b + re_b
+            gamma_tail.append((params.D + re_e) + re_e)
 
     return RecurrencePair([params.beta0, params.beta1, *beta_tail], [params.gamma1, *gamma_tail])
 

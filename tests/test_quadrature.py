@@ -110,6 +110,14 @@ class TestDegreeLossLaw:
         comb = op.CombCoeffs((0.3, 0.2, 0.1))
         assert op.shohat_check(cheb_u, comb, 7).ok
 
+    @pytest.mark.parametrize("a,n", [((0.5,), -3), ((0.5,), 0), ((0.5,), 1),
+                                     ((0.0, -0.125), 2), ((0.3, 0.2, 0.1), 3)])
+    def test_n_below_k_plus_one_is_refused(self, a, n):
+        # Q_n needs n >= k + 1 for every k, as zeros_q's m does
+        comb = op.CombCoeffs(a)
+        with pytest.raises(ValueError, match=f"at least k \\+ 1 = {comb.k + 1}"):
+            op.shohat_check(op.chebyshev_family(2, 24), comb, n)
+
     def test_complex_zeros_inapplicable(self, cheb_u):
         # Q_3 = P_3 + 2 P_1 = x^3 + 1.5 x has zeros 0, +-i sqrt(1.5)
         comb = op.CombCoeffs((0.0, 2.0))

@@ -2,8 +2,10 @@ import gc
 import hashlib
 import json
 import math
+import random
 import sys
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -178,9 +180,9 @@ BUNDLED_PAIR_DIGESTS = {
     "cheb4_k2_case_iv.json": "41f8a508f8d9ce00",
     "gen_k1.json": "399f623fced09cd7",
     "gen_k2_a1_zero.json": "590283f19ed24b07",
-    "gen_k2_complex_roots.json": "7ad43bf23135c584",
+    "gen_k2_complex_roots.json": "34d13a459dff45d4",
     "gen_k2_equal_roots.json": "198acbd136244483",
-    "gen_k2_real_roots.json": "53b0aec454739fd9",
+    "gen_k2_real_roots.json": "f9b69ee3c40acd7d",
 }
 
 
@@ -296,6 +298,95 @@ def test_k2_complex_case_real_output():
     assert np.allclose(rec.beta[2:], expect_beta, atol=1e-12)
     assert np.allclose(rec.gamma[2:], expect_gamma, atol=1e-12)
     assert rec.beta.dtype == np.float64
+
+
+def _k2_root_inputs():
+    """``(label, a1, a2, K2Params)`` of the bundled real- and complex-root
+    configs, one real-root set with ``C, F != 0``, and bench-drawn sets."""
+    def num(v):
+        return complex(float(v[0]), float(v[1])) if isinstance(v, list) else float(v)
+
+    def inputs(label, fam):
+        params = K2Params(K2Case(fam["case"]), float(fam["beta0"]), float(fam["beta1"]),
+                          float(fam["gamma1"]), **{x: num(fam.get(x, 0.0)) for x in "ABCDEF"})
+        return label, float(fam["a1"]), float(fam["a2"]), params
+
+    out = []
+    for name in ("gen_k2_real_roots.json", "gen_k2_complex_roots.json"):
+        out.append(inputs(name, json.loads((CONFIG_DIR / name).read_text())["family"]))
+    _, a1, a2, params = out[0]
+    C = 1e-20  # lam^-64 is about 1e27: the q <- q / lam powers matter
+    out.append(("real_roots_C", a1, a2,
+                params._replace(C=C, F=a1 * C / (1.0 + op.recurrence._inner_real_root(a1, a2)))))
+    bench_dir = str(CONFIG_DIR.parent / "bench")
+    if bench_dir not in sys.path:
+        sys.path.insert(0, bench_dir)
+    import families
+
+    rng = random.Random(1)
+    for cls in ("k2_real_roots", "k2_complex_roots"):
+        for i in range(8):
+            out.append(inputs(f"{cls}_{i}", families.draw(cls, rng, 64).config["family"]))
+    return out
+
+
+#: Unit roundoff of binary64 and Higham's ``gamma_k = k u / (1 - k u)``.
+_U = Fraction(1, 2**53)
+
+
+def _gamma(k):
+    return k * _U / (1 - k * _U)
+
+
+def test_k2_root_tails_stay_within_their_rounding_bound():
+    # the exact tails of the float inputs (lam, or c and s, and A..F) in
+    # rationals, against the float tails at horizon 64.  Real roots: p = lam^n
+    # takes n - 1 roundings and q = lam^-n takes n; one product and two sums
+    # make each term of A + B p + C q at most n + 2 roundings, so the error is
+    # at most gamma_{n+2} (|A| + |B p| + |C q|) (Higham 2002, Lemma 3.1).
+    # Complex roots: a rotation step (a c - b s, a s + b c) errs by at most
+    # sqrt(2) gamma_2 |a + ib| |lam| (Cauchy-Schwarz on each part), so the
+    # rotated x = lam^n errs by e_n <= ((1 + sqrt(2) gamma_2)^n - 1) |lam|^n;
+    # r = B_r x_r - B_i x_i adds gamma_2 |B| |x|, and (A + r) + r adds
+    # gamma_2 (|A| + 2 |r|).  The complex bound is evaluated in floats: its own
+    # rounding, a few ulps of the bound, is far below the slack the tails leave.
+    horizon = 64
+    inputs = _k2_root_inputs()
+    assert len(inputs) == 19
+    worst = 0.0
+    for label, a1, a2, params in inputs:
+        rec = op.k2_family(a1, a2, params, horizon)
+        if params.case is K2Case.REAL_ROOTS:
+            lam = Fraction(op.recurrence._inner_real_root(a1, a2))
+            for got, base, u, v in ((rec.betas, params.A, params.B, params.C),
+                                    (rec.gammas, params.D, params.E, params.F)):
+                base, u, v = Fraction(base), Fraction(u), Fraction(v)
+                for n in range(2, horizon + 1):
+                    p, q = u * lam**n, v / lam**n
+                    err = abs(Fraction(got[n]) - (base + p + q))
+                    bound = _gamma(n + 2) * (abs(base) + abs(p) + abs(q))
+                    assert err <= bound, (label, n)
+                    worst = max(worst, float(err / bound))
+        else:
+            c = a1 * a1 / (2.0 * a2) - 1.0
+            s = math.sqrt(1.0 - c * c)
+            lam = (Fraction(c), Fraction(s))
+            step = 1.0 + math.sqrt(2.0) * float(_gamma(2))
+            for got, base, z in ((rec.betas, params.A, params.B),
+                                 (rec.gammas, params.D, params.E)):
+                xr, xi = Fraction(z.real), Fraction(z.imag)
+                for n in range(1, horizon + 1):
+                    xr, xi = xr * lam[0] - xi * lam[1], xr * lam[1] + xi * lam[0]
+                    if n < 2:
+                        continue
+                    size = abs(z) * math.hypot(c, s) ** n  # |B lam^n|
+                    e_n = (step**n - 1.0) * size
+                    r_err = e_n + float(_gamma(2)) * (size + e_n)
+                    err = abs(Fraction(got[n]) - (Fraction(base) + 2 * xr))
+                    bound = 2.0 * r_err + float(_gamma(2)) * (abs(base) + 2.0 * (size + r_err))
+                    assert err <= bound, (label, n)
+                    worst = max(worst, float(err) / bound)
+    assert worst > 0.0  # the tails do round: a bound met by exact zeros shows nothing
 
 
 @pytest.mark.parametrize("case", ["equal_roots", "real_roots", "complex_roots"])

@@ -2,9 +2,7 @@
 run in a fresh interpreter.
 
 ``check``, ``tilde`` and ``gen`` do no linear algebra, so a process that
-runs only them never imports numpy.  The two ``k2`` generators whose bits
-come from numpy (the real-root powers of lambda and the complex-root
-products) are the exception.
+runs only them never imports numpy, whatever the config.
 """
 
 import json
@@ -19,7 +17,6 @@ import opoly as op
 
 SRC = str(Path(op.__file__).resolve().parent.parent)
 CONFIGS = Path(SRC).parent / "configs"
-NUMPY_GENERATORS = {"gen_k2_real_roots.json", "gen_k2_complex_roots.json"}
 
 SCRIPT = """
 import contextlib, io, json, sys
@@ -45,7 +42,7 @@ def _python(*args):
 
 
 def test_check_tilde_and_gen_leave_numpy_unloaded():
-    paths = [str(p) for p in sorted(CONFIGS.glob("*.json")) if p.name not in NUMPY_GENERATORS]
+    paths = [str(p) for p in sorted(CONFIGS.glob("*.json"))]
     proc = _python("-c", SCRIPT, str(CONFIGS / "cheb2_k1.json"), *paths)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
